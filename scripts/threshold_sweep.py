@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from mixedstab import Family
-from mixedstab.stability import case_forms, threshold_sweep
+from mixedstab.stability import brezzi_infsup, case_forms, threshold_sweep
 
 CASES = [
     (Family.FLIPPED, 8, 1),
@@ -28,9 +28,9 @@ def main():
 
     rows = []
     for family, n, r in CASES:
-        forms = case_forms(family, n, r)
+        spectrum = brezzi_infsup(case_forms(family, n, r)).spectrum
         print(f"--- {family.value} n={n} r={r} ---")
-        for thr, dim, beta_reduced in threshold_sweep(forms, THRESHOLDS):
+        for thr, dim, beta_reduced in threshold_sweep(spectrum, THRESHOLDS):
             print(f"  threshold {thr:8.0e}: dimN={dim:3d} "
                   f"beta_reduced={beta_reduced:.6f}")
             rows.append(f"{family.value},{n},{r},{thr:g},{dim},{beta_reduced:.6f}")

@@ -25,7 +25,6 @@ from .element import (
 from .eigensolve import (
     Spectrum,
     cholesky,
-    jacobi_generalized_eig,
     schur_complement,
     sym_generalized_eig,
 )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -33,8 +34,7 @@ from .mesh import Family, GENERATED_FAMILIES, export_mesh, generate, read_mesh
 from .stability import (DEFAULT_THRESHOLD, SWEEP_THRESHOLDS, babuska_infsup,
                         brezzi_coercivity, brezzi_infsup, case_forms,
                         divdiv_spectrum, laplace_eigenvalue, reproduce_table,
-                        run_case, stokes_infsup, threshold_sweep,
-                        StabilityReport)
+                        run_case, stokes_infsup, StabilityReport)
 from .poisson import convergence_study, default_n_values, NORM_KEYS
 
 PROG = "mixed-stab"
@@ -116,8 +116,11 @@ def _positive_int_list(text):
     return vals
 
 
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _threshold(value, source):
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{source}: threshold must be finite and positive, "
+                         f"got {value!r}")
+    return value
 
 
 def build_parser():
@@ -212,13 +215,14 @@ def build_parser():
 def resolve_threshold(args):
     value = getattr(args, "threshold", None)
     if value is not None:
-        return float(value)
+        return _threshold(float(value), "--threshold")
     env = os.environ.get(THRESHOLD_ENV)
     if env is not None:
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
             raise UsageError(f"bad {THRESHOLD_ENV} value {env!r}")
+        return _threshold(value, THRESHOLD_ENV)
     return DEFAULT_THRESHOLD
 
 
@@ -259,7 +263,8 @@ def config_from_args(args):
         cfg.dump_matrices = args.dump_matrices
         if args.sweep is not None:
             cfg.sweep = (list(SWEEP_THRESHOLDS) if args.sweep == "default"
-                         else _float_list(args.sweep))
+                         else [_threshold(float(t), "--sweep")
+                               for t in args.sweep.split(",") if t.strip()])
     elif command == "spectrum":
         cfg.pencil = args.pencil
         cfg.dump_matrices = args.dump_matrices
@@ -331,27 +336,24 @@ def cmd_infsup(cfg):
     forms = case_forms(None, None, cfg.r, mesh=mesh)
     report = run_case(mesh=mesh, r=cfg.r, threshold=cfg.threshold,
                       with_alpha=cfg.with_alpha, with_gamma=cfg.with_gamma,
-                      with_stokes=cfg.with_stokes, forms=forms)
+                      with_stokes=cfg.with_stokes, sweep=cfg.sweep, forms=forms)
     if cfg.dump_matrices:
         from .assembly import write_matrix_market
         write_matrix_market(forms, cfg.dump_matrices)
-    sweep_rows = None
-    if cfg.sweep:
-        sweep_rows = threshold_sweep(forms, tuple(cfg.sweep))
 
     if cfg.fmt == "json":
         payload = _report_payload(report)
-        if sweep_rows is not None:
+        if report.sweep is not None:
             payload["sweep"] = [
                 {"threshold": t, "dimN": d, "beta_reduced": b}
-                for t, d, b in sweep_rows]
+                for t, d, b in report.sweep]
         _emit_json(cfg, payload)
     else:
         lines = [cfg.provenance_line(), StabilityReport.CSV_HEADER,
                  report.csv_row()]
-        if sweep_rows is not None:
+        if report.sweep is not None:
             lines.append("threshold,dimN,beta_reduced")
-            lines += [f"{t:g},{d},{b:.6f}" for t, d, b in sweep_rows]
+            lines += [f"{t:g},{d},{b:.6f}" for t, d, b in report.sweep]
         _emit(cfg, "\n".join(lines) + "\n")
     return 0
 
@@ -371,7 +373,7 @@ def cmd_spectrum(cfg):
     elif cfg.pencil == "divdiv":
         spec = divdiv_spectrum(forms)
     else:
-        spec = babuska_infsup(forms).spectrum
+        spec = babuska_infsup(forms, brezzi_infsup(forms)).spectrum
     values = [float(v) for v in spec.values]
     if cfg.fmt == "json":
         _emit_json(cfg, {"pencil": cfg.pencil, "count": len(values),
@@ -386,7 +388,7 @@ def cmd_spectrum(cfg):
 def cmd_coercivity(cfg):
     mesh = _case_mesh(cfg)
     forms = case_forms(None, None, cfg.r, mesh=mesh)
-    res = brezzi_coercivity(forms)
+    res = brezzi_coercivity(forms, brezzi_infsup(forms, threshold=cfg.threshold))
     payload = {"alpha": res.alpha, "kernel_dim": res.kernel_dim, "r": cfg.r}
     if cfg.fmt == "json":
         _emit_json(cfg, payload)

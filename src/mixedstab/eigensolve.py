@@ -1,9 +1,9 @@
-"""Dense symmetric generalized eigensolvers and Schur complements.
+"""Dense symmetric generalized eigensolver and Schur complements.
 
-The main path reduces S x = lambda M x with the Cholesky factor of M to
-a standard symmetric problem and calls the LAPACK symmetric solvers.  A
-self-contained cyclic Jacobi solver (with its own Cholesky) is kept as a
-slow cross-check oracle.
+S x = lambda M x is reduced with the Cholesky factor of M to a standard
+symmetric problem and handed to LAPACK; S is a Schur complement
+B A^{-1} B^T.  Independent cross-check solvers live in tests/oracles.py,
+not here.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class Spectrum:
     problem: str = ""
     threshold: float | None = None
 
-    def count_below(self, threshold):
-        return int(np.count_nonzero(self.values < threshold))
-
     def smallest_at_least(self, threshold):
         above = self.values[self.values >= threshold]
         if above.size == 0:
@@ -55,9 +52,6 @@ class CholeskyFactor:
     def solve(self, rhs):
         y = sla.solve_triangular(self.lower, rhs, lower=True)
         return sla.solve_triangular(self.lower, y, lower=True, trans="T")
-
-    def reconstruct(self):
-        return self.lower @ self.lower.T
 
 
 def cholesky(matrix):
@@ -102,65 +96,7 @@ def sym_generalized_eig(S, M, vectors=False, problem=""):
     return Spectrum(values=vals, vectors=vecs, problem=problem)
 
 
-def jacobi_generalized_eig(S, M, tol=1e-14, max_sweeps=60):
-    """Cross-check oracle: cyclic Jacobi on the Cholesky-reduced pencil.
-
-    Self-contained (own Cholesky, own rotations); intended for small
-    matrices.  Returns ascending eigenvalues.
-    """
-    a = _dense(S)
-    b = _dense(M)
-    n = a.shape[0]
-    lower = _jacobi_cholesky(b)
-    # C = L^{-1} S L^{-T}
-    c = sla.solve_triangular(lower, a, lower=True)
-    c = sla.solve_triangular(lower, c.T, lower=True).T
-    c = 0.5 * (c + c.T)
-    scale = np.linalg.norm(c)
-    if scale == 0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(c, -1) ** 2) * 2)
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(c[p, q]) <= 1e-300:
-                    continue
-                tau = (c[q, q] - c[p, p]) / (2.0 * c[p, q])
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * cs
-                rot_p = cs * c[:, p] - sn * c[:, q]
-                rot_q = sn * c[:, p] + cs * c[:, q]
-                c[:, p] = rot_p
-                c[:, q] = rot_q
-                rot_p = cs * c[p, :] - sn * c[q, :]
-                rot_q = sn * c[p, :] + cs * c[q, :]
-                c[p, :] = rot_p
-                c[q, :] = rot_q
-    else:
-        raise EigensolveError("Jacobi iteration did not converge")
-    return np.sort(np.diag(c))
-
-
-def _jacobi_cholesky(matrix):
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if d <= 0:
-            raise NotPositiveDefiniteError(j + 1)
-        lower[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
-def schur_complement(B, A, label=""):
+def schur_complement(B, A):
     """Dense symmetric S = B A^{-1} B^T for SPD A.
 
     One factorization of A and dim(Q) solves.  A is factored densely up

@@ -1,30 +1,30 @@
 """Stability constants of the mixed discretization.
 
-All constants come from small dense generalized eigenproblems:
-
-* Brezzi inf-sup: B A_div^{-1} B^T p = lambda M_Q p; beta = sqrt(min lambda).
-  Eigenvalues below the zero threshold count the spurious pressure modes
-  N_h = {q : <div v, q> = 0 for all v}; the reduced constant skips them.
-* Brezzi coercivity: the form <u, v> against the div-norm on the discrete
-  divergence-free subspace (nullspace basis of B).
-* Babuska: smallest-modulus eigenvalue of the full indefinite pencil.
-* Stokes inf-sup: same Schur construction with the H1 matrix A_1.
-* Mixed Laplace eigenvalue: B M_V^{-1} B^T p = mu M_Q p; the continuous
-  problem's smallest eigenvalue on the unit square is 2 pi^2.
+One Schur complement and one dense eigensolve give the Brezzi inf-sup
+spectrum B A_div^{-1} B^T p = lambda M_Q p: beta = sqrt(min lambda), and
+eigenvalues below the zero threshold count the spurious pressure modes
+N_h = {q : <div v, q> = 0 for all v}.  As div V_h lies in Q_h, the div-div
+form is K = B^T M_Q^{-1} B, and the rest follows from lambda: the mixed
+Laplace eigenvalues mu = lambda / (1 - lambda), the div-div spectrum (nV - nQ
+zeros and the mu), the Babuska spectrum (-lambda and nV ones, so gamma =
+beta^2 without spurious modes) and alpha = 1 on a kernel of dimension
+nV - nQ + dim N_h.  Only the Stokes constant (H1 matrix A_1) is a second solve.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .assembly import assemble, build_spaces
 from .eigensolve import Spectrum, schur_complement, sym_generalized_eig
-from .errors import EigensolveError, NumericalError
-from .mesh import Family, generate, singular_vertices
+from .errors import NumericalError
+from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
 
 DEFAULT_THRESHOLD = 1e-4
 SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
@@ -65,10 +65,10 @@ class InfSupResult:
     warning: str | None = None
 
 
-def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD, vectors=False):
+def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
     """Brezzi inf-sup constant in the H(div) norm, with spurious modes."""
-    s = schur_complement(forms.B, forms.A_div, label="hdiv")
-    spec = sym_generalized_eig(s, forms.M_Q, vectors=vectors, problem="brezzi-infsup")
+    s = schur_complement(forms.B, forms.A_div)
+    spec = sym_generalized_eig(s, forms.M_Q, problem="brezzi-infsup")
     spec.threshold = threshold
     dim, beta, beta_reduced, warning = classify_spectrum(spec.values, threshold)
     return InfSupResult(beta, beta_reduced, dim, spec, warning)
@@ -78,61 +78,52 @@ def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD, vectors=False):
 class CoercivityResult:
     alpha: float
     kernel_dim: int
-    kernel: np.ndarray  # (dim V_h, kernel_dim), orthonormal columns
+    residual: float  # relative Frobenius norm of K - B^T M_Q^{-1} B
 
 
-def brezzi_coercivity(forms, rank_tol=1e-10):
+def brezzi_coercivity(forms, infsup):
     """Coercivity constant of <u, v> on the discrete divergence-free space.
 
-    An orthonormal nullspace basis Z of B is computed by SVD and the form
-    is compared against the div-norm on span(Z); since the divergence of
-    the pair's velocity space lies in the pressure space, every kernel
-    field is exactly divergence-free and the constant equals one.
+    Exactly one: K = B^T M_Q^{-1} B vanishes on the kernel of B, whose
+    dimension is nV - nQ + dim N_h (N_h from the InfSupResult ``infsup``).
+    Raises NumericalError unless the identity holds on the assembled
+    matrices (M_Q inverted cell by cell) to 1e-10 relative.
     """
-    b = forms.B.toarray()
-    _, svals, vt = sla.svd(b, full_matrices=True)
-    rank = int(np.count_nonzero(svals > rank_tol * max(svals[0], 1.0)))
-    z = vt[rank:].T
-    if z.shape[1] == 0:
-        raise NumericalError("discrete divergence-free space is empty")
-    a_z = z.T @ (forms.M_V @ z)
-    m_z = z.T @ (forms.A_div @ z)
-    spec = sym_generalized_eig(a_z, m_z, problem="brezzi-coercivity")
-    alpha = float(np.min(np.abs(spec.values)))
-    return CoercivityResult(alpha=alpha, kernel_dim=z.shape[1], kernel=z)
+    nb = forms.Q_h.cell_dofs.shape[1]
+    m_q_inv = sp.bsr_matrix(forms.M_Q, blocksize=(nb, nb))
+    m_q_inv.data = np.linalg.inv(m_q_inv.data)
+    residual = float(sparse_norm(forms.K - forms.B.T @ (m_q_inv @ forms.B))
+                     / sparse_norm(forms.K))
+    if not residual <= 1e-10:
+        raise NumericalError(f"div-div form differs from B^T M_Q^-1 B by "
+                             f"{residual:.2e} (relative); alpha = 1 does not hold")
+    kernel_dim = forms.V_h.ndofs - forms.Q_h.ndofs + infsup.dim_spurious
+    return CoercivityResult(alpha=1.0, kernel_dim=kernel_dim, residual=residual)
 
 
 @dataclass
 class BabuskaResult:
     gamma: float
-    spectrum: Spectrum | None
+    spectrum: Spectrum
     note: str | None = None
 
 
-def babuska_infsup(forms, dim_spurious=None):
+def babuska_infsup(forms, infsup):
     """Babuska constant of the full mixed form on V_h x Q_h.
 
-    Smallest-modulus eigenvalue of the symmetric indefinite pencil with
-    the mixed form on the left and the graph norm (div-norm plus pressure
-    mass) on the right.  Singular when spurious modes exist: with a known
-    positive spurious dimension the constant is reported as exactly zero.
+    Smallest-modulus eigenvalue of [[M_V, B^T], [B, 0]] against the graph
+    norm diag(A_div, M_Q), whose spectrum is -lambda for every eigenvalue
+    of the InfSupResult ``infsup`` plus nV ones.  Reported as exactly zero
+    when spurious modes make the form singular.
     """
-    if dim_spurious is not None and dim_spurious > 0:
-        return BabuskaResult(0.0, None,
-                             note=f"singular pencil: {dim_spurious} spurious modes")
-    m_v = forms.M_V.toarray()
-    b = forms.B.toarray()
-    n_v, n_q = forms.V_h.ndofs, forms.Q_h.ndofs
-    lhs = np.zeros((n_v + n_q, n_v + n_q))
-    lhs[:n_v, :n_v] = m_v
-    lhs[:n_v, n_v:] = b.T
-    lhs[n_v:, :n_v] = b
-    rhs = np.zeros_like(lhs)
-    rhs[:n_v, :n_v] = forms.A_div.toarray()
-    rhs[n_v:, n_v:] = forms.M_Q.toarray()
-    spec = sym_generalized_eig(lhs, rhs, problem="babuska")
-    gamma = float(np.min(np.abs(spec.values)))
-    return BabuskaResult(gamma, spec)
+    lam = infsup.spectrum.values
+    # ascending, since lambda is ascending and lies in [0, 1)
+    spec = Spectrum(np.concatenate([-lam[::-1], np.ones(forms.V_h.ndofs)]),
+                    problem="babuska")
+    if infsup.dim_spurious > 0:
+        return BabuskaResult(0.0, spec, note=f"singular pencil: "
+                                             f"{infsup.dim_spurious} spurious modes")
+    return BabuskaResult(float(np.min(np.abs(spec.values))), spec)
 
 
 @dataclass
@@ -151,7 +142,7 @@ def stokes_infsup(forms, threshold=DEFAULT_THRESHOLD):
     the Rayleigh quotient of the constant pressure is reported separately
     so its position in the spectrum is visible.
     """
-    s = schur_complement(forms.B, forms.A_1, label="h1")
+    s = schur_complement(forms.B, forms.A_1)
     spec = sym_generalized_eig(s, forms.M_Q, problem="stokes-infsup")
     spec.threshold = threshold
     dim, beta, beta_reduced, _ = classify_spectrum(spec.values, threshold)
@@ -167,26 +158,27 @@ class LaplaceResult:
 
 
 def laplace_eigenvalue(forms, threshold=DEFAULT_THRESHOLD):
-    """Smallest positive eigenvalue of the mixed Laplace pencil.
+    """Smallest eigenvalue of the mixed Laplace pencil at or above threshold.
 
-    B M_V^{-1} B^T p = mu M_Q p.  The continuous problem's smallest
-    eigenvalue on the unit square is 2 pi^2; how close the discrete value
-    comes depends on the stability of the pair.
+    B M_V^{-1} B^T p = mu M_Q p has the inf-sup eigenvectors and
+    mu = lambda / (1 - lambda).  The continuous value on the unit square is
+    2 pi^2; how close mu comes depends on the stability of the pair.
     """
-    s = schur_complement(forms.B, forms.M_V, label="laplace")
-    spec = sym_generalized_eig(s, forms.M_Q, problem="mixed-laplace")
-    spec.threshold = threshold
-    mu = spec.smallest_at_least(threshold)
-    return LaplaceResult(mu, spec)
+    lam = brezzi_infsup(forms).spectrum.values
+    spec = Spectrum(infsup_to_laplace(lam), problem="mixed-laplace",
+                    threshold=threshold)
+    return LaplaceResult(spec.smallest_at_least(threshold), spec)
 
 
 def divdiv_spectrum(forms):
     """Eigenvalues of <div u, div v> against the vector mass.
 
-    The positive part of this spectrum coincides with the mixed Laplace
-    pencil's positive spectrum (the div-div route to the same operator).
+    The div-div form is B^T M_Q^{-1} B, so the spectrum is nV - nQ zeros
+    plus the mixed Laplace eigenvalues.
     """
-    return sym_generalized_eig(forms.K, forms.M_V, problem="divdiv")
+    mu = infsup_to_laplace(brezzi_infsup(forms).spectrum.values)
+    zeros = np.zeros(forms.V_h.ndofs - forms.Q_h.ndofs)
+    return Spectrum(np.sort(np.concatenate([zeros, mu])), problem="divdiv")
 
 
 def infsup_to_laplace(lam):
@@ -212,6 +204,7 @@ class StabilityReport:
     beta_h1: float | None = None
     beta_h1_reduced: float | None = None
     stokes_constant_mode: float | None = None
+    sweep: list | None = None
     warnings: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
@@ -236,14 +229,18 @@ def case_forms(family, n, r, mesh=None):
 
 
 def run_case(family=None, n=None, r=1, *, mesh=None, threshold=DEFAULT_THRESHOLD,
-             with_alpha=False, with_gamma=False, with_stokes=False, forms=None):
-    """Full stability study for one case; returns a StabilityReport."""
+             with_alpha=False, with_gamma=False, with_stokes=False, sweep=None,
+             forms=None):
+    """Full stability study for one case; returns a StabilityReport.
+
+    ``sweep``: thresholds for threshold_sweep on the inf-sup spectrum.
+    """
     timings = {}
-    t0 = time.perf_counter()
     if forms is None:
+        t0 = time.perf_counter()
         forms = case_forms(family, n, r, mesh=mesh)
+        timings["assemble"] = time.perf_counter() - t0
     mesh = forms.mesh
-    timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     sigma = singular_vertices(mesh).sigma
@@ -263,12 +260,10 @@ def run_case(family=None, n=None, r=1, *, mesh=None, threshold=DEFAULT_THRESHOLD
 
     if with_alpha:
         t0 = time.perf_counter()
-        report.alpha = brezzi_coercivity(forms).alpha
+        report.alpha = brezzi_coercivity(forms, infsup).alpha
         timings["coercivity"] = time.perf_counter() - t0
     if with_gamma:
-        t0 = time.perf_counter()
-        report.gamma = babuska_infsup(forms, dim_spurious=infsup.dim_spurious).gamma
-        timings["babuska"] = time.perf_counter() - t0
+        report.gamma = babuska_infsup(forms, infsup).gamma
     if with_stokes:
         t0 = time.perf_counter()
         stokes = stokes_infsup(forms, threshold=threshold)
@@ -276,19 +271,17 @@ def run_case(family=None, n=None, r=1, *, mesh=None, threshold=DEFAULT_THRESHOLD
         report.beta_h1_reduced = stokes.beta_reduced
         report.stokes_constant_mode = stokes.constant_mode
         timings["stokes"] = time.perf_counter() - t0
+    if sweep:
+        report.sweep = threshold_sweep(infsup.spectrum, sweep)
     return report
 
 
-def threshold_sweep(forms, thresholds=SWEEP_THRESHOLDS):
-    """Spurious-mode count and reduced constant per threshold.
-
-    The spectrum is computed once; rows are (threshold, dim_spurious,
-    beta_reduced) ordered as given.
-    """
-    spec = brezzi_infsup(forms, threshold=max(thresholds)).spectrum
+def threshold_sweep(spectrum, thresholds=SWEEP_THRESHOLDS):
+    """Rows (threshold, dim_spurious, beta_reduced) of an inf-sup Spectrum,
+    one per threshold in the order given."""
     rows = []
     for thr in thresholds:
-        dim, _, beta_reduced, _ = classify_spectrum(spec.values, thr)
+        dim, _, beta_reduced, _ = classify_spectrum(spectrum.values, thr)
         rows.append((float(thr), dim, beta_reduced))
     return rows
 
@@ -353,7 +346,7 @@ def reproduce_table(which, n_values=None, r_values=None,
     if which == "T1":
         r_list = list(r_values) if r_values is not None else [1, 2, 3]
         cases = [(fam, n, r, threshold)
-                 for fam in GENERATED_FAMILIES_T1 for n in n_values for r in r_list]
+                 for fam in GENERATED_FAMILIES for n in n_values for r in r_list]
         reports = _run_cases(cases, jobs)
         rows = [[rep.family, rep.n, rep.r, rep.sigma, rep.dim_spurious]
                 for rep in reports]
@@ -386,14 +379,12 @@ def reproduce_table(which, n_values=None, r_values=None,
     return TableReport(which, r, threshold, header, rows)
 
 
-GENERATED_FAMILIES_T1 = (Family.DIAGONAL, Family.FLIPPED, Family.ZIGZAG,
-                         Family.CRISSCROSS, Family.UNIONJACK)
-
-
 def _run_cases(cases, jobs):
-    if jobs and jobs > 1:
+    # under fork every worker starts at once: no more than cases or cores
+    workers = min(jobs or 1, len(cases), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_table_case, cases))
     return [_table_case(c) for c in cases]

@@ -15,16 +15,17 @@ import math
 import numpy as np
 import pytest
 
-from mixedstab.eigensolve import jacobi_generalized_eig, sym_generalized_eig
+from mixedstab.eigensolve import sym_generalized_eig
 from mixedstab.element import monomial_exponents, monomial_integral, quadrature
 from mixedstab.mesh import Family, generate, singular_vertices
 from mixedstab.poisson import convergence_study
 from mixedstab.stability import (DEFAULT_THRESHOLD, brezzi_coercivity,
                                  brezzi_infsup, classify_spectrum,
-                                 divdiv_spectrum, infsup_to_laplace,
-                                 laplace_eigenvalue, stokes_infsup)
+                                 infsup_to_laplace, stokes_infsup)
 
-from test_eigensolve import full_saddle_eigenvalues
+from oracles import (divdiv_pencil_eigenvalues, full_saddle_eigenvalues,
+                     jacobi_generalized_eig, laplace_pencil_eigenvalues,
+                     svd_coercivity)
 
 BETA_TOL = 5e-5          # printed reference values carry 6 decimals
 BETA_EXACT = math.sqrt(2 * math.pi**2 / (1 + 2 * math.pi**2))  # 0.975593...
@@ -223,7 +224,8 @@ def test_criterion_5_eigenvalue_map(record, forms_for, infsup_for):
         tag = f"diagonal n={n} r={r}"
         forms = forms_for(Family.DIAGONAL, n, r)
         lam = infsup_for(Family.DIAGONAL, n, r).spectrum.values
-        mu = laplace_eigenvalue(forms).spectrum.values
+        # independent route: the mixed Laplace pencil's own Schur complement
+        mu = laplace_pencil_eigenvalues(forms)
         if lam.min() < 0 or lam.max() > 1 - 1e-8:
             failures.append(f"{tag}: inf-sup spectrum outside [0, 1): "
                             f"[{lam.min():.3e}, {lam.max():.17f}]")
@@ -234,7 +236,7 @@ def test_criterion_5_eigenvalue_map(record, forms_for, infsup_for):
         if err.max() > 1e-8:
             failures.append(f"{tag}: map error {err.max():.2e}")
         # independent route: div-div form against the vector mass
-        dd = divdiv_spectrum(forms).values
+        dd = divdiv_pencil_eigenvalues(forms)
         npos = int(np.sum(dd > 1e-8))
         if npos != len(mu):
             failures.append(f"{tag}: {npos} positive div-div eigenvalues, "
@@ -249,16 +251,22 @@ def test_criterion_5_eigenvalue_map(record, forms_for, infsup_for):
           f"div-div route dev <= {worst_div:.2e}")
 
 
-def test_criterion_6_coercivity_is_exact(record, forms_for):
+def test_criterion_6_coercivity_is_exact(record, forms_for, infsup_for):
     failures, worst = [], 0.0
     cases = [(f, n, r) for f in ALL_FAMILIES for n in (4, 6) for r in (1, 2)]
     cases.append((Family.DIAGONAL, 4, 3))
     for family, n, r in cases:
-        res = brezzi_coercivity(forms_for(family, n, r))
-        worst = max(worst, abs(res.alpha - 1.0))
-        if abs(res.alpha - 1.0) > 1e-9:
-            failures.append(
-                f"{family.value} n={n} r={r}: alpha = {res.alpha:.12f}")
+        forms = forms_for(family, n, r)
+        res = brezzi_coercivity(forms, infsup_for(family, n, r))
+        # independent route: SVD nullspace basis of B
+        alpha, kernel = svd_coercivity(forms)
+        worst = max(worst, abs(alpha - 1.0), abs(res.alpha - alpha))
+        if max(abs(alpha - 1.0), abs(res.alpha - alpha)) > 1e-9:
+            failures.append(f"{family.value} n={n} r={r}: alpha = "
+                            f"{res.alpha:.12f}, SVD route {alpha:.12f}")
+        if res.kernel_dim != kernel.shape[1]:
+            failures.append(f"{family.value} n={n} r={r}: kernel dimension "
+                            f"{res.kernel_dim}, SVD rank gives {kernel.shape[1]}")
     check(record, "6: coercivity constant alpha = 1 on the kernel", failures,
           f"{len(cases)} cases, worst |alpha - 1| = {worst:.2e}")
 

@@ -1,12 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedstab.cli import (RunConfig, build_parser, main, parse_n_values,
                            resolve_threshold, THRESHOLD_ENV)
+from mixedstab.mesh import Family
+from mixedstab.stability import case_forms
+
+from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
+                     laplace_pencil_eigenvalues)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -183,6 +193,50 @@ def test_spectrum_babuska_has_negative_values(tmp_path):
     assert min(values) < 0 < max(values)
 
 
+@pytest.mark.parametrize("family", ["diagonal", "unionjack"])
+def test_spectrum_derived_pencils_match_oracles(tmp_path, family):
+    forms = case_forms(Family.parse(family), 4, 2)
+    n_v, n_q = forms.V_h.ndofs, forms.Q_h.ndofs
+    cases = {"laplace": (n_q, laplace_pencil_eigenvalues),
+             "divdiv": (n_v, divdiv_pencil_eigenvalues),
+             "babuska": (n_v + n_q, babuska_pencil_eigenvalues)}
+    for pencil, (count, oracle) in cases.items():
+        out = tmp_path / f"{pencil}.json"
+        assert run_cli("spectrum", "--family", family, "--n", "4", "--r", "2",
+                       "--pencil", pencil, "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        values = np.array(data["values"])
+        assert data["count"] == count == len(values), pencil
+        assert np.all(np.diff(values) >= 0), pencil
+        want = oracle(forms)
+        assert np.max(np.abs(values - want) / (1.0 + np.abs(want))) < 1e-8, pencil
+
+
+def test_every_constant_comes_from_two_solves(tmp_path, monkeypatch):
+    import mixedstab.stability as stability
+
+    calls = []
+
+    def counting(name):
+        fn = getattr(stability, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("schur_complement", "sym_generalized_eig"):
+        monkeypatch.setattr(stability, name, counting(name))
+    case = ["--family", "unionjack", "--n", "4", "--r", "2",
+            "--out", str(tmp_path / "o.json")]
+    assert run_cli("infsup", *case, "--with-alpha", "--with-gamma",
+                   "--with-stokes", "--sweep") == 0
+    assert sorted(calls) == ["schur_complement"] * 2 + ["sym_generalized_eig"] * 2
+    calls.clear()
+    assert run_cli("laplace-eig", *case) == 0
+    assert sorted(calls) == ["schur_complement", "sym_generalized_eig"]
+
+
 def test_coercivity_and_laplace_commands(tmp_path):
     out = tmp_path / "c.json"
     assert run_cli("coercivity", "--family", "zigzag", "--n", "4", "--r", "2",
@@ -219,6 +273,17 @@ def test_converge_csv_and_plot_data(tmp_path):
         assert panel[2].split() == ["4", "1.000000e+00"]
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1e-4", "0"])
+def test_bad_thresholds_exit_two(bad, monkeypatch, capsys):
+    case = ["infsup", "--family", "diagonal", "--n", "4", "--r", "1"]
+    monkeypatch.delenv(THRESHOLD_ENV, raising=False)
+    assert run_cli(*case, f"--threshold={bad}") == 2
+    assert run_cli(*case, "--sweep", f"1e-3,{bad}") == 2
+    monkeypatch.setenv(THRESHOLD_ENV, bad)
+    assert run_cli(*case) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli("infsup", "--family", "diagonal") == 2
     assert run_cli("tables", "--which", "T7") == 2
@@ -240,3 +305,18 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "mixed-stab 0.1.0"
+
+
+def test_threshold_sweep_script(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "threshold_sweep.py"),
+         "--outdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "threshold_sweep.csv").read_text().splitlines()
+    assert lines[0] == "family,n,r,threshold,dimN,beta_reduced"
+    assert len(lines) == 1 + 4 * 6
+    assert "flipped,8,1,0.0001,9," in (tmp_path / "threshold_sweep.csv").read_text()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from mixedstab.mesh import Family, generate
 from mixedstab.stability import (DEFAULT_THRESHOLD, StabilityReport,
                                  babuska_infsup, brezzi_coercivity,
                                  brezzi_infsup, classify_spectrum,
-                                 divdiv_spectrum, infsup_to_laplace,
-                                 laplace_eigenvalue, reproduce_table,
+                                 infsup_to_laplace, laplace_eigenvalue,
+                                 reproduce_table,
                                  run_case, stokes_infsup, threshold_sweep)
+
+from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
+                     laplace_pencil_eigenvalues, svd_coercivity)
 
 TWO_PI_SQ = 2 * np.pi ** 2
 
@@ -53,25 +58,40 @@ def test_brezzi_infsup_unionjack_anchor(forms_for):
 
 def test_coercivity_is_one_with_divergence_free_kernel(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    res = brezzi_coercivity(forms)
+    res = brezzi_coercivity(forms, brezzi_infsup(forms))
     assert res.kernel_dim == forms.V_h.ndofs - forms.Q_h.ndofs  # 50 - 32
-    assert abs(res.alpha - 1.0) < 1e-9
+    assert res.alpha == 1.0
+    assert res.residual < 1e-14
+    alpha, kernel = svd_coercivity(forms)
+    assert abs(alpha - 1.0) < 1e-9
+    assert kernel.shape[1] == res.kernel_dim
     # kernel fields are exactly divergence-free
-    assert np.max(np.abs(forms.B @ res.kernel)) < 1e-10
+    assert np.max(np.abs(forms.B @ kernel)) < 1e-10
+
+
+def test_coercivity_rejects_a_broken_divdiv_identity(forms_for):
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    with pytest.raises(NumericalError, match="alpha = 1 does not hold"):
+        brezzi_coercivity(dataclasses.replace(forms, K=1.01 * forms.K),
+                          brezzi_infsup(forms))
 
 
 def test_babuska_positive_and_below_brezzi(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    beta = brezzi_infsup(forms).beta
-    res = babuska_infsup(forms)
+    infsup = brezzi_infsup(forms)
+    beta = infsup.beta
+    res = babuska_infsup(forms, infsup)
     assert res.gamma > 0.01
     assert res.gamma <= beta + 1e-12
+    assert abs(res.gamma - beta ** 2) < 1e-12
+    # independent route: the block pencil solved whole
+    oracle = babuska_pencil_eigenvalues(forms)
+    assert abs(res.gamma - np.min(np.abs(oracle))) < 1e-9
 
 
 def test_babuska_zero_with_spurious_modes(forms_for):
     forms = forms_for(Family.UNIONJACK, 4, 1)
-    dim = brezzi_infsup(forms).dim_spurious
-    res = babuska_infsup(forms, dim_spurious=dim)
+    res = babuska_infsup(forms, brezzi_infsup(forms))
     assert res.gamma == 0.0
     assert "spurious" in res.note
 
@@ -93,10 +113,10 @@ def test_laplace_eigenvalue_stable_pair(forms_for):
 def test_eigenvalue_map_and_divdiv_route(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
     lam = brezzi_infsup(forms).spectrum.values
-    mu = laplace_eigenvalue(forms).spectrum.values
+    mu = laplace_pencil_eigenvalues(forms)
     mapped = infsup_to_laplace(lam)
     assert np.max(np.abs(mu - mapped) / (1.0 + np.abs(mu))) < 1e-10
-    dd = divdiv_spectrum(forms).values
+    dd = divdiv_pencil_eigenvalues(forms)
     positive = np.sort(dd[dd > 1e-10])
     assert len(positive) == len(mu)
     assert np.max(np.abs(positive - np.sort(mu))) < 1e-8
@@ -104,7 +124,7 @@ def test_eigenvalue_map_and_divdiv_route(forms_for):
 
 def test_threshold_sweep_monotone(forms_for):
     forms = forms_for(Family.UNIONJACK, 6, 1)
-    rows = threshold_sweep(forms, (1e-2, 1e-4, 1e-6, 1e-8))
+    rows = threshold_sweep(brezzi_infsup(forms).spectrum, (1e-2, 1e-4, 1e-6, 1e-8))
     dims = [dim for _, dim, _ in rows]
     assert dims == sorted(dims, reverse=True)
     assert dims[1] == 12  # n(n-2)/2 at the default threshold
@@ -121,6 +141,13 @@ def test_run_case_report_fields(forms_for):
     assert report.beta_h1_reduced <= report.beta_div_reduced
     row = report.csv_row()
     assert len(row.split(",")) == len(StabilityReport.CSV_HEADER.split(","))
+
+
+def test_run_case_times_assembly_only_when_it_assembles(forms_for):
+    given = run_case(Family.DIAGONAL, 4, 1, forms=forms_for(Family.DIAGONAL, 4, 1))
+    assert "assemble" not in given.timings
+    built = run_case(Family.DIAGONAL, 4, 1)
+    assert built.timings["assemble"] > 0
 
 
 def test_run_case_with_imported_mesh():
@@ -157,6 +184,39 @@ def test_reproduce_table_parallel_matches_serial():
     serial = reproduce_table("T2", n_values=[4, 6], jobs=1)
     parallel = reproduce_table("T2", n_values=[4, 6], jobs=2)
     assert serial.to_csv() == parallel.to_csv()
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created = []
+
+    def __init__(self, max_workers=None):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_reproduce_table_clamps_jobs(monkeypatch):
+    import concurrent.futures
+
+    import mixedstab.stability as stability
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "created", [])
+    monkeypatch.setattr(stability.os, "cpu_count", lambda: 3)
+    reproduce_table("T2", n_values=[4], jobs=10**6)      # 4 cases, 3 cores
+    reproduce_table("T1", n_values=[4], r_values=[1], jobs=2)
+    monkeypatch.setattr(stability.os, "cpu_count", lambda: 1)
+    reproduce_table("T2", n_values=[4], jobs=8)          # one core: serial
+    assert RecordingExecutor.created == [3, 2]
 
 
 def test_reproduce_table_rejects_unknown():
