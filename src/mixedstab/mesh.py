@@ -376,6 +376,8 @@ def import_mesh(source):
             verts[k] = [float(parts[0]), float(parts[1])]
         except ValueError:
             fail(lineno, f"bad coordinate in {parts!r}")
+        if not np.all(np.isfinite(verts[k])):
+            fail(lineno, f"non-finite coordinate in {parts!r}")
     lineno = 3 + nv
     head = get(lineno).split()
     if len(head) != 2 or head[0] != "cells":

@@ -1,8 +1,12 @@
 """Mixed source problem and convergence study.
 
-Solves M_V u + B^T p = 0, B u = G via the pressure Schur complement
-S = B M_V^{-1} B^T, and measures errors of (u_h, p_h) against high-order
-interpolants of the closed-form solution
+Solves M_V u + B^T p = 0, B u = G by one sparse LU of the saddle-point
+matrix [[M_V, B^T], [B, 0]], the same path at every size.  A mesh with
+spurious pressure modes makes that matrix singular; the solve is then
+refused (SpuriousModeError) when the LU breaks down or its pivots span
+more than 1/PIVOT_RATIO_TOL, and every returned solution has passed a
+1e-10 relative residual check.  Errors of (u_h, p_h) are measured against
+high-order interpolants of the closed-form solution
 
     p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u.
 
@@ -16,19 +20,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (assemble, build_spaces, cell_geometry,
-                       scalar_lagrange_space, vector_lagrange_space,
-                       pressure_mass_solve)
+                       scalar_lagrange_space, vector_lagrange_space)
 from .element import quadrature
 from .errors import NumericalError, SpuriousModeError
 from .mesh import Family, generate
 
 INTERPOLANT_DEGREE = 6
 ERROR_QUAD_DEGREE = 14
-DENSE_SCHUR_LIMIT = 3200  # dim Q_h above which the Schur solve goes iterative
+# smallest-to-largest |diag U| ratio of the saddle-point LU below which
+# the matrix is taken as singular (spurious pressure modes).  On the
+# generated families at n = 4..16, r = 1..4, stable cases sit above 5e-5
+# and spurious ones below 1e-14; this decides refusal, it certifies no dimN
+PIVOT_RATIO_TOL = 1e-9
+_SINGULAR_SADDLE = ("saddle-point matrix is singular (spurious pressure modes); "
+                    "project them out and solve the reduced problem instead")
 
 
 @dataclass
@@ -119,11 +128,12 @@ def eval_divergence(field, ref_points):
     """Divergence of a vector field at reference points: (ncells, npts)."""
     dtab = field.space.element.tabulate_gradients(ref_points)  # (nq, nb, 2)
     _, inv_jac_t, _ = cell_geometry(field.space.mesh)
-    grad = np.einsum("cde,qke->cqkd", inv_jac_t, dtab)  # physical gradients
     coef = _cell_coefficients(field)
     comp = coef.reshape(len(coef), -1, 2)
-    # div = d(u_x)/dx + d(u_y)/dy
-    return np.einsum("cqkd,ckd->cq", grad, comp)
+    # reference Jacobian of the field, ref[c, q, d, e] = d(u_d)/d(xi_e),
+    # then div = sum_d d(u_d)/dx_d = sum_{d,e} inv_jac_t[c, d, e] ref[c, q, d, e]
+    ref = np.einsum("qke,ckd->cqde", dtab, comp, optimize=True)
+    return np.einsum("cde,cqde->cq", inv_jac_t, ref)
 
 
 def load_vector(g_field, q_space, quad_degree=ERROR_QUAD_DEGREE):
@@ -140,47 +150,29 @@ def load_vector(g_field, q_space, quad_degree=ERROR_QUAD_DEGREE):
     return out
 
 
-def solve_mixed(forms, g_field, quad_degree=ERROR_QUAD_DEGREE, rtol=1e-12):
+def solve_mixed(forms, g_field, quad_degree=ERROR_QUAD_DEGREE):
     """Solve the mixed source problem for (u_h, p_h).
 
-    Eliminates the velocity with a sparse factorization of M_V and solves
-    the pressure Schur system S p = -G, S = B M_V^{-1} B^T — densely for
-    moderate pressure counts, by preconditioned CG (exact block pressure
-    mass preconditioner) beyond DENSE_SCHUR_LIMIT.  The assembled-system
-    residual is checked to 1e-10 relative.
+    Factors the saddle-point matrix [[M_V, B^T], [B, 0]] once by sparse
+    LU (COLAMD column ordering) and solves for [u; p] with right-hand
+    side [0; G].  Spurious pressure modes make the matrix singular: the
+    solve is refused with SpuriousModeError when the factorization
+    breaks down or when min|diag U| < PIVOT_RATIO_TOL * max|diag U|.
+    The assembled-system residual is checked to 1e-10 relative.
     """
     rhs = load_vector(g_field, forms.Q_h, quad_degree=quad_degree)
-    m_v = forms.M_V.tocsc()
     b = forms.B.tocsr()
-    solve_mv = spla.splu(m_v).solve
-    n_q = forms.Q_h.ndofs
-
-    if n_q <= DENSE_SCHUR_LIMIT:
-        x = solve_mv(b.T.toarray())           # M_V^{-1} B^T
-        s = b @ x
-        try:
-            chol = sla.cho_factor(s)
-        except sla.LinAlgError as exc:
-            raise SpuriousModeError(
-                "pressure Schur complement is singular (spurious pressure "
-                "modes); project them out and solve the reduced problem "
-                "instead") from exc
-        p = sla.cho_solve(chol, -rhs)
-        u = -(x @ p)
-    else:
-        def apply_s(q):
-            return b @ solve_mv(b.T @ q)
-
-        s_op = spla.LinearOperator((n_q, n_q), matvec=apply_s)
-        precond = spla.LinearOperator(
-            (n_q, n_q), matvec=lambda q: pressure_mass_solve(forms, q))
-        p, info = spla.cg(s_op, -rhs, rtol=rtol, atol=0.0, M=precond,
-                          maxiter=10 * n_q)
-        if info != 0:
-            raise NumericalError(
-                f"Schur-complement CG did not converge (info={info}); "
-                "possible spurious pressure modes")
-        u = -solve_mv(b.T @ p)
+    n_v = forms.V_h.ndofs
+    saddle = sp.bmat([[forms.M_V, b.T], [b, None]], format="csc")
+    try:
+        lu = spla.splu(saddle)
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SpuriousModeError(_SINGULAR_SADDLE) from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() < PIVOT_RATIO_TOL * pivots.max():
+        raise SpuriousModeError(_SINGULAR_SADDLE)
+    x = lu.solve(np.concatenate([np.zeros(n_v), rhs]))
+    u, p = x[:n_v], x[n_v:]
 
     scale = max(np.linalg.norm(rhs), 1.0)
     res_u = np.linalg.norm(forms.M_V @ u + b.T @ p)

@@ -5,7 +5,9 @@ Laplace, div-div and Babuska spectra and the coercivity constant from it.
 Each function here computes the same quantity the long way, from the
 assembled matrices and without the library's eigensolver, so the tests
 compare two routes rather than a value against itself.  All of them are
-dense and meant for small cases.
+dense and meant for small cases.  ``dense_schur_solve`` does the same for
+the mixed source problem, which the library solves by one sparse LU of the
+saddle-point matrix.
 """
 
 import numpy as np
@@ -136,6 +138,18 @@ def laplace_pencil_eigenvalues(forms):
     b = forms.B.toarray()
     s = b @ np.linalg.solve(forms.M_V.toarray(), b.T)
     return sla.eigh(0.5 * (s + s.T), forms.M_Q.toarray(), eigvals_only=True)
+
+
+def dense_schur_solve(forms, rhs):
+    """Source problem by the dense pressure Schur complement S = B M_V^{-1} B^T.
+
+    Solves M_V u + B^T p = 0, B u = rhs with a Cholesky factor of S and
+    returns (u, p) as coefficient arrays.
+    """
+    b = forms.B.toarray()
+    x = np.linalg.solve(forms.M_V.toarray(), b.T)    # M_V^{-1} B^T
+    p = sla.cho_solve(sla.cho_factor(b @ x), -rhs)
+    return -(x @ p), p
 
 
 def divdiv_pencil_eigenvalues(forms):

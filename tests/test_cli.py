@@ -299,6 +299,19 @@ def test_numerical_failure_exits_one(capsys):
     assert "SpuriousModeError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_mesh_file_exits_one(tmp_path, capsys, token):
+    mesh_file = tmp_path / "bad.txt"
+    assert run_cli("mesh", "--family", "diagonal", "--n", "4",
+                   "--out", str(mesh_file)) == 0
+    lines = mesh_file.read_text().splitlines()
+    lines[3] = f"0.5 {token}"
+    mesh_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("infsup", "--mesh", str(mesh_file), "--r", "1") == 1
+    assert "MeshFormatError: line 4: non-finite" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mixedstab.cli", "--version"],

@@ -128,6 +128,14 @@ def test_import_rejects_bad_vertex_count():
         import_mesh("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_import_rejects_non_finite_coordinates(token):
+    lines = simple_mesh_text().splitlines()
+    lines[3] = f"{token} 0.0"
+    with pytest.raises(MeshFormatError, match="line 4: non-finite"):
+        import_mesh("\n".join(lines) + "\n")
+
+
 def test_import_rejects_trailing_garbage():
     with pytest.raises(MeshFormatError):
         import_mesh(simple_mesh_text() + "stray line\n")

@@ -10,6 +10,9 @@ from mixedstab.poisson import (FieldCoefficients, convergence_study,
                                error_norms, eval_divergence, eval_scalar,
                                eval_vector, interpolate, load_vector,
                                manufactured_solution, solve_mixed)
+from mixedstab.stability import case_forms
+
+from oracles import dense_schur_solve
 
 TWO_PI_SQ = 2 * np.pi ** 2
 
@@ -114,15 +117,32 @@ def test_solve_residuals_small(forms_for):
     assert res < 1e-10 * np.linalg.norm(rhs)
 
 
-def test_iterative_branch_matches_dense(forms_for, monkeypatch):
-    forms = forms_for(Family.DIAGONAL, 8, 1)
+@pytest.mark.parametrize("family, n, r", [
+    ("crisscross", 8, 2),
+    ("unionjack", 14, 2),
+    ("unionjack", 16, 3),
+    ("crisscross", 12, 4),
+    ("unionjack", 4, 4),
+])
+def test_solve_refuses_spurious_modes(family, n, r):
+    # nQ runs from 320 to 5760 on the one LU path; the Schur complement of
+    # unionjack r=4 n=4 (dimN = 4) still admits a dense Cholesky
+    # factorization, so only the pivot-ratio rule refuses it
+    forms = case_forms(Family(family), n, r)
+    g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
+    with pytest.raises(SpuriousModeError, match="reduced"):
+        solve_mixed(forms, g)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_solve_matches_dense_schur_oracle(forms_for, r):
+    forms = forms_for(Family.DIAGONAL, 8, r)
     _, _, g_exact = manufactured_solution()
     g = interpolate(g_exact, scalar_lagrange_space(forms.mesh, 6))
-    u_dense, p_dense = solve_mixed(forms, g)
-    monkeypatch.setattr(po, "DENSE_SCHUR_LIMIT", 1)
-    u_iter, p_iter = solve_mixed(forms, g)
-    assert np.max(np.abs(u_dense.values - u_iter.values)) < 1e-8
-    assert np.max(np.abs(p_dense.values - p_iter.values)) < 1e-8
+    u_h, p_h = solve_mixed(forms, g)
+    u_ref, p_ref = dense_schur_solve(forms, load_vector(g, forms.Q_h))
+    assert np.max(np.abs(u_h.values - u_ref)) < 1e-8
+    assert np.max(np.abs(p_h.values - p_ref)) < 1e-8
 
 
 def test_error_norms_value_checks(forms_for):
@@ -192,7 +212,7 @@ def test_convergence_rates_only_for_doublings():
 
 def test_r3_asymptotic_velocity_rate():
     # the L2 velocity rate at r=3 settles to ~r one doubling after the
-    # default desk scale; this also exercises the iterative Schur branch
+    # default desk scale; n=32 is also the largest source solve in the suite
     rep = convergence_study(3, n_values=[16, 32])
     rate = rep.rates["u_l2"][0]
     assert 2.8 < rate < 3.2
