@@ -2,15 +2,15 @@
 """Convergence study of the source problem for r = 1..4 on diagonal meshes.
 
 Writes results/convergence.csv plus normalized-error panel files
-(results/normalized_*.dat) ready for gnuplot.
+(results/normalized_*.dat) ready for gnuplot.  Runs
+``mixed-stab converge --format csv --out ... --plot-data ...``, so the
+files are byte-identical to the command's, provenance hash included.
 """
 import argparse
 import sys
-import time
 from pathlib import Path
 
-from mixedstab.cli import RunConfig, _write_plot_data
-from mixedstab.poisson import convergence_study
+from mixedstab.cli import main as cli_main
 
 
 def main():
@@ -19,28 +19,14 @@ def main():
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
 
-    r_values = [int(tok) for tok in args.r.split(",")]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    reports = []
-    for r in r_values:
-        t0 = time.time()
-        rep = convergence_study(r)
-        reports.append(rep)
-        rates = {k: rep.rates[k][-1] for k in ("p_l2", "u_div", "u_l2")}
-        print(f"r={r}: n={rep.n_values} last rates {rates} "
-              f"({time.time() - t0:.1f}s)")
-
-    cfg = RunConfig(command="converge", r_values=r_values, fmt="csv",
-                    plot_data=str(outdir))
-    lines = [cfg.provenance_line(), reports[0].CSV_HEADER]
-    for rep in reports:
-        lines += rep.csv_rows()
-    (outdir / "convergence.csv").write_text("\n".join(lines) + "\n")
-    _write_plot_data(cfg, reports)
-    print(f"wrote {outdir}/convergence.csv and normalized panels")
-    return 0
+    status = cli_main(["converge", "--r", args.r, "--format", "csv",
+                       "--out", str(outdir / "convergence.csv"),
+                       "--plot-data", str(outdir)])
+    if status == 0:
+        print(f"wrote {outdir}/convergence.csv and normalized panels")
+    return status
 
 
 if __name__ == "__main__":

@@ -2,15 +2,16 @@
 """Recompute the golden stability tables into results/.
 
 Usage: python scripts/run_tables.py [T1 T2 ...] [--jobs N] [--outdir DIR]
-Defaults to all four tables at their standard n ranges.
+Defaults to all four tables at their standard n ranges.  Each table is
+written by ``mixed-stab tables --which T --format csv --out ...``, so the
+files are byte-identical to the command's.
 """
 import argparse
 import sys
 import time
 from pathlib import Path
 
-from mixedstab.cli import RunConfig
-from mixedstab.stability import reproduce_table
+from mixedstab.cli import main as cli_main
 
 
 def main():
@@ -23,16 +24,14 @@ def main():
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    tables = args.tables or ["T1", "T2", "T3", "T4"]
-    for which in tables:
+    for which in args.tables:
         t0 = time.time()
-        table = reproduce_table(which, jobs=args.jobs)
-        cfg = RunConfig(command="tables", which=which.upper(),
-                        threshold=table.threshold, fmt="csv", jobs=args.jobs)
         path = outdir / f"{which.lower()}.csv"
-        path.write_text(cfg.provenance_line() + "\n" + table.to_csv())
-        print(f"{which}: {len(table.rows)} rows -> {path} "
-              f"({time.time() - t0:.1f}s)")
+        status = cli_main(["tables", "--which", which, "--jobs", str(args.jobs),
+                           "--format", "csv", "--out", str(path)])
+        if status != 0:
+            return status
+        print(f"{which}: {path} ({time.time() - t0:.1f}s)")
     return 0
 
 

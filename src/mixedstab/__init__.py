@@ -24,7 +24,6 @@ from .element import (
 )
 from .eigensolve import (
     Spectrum,
-    cholesky,
     schur_complement,
     sym_generalized_eig,
 )

@@ -228,9 +228,9 @@ def assemble(V_h, Q_h, quad_degree=None):
     mass_vec = np.kron(mass_ref, np.eye(2))
     mloc = det[:, None, None] * mass_vec[None, :, :]
 
-    kloc = np.einsum("q,cqm,cqn->cmn", w, D, D) * det[:, None, None]
+    kloc = np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * det[:, None, None]
 
-    grad_scalar = np.einsum("q,cqid,cqjd->cij", w, g, g)
+    grad_scalar = np.einsum("q,cqid,cqjd->cij", w, g, g, optimize=True)
     gloc = np.einsum("cij,ab->ciajb", grad_scalar, np.eye(2)).reshape(C, 2 * nb, 2 * nb)
     gloc *= det[:, None, None]
 

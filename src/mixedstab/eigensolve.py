@@ -1,14 +1,14 @@
 """Dense symmetric generalized eigensolver and Schur complements.
 
-S x = lambda M x is reduced with the Cholesky factor of M to a standard
-symmetric problem and handed to LAPACK; S is a Schur complement
-B A^{-1} B^T.  Independent cross-check solvers live in tests/oracles.py,
-not here.
+Every inf-sup constant comes from a pencil B A^{-1} B^T p = lambda M_Q p.
+The Schur complement S = B A^{-1} B^T is formed densely from one sparse
+symmetric LU of A, the same path at every size, which also certifies that
+A is positive definite.  The pencil S x = lambda M x goes to LAPACK.
+Independent cross-check solvers live in tests/oracles.py, not here.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +18,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import EigensolveError, NotPositiveDefiniteError
 
-# above this dimension SPD systems are factored sparsely instead of densely
-DENSE_LIMIT = 6500
+# no mixedstab code reads this; only the benchmark's trace cost model does
+DENSE_LIMIT = 0
 
 
 def _dense(mat):
@@ -41,29 +41,6 @@ class Spectrum:
             raise EigensolveError(
                 f"no eigenvalue of {self.problem or 'pencil'} reaches {threshold}")
         return float(above[0])
-
-
-class CholeskyFactor:
-    """Lower-triangular Cholesky factor with a multi-RHS solve."""
-
-    def __init__(self, lower):
-        self.lower = lower
-
-    def solve(self, rhs):
-        y = sla.solve_triangular(self.lower, rhs, lower=True)
-        return sla.solve_triangular(self.lower, y, lower=True, trans="T")
-
-
-def cholesky(matrix):
-    """Dense lower Cholesky factor; raises naming the failing pivot."""
-    a = _dense(matrix)
-    try:
-        lower = sla.cholesky(a, lower=True)
-    except sla.LinAlgError as exc:
-        m = re.search(r"(\d+)", str(exc))
-        pivot = int(m.group(1)) if m else -1
-        raise NotPositiveDefiniteError(pivot) from exc
-    return CholeskyFactor(lower)
 
 
 def sym_generalized_eig(S, M, vectors=False, problem=""):
@@ -99,17 +76,28 @@ def sym_generalized_eig(S, M, vectors=False, problem=""):
 def schur_complement(B, A):
     """Dense symmetric S = B A^{-1} B^T for SPD A.
 
-    One factorization of A and dim(Q) solves.  A is factored densely up
-    to DENSE_LIMIT rows and sparsely beyond that.
+    A is factored once by a sparse LU in symmetric mode (minimum degree
+    on A^T + A, diagonal pivots only), the same path at every size, and
+    the factor solves all dim(Q) columns of B^T at once.  A factor that
+    breaks down, refuses a diagonal pivot or has a pivot <= 0 means A is
+    not positive definite.
     """
-    bt = _dense(B).T
-    n = A.shape[0]
-    if n != bt.shape[0]:
+    if A.shape[0] != B.shape[1]:
         raise EigensolveError(
             f"Schur complement shape mismatch: A is {A.shape}, B is {B.shape}")
-    if n <= DENSE_LIMIT:
-        x = cholesky(A).solve(bt)
-    else:
-        x = splu(sp.csc_matrix(A)).solve(bt)
-    s = bt.T @ x
+    try:
+        lu = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NotPositiveDefiniteError(
+            -1, f"matrix is not positive definite ({exc})") from exc
+    off_diagonal = np.flatnonzero(lu.perm_r != lu.perm_c)
+    if off_diagonal.size:
+        raise NotPositiveDefiniteError(int(off_diagonal[0]) + 1)
+    non_positive = np.flatnonzero(lu.U.diagonal() <= 0)
+    if non_positive.size:
+        raise NotPositiveDefiniteError(
+            int(np.flatnonzero(lu.perm_c == non_positive[0])[0]) + 1)
+    # the dense B^T is a temporary: only A^{-1} B^T outlives the solve
+    s = B @ lu.solve(_dense(B).T)
     return 0.5 * (s + s.T)

@@ -24,8 +24,6 @@ MAX_LAGRANGE_DEGREE = 6
 MAX_DG_DEGREE = 5
 MAX_QUADRATURE_DEGREE = 14
 
-REFERENCE_AREA = 0.5
-
 
 class ElementKind(Enum):
     SCALAR_LAGRANGE = "scalar-lagrange"
@@ -216,15 +214,6 @@ def lagrange_basis(degree, point):
     return _values_at(degree, pts)[0], _gradients_at(degree, pts)[0]
 
 
-def dg_basis(degree, point):
-    """Values of the cellwise (nodal) basis of degree 0..5 at one point."""
-    if not 0 <= degree <= MAX_DG_DEGREE:
-        raise UnsupportedDegreeError(
-            f"discontinuous degree must be in 0..{MAX_DG_DEGREE}, got {degree}")
-    pts = np.asarray(point, float).reshape(1, 2)
-    return _values_at(degree, pts)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Quadrature points and weights on the reference triangle.
@@ -235,13 +224,6 @@ class QuadratureRule:
     points: np.ndarray   # (nq, 2) reference coordinates
     weights: np.ndarray  # (nq,)
     degree: int          # polynomial degree integrated exactly
-
-    @property
-    def barycentric(self):
-        """Points in barycentric coordinates, shape (nq, 3)."""
-        x = self.points[:, 0]
-        y = self.points[:, 1]
-        return np.column_stack([1.0 - x - y, x, y])
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ class UnsupportedDegreeError(MixedStabError, ValueError):
 
 
 class NotPositiveDefiniteError(MixedStabError):
-    """Cholesky factorization hit a non-positive pivot."""
+    """Symmetric factorization hit a non-positive pivot."""
 
     def __init__(self, pivot, message=None):
         self.pivot = pivot

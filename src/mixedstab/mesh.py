@@ -74,7 +74,7 @@ class Triangulation:
     """
 
     def __init__(self, vertices, cells, family=Family.IMPORTED, n=None,
-                 exact_vertices=None, exact_scale=None, validate=True):
+                 exact_vertices=None, exact_scale=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -88,8 +88,7 @@ class Triangulation:
         if exact_vertices is not None:
             self.exact_vertices = np.ascontiguousarray(exact_vertices, dtype=np.int64)
             self.exact_vertices.setflags(write=False)
-        if validate:
-            self._validate_cells()
+        self._validate_cells()
         self._build_edges()
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
@@ -139,6 +138,7 @@ class Triangulation:
         pairs = np.concatenate([self.cells[:, [0, 1]],
                                 self.cells[:, [1, 2]],
                                 self.cells[:, [2, 0]]])
+        forward = pairs[:, 0] < pairs[:, 1]
         pairs = np.sort(pairs, axis=1)
         owner = np.tile(np.arange(C), 3)
         edges, inverse, counts = np.unique(pairs, axis=0,
@@ -148,6 +148,16 @@ class Triangulation:
             cells = [int(owner[k]) for k in np.nonzero(inverse == eid)[0]]
             raise MeshTopologyError(
                 f"cell {cells[2]}: edge {tuple(edges[eid])} shared by more than two cells")
+        # counter-clockwise neighbours traverse their shared edge in opposite
+        # directions; the same direction means one cell folds over the other
+        folded = (counts == 2) & (np.bincount(inverse, weights=forward,
+                                              minlength=len(edges)) != 1)
+        if folded.any():
+            eid = int(np.argmax(folded))
+            cell = int(owner[inverse == eid].max())
+            a, b = edges[eid]
+            raise MeshTopologyError(
+                f"cell {cell}: overlaps its neighbour across edge ({a}, {b})")
         self.edges = edges
         self.edges.setflags(write=False)
         edge_cells = [[] for _ in range(edges.shape[0])]

@@ -5,9 +5,10 @@ Laplace, div-div and Babuska spectra and the coercivity constant from it.
 Each function here computes the same quantity the long way, from the
 assembled matrices and without the library's eigensolver, so the tests
 compare two routes rather than a value against itself.  All of them are
-dense and meant for small cases.  ``dense_schur_solve`` does the same for
-the mixed source problem, which the library solves by one sparse LU of the
-saddle-point matrix.
+dense and meant for small cases.  ``dense_schur`` forms a Schur complement
+with a dense solve where the library uses a sparse LU, and
+``dense_schur_solve`` does the same for the mixed source problem, which
+the library solves by one sparse LU of the saddle-point matrix.
 """
 
 import numpy as np
@@ -133,10 +134,15 @@ def babuska_pencil_eigenvalues(forms):
     return sla.eigh(lhs, rhs, eigvals_only=True)
 
 
+def dense_schur(B, A):
+    """S = B A^{-1} B^T by a dense LAPACK solve, no sparse factorization."""
+    b = _dense(B)
+    return b @ np.linalg.solve(_dense(A), b.T)
+
+
 def laplace_pencil_eigenvalues(forms):
     """Mixed Laplace pencil B M_V^{-1} B^T p = mu M_Q p by its own Schur complement."""
-    b = forms.B.toarray()
-    s = b @ np.linalg.solve(forms.M_V.toarray(), b.T)
+    s = dense_schur(forms.B, forms.M_V)
     return sla.eigh(0.5 * (s + s.T), forms.M_Q.toarray(), eigvals_only=True)
 
 

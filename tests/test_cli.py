@@ -312,6 +312,17 @@ def test_non_finite_mesh_file_exits_one(tmp_path, capsys, token):
     assert "MeshFormatError: line 4: non-finite" in capsys.readouterr().err
 
 
+def test_overlapping_mesh_file_exits_one(tmp_path, capsys):
+    # cell 2 runs along edge (0, 1) in the same direction as cell 0
+    mesh_file = tmp_path / "folded.txt"
+    mesh_file.write_text("mesh 2 triangle\nvertices 5\n0.0 0.0\n1.0 0.0\n"
+                         "0.0 1.0\n1.0 1.0\n0.2 0.6\ncells 3\n0 1 2\n"
+                         "1 3 2\n0 1 4\n")
+    assert run_cli("infsup", "--mesh", str(mesh_file), "--r", "1") == 1
+    err = capsys.readouterr().err
+    assert "MeshTopologyError: cell 2: overlaps" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mixedstab.cli", "--version"],
@@ -320,16 +331,31 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "mixed-stab 0.1.0"
 
 
-def test_threshold_sweep_script(tmp_path):
+def run_script(name, *argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "threshold_sweep.py"),
-         "--outdir", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path})
+
+
+def test_threshold_sweep_script(tmp_path):
+    proc = run_script("threshold_sweep.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     lines = (tmp_path / "threshold_sweep.csv").read_text().splitlines()
     assert lines[0] == "family,n,r,threshold,dimN,beta_reduced"
     assert len(lines) == 1 + 4 * 6
     assert "flipped,8,1,0.0001,9," in (tmp_path / "threshold_sweep.csv").read_text()
+
+
+def test_convergence_script_matches_cli(tmp_path):
+    proc = run_script("run_convergence.py", "--r", "1",
+                      "--outdir", str(tmp_path / "script"))
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "cli.csv"
+    assert run_cli("converge", "--r", "1", "--format", "csv",
+                   "--out", str(out)) == 0
+    script_csv = (tmp_path / "script" / "convergence.csv").read_bytes()
+    assert script_csv == out.read_bytes()
+    assert (tmp_path / "script" / "normalized_p_L2.dat").exists()

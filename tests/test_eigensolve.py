@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-import mixedstab.eigensolve as es
-from mixedstab.eigensolve import (CholeskyFactor, Spectrum, cholesky,
-                                  schur_complement, sym_generalized_eig)
+import scipy.sparse as sp
+
+from mixedstab.eigensolve import Spectrum, schur_complement, sym_generalized_eig
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family
-from oracles import full_saddle_eigenvalues, jacobi_generalized_eig
+from oracles import dense_schur, full_saddle_eigenvalues, jacobi_generalized_eig
 
 
 def random_spd(rng, n, shift=1.0):
@@ -16,22 +16,6 @@ def random_spd(rng, n, shift=1.0):
 
 def random_pencil(rng, n):
     return random_spd(rng, n, 0.5), random_spd(rng, n, 1.0)
-
-
-def test_cholesky_reconstructs(rng):
-    a = random_spd(rng, 40)
-    fac = cholesky(a)
-    assert isinstance(fac, CholeskyFactor)
-    assert np.max(np.abs(fac.lower @ fac.lower.T - a)) < 1e-10
-    x = rng.standard_normal(40)
-    assert np.max(np.abs(a @ fac.solve(x) - x)) < 1e-8
-
-
-def test_cholesky_reports_pivot():
-    bad = np.diag([1.0, 2.0, -3.0])
-    with pytest.raises(NotPositiveDefiniteError) as info:
-        cholesky(bad)
-    assert info.value.pivot == 3
 
 
 def test_generalized_eig_residuals(rng):
@@ -68,8 +52,6 @@ def test_jacobi_rejects_indefinite_metric(rng):
 
 
 def test_schur_complement_against_direct(rng):
-    import scipy.sparse as sp
-
     a = random_spd(rng, 12)
     b = rng.standard_normal((5, 12))
     s = schur_complement(sp.csr_matrix(b), sp.csr_matrix(a))
@@ -78,12 +60,27 @@ def test_schur_complement_against_direct(rng):
     assert np.max(np.abs(s - s.T)) == 0.0
 
 
-def test_schur_sparse_path_matches_dense(forms_for, monkeypatch):
-    forms = forms_for(Family.DIAGONAL, 4, 1)
-    dense = schur_complement(forms.B, forms.A_div)
-    monkeypatch.setattr(es, "DENSE_LIMIT", 1)
-    sparse = schur_complement(forms.B, forms.A_div)
-    assert np.max(np.abs(dense - sparse)) < 1e-12
+@pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
+                                       (Family.UNIONJACK, 3)])
+@pytest.mark.parametrize("form", ["A_div", "A_1"])
+def test_schur_matches_dense_oracle(forms_for, family, r, form):
+    forms = forms_for(family, 4, r)
+    s = schur_complement(forms.B, getattr(forms, form))
+    oracle = dense_schur(forms.B, getattr(forms, form))
+    assert np.max(np.abs(s - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+
+def test_schur_refuses_non_spd():
+    b = np.eye(3)
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        schur_complement(b, sp.diags([1.0, 2.0, -3.0]))
+    assert info.value.pivot == 3
+    with pytest.raises(NotPositiveDefiniteError):
+        schur_complement(b, sp.diags([1.0, 0.0, 1.0]))
+    # indefinite with positive pivots once rows are swapped: the factor
+    # must refuse the off-diagonal pivot instead
+    with pytest.raises(NotPositiveDefiniteError):
+        schur_complement(np.eye(2), sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_spectrum_helpers():

@@ -167,6 +167,17 @@ def test_duplicate_cell_rejected():
         Triangulation(verts, cells)
 
 
+FOLDED_MESH = ("mesh 2 triangle\nvertices 5\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+               "1.0 1.0\n0.2 0.6\ncells 3\n0 1 2\n1 3 2\n0 1 4\n")
+
+
+def test_overlapping_cells_rejected():
+    # cells 0 and 2 both run along edge (0, 1) from 0 to 1: cell 2 folds
+    # over cell 0, and the cells cover area 1.3 of the unit square
+    with pytest.raises(MeshTopologyError, match="cell 2: overlaps"):
+        import_mesh(FOLDED_MESH)
+
+
 def test_edge_lookup():
     mesh = generate(Family.DIAGONAL, 4)
     a, b = mesh.edges[7]
