@@ -70,13 +70,25 @@ def test_schur_matches_dense_oracle(forms_for, family, r, form):
     assert np.max(np.abs(s - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
 
-def test_schur_refuses_non_spd():
-    b = np.eye(3)
+# schur_complement factors A by a symmetric-mode LU with diagonal pivots
+# only, which for SPD A is the Cholesky factorization A = L D L^T
+def test_cholesky_reconstructs(rng):
+    a = random_spd(rng, 40)
+    inverse = schur_complement(np.eye(40), sp.csc_matrix(a))
+    assert np.max(np.abs(a @ inverse - np.eye(40))) < 1e-8
+    x = rng.standard_normal(40)
+    assert np.max(np.abs(a @ (inverse @ x) - x)) < 1e-8
+
+
+def test_cholesky_reports_pivot():
     with pytest.raises(NotPositiveDefiniteError) as info:
-        schur_complement(b, sp.diags([1.0, 2.0, -3.0]))
+        schur_complement(np.eye(3), sp.diags([1.0, 2.0, -3.0]))
     assert info.value.pivot == 3
+
+
+def test_schur_refuses_non_spd():
     with pytest.raises(NotPositiveDefiniteError):
-        schur_complement(b, sp.diags([1.0, 0.0, 1.0]))
+        schur_complement(np.eye(3), sp.diags([1.0, 0.0, 1.0]))
     # indefinite with positive pivots once rows are swapped: the factor
     # must refuse the off-diagonal pivot instead
     with pytest.raises(NotPositiveDefiniteError):
