@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Time the Brezzi inf-sup solve of a source tree on a fixed case grid.
+
+    python scripts/bench_infsup.py --src src --out BENCH.json
+
+Every case runs REPEATS times, each in a fresh Python process with --src
+first on its path.  The process assembles the forms, times one
+``brezzi_infsup`` call and reports its own peak RSS; the entry keeps the
+sizes, the median wall time and peak RSS and the single runs.  The run
+(with the source's git commit, the BLAS library and the core count) is
+appended to the "runs" list of --out, so one file holds the before and
+after runs of a change.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+# (family, r, n): diagonal and unionjack at each degree, plus one larger case
+CASES = [
+    ("diagonal", 1, 16), ("unionjack", 1, 16),
+    ("diagonal", 2, 14), ("unionjack", 2, 14),
+    ("diagonal", 3, 12), ("unionjack", 3, 12),
+    ("diagonal", 2, 24),
+]
+REPEATS = 3
+
+CHILD = """
+import json, resource, sys, time
+from mixedstab.stability import brezzi_infsup, case_forms
+family, r, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+forms = case_forms(family, n, r)
+t0 = time.perf_counter()
+brezzi_infsup(forms)
+wall = time.perf_counter() - t0
+print(json.dumps({"nV": forms.V_h.ndofs, "nQ": forms.Q_h.ndofs,
+                  "nnz": int(forms.A_div.nnz + 2 * forms.B.nnz),
+                  "wall_s": wall,
+                  "peak_rss_mb": resource.getrusage(
+                      resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+
+
+def run_once(src, family, r, n):
+    """One fresh process: sizes, brezzi_infsup wall time and peak RSS."""
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    proc = subprocess.run([sys.executable, "-c", CHILD, family, str(r), str(n)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def measure(src, family, r, n, repeats=REPEATS):
+    runs = [run_once(src, family, r, n) for _ in range(repeats)]
+    walls = [run["wall_s"] for run in runs]
+    return {"family": family, "r": r, "n": n,
+            "nV": runs[0]["nV"], "nQ": runs[0]["nQ"], "nnz": runs[0]["nnz"],
+            "wall_s": statistics.median(walls),
+            "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
+            "wall_s_runs": walls}
+
+
+def blas_library():
+    deps = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return f"{deps['name']} {deps.get('version', '')}".strip()
+
+
+def source_commit(src):
+    proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--src", required=True,
+                    help="directory holding the mixedstab package")
+    ap.add_argument("--out", required=True,
+                    help="JSON file; the run is appended to its 'runs' list")
+    args = ap.parse_args()
+
+    cases = []
+    for family, r, n in CASES:
+        entry = measure(args.src, family, r, n)
+        print(f"{family:10s} r={r} n={n:2d} nQ={entry['nQ']:5d} "
+              f"wall {entry['wall_s']:.3f} s  rss {entry['peak_rss_mb']:.0f} MB",
+              flush=True)
+        cases.append(entry)
+
+    out = Path(args.out)
+    record = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    record["runs"].append({"commit": source_commit(args.src),
+                           "blas": blas_library(), "nproc": os.cpu_count(),
+                           "repeats": REPEATS, "cases": cases})
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -90,6 +90,7 @@ class Triangulation:
             self.exact_vertices.setflags(write=False)
         self._validate_cells()
         self._build_edges()
+        self._check_hanging_vertices()
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
 
@@ -146,8 +147,9 @@ class Triangulation:
         if (counts > 2).any():
             eid = int(np.argmax(counts > 2))
             cells = [int(owner[k]) for k in np.nonzero(inverse == eid)[0]]
+            a, b = edges[eid]
             raise MeshTopologyError(
-                f"cell {cells[2]}: edge {tuple(edges[eid])} shared by more than two cells")
+                f"cell {cells[2]}: edge ({a}, {b}) shared by more than two cells")
         # counter-clockwise neighbours traverse their shared edge in opposite
         # directions; the same direction means one cell folds over the other
         folded = (counts == 2) & (np.bincount(inverse, weights=forward,
@@ -178,6 +180,32 @@ class Triangulation:
         self.vertex_edges = vertex_edges
         # searchable edge keys (edges are lexicographically sorted by unique)
         self._edge_keys = edges[:, 0].astype(np.int64) * self.num_vertices + edges[:, 1]
+
+    def _check_hanging_vertices(self):
+        # at a T-junction the long edge has one cell and its pieces have
+        # one cell each on the other side, so all of them are boundary
+        # edges and the hanging vertex lies strictly inside the long one
+        bedges = np.flatnonzero(self.boundary_edges)
+        bverts = np.flatnonzero(self.boundary_vertices)
+        points = self.vertices[bverts]
+        for lo in range(0, len(bedges), 256):  # bounds the edge x vertex arrays
+            ends = self.edges[bedges[lo:lo + 256]]
+            start = self.vertices[ends[:, 0]][:, None, :]
+            along = self.vertices[ends[:, 1]][:, None, :] - start
+            offset = points[None, :, :] - start
+            length2 = np.sum(along * along, axis=2)
+            cross = along[..., 0] * offset[..., 1] - along[..., 1] * offset[..., 0]
+            t = np.sum(along * offset, axis=2) / length2
+            hanging = ((np.abs(cross) <= 1e-12 * length2) & (t > 0) & (t < 1)
+                       & (bverts[None, :] != ends[:, :1])
+                       & (bverts[None, :] != ends[:, 1:]))
+            if hanging.any():
+                i, j = np.argwhere(hanging)[0]
+                a, b = ends[i]
+                cell = self.edge_cells[bedges[lo + i]][0]
+                raise MeshTopologyError(
+                    f"cell {cell}: vertex {bverts[j]} hangs inside its boundary "
+                    f"edge ({a}, {b}) (T-junction)")
 
     def edge_indices(self, a, b):
         """Edge ids for endpoint arrays a, b (order-insensitive)."""

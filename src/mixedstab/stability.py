@@ -1,14 +1,19 @@
 """Stability constants of the mixed discretization.
 
-One Schur complement and one dense eigensolve give the Brezzi inf-sup
-spectrum B A_div^{-1} B^T p = lambda M_Q p: beta = sqrt(min lambda), and
-eigenvalues below the zero threshold count the spurious pressure modes
-N_h = {q : <div v, q> = 0 for all v}.  As div V_h lies in Q_h, the div-div
-form is K = B^T M_Q^{-1} B, and the rest follows from lambda: the mixed
-Laplace eigenvalues mu = lambda / (1 - lambda), the div-div spectrum (nV - nQ
-zeros and the mu), the Babuska spectrum (-lambda and nV ones, so gamma =
-beta^2 without spurious modes) and alpha = 1 on a kernel of dimension
-nV - nQ + dim N_h.  Only the Stokes constant (H1 matrix A_1) is a second solve.
+The pressure space is discontinuous, so M_Q is block-diagonal with one
+block per cell, M_Q|_K = L_K L_K^T.  Scaling B by C = blockdiag(L_K^{-1})
+puts the pressures in M_Q-orthonormal coordinates: the Brezzi inf-sup
+pencil B A_div^{-1} B^T p = lambda M_Q p becomes the standard symmetric
+problem (C B) A_div^{-1} (C B)^T x = lambda x, with the same lambda, and
+one Schur complement and one dense eigensolve give its spectrum:
+beta = sqrt(min lambda), and eigenvalues below the zero threshold count
+the spurious pressure modes N_h = {q : <div v, q> = 0 for all v}.  As
+div V_h lies in Q_h, the div-div form is K = B^T M_Q^{-1} B = (C B)^T (C B),
+and the rest follows from lambda: the mixed Laplace eigenvalues
+mu = lambda / (1 - lambda), the div-div spectrum (nV - nQ zeros and the
+mu), the Babuska spectrum (-lambda and nV ones, so gamma = beta^2 without
+spurious modes) and alpha = 1 on a kernel of dimension nV - nQ + dim N_h.
+Only the Stokes constant (H1 matrix A_1) is a second solve.
 """
 
 from __future__ import annotations
@@ -65,10 +70,38 @@ class InfSupResult:
     warning: str | None = None
 
 
+def orthonormal_divergence(forms):
+    """The divergence form in M_Q-orthonormal pressure coordinates.
+
+    Factors each cell block of the pressure mass, M_Q|_K = L_K L_K^T, and
+    returns (C B, L) with C = blockdiag(L_K^{-1}) and L the stacked L_K,
+    shape (cells, nb, nb).  C M_Q C^T = I and M_Q^{-1} = C^T C, and C B
+    has the sparsity pattern of B.  Raises NumericalError unless M_Q is
+    block-diagonal with one block per cell, or if a block is not positive
+    definite.
+    """
+    nb = forms.Q_h.cell_dofs.shape[1]
+    m_q = sp.bsr_matrix(forms.M_Q, blocksize=(nb, nb))
+    cells = np.arange(m_q.shape[0] // nb + 1)
+    if not (np.array_equal(m_q.indptr, cells)
+            and np.array_equal(m_q.indices, cells[:-1])):
+        raise NumericalError("pressure mass matrix is not block-diagonal "
+                             "with one block per cell")
+    try:
+        lower = np.linalg.cholesky(m_q.data)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pressure mass block is not positive definite "
+                             f"({exc})") from exc
+    c = sp.bsr_matrix((np.linalg.inv(lower), m_q.indices, m_q.indptr),
+                      shape=m_q.shape)
+    return sp.csr_matrix(c @ forms.B), lower
+
+
 def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
     """Brezzi inf-sup constant in the H(div) norm, with spurious modes."""
-    s = schur_complement(forms.B, forms.A_div)
-    spec = sym_generalized_eig(s, forms.M_Q, problem="brezzi-infsup")
+    b_hat, _ = orthonormal_divergence(forms)
+    s = schur_complement(b_hat, forms.A_div)
+    spec = sym_generalized_eig(s, None, problem="brezzi-infsup")
     spec.threshold = threshold
     dim, beta, beta_reduced, warning = classify_spectrum(spec.values, threshold)
     return InfSupResult(beta, beta_reduced, dim, spec, warning)
@@ -87,12 +120,11 @@ def brezzi_coercivity(forms, infsup):
     Exactly one: K = B^T M_Q^{-1} B vanishes on the kernel of B, whose
     dimension is nV - nQ + dim N_h (N_h from the InfSupResult ``infsup``).
     Raises NumericalError unless the identity holds on the assembled
-    matrices (M_Q inverted cell by cell) to 1e-10 relative.
+    matrices to 1e-10 relative, checked as K = (C B)^T (C B) with the
+    cellwise factor C of ``orthonormal_divergence``.
     """
-    nb = forms.Q_h.cell_dofs.shape[1]
-    m_q_inv = sp.bsr_matrix(forms.M_Q, blocksize=(nb, nb))
-    m_q_inv.data = np.linalg.inv(m_q_inv.data)
-    residual = float(sparse_norm(forms.K - forms.B.T @ (m_q_inv @ forms.B))
+    b_hat, _ = orthonormal_divergence(forms)
+    residual = float(sparse_norm(forms.K - b_hat.T @ b_hat)
                      / sparse_norm(forms.K))
     if not residual <= 1e-10:
         raise NumericalError(f"div-div form differs from B^T M_Q^-1 B by "
@@ -142,12 +174,15 @@ def stokes_infsup(forms, threshold=DEFAULT_THRESHOLD):
     the Rayleigh quotient of the constant pressure is reported separately
     so its position in the spectrum is visible.
     """
-    s = schur_complement(forms.B, forms.A_1)
-    spec = sym_generalized_eig(s, forms.M_Q, problem="stokes-infsup")
+    b_hat, lower = orthonormal_divergence(forms)
+    s = schur_complement(b_hat, forms.A_1)
+    spec = sym_generalized_eig(s, None, problem="stokes-infsup")
     spec.threshold = threshold
     dim, beta, beta_reduced, _ = classify_spectrum(spec.values, threshold)
-    ones = np.ones(forms.Q_h.ndofs)
-    constant_mode = float((ones @ (s @ ones)) / (ones @ (forms.M_Q @ ones)))
+    # the constant pressure 1 has coordinates w = C^{-T} 1 = L^T 1, and
+    # 1^T M_Q 1 = w^T w
+    w = lower.sum(axis=1).ravel()
+    constant_mode = float((w @ (s @ w)) / (w @ w))
     return StokesResult(beta, beta_reduced, dim, constant_mode, spec)
 
 

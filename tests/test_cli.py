@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -323,6 +324,17 @@ def test_overlapping_mesh_file_exits_one(tmp_path, capsys):
     assert "MeshTopologyError: cell 2: overlaps" in err
 
 
+def test_hanging_vertex_mesh_file_exits_one(tmp_path, capsys):
+    # vertex 4 hangs at the midpoint of the diagonal edge (0, 3) of cell 2
+    mesh_file = tmp_path / "tjunction.txt"
+    mesh_file.write_text("mesh 2 triangle\nvertices 5\n0.0 0.0\n1.0 0.0\n"
+                         "0.0 1.0\n1.0 1.0\n0.5 0.5\ncells 3\n0 1 4\n"
+                         "1 3 4\n0 3 2\n")
+    assert run_cli("infsup", "--mesh", str(mesh_file), "--r", "2") == 1
+    err = capsys.readouterr().err
+    assert "MeshTopologyError: cell 2: vertex 4 hangs" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mixedstab.cli", "--version"],
@@ -347,6 +359,18 @@ def test_threshold_sweep_script(tmp_path):
     assert lines[0] == "family,n,r,threshold,dimN,beta_reduced"
     assert len(lines) == 1 + 4 * 6
     assert "flipped,8,1,0.0001,9," in (tmp_path / "threshold_sweep.csv").read_text()
+
+
+def test_bench_infsup_script_one_case():
+    spec = importlib.util.spec_from_file_location(
+        "bench_infsup", ROOT / "scripts" / "bench_infsup.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    entry = bench.measure(ROOT / "src", "diagonal", 1, 4, repeats=1)
+    assert (entry["nV"], entry["nQ"]) == (50, 32)
+    assert entry["nnz"] > 0 and entry["peak_rss_mb"] > 0
+    assert entry["wall_s"] == entry["wall_s_runs"][0] > 0
+    assert bench.blas_library()
 
 
 def test_convergence_script_matches_cli(tmp_path):

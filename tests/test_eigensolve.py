@@ -35,6 +35,20 @@ def test_generalized_eig_shape_check(rng):
         sym_generalized_eig(np.eye(3), np.eye(4))
 
 
+def test_standard_eig_matches_numpy(rng):
+    s = random_spd(rng, 30, 0.5)
+    spec = sym_generalized_eig(s, None, problem="unit")
+    assert spec.vectors is None
+    scale = np.max(np.abs(spec.values))
+    assert np.max(np.abs(spec.values - np.linalg.eigvalsh(s))) < 1e-12 * scale
+    spec = sym_generalized_eig(sp.csr_matrix(s), None, vectors=True)
+    residual = s @ spec.vectors - spec.vectors * spec.values
+    assert np.max(np.abs(residual)) < 1e-12 * scale
+    assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(30))) < 1e-12
+    with pytest.raises(EigensolveError):
+        sym_generalized_eig(np.ones((3, 4)), None)
+
+
 def test_jacobi_matches_main_solver(rng):
     # independent route: own Cholesky + cyclic Jacobi sweeps
     for _ in range(5):
@@ -58,6 +72,19 @@ def test_schur_complement_against_direct(rng):
     direct = b @ np.linalg.solve(a, b.T)
     assert np.max(np.abs(s - direct)) < 1e-10
     assert np.max(np.abs(s - s.T)) == 0.0
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_schur_row_blocks_cover_a_partial_block(rng, dense):
+    # 133 rows: two full blocks of 64 and a last block of 5
+    a = random_spd(rng, 200)
+    b = rng.standard_normal((133, 200))
+    b[np.abs(b) < 1.0] = 0.0
+    s = schur_complement(b if dense else sp.csr_matrix(b), sp.csr_matrix(a))
+    oracle = dense_schur(b, a)
+    assert s.shape == (133, 133)
+    assert np.max(np.abs(s - oracle)) < 1e-12 * np.max(np.abs(oracle))
+    assert np.array_equal(s, s.T)
 
 
 @pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),

@@ -178,6 +178,36 @@ def test_overlapping_cells_rejected():
         import_mesh(FOLDED_MESH)
 
 
+def test_hanging_vertex_rejected():
+    # vertex 4 sits at the midpoint of edge (0, 3) of cell 2, whose other
+    # side is split into the edges (0, 4) and (4, 3) of cells 0 and 1
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [0.5, 0.5]])
+    cells = np.array([[0, 1, 4], [1, 3, 4], [0, 3, 2]])
+    with pytest.raises(MeshTopologyError,
+                       match=r"cell 2: vertex 4 hangs inside its boundary "
+                             r"edge \(0, 3\)"):
+        Triangulation(verts, cells)
+
+
+def test_edge_shared_by_three_cells_message():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0],
+                      [0.3, 0.8]])
+    cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshTopologyError) as info:
+        Triangulation(verts, cells)
+    assert str(info.value) == "cell 2: edge (0, 1) shared by more than two cells"
+
+
+@pytest.mark.parametrize("family", GENERATED_FAMILIES)
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_generated_meshes_pass_the_hanging_vertex_check(family, n):
+    # the boundary vertices on each side of the square are collinear with
+    # every boundary edge of that side, but none lies strictly inside one
+    mesh = generate(family, n)
+    assert np.count_nonzero(mesh.boundary_edges) == 4 * n
+
+
 def test_edge_lookup():
     mesh = generate(Family.DIAGONAL, 4)
     a, b = mesh.edges[7]

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mixedstab.errors import NumericalError
 from mixedstab.mesh import Family, generate
@@ -9,11 +10,13 @@ from mixedstab.stability import (DEFAULT_THRESHOLD, StabilityReport,
                                  babuska_infsup, brezzi_coercivity,
                                  brezzi_infsup, classify_spectrum,
                                  infsup_to_laplace, laplace_eigenvalue,
+                                 orthonormal_divergence,
                                  reproduce_table,
                                  run_case, stokes_infsup, threshold_sweep)
 
-from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
-                     laplace_pencil_eigenvalues, svd_coercivity)
+from oracles import (babuska_pencil_eigenvalues, dense_schur,
+                     divdiv_pencil_eigenvalues, laplace_pencil_eigenvalues,
+                     svd_coercivity)
 
 TWO_PI_SQ = 2 * np.pi ** 2
 
@@ -54,6 +57,52 @@ def test_brezzi_infsup_unionjack_anchor(forms_for):
     assert res.dim_spurious == 4
     assert res.beta == 0.0
     assert abs(res.beta_reduced - 0.976985) < 5e-5
+
+
+@pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
+                                       (Family.UNIONJACK, 3)])
+def test_orthonormal_pencils_match_the_generalized_route(forms_for, family, r):
+    # the library solves the standard problem in M_Q-orthonormal
+    # coordinates; the generalized pencil against M_Q has the same spectrum
+    forms = forms_for(family, 4, r)
+    m_q = forms.M_Q.toarray()
+    brezzi = brezzi_infsup(forms).spectrum.values
+    expected = sla.eigh(dense_schur(forms.B, forms.A_div), m_q, eigvals_only=True)
+    assert np.max(np.abs(brezzi - expected)) < 1e-12
+    stokes = stokes_infsup(forms)
+    s_1 = dense_schur(forms.B, forms.A_1)
+    expected = sla.eigh(s_1, m_q, eigvals_only=True)
+    assert np.max(np.abs(stokes.spectrum.values - expected)) < 1e-12 * expected[-1]
+    ones = np.ones(forms.Q_h.ndofs)
+    mode = (ones @ s_1 @ ones) / (ones @ m_q @ ones)
+    assert abs(stokes.constant_mode - mode) < 1e-12 * mode
+
+
+def test_orthonormal_divergence_factors_the_pressure_mass(forms_for):
+    forms = forms_for(Family.CRISSCROSS, 4, 3)
+    b_hat, lower = orthonormal_divergence(forms)
+    assert lower.shape == (forms.mesh.num_cells, 6, 6)  # P2 pressures
+    assert np.allclose(sla.block_diag(*(lower @ lower.transpose(0, 2, 1))),
+                       forms.M_Q.toarray(), rtol=0, atol=1e-15)
+    # C mixes the rows of one cell only, so each cell's rows reach the
+    # same velocity dofs in C B as in B
+    cell_rows = sla.block_diag(*[np.ones(6)] * forms.mesh.num_cells)
+    assert np.array_equal(cell_rows @ abs(b_hat.toarray()) > 0,
+                          cell_rows @ abs(forms.B.toarray()) > 0)
+    m_q_inv = np.linalg.inv(forms.M_Q.toarray())
+    expected = forms.B.T @ m_q_inv @ forms.B
+    assert (np.max(np.abs((b_hat.T @ b_hat).toarray() - expected))
+            < 1e-12 * np.max(np.abs(expected)))
+
+
+def test_orthonormal_divergence_requires_cellwise_blocks(forms_for):
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    coupled = forms.M_Q.tolil()
+    coupled[0, 3] = coupled[3, 0] = 1e-3  # dofs of cells 0 and 1
+    with pytest.raises(NumericalError, match="one block per cell"):
+        orthonormal_divergence(dataclasses.replace(forms, M_Q=coupled.tocsr()))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        orthonormal_divergence(dataclasses.replace(forms, M_Q=-forms.M_Q))
 
 
 def test_coercivity_is_one_with_divergence_free_kernel(forms_for):
