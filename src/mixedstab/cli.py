@@ -6,15 +6,18 @@ mesh            generate a triangulation and write it in the text format
 infsup          inf-sup constants and spurious modes for one case
 spectrum        full eigenvalue list of a chosen pencil
 coercivity      coercivity constant on the divergence-free subspace
-laplace-eig     smallest positive eigenvalue of the mixed Laplace pencil
+laplace-eig     mixed Laplace eigenvalue past the spurious modes
 stokes-infsup   inf-sup constant in the full gradient norm
 converge        source-problem convergence study
 tables          recompute the golden stability tables (T1..T4)
 
-CSV artifacts start with a provenance line ``# mixed-stab <version>
-<config-hash>`` so golden files detect configuration drift; JSON output
-carries the same data under a "provenance" key.  Exit codes: 0 success,
-1 numerical failure, 2 usage error.
+The single-case commands (infsup to stokes-infsup) load their case
+through one helper, and every command but mesh writes through one
+emitter.  CSV artifacts start with a provenance line ``# mixed-stab
+<version> <config-hash>`` so golden files detect configuration drift;
+JSON output carries the same data under a "provenance" key.  Exit codes:
+0 success, 1 numerical failure, 2 usage error, which includes an r
+outside 1..MAX_SPACE_DEGREE and an n that is not an even integer >= 4.
 """
 
 from __future__ import annotations
@@ -25,17 +28,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
+from .assembly import MAX_SPACE_DEGREE, write_matrix_market
 from .errors import MixedStabError
-from .mesh import Family, GENERATED_FAMILIES, export_mesh, generate, read_mesh
+from .mesh import (Family, GENERATED_FAMILIES, check_grid_size, export_mesh,
+                   generate, read_mesh)
 from .stability import (DEFAULT_THRESHOLD, SWEEP_THRESHOLDS, babuska_infsup,
                         brezzi_coercivity, brezzi_infsup, case_forms,
                         divdiv_spectrum, laplace_eigenvalue, reproduce_table,
                         run_case, stokes_infsup, StabilityReport)
-from .poisson import convergence_study, default_n_values, NORM_KEYS
+from .poisson import ConvergenceReport, convergence_study
 
 PROG = "mixed-stab"
 THRESHOLD_ENV = "MIXEDSTAB_THRESHOLD"
@@ -47,7 +52,10 @@ UNHASHED_FIELDS = ("out", "jobs", "dump_matrices", "plot_data")
 
 @dataclass
 class RunConfig:
-    """Everything one invocation is going to do, JSON round-trippable."""
+    """Everything one invocation is going to do.
+
+    Every field but UNHASHED_FIELDS enters the provenance hash.
+    """
 
     command: str
     family: str | None = None
@@ -69,18 +77,6 @@ class RunConfig:
     dump_matrices: str | None = None
     plot_data: str | None = None
 
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
-
     def config_hash(self):
         data = asdict(self)
         for name in UNHASHED_FIELDS:
@@ -98,15 +94,20 @@ class RunConfig:
 
 def parse_n_values(text):
     """Parse an n argument: "8", "4,8,16" or an inclusive range "4..16"
-    stepping by 2 (generated families use even n)."""
+    stepping by 2.  ValueError unless it names at least one n and every n
+    is even and >= 4, as the generated families require."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty n range {text!r}")
-        return list(range(lo, hi + 1, 2))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = list(range(lo, hi + 1, 2))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"no n values in {text!r}")
+    return [check_grid_size(n) for n in values]
 
 
 def _positive_int_list(text):
@@ -180,7 +181,7 @@ def build_parser():
     add_case_args(p_coer)
 
     p_lap = sub.add_parser("laplace-eig",
-                           help="smallest positive mixed Laplace eigenvalue")
+                           help="mixed Laplace eigenvalue past the spurious modes")
     add_case_args(p_lap)
 
     p_sto = sub.add_parser("stokes-infsup",
@@ -252,7 +253,10 @@ def config_from_args(args):
 
     cfg.threshold = resolve_threshold(args)
     if command not in ("converge", "tables"):
-        cfg.r = int(getattr(args, "r", 1) or 1)
+        cfg.r = args.r
+        if not 1 <= cfg.r <= MAX_SPACE_DEGREE:
+            raise UsageError(f"{command}: r must be in 1..{MAX_SPACE_DEGREE}, "
+                             f"got {cfg.r}")
     default_fmt = "csv" if command in ("converge", "tables") else "json"
     cfg.fmt = getattr(args, "fmt", None) or default_fmt
 
@@ -273,7 +277,7 @@ def config_from_args(args):
         bad = [r for r in cfg.r_values if not 1 <= r <= 4]
         if bad:
             raise UsageError(f"converge: r must be in 1..4, got {bad}")
-        cfg.n_values = parse_n_values(args.n) if args.n else None
+        cfg.n_values = parse_n_values(args.n) if args.n is not None else None
         cfg.plot_data = args.plot_data
         cfg.family = cfg.family or "diagonal"
     elif command == "tables":
@@ -281,29 +285,37 @@ def config_from_args(args):
         if which not in ("T1", "T2", "T3", "T4"):
             raise UsageError(f"tables: unknown table {args.which!r}")
         cfg.which = which
-        cfg.n_values = parse_n_values(args.n) if args.n else None
+        cfg.n_values = parse_n_values(args.n) if args.n is not None else None
         cfg.r_values = _positive_int_list(args.r) if getattr(args, "r", None) else None
         cfg.jobs = max(1, args.jobs)
     return cfg
 
 
-def _emit(cfg, text):
+def _write(cfg, text):
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg, payload):
-    body = {"provenance": cfg.provenance_dict()}
-    body.update(payload)
-    _emit(cfg, json.dumps(body, indent=2, sort_keys=True) + "\n")
+def _emit(cfg, payload, csv_lines):
+    """Write ``payload`` as JSON, or the provenance line and ``csv_lines``
+    (header first) as CSV, as the configured format asks."""
+    if cfg.fmt == "json":
+        body = {"provenance": cfg.provenance_dict(), **payload}
+        _write(cfg, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    else:
+        _write(cfg, "\n".join([cfg.provenance_line(), *csv_lines]) + "\n")
 
 
-def _case_mesh(cfg):
-    if cfg.mesh is not None:
-        return read_mesh(cfg.mesh)
-    return generate(Family.parse(cfg.family), cfg.n)
+def _case_forms(cfg):
+    """Assembled forms of a single case, on the mesh file or the generated
+    family and n; the matrices are written out when the config asks."""
+    mesh = None if cfg.mesh is None else read_mesh(cfg.mesh)
+    forms = case_forms(cfg.family, cfg.n, cfg.r, mesh=mesh)
+    if cfg.dump_matrices:
+        write_matrix_market(forms, cfg.dump_matrices)
+    return forms
 
 
 def _report_payload(report):
@@ -326,108 +338,71 @@ def _report_payload(report):
 
 
 def cmd_mesh(cfg):
-    mesh = generate(Family.parse(cfg.family), cfg.n)
-    _emit(cfg, export_mesh(mesh))
+    _write(cfg, export_mesh(generate(Family.parse(cfg.family), cfg.n)))
     return 0
 
 
 def cmd_infsup(cfg):
-    mesh = _case_mesh(cfg)
-    forms = case_forms(None, None, cfg.r, mesh=mesh)
-    report = run_case(mesh=mesh, r=cfg.r, threshold=cfg.threshold,
+    report = run_case(forms=_case_forms(cfg), threshold=cfg.threshold,
                       with_alpha=cfg.with_alpha, with_gamma=cfg.with_gamma,
-                      with_stokes=cfg.with_stokes, sweep=cfg.sweep, forms=forms)
-    if cfg.dump_matrices:
-        from .assembly import write_matrix_market
-        write_matrix_market(forms, cfg.dump_matrices)
-
-    if cfg.fmt == "json":
-        payload = _report_payload(report)
-        if report.sweep is not None:
-            payload["sweep"] = [
-                {"threshold": t, "dimN": d, "beta_reduced": b}
-                for t, d, b in report.sweep]
-        _emit_json(cfg, payload)
-    else:
-        lines = [cfg.provenance_line(), StabilityReport.CSV_HEADER,
-                 report.csv_row()]
-        if report.sweep is not None:
-            lines.append("threshold,dimN,beta_reduced")
-            lines += [f"{t:g},{d},{b:.6f}" for t, d, b in report.sweep]
-        _emit(cfg, "\n".join(lines) + "\n")
+                      with_stokes=cfg.with_stokes, sweep=cfg.sweep)
+    payload = _report_payload(report)
+    lines = [StabilityReport.CSV_HEADER, report.csv_row()]
+    if report.sweep is not None:
+        payload["sweep"] = [{"threshold": t, "dimN": d, "beta_reduced": b}
+                            for t, d, b in report.sweep]
+        lines.append("threshold,dimN,beta_reduced")
+        lines += [f"{t:g},{d},{b:.6f}" for t, d, b in report.sweep]
+    _emit(cfg, payload, lines)
     return 0
 
 
 def cmd_spectrum(cfg):
-    mesh = _case_mesh(cfg)
-    forms = case_forms(None, None, cfg.r, mesh=mesh)
-    if cfg.dump_matrices:
-        from .assembly import write_matrix_market
-        write_matrix_market(forms, cfg.dump_matrices)
-    if cfg.pencil == "infsup":
-        spec = brezzi_infsup(forms, threshold=cfg.threshold).spectrum
-    elif cfg.pencil == "laplace":
-        spec = laplace_eigenvalue(forms, threshold=cfg.threshold).spectrum
-    elif cfg.pencil == "stokes":
+    forms = _case_forms(cfg)
+    if cfg.pencil == "stokes":
         spec = stokes_infsup(forms, threshold=cfg.threshold).spectrum
-    elif cfg.pencil == "divdiv":
-        spec = divdiv_spectrum(forms)
     else:
-        spec = babuska_infsup(forms, brezzi_infsup(forms)).spectrum
+        infsup = brezzi_infsup(forms, threshold=cfg.threshold)
+        if cfg.pencil == "infsup":
+            spec = infsup.spectrum
+        elif cfg.pencil == "laplace":
+            spec = laplace_eigenvalue(infsup).spectrum
+        elif cfg.pencil == "divdiv":
+            spec = divdiv_spectrum(forms, infsup)
+        else:
+            spec = babuska_infsup(forms, infsup).spectrum
     values = [float(v) for v in spec.values]
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"pencil": cfg.pencil, "count": len(values),
-                         "values": values})
-    else:
-        lines = [cfg.provenance_line(), "index,value"]
-        lines += [f"{i},{v:.12e}" for i, v in enumerate(values)]
-        _emit(cfg, "\n".join(lines) + "\n")
+    _emit(cfg, {"pencil": cfg.pencil, "count": len(values), "values": values},
+          ["index,value"] + [f"{i},{v:.12e}" for i, v in enumerate(values)])
     return 0
 
 
 def cmd_coercivity(cfg):
-    mesh = _case_mesh(cfg)
-    forms = case_forms(None, None, cfg.r, mesh=mesh)
+    forms = _case_forms(cfg)
     res = brezzi_coercivity(forms, brezzi_infsup(forms, threshold=cfg.threshold))
-    payload = {"alpha": res.alpha, "kernel_dim": res.kernel_dim, "r": cfg.r}
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    else:
-        _emit(cfg, "\n".join([cfg.provenance_line(), "alpha,kernel_dim,r",
-                              f"{res.alpha:.12f},{res.kernel_dim},{cfg.r}"]) + "\n")
+    _emit(cfg, {"alpha": res.alpha, "kernel_dim": res.kernel_dim, "r": cfg.r},
+          ["alpha,kernel_dim,r", f"{res.alpha:.12f},{res.kernel_dim},{cfg.r}"])
     return 0
 
 
 def cmd_laplace(cfg):
-    mesh = _case_mesh(cfg)
-    forms = case_forms(None, None, cfg.r, mesh=mesh)
-    res = laplace_eigenvalue(forms, threshold=cfg.threshold)
+    res = laplace_eigenvalue(brezzi_infsup(_case_forms(cfg),
+                                           threshold=cfg.threshold))
     smallest = [float(v) for v in res.spectrum.values[:5]]
-    payload = {"mu": res.mu, "threshold": cfg.threshold,
-               "smallest_eigenvalues": smallest, "r": cfg.r}
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    else:
-        _emit(cfg, "\n".join([cfg.provenance_line(), "mu,threshold,r",
-                              f"{res.mu:.12f},{cfg.threshold:g},{cfg.r}"]) + "\n")
+    _emit(cfg, {"mu": res.mu, "threshold": cfg.threshold,
+                "smallest_eigenvalues": smallest, "r": cfg.r},
+          ["mu,threshold,r", f"{res.mu:.12f},{cfg.threshold:g},{cfg.r}"])
     return 0
 
 
 def cmd_stokes(cfg):
-    mesh = _case_mesh(cfg)
-    forms = case_forms(None, None, cfg.r, mesh=mesh)
-    res = stokes_infsup(forms, threshold=cfg.threshold)
-    payload = {"beta_h1": res.beta, "beta_h1_reduced": res.beta_reduced,
-               "dimN": res.dim_spurious, "constant_mode": res.constant_mode,
-               "threshold": cfg.threshold, "r": cfg.r}
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    else:
-        _emit(cfg, "\n".join([
-            cfg.provenance_line(),
-            "beta_h1,beta_h1_reduced,dimN,constant_mode,threshold,r",
-            f"{res.beta:.6f},{res.beta_reduced:.6f},{res.dim_spurious},"
-            f"{res.constant_mode:.6f},{cfg.threshold:g},{cfg.r}"]) + "\n")
+    res = stokes_infsup(_case_forms(cfg), threshold=cfg.threshold)
+    _emit(cfg, {"beta_h1": res.beta, "beta_h1_reduced": res.beta_reduced,
+                "dimN": res.dim_spurious, "constant_mode": res.constant_mode,
+                "threshold": cfg.threshold, "r": cfg.r},
+          ["beta_h1,beta_h1_reduced,dimN,constant_mode,threshold,r",
+           f"{res.beta:.6f},{res.beta_reduced:.6f},{res.dim_spurious},"
+           f"{res.constant_mode:.6f},{cfg.threshold:g},{cfg.r}"])
     return 0
 
 
@@ -458,18 +433,12 @@ def cmd_converge(cfg):
                for r in cfg.r_values]
     if cfg.plot_data:
         _write_plot_data(cfg, reports)
-    if cfg.fmt == "json":
-        payload = {"studies": [
-            {"r": rep.r, "family": rep.family, "n_values": rep.n_values,
-             "errors": rep.errors, "rates": rep.rates,
-             "normalized": rep.normalized}
-            for rep in reports]}
-        _emit_json(cfg, payload)
-    else:
-        lines = [cfg.provenance_line(), reports[0].CSV_HEADER]
-        for rep in reports:
-            lines += rep.csv_rows()
-        _emit(cfg, "\n".join(lines) + "\n")
+    payload = {"studies": [
+        {"r": rep.r, "family": rep.family, "n_values": rep.n_values,
+         "errors": rep.errors, "rates": rep.rates, "normalized": rep.normalized}
+        for rep in reports]}
+    _emit(cfg, payload, [ConvergenceReport.CSV_HEADER]
+          + [row for rep in reports for row in rep.csv_rows()])
     return 0
 
 
@@ -477,12 +446,9 @@ def cmd_tables(cfg):
     table = reproduce_table(cfg.which, n_values=cfg.n_values,
                             r_values=cfg.r_values, threshold=cfg.threshold,
                             jobs=cfg.jobs)
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"which": table.which, "r": table.r,
-                         "threshold": table.threshold,
-                         "header": table.header, "rows": table.rows})
-    else:
-        _emit(cfg, cfg.provenance_line() + "\n" + table.to_csv())
+    _emit(cfg, {"which": table.which, "r": table.r,
+                "threshold": table.threshold, "header": table.header,
+                "rows": table.rows}, table.to_csv().splitlines())
     return 0
 
 

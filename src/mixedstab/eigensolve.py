@@ -38,13 +38,6 @@ class Spectrum:
     problem: str = ""
     threshold: float | None = None
 
-    def smallest_at_least(self, threshold):
-        above = self.values[self.values >= threshold]
-        if above.size == 0:
-            raise EigensolveError(
-                f"no eigenvalue of {self.problem or 'pencil'} reaches {threshold}")
-        return float(above[0])
-
 
 def sym_generalized_eig(S, M, vectors=False, problem=""):
     """Solve S x = lambda M x with S symmetric and M SPD or None.

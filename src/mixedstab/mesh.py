@@ -224,6 +224,15 @@ def _grid_id(i, j, n):
     return j * (n + 1) + i
 
 
+def check_grid_size(n):
+    """Return n as an int; ValueError unless it is an even integer >= 4."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 4 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 4, got {n}")
+    return int(n)
+
+
 def generate(family, n):
     """Generate one of the structured families on an n x n grid.
 
@@ -241,11 +250,7 @@ def generate(family, n):
         family = Family.parse(family)
     if family not in GENERATED_FAMILIES:
         raise ValueError(f"cannot generate family {family}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 4, got {n}")
+    n = check_grid_size(n)
 
     scale = 2 * n
     exact = [(2 * i, 2 * j) for j in range(n + 1) for i in range(n + 1)]

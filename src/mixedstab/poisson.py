@@ -245,9 +245,6 @@ class ConvergenceReport:
             rows.append(",".join(cells))
         return rows
 
-    def to_csv(self):
-        return "\n".join([self.CSV_HEADER] + self.csv_rows()) + "\n"
-
 
 def default_n_values(r):
     return [4, 8, 16, 32] if r <= 2 else [4, 8, 16]

@@ -13,7 +13,11 @@ and the rest follows from lambda: the mixed Laplace eigenvalues
 mu = lambda / (1 - lambda), the div-div spectrum (nV - nQ zeros and the
 mu), the Babuska spectrum (-lambda and nV ones, so gamma = beta^2 without
 spurious modes) and alpha = 1 on a kernel of dimension nV - nQ + dim N_h.
-Only the Stokes constant (H1 matrix A_1) is a second solve.
+So laplace_eigenvalue, divdiv_spectrum, babuska_infsup and
+brezzi_coercivity take the InfSupResult of brezzi_infsup and solve
+nothing; mu is read at the same split as dim N_h.  Only the Stokes
+constant (H1 matrix A_1) is a second solve, by the same routine as the
+Brezzi pencil.
 """
 
 from __future__ import annotations
@@ -97,14 +101,23 @@ def orthonormal_divergence(forms):
     return sp.csr_matrix(c @ forms.B), lower
 
 
-def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
-    """Brezzi inf-sup constant in the H(div) norm, with spurious modes."""
-    b_hat, _ = orthonormal_divergence(forms)
-    s = schur_complement(b_hat, forms.A_div)
-    spec = sym_generalized_eig(s, None, problem="brezzi-infsup")
+def _infsup_pencil(forms, norm, threshold, problem):
+    """Solve B norm^{-1} B^T p = lambda M_Q p and split it at the threshold.
+
+    Returns (InfSupResult, S, L): S = (C B) norm^{-1} (C B)^T and the
+    stacked cell factors L of ``orthonormal_divergence``.
+    """
+    b_hat, lower = orthonormal_divergence(forms)
+    s = schur_complement(b_hat, norm)
+    spec = sym_generalized_eig(s, None, problem=problem)
     spec.threshold = threshold
     dim, beta, beta_reduced, warning = classify_spectrum(spec.values, threshold)
-    return InfSupResult(beta, beta_reduced, dim, spec, warning)
+    return InfSupResult(beta, beta_reduced, dim, spec, warning), s, lower
+
+
+def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
+    """Brezzi inf-sup constant in the H(div) norm, with spurious modes."""
+    return _infsup_pencil(forms, forms.A_div, threshold, "brezzi-infsup")[0]
 
 
 @dataclass
@@ -174,16 +187,13 @@ def stokes_infsup(forms, threshold=DEFAULT_THRESHOLD):
     the Rayleigh quotient of the constant pressure is reported separately
     so its position in the spectrum is visible.
     """
-    b_hat, lower = orthonormal_divergence(forms)
-    s = schur_complement(b_hat, forms.A_1)
-    spec = sym_generalized_eig(s, None, problem="stokes-infsup")
-    spec.threshold = threshold
-    dim, beta, beta_reduced, _ = classify_spectrum(spec.values, threshold)
+    res, s, lower = _infsup_pencil(forms, forms.A_1, threshold, "stokes-infsup")
     # the constant pressure 1 has coordinates w = C^{-T} 1 = L^T 1, and
     # 1^T M_Q 1 = w^T w
     w = lower.sum(axis=1).ravel()
     constant_mode = float((w @ (s @ w)) / (w @ w))
-    return StokesResult(beta, beta_reduced, dim, constant_mode, spec)
+    return StokesResult(res.beta, res.beta_reduced, res.dim_spurious,
+                        constant_mode, res.spectrum)
 
 
 @dataclass
@@ -192,26 +202,27 @@ class LaplaceResult:
     spectrum: Spectrum
 
 
-def laplace_eigenvalue(forms, threshold=DEFAULT_THRESHOLD):
-    """Smallest eigenvalue of the mixed Laplace pencil at or above threshold.
+def laplace_eigenvalue(infsup):
+    """Smallest mixed Laplace eigenvalue past the spurious modes.
 
     B M_V^{-1} B^T p = mu M_Q p has the inf-sup eigenvectors and
-    mu = lambda / (1 - lambda).  The continuous value on the unit square is
-    2 pi^2; how close mu comes depends on the stability of the pair.
+    mu = lambda / (1 - lambda), so mu is taken at index dim N_h of the
+    InfSupResult ``infsup``, the split its zero threshold made.  The
+    continuous value on the unit square is 2 pi^2; how close mu comes
+    depends on the stability of the pair.
     """
-    lam = brezzi_infsup(forms).spectrum.values
-    spec = Spectrum(infsup_to_laplace(lam), problem="mixed-laplace",
-                    threshold=threshold)
-    return LaplaceResult(spec.smallest_at_least(threshold), spec)
+    spec = Spectrum(infsup_to_laplace(infsup.spectrum.values),
+                    problem="mixed-laplace", threshold=infsup.spectrum.threshold)
+    return LaplaceResult(float(spec.values[infsup.dim_spurious]), spec)
 
 
-def divdiv_spectrum(forms):
+def divdiv_spectrum(forms, infsup):
     """Eigenvalues of <div u, div v> against the vector mass.
 
     The div-div form is B^T M_Q^{-1} B, so the spectrum is nV - nQ zeros
-    plus the mixed Laplace eigenvalues.
+    plus the mixed Laplace eigenvalues of the InfSupResult ``infsup``.
     """
-    mu = infsup_to_laplace(brezzi_infsup(forms).spectrum.values)
+    mu = infsup_to_laplace(infsup.spectrum.values)
     zeros = np.zeros(forms.V_h.ndofs - forms.Q_h.ndofs)
     return Spectrum(np.sort(np.concatenate([zeros, mu])), problem="divdiv")
 

@@ -1,13 +1,13 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mixedstab.cli import (RunConfig, build_parser, main, parse_n_values,
                            resolve_threshold, THRESHOLD_ENV)
@@ -26,31 +26,6 @@ def run_cli(*argv):
 
 # --- config plumbing ---------------------------------------------------
 
-config_strategy = st.builds(
-    RunConfig,
-    command=st.sampled_from(["infsup", "tables", "converge"]),
-    family=st.none() | st.sampled_from(["diagonal", "unionjack"]),
-    n=st.none() | st.integers(4, 16),
-    r=st.integers(1, 4),
-    threshold=st.sampled_from([1e-3, 1e-4, 1e-6]),
-    fmt=st.sampled_from(["json", "csv"]),
-    with_gamma=st.booleans(),
-    sweep=st.none() | st.just([1e-3, 1e-5]),
-    jobs=st.integers(1, 4),
-)
-
-
-@given(config_strategy)
-@settings(max_examples=40, deadline=None)
-def test_config_round_trips_through_json(cfg):
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-
-
-def test_config_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        RunConfig.from_json('{"command": "infsup", "bogus": 1}')
-
-
 def test_config_hash_ignores_output_location():
     a = RunConfig(command="tables", which="T2", out="x.csv", jobs=1)
     b = RunConfig(command="tables", which="T2", out="y.csv", jobs=8)
@@ -68,6 +43,9 @@ def test_parse_n_values():
         parse_n_values("ten")
     with pytest.raises(ValueError):
         parse_n_values("8..4")
+    for bad in ("5", "2", "0", "-4", "4,7", "3..8", ",", ""):
+        with pytest.raises(ValueError):
+            parse_n_values(bad)
 
 
 def test_threshold_resolution(monkeypatch):
@@ -213,6 +191,61 @@ def test_spectrum_derived_pencils_match_oracles(tmp_path, family):
         assert np.max(np.abs(values - want) / (1.0 + np.abs(want))) < 1e-8, pencil
 
 
+PROVENANCE = r"# mixed-stab 0\.1\.0 [0-9a-f]{12}"
+F6, F12, E12, INT = r"\d+\.\d{6}", r"\d+\.\d{12}", r"-?\d\.\d{12}e[-+]\d\d", r"\d+"
+
+
+@pytest.mark.parametrize("argv, header, row", [
+    (["infsup", "--sweep"],
+     "family,n,r,sigma,dimN,beta_div,beta_div_reduced,alpha,beta_h1,threshold",
+     ["diagonal", "4", "1", INT, INT, F6, F6, "", "", "0.0001"]),
+    (["coercivity"], "alpha,kernel_dim,r", ["1.000000000000", "18", "1"]),
+    (["laplace-eig"], "mu,threshold,r", [F12, "0.0001", "1"]),
+    (["stokes-infsup"], "beta_h1,beta_h1_reduced,dimN,constant_mode,threshold,r",
+     [F6, F6, INT, F6, "0.0001", "1"]),
+    (["spectrum"], "index,value", ["0", E12]),
+])
+def test_single_case_csv_layout(tmp_path, argv, header, row):
+    out = tmp_path / "o.csv"
+    assert run_cli(*argv, "--family", "diagonal", "--n", "4", "--r", "1",
+                   "--format", "csv", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert re.fullmatch(PROVENANCE, lines[0])
+    assert lines[1] == header
+    body = lines[2:]
+    if argv[0] == "infsup":
+        assert body[1] == "threshold,dimN,beta_reduced"
+        sweep, body = body[2:], body[:1]
+        assert [line.split(",")[0] for line in sweep] == [
+            "0.001", "0.0001", "1e-05", "1e-06"]
+        for line in sweep:
+            assert re.fullmatch(rf"[^,]+,{INT},{F6}", line), line
+    elif argv[0] == "spectrum":
+        assert len(body) == 32  # dim Q_h
+        assert [line.split(",")[0] for line in body] == [str(i) for i in range(32)]
+        body = [body[0]]
+    assert len(body) == 1
+    cells = body[0].split(",")
+    assert len(cells) == len(header.split(",")) == len(row)
+    for cell, pattern in zip(cells, row):
+        assert re.fullmatch(pattern, cell), (cell, pattern)
+
+
+def test_laplace_eig_takes_mu_at_the_spurious_split(tmp_path):
+    # at threshold 0.75 the smallest inf-sup eigenvalue 0.718 counts as
+    # spurious, so mu belongs to the next one
+    case = ["--family", "diagonal", "--n", "4", "--r", "1", "--threshold", "0.75"]
+    outs = {}
+    for command in ("infsup", "spectrum", "laplace-eig"):
+        outs[command] = tmp_path / f"{command}.json"
+        assert run_cli(command, *case, "--out", str(outs[command])) == 0
+    dim = json.loads(outs["infsup"].read_text())["dimN"]
+    lam = json.loads(outs["spectrum"].read_text())["values"][dim]
+    assert dim == 1
+    mu = json.loads(outs["laplace-eig"].read_text())["mu"]
+    assert mu == pytest.approx(lam / (1.0 - lam), rel=1e-12)
+
+
 def test_every_constant_comes_from_two_solves(tmp_path, monkeypatch):
     import mixedstab.stability as stability
 
@@ -233,9 +266,12 @@ def test_every_constant_comes_from_two_solves(tmp_path, monkeypatch):
     assert run_cli("infsup", *case, "--with-alpha", "--with-gamma",
                    "--with-stokes", "--sweep") == 0
     assert sorted(calls) == ["schur_complement"] * 2 + ["sym_generalized_eig"] * 2
-    calls.clear()
-    assert run_cli("laplace-eig", *case) == 0
-    assert sorted(calls) == ["schur_complement", "sym_generalized_eig"]
+    for argv in (["laplace-eig"], ["spectrum", "--pencil", "laplace"],
+                 ["spectrum", "--pencil", "divdiv"],
+                 ["spectrum", "--pencil", "babuska"]):
+        calls.clear()
+        assert run_cli(*argv, *case) == 0
+        assert sorted(calls) == ["schur_complement", "sym_generalized_eig"], argv
 
 
 def test_coercivity_and_laplace_commands(tmp_path):
@@ -292,6 +328,35 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli("no-such-command")
     assert info.value.code == 2
+
+
+SINGLE_CASE_COMMANDS = ["infsup", "spectrum", "coercivity", "laplace-eig",
+                        "stokes-infsup"]
+
+
+@pytest.mark.parametrize("command", SINGLE_CASE_COMMANDS)
+@pytest.mark.parametrize("r", ["0", "-1", "7"])
+def test_bad_degree_exits_two(command, r, capsys):
+    assert run_cli(command, "--family", "diagonal", "--n", "4", "--r", r) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "1..6" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infsup", "--family", "diagonal", "--n", "5"],
+    ["spectrum", "--family", "diagonal", "--n", "2"],
+    ["mesh", "--family", "diagonal", "--n", "3"],
+    ["converge", "--n", "3"],
+    ["converge", "--n", ","],
+    ["tables", "--which", "T2", "--n", "5"],
+    ["tables", "--which", "T2", "--n", ","],
+])
+def test_bad_n_exits_two(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mixed-stab: ") and captured.err.count("\n") == 1
 
 
 def test_numerical_failure_exits_one(capsys):

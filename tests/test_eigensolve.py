@@ -3,7 +3,7 @@ import pytest
 
 import scipy.sparse as sp
 
-from mixedstab.eigensolve import Spectrum, schur_complement, sym_generalized_eig
+from mixedstab.eigensolve import schur_complement, sym_generalized_eig
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family
 from oracles import dense_schur, full_saddle_eigenvalues, jacobi_generalized_eig
@@ -120,13 +120,6 @@ def test_schur_refuses_non_spd():
     # must refuse the off-diagonal pivot instead
     with pytest.raises(NotPositiveDefiniteError):
         schur_complement(np.eye(2), sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_spectrum_helpers():
-    spec = Spectrum(values=np.array([1e-9, 1e-6, 0.3, 0.9]))
-    assert spec.smallest_at_least(1e-4) == 0.3
-    with pytest.raises(EigensolveError):
-        spec.smallest_at_least(2.0)
 
 
 def test_schur_pencil_matches_full_saddle_pencil(forms_for):

@@ -155,7 +155,7 @@ def test_stokes_below_divergence_norm_constant(forms_for):
 
 
 def test_laplace_eigenvalue_stable_pair(forms_for):
-    res = laplace_eigenvalue(forms_for(Family.DIAGONAL, 8, 2))
+    res = laplace_eigenvalue(brezzi_infsup(forms_for(Family.DIAGONAL, 8, 2)))
     assert abs(res.mu - TWO_PI_SQ) < 5e-3
 
 
