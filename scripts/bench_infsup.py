@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Time the Brezzi inf-sup solve of a source tree on a fixed case grid.
+"""Time the Brezzi inf-sup constant of a source tree on a fixed case grid.
 
     python scripts/bench_infsup.py --src src --out BENCH.json
 
 Every case runs REPEATS times, each in a fresh Python process with --src
 first on its path.  The process assembles the forms, times one
-``brezzi_infsup`` call and reports its own peak RSS; the entry keeps the
-sizes, the median wall time and peak RSS and the single runs.  The run
-(with the source's git commit, the BLAS library and the core count) is
-appended to the "runs" list of --out, so one file holds the before and
-after runs of a change.
+``brezzi_infsup`` call and reports its own peak RSS and the sparse
+factorizations it made; the entry keeps the sizes,
+the median wall time and peak RSS and the single runs.  The run (with the
+source's git commit, the BLAS library and the core count) is appended to
+the "runs" list of --out, so one file holds the before and after runs of
+a change.  On a source that still forms the dense nQ x nQ Schur
+complement, the last five cases (nQ 6,144 to 13,824) would need 0.3 to
+1.5 GB for it alone; time such a source with its own copy of this
+script, which stops at the first seven.
 """
 import argparse
 import json
@@ -21,12 +25,16 @@ from pathlib import Path
 
 import numpy as np
 
-# (family, r, n): diagonal and unionjack at each degree, plus one larger case
+# (family, r, n): diagonal and unionjack at each degree, one larger case,
+# then the cases only spectrum slicing reaches
 CASES = [
     ("diagonal", 1, 16), ("unionjack", 1, 16),
     ("diagonal", 2, 14), ("unionjack", 2, 14),
     ("diagonal", 3, 12), ("unionjack", 3, 12),
     ("diagonal", 2, 24),
+    ("diagonal", 2, 32), ("unionjack", 2, 32),
+    ("diagonal", 2, 48), ("unionjack", 2, 48),
+    ("diagonal", 3, 32),
 ]
 REPEATS = 3
 
@@ -36,10 +44,12 @@ from mixedstab.stability import brezzi_infsup, case_forms
 family, r, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 forms = case_forms(family, n, r)
 t0 = time.perf_counter()
-brezzi_infsup(forms)
+res = brezzi_infsup(forms)
 wall = time.perf_counter() - t0
 print(json.dumps({"nV": forms.V_h.ndofs, "nQ": forms.Q_h.ndofs,
                   "nnz": int(forms.A_div.nnz + 2 * forms.B.nnz),
+                  "dimN": res.dim_spurious, "beta_reduced": res.beta_reduced,
+                  "factorizations": res.factorizations,
                   "wall_s": wall,
                   "peak_rss_mb": resource.getrusage(
                       resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
@@ -59,6 +69,8 @@ def measure(src, family, r, n, repeats=REPEATS):
     walls = [run["wall_s"] for run in runs]
     return {"family": family, "r": r, "n": n,
             "nV": runs[0]["nV"], "nQ": runs[0]["nQ"], "nnz": runs[0]["nnz"],
+            "dimN": runs[0]["dimN"], "beta_reduced": runs[0]["beta_reduced"],
+            "factorizations": runs[0]["factorizations"],
             "wall_s": statistics.median(walls),
             "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
             "wall_s_runs": walls}

@@ -28,9 +28,9 @@ def main():
 
     rows = []
     for family, n, r in CASES:
-        spectrum = brezzi_infsup(case_forms(family, n, r)).spectrum
+        infsup = brezzi_infsup(case_forms(family, n, r))
         print(f"--- {family.value} n={n} r={r} ---")
-        for thr, dim, beta_reduced in threshold_sweep(spectrum, THRESHOLDS):
+        for thr, dim, beta_reduced in threshold_sweep(infsup, THRESHOLDS):
             print(f"  threshold {thr:8.0e}: dimN={dim:3d} "
                   f"beta_reduced={beta_reduced:.6f}")
             rows.append(f"{family.value},{n},{r},{thr:g},{dim},{beta_reduced:.6f}")

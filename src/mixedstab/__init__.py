@@ -68,13 +68,15 @@ from .stability import (
     StokesResult,
     TableReport,
     babuska_infsup,
+    babuska_spectrum,
     brezzi_coercivity,
     brezzi_infsup,
     case_forms,
-    classify_spectrum,
     divdiv_spectrum,
+    infsup_spectrum,
     infsup_to_laplace,
     laplace_eigenvalue,
+    laplace_spectrum,
     reproduce_table,
     run_case,
     stokes_infsup,

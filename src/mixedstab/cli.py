@@ -17,7 +17,8 @@ emitter.  CSV artifacts start with a provenance line ``# mixed-stab
 <version> <config-hash>`` so golden files detect configuration drift;
 JSON output carries the same data under a "provenance" key.  Exit codes:
 0 success, 1 numerical failure, 2 usage error, which includes an r
-outside 1..MAX_SPACE_DEGREE and an n that is not an even integer >= 4.
+outside 1..MAX_SPACE_DEGREE, an r given to a table that fixes it (T2..T4)
+and an n that is not an even integer >= 4.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .assembly import MAX_SPACE_DEGREE, write_matrix_market
 from .errors import MixedStabError
 from .mesh import (Family, GENERATED_FAMILIES, check_grid_size, export_mesh,
                    generate, read_mesh)
-from .stability import (DEFAULT_THRESHOLD, SWEEP_THRESHOLDS, babuska_infsup,
-                        brezzi_coercivity, brezzi_infsup, case_forms,
-                        divdiv_spectrum, laplace_eigenvalue, reproduce_table,
+from .stability import (DEFAULT_THRESHOLD, SWEEP_THRESHOLDS, TABLE_DEFAULTS,
+                        babuska_spectrum, brezzi_coercivity, brezzi_infsup,
+                        case_forms, divdiv_spectrum, infsup_spectrum,
+                        laplace_eigenvalue, laplace_spectrum, reproduce_table,
                         run_case, stokes_infsup, StabilityReport)
 from .poisson import ConvergenceReport, convergence_study
 
@@ -286,7 +288,15 @@ def config_from_args(args):
             raise UsageError(f"tables: unknown table {args.which!r}")
         cfg.which = which
         cfg.n_values = parse_n_values(args.n) if args.n is not None else None
-        cfg.r_values = _positive_int_list(args.r) if getattr(args, "r", None) else None
+        if args.r is not None:
+            if which != "T1":
+                raise UsageError(f"tables: --r applies to T1 only; {which} "
+                                 f"fixes r = {TABLE_DEFAULTS[which][0]}")
+            cfg.r_values = [int(tok) for tok in args.r.split(",") if tok.strip()]
+            bad = [r for r in cfg.r_values if not 1 <= r <= MAX_SPACE_DEGREE]
+            if bad or not cfg.r_values:
+                raise UsageError(f"tables: r must be in 1..{MAX_SPACE_DEGREE}, "
+                                 f"got {args.r!r}")
         cfg.jobs = max(1, args.jobs)
     return cfg
 
@@ -359,18 +369,13 @@ def cmd_infsup(cfg):
 
 def cmd_spectrum(cfg):
     forms = _case_forms(cfg)
-    if cfg.pencil == "stokes":
-        spec = stokes_infsup(forms, threshold=cfg.threshold).spectrum
-    else:
-        infsup = brezzi_infsup(forms, threshold=cfg.threshold)
-        if cfg.pencil == "infsup":
-            spec = infsup.spectrum
-        elif cfg.pencil == "laplace":
-            spec = laplace_eigenvalue(infsup).spectrum
-        elif cfg.pencil == "divdiv":
-            spec = divdiv_spectrum(forms, infsup)
-        else:
-            spec = babuska_infsup(forms, infsup).spectrum
+    spec = infsup_spectrum(forms, h1=cfg.pencil == "stokes")
+    if cfg.pencil == "laplace":
+        spec = laplace_spectrum(spec)
+    elif cfg.pencil == "divdiv":
+        spec = divdiv_spectrum(forms, spec)
+    elif cfg.pencil == "babuska":
+        spec = babuska_spectrum(forms, spec)
     values = [float(v) for v in spec.values]
     _emit(cfg, {"pencil": cfg.pencil, "count": len(values), "values": values},
           ["index,value"] + [f"{i},{v:.12e}" for i, v in enumerate(values)])
@@ -388,9 +393,8 @@ def cmd_coercivity(cfg):
 def cmd_laplace(cfg):
     res = laplace_eigenvalue(brezzi_infsup(_case_forms(cfg),
                                            threshold=cfg.threshold))
-    smallest = [float(v) for v in res.spectrum.values[:5]]
     _emit(cfg, {"mu": res.mu, "threshold": cfg.threshold,
-                "smallest_eigenvalues": smallest, "r": cfg.r},
+                "smallest_eigenvalues": res.smallest, "r": cfg.r},
           ["mu,threshold,r", f"{res.mu:.12f},{cfg.threshold:g},{cfg.r}"])
     return 0
 

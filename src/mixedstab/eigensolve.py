@@ -1,28 +1,53 @@
-"""Dense symmetric eigensolver and Schur complements.
+"""Inertia slicing of symmetric pencils, and the dense full-spectrum route.
 
-Every inf-sup constant comes from a pencil B A^{-1} B^T p = lambda M_Q p.
-The callers in stability.py scale B by the cellwise inverse Cholesky
-factor of the block-diagonal M_Q first, so the pencil becomes a standard
-symmetric eigenproblem.  The Schur complement S = B A^{-1} B^T is formed
-densely, a block of rows of B at a time, from one sparse symmetric LU of
-A, which also certifies that A is positive definite.  The eigenproblem
-goes to LAPACK.  Independent cross-check solvers live in tests/oracles.py,
-not here.
+Every reported constant comes from a symmetric pencil K x = nu N x with N
+positive definite: the div-div pencil (K, M_V) for the Brezzi constant and
+the mixed Laplace eigenvalue, and (K, A_1) for the Stokes constant.
+``InertiaSlicer`` computes what is reported from sparse factorizations,
+with no dense matrix:
+
+* count: by Sylvester's law of inertia, an LDL^T factorization of K - s N
+  has #{nu < s} negative pivots.  The factor is one sparse LU in symmetric
+  mode with diagonal pivots only.  A factor that takes an off-diagonal
+  pivot is refused, because its pivots need not carry the inertia, and so
+  are counts that are not monotone in s.
+* values: a bracket [a, t] with count(a) <= i < count(t) is grown, then
+  bisected geometrically, until the window [a, t) holds at most
+  ``WINDOW`` eigenvalues.  They are the eigenvalues nearest its midpoint
+  b, so shift-invert Lanczos (ARPACK) at sigma = b, on the LU of K - b N,
+  returns exactly them, and the counts give their indices; the count at b
+  must split them as it says (Ericsson & Ruhe, Math. Comp. 1980; Grimes,
+  Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).
+
+The full spectrum of an inf-sup pencil, which only ``mixed-stab spectrum``
+and the tests read, comes from a dense Schur complement S = B A^{-1} B^T
+and LAPACK.  ``positive_definite_lu`` factors A there, and checks the norm
+matrices on the sliced path.  Independent cross-check solvers live in
+tests/oracles.py, not here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import EigensolveError, NotPositiveDefiniteError
 
 # no mixedstab code reads this; only the benchmark's trace cost model does
 DENSE_LIMIT = 0
+
+# at most this many eigenvalues per Lanczos run, unless a cluster narrower
+# than the bisection can split holds more
+WINDOW = 10
+# the bracket grows by this factor until it holds the eigenvalue sought;
+# over the 117 default table cases a Brezzi constant took 9.6, 8.0 and
+# 8.4 factorizations at factors 10, 30 and 100
+GROWTH = 30.0
 
 
 def _dense(mat):
@@ -36,7 +61,6 @@ class Spectrum:
     values: np.ndarray
     vectors: np.ndarray | None = None
     problem: str = ""
-    threshold: float | None = None
 
 
 def sym_generalized_eig(S, M, vectors=False, problem=""):
@@ -78,32 +102,50 @@ def sym_generalized_eig(S, M, vectors=False, problem=""):
     return Spectrum(values=vals, vectors=vecs, problem=problem)
 
 
-def schur_complement(B, A):
-    """Dense symmetric S = B A^{-1} B^T for SPD A.
+def _ldl(A, refuse):
+    """LDL^T of symmetric A as a sparse LU: symmetric mode, minimum degree
+    on A^T + A, diagonal pivots only, so perm_r == perm_c and diag(U) = D.
 
-    A is factored once by a sparse LU in symmetric mode (minimum degree
-    on A^T + A, diagonal pivots only), the same path at every size.  S is
-    then filled 64 columns at a time from the transposed rows of B, so the
-    largest dense temporary is dim(V) x 64, never the whole dim(V) x dim(Q)
-    B^T.  A factor that breaks down, refuses a diagonal pivot or has a
-    pivot <= 0 means A is not positive definite.
+    ``refuse(pivot, reason)`` builds the exception raised when the factor
+    breaks down (pivot -1) or takes an off-diagonal pivot (1-based pivot).
     """
-    if A.shape[0] != B.shape[1]:
-        raise EigensolveError(
-            f"Schur complement shape mismatch: A is {A.shape}, B is {B.shape}")
     try:
         lu = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise NotPositiveDefiniteError(
-            -1, f"matrix is not positive definite ({exc})") from exc
+        raise refuse(-1, str(exc)) from exc
     off_diagonal = np.flatnonzero(lu.perm_r != lu.perm_c)
     if off_diagonal.size:
-        raise NotPositiveDefiniteError(int(off_diagonal[0]) + 1)
+        raise refuse(int(off_diagonal[0]) + 1, "off-diagonal pivot")
+    return lu
+
+
+def positive_definite_lu(A):
+    """Sparse LDL^T of A that certifies A is positive definite.
+
+    Raises NotPositiveDefiniteError when the factor breaks down, refuses a
+    diagonal pivot or has a pivot <= 0; ``pivot`` is the 1-based row of A.
+    """
+    lu = _ldl(A, lambda pivot, why: NotPositiveDefiniteError(
+        pivot, f"matrix is not positive definite ({why})"))
     non_positive = np.flatnonzero(lu.U.diagonal() <= 0)
     if non_positive.size:
         raise NotPositiveDefiniteError(
             int(np.flatnonzero(lu.perm_c == non_positive[0])[0]) + 1)
+    return lu
+
+
+def schur_complement(B, A):
+    """Dense symmetric S = B A^{-1} B^T for SPD A.
+
+    A is factored once by ``positive_definite_lu``.  S is then filled 64
+    columns at a time from the transposed rows of B, so the largest dense
+    temporary is dim(V) x 64, never the whole dim(V) x dim(Q) B^T.
+    """
+    if A.shape[0] != B.shape[1]:
+        raise EigensolveError(
+            f"Schur complement shape mismatch: A is {A.shape}, B is {B.shape}")
+    lu = positive_definite_lu(A)
     if sp.issparse(B):
         B = sp.csr_matrix(B)
     s = np.empty((B.shape[0], B.shape[0]))
@@ -113,3 +155,108 @@ def schur_complement(B, A):
     for j in range(0, B.shape[0], 64):
         s[:, j:j + 64] = B @ lu.solve(_dense(B[j:j + 64]).T)
     return 0.5 * (s + s.T)
+
+
+class InertiaSlicer:
+    """Eigenvalues nu_0 <= nu_1 <= ... of K x = nu N x by spectrum slicing.
+
+    K symmetric, N symmetric positive definite.  ``count(s)`` is #{nu < s}
+    and ``value(i)`` is nu_i (0-based); both cache what they compute, and
+    ``factorizations`` counts the sparse factorizations made so far.
+    Values are sliced upward from a positive shift, so count one before
+    the first ``value``.
+    """
+
+    def __init__(self, K, N):
+        if K.shape != N.shape or K.shape[0] != K.shape[1]:
+            raise EigensolveError(f"pencil shape mismatch: {K.shape} vs {N.shape}")
+        self.K = sp.csc_matrix(K)
+        self.N = sp.csc_matrix(N)
+        self.size = K.shape[0]
+        self.factorizations = 0
+        self._counts = {}   # shift -> #{nu < shift}
+        self._values = {}   # index -> nu_index
+
+    def _factor(self, s):
+        """Factor K - s N; cache and check its count, return (count, LU)."""
+        lu = _ldl(self.K - s * self.N, lambda pivot, why: EigensolveError(
+            f"inertia of K - s N at s = {s:g} not computed ({why}, "
+            f"pivot {pivot})"))
+        self.factorizations += 1
+        count = int(np.count_nonzero(lu.U.diagonal() < 0))
+        for shift, known in self._counts.items():
+            if (shift < s and known > count) or (shift > s and known < count):
+                raise EigensolveError(
+                    f"inertia counts not monotone: {known} below {shift:g}, "
+                    f"{count} below {s:g}")
+        self._counts[s] = count
+        return count, lu
+
+    def count(self, s):
+        """Number of eigenvalues below the shift s (all of them at s = inf)."""
+        if s == math.inf:
+            return self.size
+        if s not in self._counts:
+            self._factor(s)
+        return self._counts[s]
+
+    def value(self, i):
+        """The eigenvalue nu_i (0-based).
+
+        Slices a window of eigenvalues that holds nu_i, unless an earlier
+        window did.  Its bracket starts from the largest positive shift
+        already counted with at most i eigenvalues below it.
+        """
+        if not 0 <= i < self.size:
+            raise EigensolveError(f"no eigenvalue {i} in a pencil of size {self.size}")
+        if i not in self._values:
+            if not any(s > 0 and c <= i for s, c in self._counts.items()):
+                raise EigensolveError(f"no positive shift counted below "
+                                      f"eigenvalue {i}")
+            self._slice(i)
+        return self._values[i]
+
+    def _slice(self, i):
+        """Cache the eigenvalues of one counted window that holds nu_i."""
+        counts = self._counts
+        # bracket [a, top] with count(a) <= i < count(top), both counted
+        a = max(s for s, c in counts.items() if 0 < s and c <= i)
+        top = min((s for s, c in counts.items() if c > i), default=None)
+        while top is None:
+            s = a * GROWTH
+            if self.count(s) > i:
+                top = s
+            else:
+                a = s
+        while counts[top] - counts[a] > WINDOW and top - a > 1e-12 * top:
+            mid = math.sqrt(a * top)
+            if self.count(mid) > i:
+                top = mid
+            else:
+                a = mid
+        # every eigenvalue in [a, top) lies nearer to the midpoint b than
+        # any outside it, so the k nearest b are exactly the window
+        k = counts[top] - counts[a]
+        b = 0.5 * (a + top)
+        if k >= self.size - 1:
+            raise EigensolveError(f"a window of {k} eigenvalues is too wide "
+                                  f"for a pencil of size {self.size}")
+        below_b, lu = self._factor(b)
+        opinv = LinearOperator((self.size, self.size), matvec=lu.solve,
+                               dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(self.size)
+        try:
+            values = np.sort(eigsh(self.K, k, M=self.N, sigma=b, OPinv=opinv,
+                                   v0=v0, return_eigenvectors=False))
+        except (RuntimeError, ValueError) as exc:
+            raise EigensolveError(f"shift-invert Lanczos at {b:g} failed: "
+                                  f"{exc}") from exc
+        slack = 1e-9 * top
+        if not (a - slack <= values[0] and values[-1] < top + slack
+                and np.count_nonzero(values < b) == below_b - counts[a]):
+            raise EigensolveError(
+                f"Lanczos at {b:g} returned {k} values in [{values[0]:g}, "
+                f"{values[-1]:g}], which the counts at {a:g}, {b:g} and "
+                f"{top:g} do not certify")
+        for j, value in enumerate(values):
+            self._values[counts[a] + j] = float(value)

@@ -1,27 +1,37 @@
 """Stability constants of the mixed discretization.
 
-The pressure space is discontinuous, so M_Q is block-diagonal with one
-block per cell, M_Q|_K = L_K L_K^T.  Scaling B by C = blockdiag(L_K^{-1})
-puts the pressures in M_Q-orthonormal coordinates: the Brezzi inf-sup
-pencil B A_div^{-1} B^T p = lambda M_Q p becomes the standard symmetric
-problem (C B) A_div^{-1} (C B)^T x = lambda x, with the same lambda, and
-one Schur complement and one dense eigensolve give its spectrum:
-beta = sqrt(min lambda), and eigenvalues below the zero threshold count
-the spurious pressure modes N_h = {q : <div v, q> = 0 for all v}.  As
-div V_h lies in Q_h, the div-div form is K = B^T M_Q^{-1} B = (C B)^T (C B),
-and the rest follows from lambda: the mixed Laplace eigenvalues
-mu = lambda / (1 - lambda), the div-div spectrum (nV - nQ zeros and the
-mu), the Babuska spectrum (-lambda and nV ones, so gamma = beta^2 without
-spurious modes) and alpha = 1 on a kernel of dimension nV - nQ + dim N_h.
-So laplace_eigenvalue, divdiv_spectrum, babuska_infsup and
-brezzi_coercivity take the InfSupResult of brezzi_infsup and solve
-nothing; mu is read at the same split as dim N_h.  Only the Stokes
-constant (H1 matrix A_1) is a second solve, by the same routine as the
-Brezzi pencil.
+As div V_h lies in Q_h, the div-div form is K = B^T M_Q^{-1} B, so the
+div-div pencil K u = nu M_V u has nV - nQ zeros plus the mixed Laplace
+eigenvalues mu, and these map one to one onto the Brezzi inf-sup pencil
+B A_div^{-1} B^T p = lambda M_Q p by mu = lambda / (1 - lambda).  Every
+reported constant is read off a spectrum slice of that pencil
+(``eigensolve.InertiaSlicer``), with no dense nQ x nQ matrix:
+
+* dim N_h, the spurious pressure modes: the eigenvalues lambda below the
+  zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
+  s = tau / (1 - tau), from one sparse LDL^T;
+* mu, the first eigenvalue past the spurious ones, by shift-invert
+  Lanczos in a window bracketed by counts; beta_reduced =
+  sqrt(mu / (1 + mu)), and beta = beta_reduced, or 0.0 when dim N_h > 0;
+* gamma = beta^2 (the Babuska pencil has the eigenvalues -lambda and nV
+  ones) and alpha = 1 on a kernel of dimension nV - nQ + dim N_h.
+
+The Stokes constant slices (K, A_1) the same way; its eigenvalues are the
+lambda of B A_1^{-1} B^T p = lambda M_Q p.  A cluster warning is an
+inertia test: the counts at tau / 10, tau and 10 tau (those below 1)
+disagree.
+
+The full spectra (``infsup_spectrum`` and the Laplace, div-div and Babuska
+spectra derived from it) are dense: the pressures are put in
+M_Q-orthonormal coordinates by the cellwise Cholesky factors of the
+block-diagonal M_Q, and one Schur complement and one LAPACK eigensolve
+give all nQ eigenvalues.  Only ``mixed-stab spectrum`` and the tests read
+them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,47 +41,57 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .assembly import assemble, build_spaces
-from .eigensolve import Spectrum, schur_complement, sym_generalized_eig
+from .eigensolve import (InertiaSlicer, Spectrum, positive_definite_lu,
+                         schur_complement, sym_generalized_eig)
 from .errors import NumericalError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
 
 DEFAULT_THRESHOLD = 1e-4
 SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
+# smallest mixed Laplace eigenvalues past the spurious modes that
+# laplace_eigenvalue lists
+LAPLACE_LISTED = 5
 
 
-def classify_spectrum(values, threshold):
-    """Split a nonnegative pencil spectrum at the zero threshold.
+def _divdiv_shift(threshold):
+    """Shift of the div-div pencil at an inf-sup threshold tau: lambda < tau
+    exactly when mu < tau / (1 - tau), and every lambda lies below 1."""
+    return threshold / (1.0 - threshold) if threshold < 1.0 else math.inf
 
-    Returns
-    -------
-    (dim_spurious, beta, beta_reduced, warning)
-        beta = sqrt(clip(min eigenvalue, 0)); beta_reduced skips the
-        eigenvalues below the threshold.  warning is set when the
-        eigenvalues on either side of the split are less than a decade
-        apart, i.e. the threshold sits inside a cluster rather than in a
-        clean spectral gap.
-    """
-    values = np.asarray(values)
-    dim = int(np.count_nonzero(values < threshold))
-    if dim == len(values):
-        raise NumericalError(
-            f"all {len(values)} eigenvalues fall below the threshold {threshold}")
-    beta = float(np.sqrt(max(values[0], 0.0)))
-    beta_reduced = float(np.sqrt(values[dim]))
-    warning = None
-    if dim > 0 and values[dim] < 10.0 * abs(values[dim - 1]):
-        warning = (f"threshold {threshold:g} splits a cluster: eigenvalues "
-                   f"{values[dim - 1]:.3e} and {values[dim]:.3e}")
-    return dim, beta, beta_reduced, warning
+
+def _split(pencil, kernel, shift, threshold):
+    """(dim, nu): the pencil eigenvalues below ``shift`` past the ``kernel``
+    zeros, and the first eigenvalue at or above it."""
+    count = pencil.count(shift)
+    dim = count - kernel
+    if dim < 0:
+        raise NumericalError(f"only {count} eigenvalues below the threshold "
+                             f"{threshold}, fewer than the {kernel} zeros")
+    if count == pencil.size:
+        raise NumericalError(f"all {pencil.size - kernel} eigenvalues fall "
+                             f"below the threshold {threshold}")
+    return dim, pencil.value(count)
 
 
 @dataclass
 class InfSupResult:
+    """Brezzi constant of one case, read off a slice of the div-div pencil
+    (K, M_V), which stays attached for further reads."""
+
     beta: float
     beta_reduced: float
     dim_spurious: int
-    spectrum: Spectrum
+    mu: float
+    threshold: float
+    pencil: InertiaSlicer = field(repr=False)
+    kernel: int          # nV - nQ zeros of K
     warning: str | None = None
+
+    @property
+    def factorizations(self):
+        """Sparse factorizations made for this result and the reads since:
+        the one that certifies A_div, then the pencil's."""
+        return 1 + self.pencil.factorizations
 
 
 def orthonormal_divergence(forms):
@@ -101,23 +121,44 @@ def orthonormal_divergence(forms):
     return sp.csr_matrix(c @ forms.B), lower
 
 
-def _infsup_pencil(forms, norm, threshold, problem):
-    """Solve B norm^{-1} B^T p = lambda M_Q p and split it at the threshold.
+def infsup_spectrum(forms, h1=False):
+    """All nQ eigenvalues of B A^{-1} B^T p = lambda M_Q p, ascending.
 
-    Returns (InfSupResult, S, L): S = (C B) norm^{-1} (C B)^T and the
-    stacked cell factors L of ``orthonormal_divergence``.
+    A is A_div (Brezzi) or, with ``h1``, A_1 (Stokes).  Solved densely as
+    the standard problem (C B) A^{-1} (C B)^T x = lambda x, with C from
+    ``orthonormal_divergence``: one Schur complement, one LAPACK ``syevd``.
     """
-    b_hat, lower = orthonormal_divergence(forms)
-    s = schur_complement(b_hat, norm)
-    spec = sym_generalized_eig(s, None, problem=problem)
-    spec.threshold = threshold
-    dim, beta, beta_reduced, warning = classify_spectrum(spec.values, threshold)
-    return InfSupResult(beta, beta_reduced, dim, spec, warning), s, lower
+    b_hat, _ = orthonormal_divergence(forms)
+    norm, problem = ((forms.A_1, "stokes-infsup") if h1
+                     else (forms.A_div, "brezzi-infsup"))
+    return sym_generalized_eig(schur_complement(b_hat, norm), None,
+                               problem=problem)
 
 
 def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
-    """Brezzi inf-sup constant in the H(div) norm, with spurious modes."""
-    return _infsup_pencil(forms, forms.A_div, threshold, "brezzi-infsup")[0]
+    """Brezzi inf-sup constant in the H(div) norm, with spurious modes.
+
+    Requires every pivot of A_div = K + M_V to be positive
+    (NotPositiveDefiniteError otherwise), then slices (K, M_V) at the
+    threshold.
+    """
+    positive_definite_lu(forms.A_div)
+    pencil = InertiaSlicer(forms.K, forms.M_V)
+    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
+    # counted before the slice, so its bracket can start at 10 tau; a
+    # probe at or above 1 would count every eigenvalue, so it is left out
+    probes = [t for t in (threshold / 10.0, threshold, 10.0 * threshold)
+              if t < 1.0]
+    counts = [pencil.count(_divdiv_shift(t)) - kernel for t in probes]
+    dim, mu = _split(pencil, kernel, _divdiv_shift(threshold), threshold)
+    beta_reduced = math.sqrt(mu / (1.0 + mu))
+    warning = None
+    if len(set(counts)) > 1:
+        warning = (f"threshold {threshold:g} splits a cluster: "
+                   + ", ".join(f"{c} eigenvalues below {t:g}"
+                               for c, t in zip(counts, probes)))
+    return InfSupResult(beta_reduced if dim == 0 else 0.0, beta_reduced, dim,
+                        mu, threshold, pencil, kernel, warning)
 
 
 @dataclass
@@ -149,26 +190,22 @@ def brezzi_coercivity(forms, infsup):
 @dataclass
 class BabuskaResult:
     gamma: float
-    spectrum: Spectrum
     note: str | None = None
 
 
-def babuska_infsup(forms, infsup):
+def babuska_infsup(infsup):
     """Babuska constant of the full mixed form on V_h x Q_h.
 
     Smallest-modulus eigenvalue of [[M_V, B^T], [B, 0]] against the graph
-    norm diag(A_div, M_Q), whose spectrum is -lambda for every eigenvalue
-    of the InfSupResult ``infsup`` plus nV ones.  Reported as exactly zero
-    when spurious modes make the form singular.
+    norm diag(A_div, M_Q), whose spectrum is -lambda for every inf-sup
+    eigenvalue plus nV ones (``babuska_spectrum``), so gamma = beta^2 of
+    the InfSupResult ``infsup``.  Reported as exactly zero when spurious
+    modes make the form singular.
     """
-    lam = infsup.spectrum.values
-    # ascending, since lambda is ascending and lies in [0, 1)
-    spec = Spectrum(np.concatenate([-lam[::-1], np.ones(forms.V_h.ndofs)]),
-                    problem="babuska")
     if infsup.dim_spurious > 0:
-        return BabuskaResult(0.0, spec, note=f"singular pencil: "
-                                             f"{infsup.dim_spurious} spurious modes")
-    return BabuskaResult(float(np.min(np.abs(spec.values))), spec)
+        return BabuskaResult(0.0, note=f"singular pencil: "
+                                       f"{infsup.dim_spurious} spurious modes")
+    return BabuskaResult(infsup.beta ** 2)
 
 
 @dataclass
@@ -177,54 +214,81 @@ class StokesResult:
     beta_reduced: float
     dim_spurious: int
     constant_mode: float
-    spectrum: Spectrum
+    factorizations: int
 
 
 def stokes_infsup(forms, threshold=DEFAULT_THRESHOLD):
     """Inf-sup constant of the divergence form in the full H1 norm.
 
-    The spectrum is computed without a zero-mean pressure constraint;
-    the Rayleigh quotient of the constant pressure is reported separately
-    so its position in the spectrum is visible.
+    Slices (K, A_1), whose eigenvalues past its nV - nQ zeros are the
+    lambda of B A_1^{-1} B^T p = lambda M_Q p, at the threshold tau
+    itself; beta_reduced = sqrt(lambda), and beta = beta_reduced, or 0.0
+    with spurious modes.  No zero-mean pressure constraint is imposed; the
+    Rayleigh quotient of the constant pressure is reported separately so
+    its position in the spectrum is visible.  It takes one solve with A_1,
+    on the factor that certifies A_1 positive definite.
     """
-    res, s, lower = _infsup_pencil(forms, forms.A_1, threshold, "stokes-infsup")
-    # the constant pressure 1 has coordinates w = C^{-T} 1 = L^T 1, and
+    b_hat, lower = orthonormal_divergence(forms)
+    a_1 = positive_definite_lu(forms.A_1)
+    pencil = InertiaSlicer(forms.K, forms.A_1)
+    # the constant pressure 1 has coordinates w = C^{-T} 1 = L^T 1, so
+    # 1^T B A_1^{-1} B^T 1 = g^T A_1^{-1} g with g = (C B)^T w, and
     # 1^T M_Q 1 = w^T w
     w = lower.sum(axis=1).ravel()
-    constant_mode = float((w @ (s @ w)) / (w @ w))
-    return StokesResult(res.beta, res.beta_reduced, res.dim_spurious,
-                        constant_mode, res.spectrum)
+    g = b_hat.T @ w
+    constant_mode = float((g @ a_1.solve(g)) / (w @ w))
+    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
+    dim, lam = _split(pencil, kernel, threshold, threshold)
+    beta_reduced = math.sqrt(lam)
+    return StokesResult(beta_reduced if dim == 0 else 0.0, beta_reduced, dim,
+                        constant_mode, 1 + pencil.factorizations)
 
 
 @dataclass
 class LaplaceResult:
     mu: float
-    spectrum: Spectrum
+    smallest: list
 
 
 def laplace_eigenvalue(infsup):
-    """Smallest mixed Laplace eigenvalue past the spurious modes.
+    """Smallest mixed Laplace eigenvalues past the spurious modes.
 
-    B M_V^{-1} B^T p = mu M_Q p has the inf-sup eigenvectors and
-    mu = lambda / (1 - lambda), so mu is taken at index dim N_h of the
-    InfSupResult ``infsup``, the split its zero threshold made.  The
-    continuous value on the unit square is 2 pi^2; how close mu comes
-    depends on the stability of the pair.
+    B M_V^{-1} B^T p = mu M_Q p has the nonzero eigenvalues of the div-div
+    pencil (K, M_V), so mu is the first of them past the split the zero
+    threshold of the InfSupResult ``infsup`` made, and ``smallest`` lists
+    the first LAPLACE_LISTED (fewer when the pencil has fewer), read off
+    the same slice.  The continuous value on the unit square is 2 pi^2;
+    how close mu comes depends on the stability of the pair.
     """
-    spec = Spectrum(infsup_to_laplace(infsup.spectrum.values),
-                    problem="mixed-laplace", threshold=infsup.spectrum.threshold)
-    return LaplaceResult(float(spec.values[infsup.dim_spurious]), spec)
+    pencil, first = infsup.pencil, infsup.kernel + infsup.dim_spurious
+    last = min(first + LAPLACE_LISTED, pencil.size)
+    smallest = [pencil.value(i) for i in range(first, last)]
+    return LaplaceResult(infsup.mu, smallest)
 
 
-def divdiv_spectrum(forms, infsup):
+def laplace_spectrum(spectrum):
+    """All mixed Laplace eigenvalues, from the full inf-sup Spectrum."""
+    return Spectrum(infsup_to_laplace(spectrum.values), problem="mixed-laplace")
+
+
+def divdiv_spectrum(forms, spectrum):
     """Eigenvalues of <div u, div v> against the vector mass.
 
     The div-div form is B^T M_Q^{-1} B, so the spectrum is nV - nQ zeros
-    plus the mixed Laplace eigenvalues of the InfSupResult ``infsup``.
+    plus the mixed Laplace eigenvalues of the full inf-sup Spectrum.
     """
-    mu = infsup_to_laplace(infsup.spectrum.values)
+    mu = infsup_to_laplace(spectrum.values)
     zeros = np.zeros(forms.V_h.ndofs - forms.Q_h.ndofs)
     return Spectrum(np.sort(np.concatenate([zeros, mu])), problem="divdiv")
+
+
+def babuska_spectrum(forms, spectrum):
+    """Eigenvalues of the Babuska pencil: -lambda for every eigenvalue of
+    the full inf-sup Spectrum, plus nV ones."""
+    lam = spectrum.values
+    # ascending, since lambda is ascending and lies in [0, 1)
+    return Spectrum(np.concatenate([-lam[::-1], np.ones(forms.V_h.ndofs)]),
+                    problem="babuska")
 
 
 def infsup_to_laplace(lam):
@@ -279,7 +343,7 @@ def run_case(family=None, n=None, r=1, *, mesh=None, threshold=DEFAULT_THRESHOLD
              forms=None):
     """Full stability study for one case; returns a StabilityReport.
 
-    ``sweep``: thresholds for threshold_sweep on the inf-sup spectrum.
+    ``sweep``: thresholds for threshold_sweep on the inf-sup slice.
     """
     timings = {}
     if forms is None:
@@ -309,7 +373,7 @@ def run_case(family=None, n=None, r=1, *, mesh=None, threshold=DEFAULT_THRESHOLD
         report.alpha = brezzi_coercivity(forms, infsup).alpha
         timings["coercivity"] = time.perf_counter() - t0
     if with_gamma:
-        report.gamma = babuska_infsup(forms, infsup).gamma
+        report.gamma = babuska_infsup(infsup).gamma
     if with_stokes:
         t0 = time.perf_counter()
         stokes = stokes_infsup(forms, threshold=threshold)
@@ -318,17 +382,21 @@ def run_case(family=None, n=None, r=1, *, mesh=None, threshold=DEFAULT_THRESHOLD
         report.stokes_constant_mode = stokes.constant_mode
         timings["stokes"] = time.perf_counter() - t0
     if sweep:
-        report.sweep = threshold_sweep(infsup.spectrum, sweep)
+        report.sweep = threshold_sweep(infsup, sweep)
     return report
 
 
-def threshold_sweep(spectrum, thresholds=SWEEP_THRESHOLDS):
-    """Rows (threshold, dim_spurious, beta_reduced) of an inf-sup Spectrum,
-    one per threshold in the order given."""
+def threshold_sweep(infsup, thresholds=SWEEP_THRESHOLDS):
+    """Rows (threshold, dim_spurious, beta_reduced), one per threshold in
+    the order given, read off the slice of the InfSupResult ``infsup``.
+
+    A threshold whose count matches one already made reuses its
+    eigenvalue; any other slices the pencil past its own split.
+    """
     rows = []
     for thr in thresholds:
-        dim, _, beta_reduced, _ = classify_spectrum(spectrum.values, thr)
-        rows.append((float(thr), dim, beta_reduced))
+        dim, mu = _split(infsup.pencil, infsup.kernel, _divdiv_shift(thr), thr)
+        rows.append((float(thr), dim, math.sqrt(mu / (1.0 + mu))))
     return rows
 
 

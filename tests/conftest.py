@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixedstab.stability import case_forms
+from mixedstab.stability import case_forms, infsup_spectrum
 
 
 def pytest_configure(config):
@@ -17,6 +17,21 @@ def forms_for(request):
         key = (family, n, r)
         if key not in cache:
             cache[key] = case_forms(family, n, r)
+        return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def spectrum_for(forms_for):
+    """Session cache of the full (dense) inf-sup spectra, Brezzi or with
+    ``h1`` Stokes, as ascending arrays."""
+    cache = {}
+
+    def get(family, n, r, h1=False):
+        key = (family, n, r, h1)
+        if key not in cache:
+            cache[key] = infsup_spectrum(forms_for(family, n, r), h1=h1).values
         return cache[key]
 
     return get

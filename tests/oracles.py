@@ -1,21 +1,24 @@
 """Independent reference routes for the library's derived spectra.
 
-The library solves one inf-sup pencil per case and derives the mixed
-Laplace, div-div and Babuska spectra and the coercivity constant from it.
-Each function here computes the same quantity the long way, from the
-assembled matrices and without the library's eigensolver, so the tests
-compare two routes rather than a value against itself.  All of them are
-dense and meant for small cases.  ``dense_schur`` forms a Schur complement
-with a dense solve where the library uses a sparse LU, and
-``dense_schur_solve`` does the same for the mixed source problem, which
-the library solves by one sparse LU of the saddle-point matrix.
+The library reads its constants off a sparse spectrum slice of one
+pencil per case, and derives the full mixed Laplace, div-div and Babuska
+spectra from one dense inf-sup spectrum.  Each function here computes the
+same quantity the long way, from the assembled matrices and without the
+library's eigensolvers, so the tests compare two routes rather than a
+value against itself.  All of them are dense and meant for small cases.
+``classify_spectrum`` splits a full spectrum at the zero threshold.
+``dense_schur`` forms a Schur complement with a dense solve where the
+library uses a sparse LU, and ``dense_schur_solve`` does the same for the
+mixed source problem, which the library solves by one sparse LU of the
+saddle-point matrix.
 """
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
+from mixedstab.errors import (EigensolveError, NotPositiveDefiniteError,
+                              NumericalError)
 
 
 def _dense(mat):
@@ -78,6 +81,34 @@ def _jacobi_cholesky(matrix):
         if j + 1 < n:
             lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
     return lower
+
+
+def classify_spectrum(values, threshold):
+    """Split a full nonnegative inf-sup spectrum at the zero threshold.
+
+    The dense route to what the library reads off its spectrum slice.
+
+    Returns
+    -------
+    (dim_spurious, beta, beta_reduced, warning)
+        beta = sqrt(clip(min eigenvalue, 0)); beta_reduced skips the
+        eigenvalues below the threshold.  warning is set when the
+        eigenvalues on either side of the split are less than a decade
+        apart, i.e. the threshold sits inside a cluster rather than in a
+        clean spectral gap.
+    """
+    values = np.asarray(values)
+    dim = int(np.count_nonzero(values < threshold))
+    if dim == len(values):
+        raise NumericalError(
+            f"all {len(values)} eigenvalues fall below the threshold {threshold}")
+    beta = float(np.sqrt(max(values[0], 0.0)))
+    beta_reduced = float(np.sqrt(values[dim]))
+    warning = None
+    if dim > 0 and values[dim] < 10.0 * abs(values[dim - 1]):
+        warning = (f"threshold {threshold:g} splits a cluster: eigenvalues "
+                   f"{values[dim - 1]:.3e} and {values[dim]:.3e}")
+    return dim, beta, beta_reduced, warning
 
 
 def full_saddle_eigenvalues(forms):

@@ -20,12 +20,12 @@ from mixedstab.element import monomial_exponents, monomial_integral, quadrature
 from mixedstab.mesh import Family, generate, singular_vertices
 from mixedstab.poisson import convergence_study
 from mixedstab.stability import (DEFAULT_THRESHOLD, brezzi_coercivity,
-                                 brezzi_infsup, classify_spectrum,
+                                 brezzi_infsup, infsup_spectrum,
                                  infsup_to_laplace, stokes_infsup)
 
-from oracles import (divdiv_pencil_eigenvalues, full_saddle_eigenvalues,
-                     jacobi_generalized_eig, laplace_pencil_eigenvalues,
-                     svd_coercivity)
+from oracles import (classify_spectrum, divdiv_pencil_eigenvalues,
+                     full_saddle_eigenvalues, jacobi_generalized_eig,
+                     laplace_pencil_eigenvalues, svd_coercivity)
 
 BETA_TOL = 5e-5          # printed reference values carry 6 decimals
 BETA_EXACT = math.sqrt(2 * math.pi**2 / (1 + 2 * math.pi**2))  # 0.975593...
@@ -217,13 +217,13 @@ def test_criterion_4_infsup_values_r3(record, infsup_for):
           f"worst dev {worst:.2e}; diagonal column decreasing in [0.962, 0.973]")
 
 
-def test_criterion_5_eigenvalue_map(record, forms_for, infsup_for):
+def test_criterion_5_eigenvalue_map(record, forms_for, spectrum_for):
     failures = []
     worst_map, worst_div = 0.0, 0.0
     for n, r in itertools.product((4, 6, 8), (1, 2, 3)):
         tag = f"diagonal n={n} r={r}"
         forms = forms_for(Family.DIAGONAL, n, r)
-        lam = infsup_for(Family.DIAGONAL, n, r).spectrum.values
+        lam = spectrum_for(Family.DIAGONAL, n, r)
         # independent route: the mixed Laplace pencil's own Schur complement
         mu = laplace_pencil_eigenvalues(forms)
         if lam.min() < 0 or lam.max() > 1 - 1e-8:
@@ -340,7 +340,7 @@ def test_criterion_9_independent_routes(record, forms_for, rng):
     # 9a: block eigenproblem solved whole (QZ) vs the Schur-reduced pencil
     forms = forms_for(Family.DIAGONAL, 4, 1)
     full = full_saddle_eigenvalues(forms)
-    reduced = brezzi_infsup(forms).spectrum.values
+    reduced = infsup_spectrum(forms).values
     dev_saddle = (np.max(np.abs(np.sort(reduced) - full))
                   if len(full) == len(reduced) else np.inf)
     if dev_saddle > 1e-9:
@@ -374,7 +374,7 @@ def test_criterion_9_independent_routes(record, forms_for, rng):
 
 def test_criterion_10a_spurious_count_at_default_threshold(record, infsup_for):
     res = infsup_for(Family.UNIONJACK, 6, 2)
-    assert res.spectrum.threshold == DEFAULT_THRESHOLD
+    assert res.threshold == DEFAULT_THRESHOLD
     record("10a: unionjack n=6 r=2 finds all 12 spurious modes at 1e-4",
            res.dim_spurious == 12, f"dimN = {res.dim_spurious}")
     assert res.dim_spurious == 12
@@ -384,8 +384,8 @@ def test_criterion_10a_spurious_count_at_default_threshold(record, infsup_for):
                    reason="the spurious eigenvalues evaluate at machine "
                           "precision, so tightening the threshold to 1e-6 "
                           "cannot lose any of them")
-def test_criterion_10b_tightened_threshold(record, infsup_for):
-    values = infsup_for(Family.UNIONJACK, 6, 2).spectrum.values
+def test_criterion_10b_tightened_threshold(record, spectrum_for):
+    values = spectrum_for(Family.UNIONJACK, 6, 2)
     dim, _, _, _ = classify_spectrum(values, 1e-6)
     record("10b: tightened threshold 1e-6 misses some spurious modes",
            dim < 12,

@@ -246,32 +246,52 @@ def test_laplace_eig_takes_mu_at_the_spurious_split(tmp_path):
     assert mu == pytest.approx(lam / (1.0 - lam), rel=1e-12)
 
 
-def test_every_constant_comes_from_two_solves(tmp_path, monkeypatch):
+def test_every_constant_comes_from_sparse_factorizations(tmp_path, monkeypatch):
+    import mixedstab.eigensolve as eigensolve
     import mixedstab.stability as stability
 
-    calls = []
+    calls, pencils = [], []
 
-    def counting(name):
-        fn = getattr(stability, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("schur_complement", "sym_generalized_eig"):
-        monkeypatch.setattr(stability, name, counting(name))
-    case = ["--family", "unionjack", "--n", "4", "--r", "2",
-            "--out", str(tmp_path / "o.json")]
-    assert run_cli("infsup", *case, "--with-alpha", "--with-gamma",
-                   "--with-stokes", "--sweep") == 0
-    assert sorted(calls) == ["schur_complement"] * 2 + ["sym_generalized_eig"] * 2
-    for argv in (["laplace-eig"], ["spectrum", "--pencil", "laplace"],
-                 ["spectrum", "--pencil", "divdiv"],
-                 ["spectrum", "--pencil", "babuska"]):
+    class RecordedSlicer(stability.InertiaSlicer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pencils.append(self)
+
+    counting(stability, "schur_complement")
+    counting(stability, "sym_generalized_eig")
+    counting(eigensolve, "splu")
+    monkeypatch.setattr(stability, "InertiaSlicer", RecordedSlicer)
+
+    def run(*argv):
         calls.clear()
-        assert run_cli(*argv, *case) == 0
-        assert sorted(calls) == ["schur_complement", "sym_generalized_eig"], argv
+        pencils.clear()
+        assert run_cli(*argv, "--family", "unionjack", "--n", "4", "--r", "2",
+                       "--out", str(tmp_path / "o.json")) == 0
+
+    # one slice per pencil, and every factorization is one of its own or
+    # the one that certifies its norm matrix
+    for argv, slices in ((["infsup", "--with-alpha", "--with-gamma",
+                           "--with-stokes", "--sweep"], 2),
+                         (["laplace-eig"], 1), (["coercivity"], 1),
+                         (["stokes-infsup"], 1)):
+        run(*argv)
+        assert len(pencils) == slices, argv
+        assert calls == ["splu"] * sum(1 + p.factorizations
+                                       for p in pencils), argv
+        assert all(3 <= p.factorizations <= 15 for p in pencils), argv
+    for pencil in ("infsup", "laplace", "divdiv", "babuska", "stokes"):
+        run("spectrum", "--pencil", pencil)
+        assert not pencils
+        assert sorted(calls) == ["schur_complement", "splu",
+                                 "sym_generalized_eig"], pencil
 
 
 def test_coercivity_and_laplace_commands(tmp_path):
@@ -284,7 +304,9 @@ def test_coercivity_and_laplace_commands(tmp_path):
                    "--r", "2", "--out", str(out)) == 0
     data = json.loads(out.read_text())
     assert abs(data["mu"] - 19.7392) < 5e-3
-    assert len(data["smallest_eigenvalues"]) == 5
+    smallest = data["smallest_eigenvalues"]
+    assert len(smallest) == 5
+    assert smallest[0] == data["mu"] and smallest == sorted(smallest)
 
 
 def test_stokes_command(tmp_path):
@@ -334,13 +356,25 @@ SINGLE_CASE_COMMANDS = ["infsup", "spectrum", "coercivity", "laplace-eig",
                         "stokes-infsup"]
 
 
-@pytest.mark.parametrize("command", SINGLE_CASE_COMMANDS)
+@pytest.mark.parametrize("command", SINGLE_CASE_COMMANDS + ["tables"])
 @pytest.mark.parametrize("r", ["0", "-1", "7"])
 def test_bad_degree_exits_two(command, r, capsys):
-    assert run_cli(command, "--family", "diagonal", "--n", "4", "--r", r) == 2
+    case = (["--which", "T1", "--n", "4"] if command == "tables"
+            else ["--family", "diagonal", "--n", "4"])
+    assert run_cli(command, *case, "--r", r) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "1..6" in captured.err
+
+
+@pytest.mark.parametrize("which", ["T2", "T3", "T4"])
+def test_tables_with_fixed_degree_refuse_r(which, capsys):
+    # T2, T3 and T4 fix r at 1, 2 and 3; an ignored --r would still enter
+    # the provenance hash
+    assert run_cli("tables", "--which", which, "--n", "4", "--r", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "T1 only" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mixedstab.eigensolve import schur_complement, sym_generalized_eig
+from mixedstab.eigensolve import (InertiaSlicer, positive_definite_lu,
+                                  schur_complement, sym_generalized_eig)
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family
 from oracles import dense_schur, full_saddle_eigenvalues, jacobi_generalized_eig
@@ -129,3 +131,47 @@ def test_schur_pencil_matches_full_saddle_pencil(forms_for):
     full = full_saddle_eigenvalues(forms)
     assert len(full) == len(reduced)
     assert np.max(np.abs(np.sort(reduced) - full)) < 1e-9
+
+
+def semidefinite_pencil(rng, n, rank):
+    x = rng.standard_normal((n, rank))
+    return sp.csr_matrix(x @ x.T), sp.csr_matrix(random_spd(rng, n, 1.0))
+
+
+def test_inertia_slicer_matches_dense_eigh(rng):
+    k, n = semidefinite_pencil(rng, 60, 45)   # 15 zero eigenvalues
+    dense = sla.eigh(k.toarray(), n.toarray(), eigvals_only=True)
+    slicer = InertiaSlicer(k, n)
+    for shift in (1e-8, 1e-2, 0.5 * (dense[20] + dense[21]),
+                  0.5 * (dense[30] + dense[31]), 1e3):
+        assert slicer.count(shift) == np.count_nonzero(dense < shift)
+    assert slicer.count(np.inf) == 60
+    made = slicer.factorizations
+    assert slicer.count(1e-2) == 15 and slicer.factorizations == made  # cached
+    got = [slicer.value(i) for i in range(15, 60, 7)]
+    want = dense[15:60:7]
+    assert np.max(np.abs(got - want) / want) < 1e-10
+    with pytest.raises(EigensolveError, match="no positive shift counted"):
+        InertiaSlicer(k, n).value(3)
+
+
+def test_inertia_slicer_refuses_off_diagonal_pivots():
+    # a zero diagonal pivot is swapped out, and its count would be no inertia
+    slicer = InertiaSlicer(sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), sp.eye(2))
+    with pytest.raises(EigensolveError, match="off-diagonal pivot"):
+        slicer.count(0.0)
+    assert slicer.count(0.5) == 1    # nu = -1 and 1
+
+
+def test_inertia_slicer_refuses_non_monotone_counts():
+    slicer = InertiaSlicer(sp.diags([1.0, 2.0, 3.0, 4.0]), sp.eye(4))
+    assert slicer.count(2.5) == 2
+    slicer._counts[2.5] = 4    # as if the factor at 2.5 had flipped two pivots
+    with pytest.raises(EigensolveError, match="not monotone"):
+        slicer.count(3.5)
+
+
+def test_positive_definite_lu_refuses_indefinite_norm():
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        positive_definite_lu(sp.diags([1.0, 2.0, -3.0]))
+    assert info.value.pivot == 3

@@ -1,22 +1,23 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mixedstab.errors import NumericalError
+from mixedstab.errors import NotPositiveDefiniteError, NumericalError
 from mixedstab.mesh import Family, generate
 from mixedstab.stability import (DEFAULT_THRESHOLD, StabilityReport,
                                  babuska_infsup, brezzi_coercivity,
-                                 brezzi_infsup, classify_spectrum,
+                                 brezzi_infsup, infsup_spectrum,
                                  infsup_to_laplace, laplace_eigenvalue,
                                  orthonormal_divergence,
                                  reproduce_table,
                                  run_case, stokes_infsup, threshold_sweep)
 
-from oracles import (babuska_pencil_eigenvalues, dense_schur,
-                     divdiv_pencil_eigenvalues, laplace_pencil_eigenvalues,
-                     svd_coercivity)
+from oracles import (babuska_pencil_eigenvalues, classify_spectrum,
+                     dense_schur, divdiv_pencil_eigenvalues,
+                     laplace_pencil_eigenvalues, svd_coercivity)
 
 TWO_PI_SQ = 2 * np.pi ** 2
 
@@ -42,14 +43,15 @@ def test_classify_spectrum_rejects_all_below():
         classify_spectrum(np.array([1e-9, 1e-8]), 1e-4)
 
 
-def test_brezzi_infsup_diagonal_anchor(forms_for):
+def test_brezzi_infsup_diagonal_anchor(forms_for, spectrum_for):
     res = brezzi_infsup(forms_for(Family.DIAGONAL, 4, 1))
     assert res.dim_spurious == 0
     assert abs(res.beta - 0.847171) < 5e-5
     assert res.beta == res.beta_reduced
     # eigenvalues live in [0, 1)
-    assert res.spectrum.values[0] > 0.5
-    assert res.spectrum.values[-1] < 1.0
+    values = spectrum_for(Family.DIAGONAL, 4, 1)
+    assert values[0] > 0.5
+    assert values[-1] < 1.0
 
 
 def test_brezzi_infsup_unionjack_anchor(forms_for):
@@ -62,17 +64,18 @@ def test_brezzi_infsup_unionjack_anchor(forms_for):
 @pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
                                        (Family.UNIONJACK, 3)])
 def test_orthonormal_pencils_match_the_generalized_route(forms_for, family, r):
-    # the library solves the standard problem in M_Q-orthonormal
+    # the full spectra are solved as standard problems in M_Q-orthonormal
     # coordinates; the generalized pencil against M_Q has the same spectrum
     forms = forms_for(family, 4, r)
     m_q = forms.M_Q.toarray()
-    brezzi = brezzi_infsup(forms).spectrum.values
+    brezzi = infsup_spectrum(forms).values
     expected = sla.eigh(dense_schur(forms.B, forms.A_div), m_q, eigvals_only=True)
     assert np.max(np.abs(brezzi - expected)) < 1e-12
     stokes = stokes_infsup(forms)
     s_1 = dense_schur(forms.B, forms.A_1)
     expected = sla.eigh(s_1, m_q, eigvals_only=True)
-    assert np.max(np.abs(stokes.spectrum.values - expected)) < 1e-12 * expected[-1]
+    values = infsup_spectrum(forms, h1=True).values
+    assert np.max(np.abs(values - expected)) < 1e-12 * expected[-1]
     ones = np.ones(forms.Q_h.ndofs)
     mode = (ones @ s_1 @ ones) / (ones @ m_q @ ones)
     assert abs(stokes.constant_mode - mode) < 1e-12 * mode
@@ -129,7 +132,7 @@ def test_babuska_positive_and_below_brezzi(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
     infsup = brezzi_infsup(forms)
     beta = infsup.beta
-    res = babuska_infsup(forms, infsup)
+    res = babuska_infsup(infsup)
     assert res.gamma > 0.01
     assert res.gamma <= beta + 1e-12
     assert abs(res.gamma - beta ** 2) < 1e-12
@@ -140,7 +143,7 @@ def test_babuska_positive_and_below_brezzi(forms_for):
 
 def test_babuska_zero_with_spurious_modes(forms_for):
     forms = forms_for(Family.UNIONJACK, 4, 1)
-    res = babuska_infsup(forms, brezzi_infsup(forms))
+    res = babuska_infsup(brezzi_infsup(forms))
     assert res.gamma == 0.0
     assert "spurious" in res.note
 
@@ -161,7 +164,7 @@ def test_laplace_eigenvalue_stable_pair(forms_for):
 
 def test_eigenvalue_map_and_divdiv_route(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    lam = brezzi_infsup(forms).spectrum.values
+    lam = infsup_spectrum(forms).values
     mu = laplace_pencil_eigenvalues(forms)
     mapped = infsup_to_laplace(lam)
     assert np.max(np.abs(mu - mapped) / (1.0 + np.abs(mu))) < 1e-10
@@ -173,7 +176,7 @@ def test_eigenvalue_map_and_divdiv_route(forms_for):
 
 def test_threshold_sweep_monotone(forms_for):
     forms = forms_for(Family.UNIONJACK, 6, 1)
-    rows = threshold_sweep(brezzi_infsup(forms).spectrum, (1e-2, 1e-4, 1e-6, 1e-8))
+    rows = threshold_sweep(brezzi_infsup(forms), (1e-2, 1e-4, 1e-6, 1e-8))
     dims = [dim for _, dim, _ in rows]
     assert dims == sorted(dims, reverse=True)
     assert dims[1] == 12  # n(n-2)/2 at the default threshold
@@ -275,3 +278,79 @@ def test_reproduce_table_rejects_unknown():
 
 def test_default_threshold_value():
     assert DEFAULT_THRESHOLD == 1e-4
+
+
+SLICE_FAMILIES = (Family.DIAGONAL, Family.ZIGZAG, Family.FLIPPED,
+                  Family.CRISSCROSS, Family.UNIONJACK)
+SLICE_THRESHOLDS = (1e-6, 1e-4, 1e-2, 0.5)
+
+
+@pytest.mark.parametrize("family", SLICE_FAMILIES, ids=lambda f: f.value)
+def test_sliced_constants_match_the_dense_route(forms_for, spectrum_for, family):
+    # the inertia counts and the Lanczos values against the full dense
+    # spectra, split by the oracle, at n = 4, 6, 8 and r = 1..4 up to
+    # nQ = 1000 (the dense spectra of the three larger cases take 10 s);
+    # the Stokes constant at n = 4, 6
+    def rel(got, want):
+        return abs(got - want) / abs(want)
+
+    for n, r in itertools.product((4, 6, 8), (1, 2, 3, 4)):
+        forms = forms_for(family, n, r)
+        if forms.Q_h.ndofs > 1000:
+            continue
+        tag = f"{family.value} n={n} r={r}"
+        lam = spectrum_for(family, n, r)
+        infsup = brezzi_infsup(forms)
+        rows = threshold_sweep(infsup, SLICE_THRESHOLDS)
+        dims = [dim for _, dim, _ in rows]
+        assert dims == sorted(dims), tag   # counts are monotone in s
+        for thr, dim, beta_reduced in rows:
+            want_dim, _, want_beta, _ = classify_spectrum(lam, thr)
+            assert dim == want_dim, (tag, thr)
+            assert rel(beta_reduced, want_beta) < 1e-10, (tag, thr)
+        dim = infsup.dim_spurious
+        mu = infsup_to_laplace(lam[dim:dim + 5])
+        laplace = laplace_eigenvalue(infsup)
+        assert rel(laplace.mu, mu[0]) < 1e-10, tag
+        assert np.max(np.abs(np.array(laplace.smallest) - mu) / mu) < 1e-10, tag
+        if n == 8:
+            continue
+        h1 = spectrum_for(family, n, r, h1=True)
+        want_dim, _, want_beta, _ = classify_spectrum(h1, DEFAULT_THRESHOLD)
+        stokes = stokes_infsup(forms)
+        assert stokes.dim_spurious == want_dim, tag
+        assert rel(stokes.beta_reduced, want_beta) < 1e-10, tag
+
+
+def test_beta_is_zero_with_spurious_modes(forms_for):
+    forms = forms_for(Family.UNIONJACK, 4, 2)
+    brezzi, stokes = brezzi_infsup(forms), stokes_infsup(forms)
+    assert brezzi.dim_spurious == stokes.dim_spurious == 4
+    assert brezzi.beta == stokes.beta == 0.0
+    assert brezzi.beta_reduced > 0.9 and stokes.beta_reduced > 0.1
+
+
+def test_cluster_warning_is_an_inertia_test(forms_for):
+    forms = forms_for(Family.DIAGONAL, 4, 1)
+    assert brezzi_infsup(forms).warning is None
+    # lambda_min = 0.718 lies between tau / 10 and tau
+    res = brezzi_infsup(forms, threshold=0.75)
+    assert res.dim_spurious == 1
+    assert res.warning == ("threshold 0.75 splits a cluster: 0 eigenvalues "
+                           "below 0.075, 1 eigenvalues below 0.75")
+    # 10 tau = 5 would count every eigenvalue; it is no probe
+    res = brezzi_infsup(forms, threshold=0.5)
+    assert res.dim_spurious == 0 and res.warning is None
+
+
+@pytest.mark.parametrize("form", ["A_div", "A_1"])
+def test_sliced_constants_refuse_an_indefinite_norm(forms_for, form):
+    forms = forms_for(Family.DIAGONAL, 4, 1)
+    broken = dataclasses.replace(forms, **{form: -getattr(forms, form)})
+    with pytest.raises(NotPositiveDefiniteError):
+        (brezzi_infsup if form == "A_div" else stokes_infsup)(broken)
+
+
+def test_threshold_at_or_above_one_counts_every_eigenvalue(forms_for):
+    with pytest.raises(NumericalError, match="all 32 eigenvalues"):
+        brezzi_infsup(forms_for(Family.DIAGONAL, 4, 1), threshold=1.0)
