@@ -79,6 +79,7 @@ from .stability import (
     laplace_spectrum,
     reproduce_table,
     run_case,
+    spurious_modes,
     stokes_infsup,
     threshold_sweep,
 )

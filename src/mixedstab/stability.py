@@ -9,7 +9,8 @@ reported constant is read off a spectrum slice of that pencil
 
 * dim N_h, the spurious pressure modes: the eigenvalues lambda below the
   zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
-  s = tau / (1 - tau), from one sparse LDL^T;
+  s = tau / (1 - tau), from one sparse LDL^T (``spurious_modes``, all
+  that table T1 reads);
 * mu, the first eigenvalue past the spurious ones, by shift-invert
   Lanczos in a window bracketed by counts; beta_reduced =
   sqrt(mu / (1 + mu)), and beta = beta_reduced, or 0.0 when dim N_h > 0;
@@ -59,9 +60,10 @@ def _divdiv_shift(threshold):
     return threshold / (1.0 - threshold) if threshold < 1.0 else math.inf
 
 
-def _split(pencil, kernel, shift, threshold):
-    """(dim, nu): the pencil eigenvalues below ``shift`` past the ``kernel``
-    zeros, and the first eigenvalue at or above it."""
+def _count_below(pencil, kernel, shift, threshold):
+    """(count, dim): the pencil eigenvalues below ``shift``, and how many of
+    them lie past the ``kernel`` zeros.  Raises NumericalError when there
+    are fewer than the zeros, or when every eigenvalue lies below."""
     count = pencil.count(shift)
     dim = count - kernel
     if dim < 0:
@@ -70,6 +72,13 @@ def _split(pencil, kernel, shift, threshold):
     if count == pencil.size:
         raise NumericalError(f"all {pencil.size - kernel} eigenvalues fall "
                              f"below the threshold {threshold}")
+    return count, dim
+
+
+def _split(pencil, kernel, shift, threshold):
+    """(dim, nu): the pencil eigenvalues below ``shift`` past the ``kernel``
+    zeros, and the first eigenvalue at or above it."""
+    count, dim = _count_below(pencil, kernel, shift, threshold)
     return dim, pencil.value(count)
 
 
@@ -135,22 +144,41 @@ def infsup_spectrum(forms, h1=False):
                                problem=problem)
 
 
-def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
-    """Brezzi inf-sup constant in the H(div) norm, with spurious modes.
+def spurious_modes(forms, threshold=DEFAULT_THRESHOLD):
+    """Spurious pressure modes dim N_h, counted without an eigenvalue.
 
     Requires every pivot of A_div = K + M_V to be positive
-    (NotPositiveDefiniteError otherwise), then slices (K, M_V) at the
-    threshold.
+    (NotPositiveDefiniteError otherwise), then counts the eigenvalues of
+    (K, M_V) below the threshold's shift: two sparse factorizations.
+    Raises NumericalError when the count is below the kernel or takes in
+    every eigenvalue.
+
+    Returns
+    -------
+    (pencil, kernel, dim)
+        The InertiaSlicer of (K, M_V) with that count cached, its nV - nQ
+        zeros, and dim N_h.
     """
     positive_definite_lu(forms.A_div)
     pencil = InertiaSlicer(forms.K, forms.M_V)
     kernel = forms.V_h.ndofs - forms.Q_h.ndofs
+    _, dim = _count_below(pencil, kernel, _divdiv_shift(threshold), threshold)
+    return pencil, kernel, dim
+
+
+def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
+    """Brezzi inf-sup constant in the H(div) norm, with spurious modes.
+
+    Counts the spurious modes (``spurious_modes``), then slices (K, M_V)
+    past them.
+    """
+    pencil, kernel, dim = spurious_modes(forms, threshold)
     # counted before the slice, so its bracket can start at 10 tau; a
     # probe at or above 1 would count every eigenvalue, so it is left out
     probes = [t for t in (threshold / 10.0, threshold, 10.0 * threshold)
               if t < 1.0]
     counts = [pencil.count(_divdiv_shift(t)) - kernel for t in probes]
-    dim, mu = _split(pencil, kernel, _divdiv_shift(threshold), threshold)
+    mu = pencil.value(kernel + dim)
     beta_reduced = math.sqrt(mu / (1.0 + mu))
     warning = None
     if len(set(counts)) > 1:
@@ -434,18 +462,26 @@ class TableReport:
 
 
 def _table_case(args):
-    family, n, r, threshold = args
-    return run_case(family, n, r, threshold=threshold)
+    """One case of a table.  T1: the row (family, n, r, sigma, dimN), from
+    the two factorizations of ``spurious_modes``; T2-T4: (beta,
+    beta_reduced, dimN) of the Brezzi constant."""
+    which, family, n, r, threshold = args
+    forms = case_forms(family, n, r)
+    if which == "T1":
+        _, _, dim = spurious_modes(forms, threshold)
+        return [family.value, n, r, singular_vertices(forms.mesh).sigma, dim]
+    res = brezzi_infsup(forms, threshold)
+    return res.beta, res.beta_reduced, res.dim_spurious
 
 
 def reproduce_table(which, n_values=None, r_values=None,
                     threshold=DEFAULT_THRESHOLD, jobs=1):
     """Recompute one of the four golden tables.
 
-    T1 lists sigma and the spurious dimension per (family, n, r); T2, T3
-    and T4 list the inf-sup constants of the four diagonal-pattern
-    families at r = 1, 2, 3 (reduced constants and mode counts where the
-    family has spurious modes).
+    T1 lists sigma and the spurious dimension per (family, n, r), with no
+    eigenvalue; T2, T3 and T4 list the inf-sup constants of the four
+    diagonal-pattern families at r = 1, 2, 3 (reduced constants and mode
+    counts where the family has spurious modes).
 
     Returns
     -------
@@ -459,31 +495,24 @@ def reproduce_table(which, n_values=None, r_values=None,
 
     if which == "T1":
         r_list = list(r_values) if r_values is not None else [1, 2, 3]
-        cases = [(fam, n, r, threshold)
+        cases = [(which, fam, n, r, threshold)
                  for fam in GENERATED_FAMILIES for n in n_values for r in r_list]
-        reports = _run_cases(cases, jobs)
-        rows = [[rep.family, rep.n, rep.r, rep.sigma, rep.dim_spurious]
-                for rep in reports]
         return TableReport(which, None, threshold,
-                           ["family", "n", "r", "sigma", "dimN"], rows)
+                           ["family", "n", "r", "sigma", "dimN"],
+                           _run_cases(cases, jobs))
 
     r = r_default
-    cases = [(fam, n, r, threshold) for n in n_values for fam in TABLE_FAMILIES]
-    reports = _run_cases(cases, jobs)
-    by_key = {(rep.family, rep.n): rep for rep in reports}
+    cases = [(which, fam, n, r, threshold)
+             for n in n_values for fam in TABLE_FAMILIES]
+    # (family, n) -> (beta, beta_reduced, dimN)
+    by_key = {case[1:3]: res for case, res in zip(cases, _run_cases(cases, jobs))}
     rows = []
     for n in n_values:
-        diag = by_key[(Family.DIAGONAL.value, n)]
-        zig = by_key[(Family.ZIGZAG.value, n)]
-        flip = by_key[(Family.FLIPPED.value, n)]
-        uj = by_key[(Family.UNIONJACK.value, n)]
+        diag, zig, flip, uj = (by_key[(fam, n)] for fam in TABLE_FAMILIES)
         if which == "T2":
-            rows.append([n, diag.beta_div, zig.beta_div,
-                         flip.beta_div_reduced, flip.dim_spurious,
-                         uj.beta_div_reduced, uj.dim_spurious])
+            rows.append([n, diag[0], zig[0], flip[1], flip[2], uj[1], uj[2]])
         else:
-            rows.append([n, diag.beta_div, zig.beta_div, flip.beta_div,
-                         uj.beta_div_reduced, uj.dim_spurious])
+            rows.append([n, diag[0], zig[0], flip[0], uj[1], uj[2]])
     if which == "T2":
         header = ["n", "beta_diagonal", "beta_zigzag", "beta_flipped_reduced",
                   "dimN_flipped", "beta_unionjack_reduced", "dimN_unionjack"]

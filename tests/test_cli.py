@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,29 +247,48 @@ def test_laplace_eig_takes_mu_at_the_spurious_split(tmp_path):
     assert mu == pytest.approx(lam / (1.0 - lam), rel=1e-12)
 
 
-def test_every_constant_comes_from_sparse_factorizations(tmp_path, monkeypatch):
+@pytest.fixture
+def factorization_log(monkeypatch):
+    """Records the splu, schur_complement and sym_generalized_eig calls in
+    order (``calls``), the InertiaSlicers made (``pencils``, each with the
+    number of splu calls before it as ``splu_before``) and the number of
+    eigsh calls (``eigsh``)."""
     import mixedstab.eigensolve as eigensolve
     import mixedstab.stability as stability
 
-    calls, pencils = [], []
+    log = SimpleNamespace(calls=[], pencils=[], eigsh=0)
 
     def counting(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            log.calls.append(name)
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
     class RecordedSlicer(stability.InertiaSlicer):
         def __init__(self, *args):
             super().__init__(*args)
-            pencils.append(self)
+            self.splu_before = log.calls.count("splu")
+            log.pencils.append(self)
+
+    eigsh = eigensolve.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        log.eigsh += 1
+        return eigsh(*args, **kwargs)
 
     counting(stability, "schur_complement")
     counting(stability, "sym_generalized_eig")
     counting(eigensolve, "splu")
+    monkeypatch.setattr(eigensolve, "eigsh", counting_eigsh)
     monkeypatch.setattr(stability, "InertiaSlicer", RecordedSlicer)
+    return log
+
+
+def test_every_constant_comes_from_sparse_factorizations(tmp_path,
+                                                         factorization_log):
+    calls, pencils = factorization_log.calls, factorization_log.pencils
 
     def run(*argv):
         calls.clear()
@@ -292,6 +312,31 @@ def test_every_constant_comes_from_sparse_factorizations(tmp_path, monkeypatch):
         assert not pencils
         assert sorted(calls) == ["schur_complement", "splu",
                                  "sym_generalized_eig"], pencil
+
+
+def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
+    log = factorization_log
+
+    def run(*argv):
+        log.calls.clear()
+        log.pencils.clear()
+        log.eigsh = 0
+        assert run_cli("tables", *argv, "--out", str(tmp_path / "t.csv")) == 0
+        assert set(log.calls) == {"splu"}
+        # case i makes the splu calls from the A_div check just before its
+        # pencil up to the next case's
+        starts = [p.splu_before - 1 for p in log.pencils] + [len(log.calls)]
+        assert starts[0] == 0
+        return [b - a for a, b in zip(starts, starts[1:])]
+
+    # T1: the A_div check and the count at tau, no eigenvalue
+    assert run("--which", "T1", "--n", "4", "--r", "1") == [2] * 5
+    assert [p.factorizations for p in log.pencils] == [1] * 5
+    assert log.eigsh == 0
+    # T2: the A_div check and the slice of the Brezzi constant
+    per_case = run("--which", "T2", "--n", "4")
+    assert per_case == [1 + p.factorizations for p in log.pencils]
+    assert len(per_case) == 4 and log.eigsh >= 4
 
 
 def test_coercivity_and_laplace_commands(tmp_path):
@@ -397,6 +442,13 @@ def test_numerical_failure_exits_one(capsys):
     assert run_cli("converge", "--family", "crisscross", "--r", "1",
                    "--n", "4,8") == 1
     assert "SpuriousModeError" in capsys.readouterr().err
+
+
+def test_count_only_table_refuses_a_threshold_above_every_eigenvalue(capsys):
+    assert run_cli("tables", "--which", "T1", "--n", "4", "--r", "1",
+                   "--threshold", "0.999999") == 1
+    assert ("all 32 eigenvalues fall below the threshold"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf"])

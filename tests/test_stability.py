@@ -12,8 +12,9 @@ from mixedstab.stability import (DEFAULT_THRESHOLD, StabilityReport,
                                  brezzi_infsup, infsup_spectrum,
                                  infsup_to_laplace, laplace_eigenvalue,
                                  orthonormal_divergence,
-                                 reproduce_table,
-                                 run_case, stokes_infsup, threshold_sweep)
+                                 reproduce_table, run_case,
+                                 spurious_modes, stokes_infsup,
+                                 threshold_sweep, TABLE_FAMILIES)
 
 from oracles import (babuska_pencil_eigenvalues, classify_spectrum,
                      dense_schur, divdiv_pencil_eigenvalues,
@@ -236,6 +237,31 @@ def test_reproduce_table_parallel_matches_serial():
     serial = reproduce_table("T2", n_values=[4, 6], jobs=1)
     parallel = reproduce_table("T2", n_values=[4, 6], jobs=2)
     assert serial.to_csv() == parallel.to_csv()
+    # T1 rows come from the count-only branch of the table case
+    serial = reproduce_table("T1", n_values=[4], r_values=[1, 2], jobs=1)
+    parallel = reproduce_table("T1", n_values=[4], r_values=[1, 2], jobs=2)
+    assert serial.to_csv() == parallel.to_csv()
+
+
+def test_table_rows_equal_run_case_reports():
+    for family, n, r, sigma, dim in reproduce_table(
+            "T1", n_values=[4], r_values=[1, 2]).rows:
+        report = run_case(Family(family), n, r)
+        assert (sigma, dim) == (report.sigma, report.dim_spurious), (family, r)
+    for n, *cells in reproduce_table("T2", n_values=[4, 6]).rows:
+        diag, zig, flip, uj = (run_case(family, n, 1)
+                               for family in TABLE_FAMILIES)
+        assert cells == [diag.beta_div, zig.beta_div, flip.beta_div_reduced,
+                         flip.dim_spurious, uj.beta_div_reduced,
+                         uj.dim_spurious], n
+
+
+def test_spurious_modes_is_the_count_brezzi_infsup_starts_from(forms_for):
+    forms = forms_for(Family.UNIONJACK, 4, 1)
+    pencil, kernel, dim = spurious_modes(forms)
+    assert kernel == forms.V_h.ndofs - forms.Q_h.ndofs
+    assert pencil.factorizations == 1
+    assert dim == brezzi_infsup(forms).dim_spurious == 4
 
 
 class RecordingExecutor:
