@@ -23,9 +23,8 @@ from .element import (
     quadrature,
 )
 from .eigensolve import (
-    Spectrum,
     schur_complement,
-    sym_generalized_eig,
+    symmetric_eigenvalues,
 )
 from .errors import (
     EigensolveError,
@@ -64,7 +63,6 @@ from .stability import (
     CoercivityResult,
     InfSupResult,
     LaplaceResult,
-    StabilityReport,
     StokesResult,
     TableReport,
     babuska_infsup,
@@ -76,9 +74,7 @@ from .stability import (
     infsup_spectrum,
     infsup_to_laplace,
     laplace_eigenvalue,
-    laplace_spectrum,
     reproduce_table,
-    run_case,
     spurious_modes,
     stokes_infsup,
     threshold_sweep,

@@ -12,13 +12,14 @@ converge        source-problem convergence study
 tables          recompute the golden stability tables (T1..T4)
 
 The single-case commands (infsup to stokes-infsup) load their case
-through one helper, and every command but mesh writes through one
-emitter.  CSV artifacts start with a provenance line ``# mixed-stab
-<version> <config-hash>`` so golden files detect configuration drift;
-JSON output carries the same data under a "provenance" key.  Exit codes:
-0 success, 1 numerical failure, 2 usage error, which includes an r
-outside 1..MAX_SPACE_DEGREE, an r given to a table that fixes it (T2..T4)
-and an n that is not an even integer >= 4.
+through one helper, call the computations whose results they print and
+nothing else, and format those results themselves; every command but
+mesh writes through one emitter.  CSV artifacts start with a provenance
+line ``# mixed-stab <version> <config-hash>`` so golden files detect
+configuration drift; JSON output carries the same data under a
+"provenance" key.  Exit codes: 0 success, 1 numerical failure, 2 usage
+error, which includes an r outside 1..MAX_SPACE_DEGREE, an r given to a
+table that fixes it (T2..T4) and an n that is not an even integer >= 4.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from . import __version__
 from .assembly import MAX_SPACE_DEGREE, write_matrix_market
 from .errors import MixedStabError
 from .mesh import (Family, GENERATED_FAMILIES, check_grid_size, export_mesh,
-                   generate, read_mesh)
+                   generate, read_mesh, singular_vertices)
 from .stability import (DEFAULT_THRESHOLD, SWEEP_THRESHOLDS, TABLE_DEFAULTS,
-                        babuska_spectrum, brezzi_coercivity, brezzi_infsup,
-                        case_forms, divdiv_spectrum, infsup_spectrum,
-                        laplace_eigenvalue, laplace_spectrum, reproduce_table,
-                        run_case, stokes_infsup, StabilityReport)
+                        babuska_infsup, babuska_spectrum, brezzi_coercivity,
+                        brezzi_infsup, case_forms, divdiv_spectrum,
+                        infsup_spectrum, infsup_to_laplace, laplace_eigenvalue,
+                        reproduce_table, spurious_modes, stokes_infsup,
+                        threshold_sweep)
 from .poisson import ConvergenceReport, convergence_study
 
 PROG = "mixed-stab"
@@ -328,55 +330,58 @@ def _case_forms(cfg):
     return forms
 
 
-def _report_payload(report):
-    payload = {
-        "family": report.family, "n": report.n, "r": report.r,
-        "sigma": report.sigma, "dimN": report.dim_spurious,
-        "beta_div": report.beta_div,
-        "beta_div_reduced": report.beta_div_reduced,
-        "threshold": report.threshold,
-    }
-    for key, value in (("alpha", report.alpha), ("gamma", report.gamma),
-                       ("beta_h1", report.beta_h1),
-                       ("beta_h1_reduced", report.beta_h1_reduced),
-                       ("stokes_constant_mode", report.stokes_constant_mode)):
-        if value is not None:
-            payload[key] = value
-    if report.warnings:
-        payload["warnings"] = list(report.warnings)
-    return payload
-
-
 def cmd_mesh(cfg):
     _write(cfg, export_mesh(generate(Family.parse(cfg.family), cfg.n)))
     return 0
 
 
 def cmd_infsup(cfg):
-    report = run_case(forms=_case_forms(cfg), threshold=cfg.threshold,
-                      with_alpha=cfg.with_alpha, with_gamma=cfg.with_gamma,
-                      with_stokes=cfg.with_stokes, sweep=cfg.sweep)
-    payload = _report_payload(report)
-    lines = [StabilityReport.CSV_HEADER, report.csv_row()]
-    if report.sweep is not None:
+    forms = _case_forms(cfg)
+    mesh = forms.mesh
+    sigma = singular_vertices(mesh).sigma
+    infsup = brezzi_infsup(forms, threshold=cfg.threshold)
+    payload = {"family": mesh.family.value, "n": mesh.n, "r": cfg.r,
+               "sigma": sigma, "dimN": infsup.dim_spurious,
+               "beta_div": infsup.beta,
+               "beta_div_reduced": infsup.beta_reduced,
+               "threshold": cfg.threshold}
+    if infsup.warning:
+        payload["warnings"] = [infsup.warning]
+    if cfg.with_alpha:
+        payload["alpha"] = brezzi_coercivity(forms, infsup.dim_spurious).alpha
+    if cfg.with_gamma:
+        payload["gamma"] = babuska_infsup(infsup).gamma
+    if cfg.with_stokes:
+        stokes = stokes_infsup(forms, threshold=cfg.threshold)
+        payload.update(beta_h1=stokes.beta, beta_h1_reduced=stokes.beta_reduced,
+                       stokes_constant_mode=stokes.constant_mode)
+    row = [mesh.family.value, "" if mesh.n is None else str(mesh.n),
+           str(cfg.r), str(sigma), str(infsup.dim_spurious)]
+    # constants not computed leave their cells empty
+    row += [f"{payload[key]:.6f}" if key in payload else ""
+            for key in ("beta_div", "beta_div_reduced", "alpha", "beta_h1")]
+    lines = ["family,n,r,sigma,dimN,beta_div,beta_div_reduced,alpha,beta_h1,"
+             "threshold", ",".join([*row, f"{cfg.threshold:g}"])]
+    if cfg.sweep:
+        rows = threshold_sweep(infsup, cfg.sweep)
         payload["sweep"] = [{"threshold": t, "dimN": d, "beta_reduced": b}
-                            for t, d, b in report.sweep]
+                            for t, d, b in rows]
         lines.append("threshold,dimN,beta_reduced")
-        lines += [f"{t:g},{d},{b:.6f}" for t, d, b in report.sweep]
+        lines += [f"{t:g},{d},{b:.6f}" for t, d, b in rows]
     _emit(cfg, payload, lines)
     return 0
 
 
 def cmd_spectrum(cfg):
     forms = _case_forms(cfg)
-    spec = infsup_spectrum(forms, h1=cfg.pencil == "stokes")
+    values = infsup_spectrum(forms, h1=cfg.pencil == "stokes")
     if cfg.pencil == "laplace":
-        spec = laplace_spectrum(spec)
+        values = infsup_to_laplace(values)
     elif cfg.pencil == "divdiv":
-        spec = divdiv_spectrum(forms, spec)
+        values = divdiv_spectrum(forms, values)
     elif cfg.pencil == "babuska":
-        spec = babuska_spectrum(forms, spec)
-    values = [float(v) for v in spec.values]
+        values = babuska_spectrum(forms, values)
+    values = [float(v) for v in values]
     _emit(cfg, {"pencil": cfg.pencil, "count": len(values), "values": values},
           ["index,value"] + [f"{i},{v:.12e}" for i, v in enumerate(values)])
     return 0
@@ -384,7 +389,8 @@ def cmd_spectrum(cfg):
 
 def cmd_coercivity(cfg):
     forms = _case_forms(cfg)
-    res = brezzi_coercivity(forms, brezzi_infsup(forms, threshold=cfg.threshold))
+    _, _, dim = spurious_modes(forms, cfg.threshold)
+    res = brezzi_coercivity(forms, dim)
     _emit(cfg, {"alpha": res.alpha, "kernel_dim": res.kernel_dim, "r": cfg.r},
           ["alpha,kernel_dim,r", f"{res.alpha:.12f},{res.kernel_dim},{cfg.r}"])
     return 0

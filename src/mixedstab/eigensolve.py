@@ -20,16 +20,17 @@ with no dense matrix:
   Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).
 
 The full spectrum of an inf-sup pencil, which only ``mixed-stab spectrum``
-and the tests read, comes from a dense Schur complement S = B A^{-1} B^T
-and LAPACK.  ``positive_definite_lu`` factors A there, and checks the norm
-matrices on the sliced path.  Independent cross-check solvers live in
-tests/oracles.py, not here.
+and the tests read, is dense: the caller reduces the pencil to
+M-orthonormal coordinates, ``schur_complement`` forms S = B A^{-1} B^T,
+and ``symmetric_eigenvalues`` returns all its eigenvalues from one LAPACK
+``syevd``.  ``positive_definite_lu`` factors A there, and checks the norm
+matrices on the sliced path.  Independent cross-check solvers, the
+generalized ones included, live in tests/oracles.py, not here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,52 +55,22 @@ def _dense(mat):
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
 
 
-@dataclass
-class Spectrum:
-    """Eigenvalues (ascending) of one pencil, with optional eigenvectors."""
+def symmetric_eigenvalues(S):
+    """Ascending eigenvalues of the symmetric matrix S, by LAPACK ``syevd``.
 
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-    problem: str = ""
+    The library calls it on pencils already reduced to M-orthonormal
+    coordinates, so no metric is factored here.
 
-
-def sym_generalized_eig(S, M, vectors=False, problem=""):
-    """Solve S x = lambda M x with S symmetric and M SPD or None.
-
-    ``M=None`` means the identity: the standard problem S x = lambda x,
-    solved by LAPACK ``syevd`` with no factorization of a metric.  This is
-    the form the library uses, on pencils already reduced to
-    M-orthonormal coordinates.  A given M is reduced by LAPACK ``sygvd``.
-
-    Parameters
-    ----------
-    S : array_like or sparse, square
-    M : array_like or sparse of S's shape, or None
-    vectors : bool
-        Also return eigenvectors (M-orthonormal columns).  No library
-        caller asks for them.
-    problem : str
-        Descriptor stored on the returned Spectrum.
-
-    Returns
-    -------
-    Spectrum
+    Raises EigensolveError unless S is square, or when LAPACK fails.
     """
     a = _dense(S)
-    b = None if M is None else _dense(M)
-    if a.shape[0] != a.shape[1] or (b is not None and a.shape != b.shape):
-        raise EigensolveError(f"pencil shape mismatch: {a.shape} vs "
-                              f"{None if b is None else b.shape}")
-    driver = "evd" if b is None else "gvd"
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise EigensolveError(f"eigenvalue problem needs a square matrix, "
+                              f"got shape {a.shape}")
     try:
-        if vectors:
-            vals, vecs = sla.eigh(a, b, driver=driver)
-        else:
-            vals = sla.eigh(a, b, eigvals_only=True, driver=driver)
-            vecs = None
+        return sla.eigh(a, eigvals_only=True, driver="evd")
     except sla.LinAlgError as exc:
         raise EigensolveError(f"symmetric eigensolve failed: {exc}") from exc
-    return Spectrum(values=vals, vectors=vecs, problem=problem)
 
 
 def _ldl(A, refuse):

@@ -26,7 +26,9 @@ class NotPositiveDefiniteError(MixedStabError):
 
 
 class EigensolveError(MixedStabError):
-    """Dense eigenvalue solver failed to converge or received bad input."""
+    """An eigenvalue computation failed or received bad input: the dense
+    LAPACK solve, or the inertia slicer (a refused or non-monotone
+    inertia count, a Lanczos run the counts do not certify)."""
 
 
 class NumericalError(MixedStabError):

@@ -22,19 +22,22 @@ lambda of B A_1^{-1} B^T p = lambda M_Q p.  A cluster warning is an
 inertia test: the counts at tau / 10, tau and 10 tau (those below 1)
 disagree.
 
-The full spectra (``infsup_spectrum`` and the Laplace, div-div and Babuska
-spectra derived from it) are dense: the pressures are put in
-M_Q-orthonormal coordinates by the cellwise Cholesky factors of the
+The full spectra are dense arrays: ``infsup_spectrum`` puts the pressures
+in M_Q-orthonormal coordinates by the cellwise Cholesky factors of the
 block-diagonal M_Q, and one Schur complement and one LAPACK eigensolve
-give all nQ eigenvalues.  Only ``mixed-stab spectrum`` and the tests read
-them.
+give all nQ eigenvalues.  The Laplace (``infsup_to_laplace``), div-div
+and Babuska spectra are mapped from it.  Only ``mixed-stab spectrum`` and
+the tests read them.
+
+Each result type (``InfSupResult``, ``StokesResult``, ...) carries what one
+function computed; the commands in ``cli`` call these functions directly
+and format what they print.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +45,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .assembly import assemble, build_spaces
-from .eigensolve import (InertiaSlicer, Spectrum, positive_definite_lu,
-                         schur_complement, sym_generalized_eig)
+from .eigensolve import (InertiaSlicer, positive_definite_lu,
+                         schur_complement, symmetric_eigenvalues)
 from .errors import NumericalError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
 
@@ -138,10 +141,8 @@ def infsup_spectrum(forms, h1=False):
     ``orthonormal_divergence``: one Schur complement, one LAPACK ``syevd``.
     """
     b_hat, _ = orthonormal_divergence(forms)
-    norm, problem = ((forms.A_1, "stokes-infsup") if h1
-                     else (forms.A_div, "brezzi-infsup"))
-    return sym_generalized_eig(schur_complement(b_hat, norm), None,
-                               problem=problem)
+    return symmetric_eigenvalues(
+        schur_complement(b_hat, forms.A_1 if h1 else forms.A_div))
 
 
 def spurious_modes(forms, threshold=DEFAULT_THRESHOLD):
@@ -196,11 +197,12 @@ class CoercivityResult:
     residual: float  # relative Frobenius norm of K - B^T M_Q^{-1} B
 
 
-def brezzi_coercivity(forms, infsup):
+def brezzi_coercivity(forms, dim_spurious):
     """Coercivity constant of <u, v> on the discrete divergence-free space.
 
     Exactly one: K = B^T M_Q^{-1} B vanishes on the kernel of B, whose
-    dimension is nV - nQ + dim N_h (N_h from the InfSupResult ``infsup``).
+    dimension is nV - nQ + dim N_h, with ``dim_spurious`` = dim N_h (from
+    ``spurious_modes`` or an InfSupResult).
     Raises NumericalError unless the identity holds on the assembled
     matrices to 1e-10 relative, checked as K = (C B)^T (C B) with the
     cellwise factor C of ``orthonormal_divergence``.
@@ -211,7 +213,7 @@ def brezzi_coercivity(forms, infsup):
     if not residual <= 1e-10:
         raise NumericalError(f"div-div form differs from B^T M_Q^-1 B by "
                              f"{residual:.2e} (relative); alpha = 1 does not hold")
-    kernel_dim = forms.V_h.ndofs - forms.Q_h.ndofs + infsup.dim_spurious
+    kernel_dim = forms.V_h.ndofs - forms.Q_h.ndofs + dim_spurious
     return CoercivityResult(alpha=1.0, kernel_dim=kernel_dim, residual=residual)
 
 
@@ -294,29 +296,23 @@ def laplace_eigenvalue(infsup):
     return LaplaceResult(infsup.mu, smallest)
 
 
-def laplace_spectrum(spectrum):
-    """All mixed Laplace eigenvalues, from the full inf-sup Spectrum."""
-    return Spectrum(infsup_to_laplace(spectrum.values), problem="mixed-laplace")
-
-
-def divdiv_spectrum(forms, spectrum):
+def divdiv_spectrum(forms, lam):
     """Eigenvalues of <div u, div v> against the vector mass.
 
     The div-div form is B^T M_Q^{-1} B, so the spectrum is nV - nQ zeros
-    plus the mixed Laplace eigenvalues of the full inf-sup Spectrum.
+    plus the mixed Laplace eigenvalues of the full inf-sup spectrum
+    ``lam``.
     """
-    mu = infsup_to_laplace(spectrum.values)
     zeros = np.zeros(forms.V_h.ndofs - forms.Q_h.ndofs)
-    return Spectrum(np.sort(np.concatenate([zeros, mu])), problem="divdiv")
+    return np.sort(np.concatenate([zeros, infsup_to_laplace(lam)]))
 
 
-def babuska_spectrum(forms, spectrum):
+def babuska_spectrum(forms, lam):
     """Eigenvalues of the Babuska pencil: -lambda for every eigenvalue of
-    the full inf-sup Spectrum, plus nV ones."""
-    lam = spectrum.values
+    the full inf-sup spectrum ``lam``, plus nV ones."""
+    lam = np.asarray(lam, dtype=float)
     # ascending, since lambda is ascending and lies in [0, 1)
-    return Spectrum(np.concatenate([-lam[::-1], np.ones(forms.V_h.ndofs)]),
-                    problem="babuska")
+    return np.concatenate([-lam[::-1], np.ones(forms.V_h.ndofs)])
 
 
 def infsup_to_laplace(lam):
@@ -325,93 +321,12 @@ def infsup_to_laplace(lam):
     return lam / (1.0 - lam)
 
 
-@dataclass
-class StabilityReport:
-    """One row of the stability study for a (family, n, r) case."""
-
-    family: str
-    n: int | None
-    r: int
-    sigma: int
-    dim_spurious: int
-    beta_div: float
-    beta_div_reduced: float
-    threshold: float
-    alpha: float | None = None
-    gamma: float | None = None
-    beta_h1: float | None = None
-    beta_h1_reduced: float | None = None
-    stokes_constant_mode: float | None = None
-    sweep: list | None = None
-    warnings: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
-
-    CSV_HEADER = "family,n,r,sigma,dimN,beta_div,beta_div_reduced,alpha,beta_h1,threshold"
-
-    def csv_row(self):
-        def num(x):
-            return "" if x is None else f"{x:.6f}"
-
-        n = "" if self.n is None else str(self.n)
-        return (f"{self.family},{n},{self.r},{self.sigma},{self.dim_spurious},"
-                f"{num(self.beta_div)},{num(self.beta_div_reduced)},"
-                f"{num(self.alpha)},{num(self.beta_h1)},{self.threshold:g}")
-
-
 def case_forms(family, n, r, mesh=None):
     """Mesh + spaces + assembled forms for one case."""
     if mesh is None:
         mesh = generate(family, n)
     v_h, q_h = build_spaces(mesh, r)
     return assemble(v_h, q_h)
-
-
-def run_case(family=None, n=None, r=1, *, mesh=None, threshold=DEFAULT_THRESHOLD,
-             with_alpha=False, with_gamma=False, with_stokes=False, sweep=None,
-             forms=None):
-    """Full stability study for one case; returns a StabilityReport.
-
-    ``sweep``: thresholds for threshold_sweep on the inf-sup slice.
-    """
-    timings = {}
-    if forms is None:
-        t0 = time.perf_counter()
-        forms = case_forms(family, n, r, mesh=mesh)
-        timings["assemble"] = time.perf_counter() - t0
-    mesh = forms.mesh
-
-    t0 = time.perf_counter()
-    sigma = singular_vertices(mesh).sigma
-    timings["singular_vertices"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    infsup = brezzi_infsup(forms, threshold=threshold)
-    timings["brezzi_infsup"] = time.perf_counter() - t0
-
-    report = StabilityReport(
-        family=mesh.family.value, n=mesh.n, r=forms.V_h.degree, sigma=sigma,
-        dim_spurious=infsup.dim_spurious, beta_div=infsup.beta,
-        beta_div_reduced=infsup.beta_reduced, threshold=threshold,
-        timings=timings)
-    if infsup.warning:
-        report.warnings.append(infsup.warning)
-
-    if with_alpha:
-        t0 = time.perf_counter()
-        report.alpha = brezzi_coercivity(forms, infsup).alpha
-        timings["coercivity"] = time.perf_counter() - t0
-    if with_gamma:
-        report.gamma = babuska_infsup(infsup).gamma
-    if with_stokes:
-        t0 = time.perf_counter()
-        stokes = stokes_infsup(forms, threshold=threshold)
-        report.beta_h1 = stokes.beta
-        report.beta_h1_reduced = stokes.beta_reduced
-        report.stokes_constant_mode = stokes.constant_mode
-        timings["stokes"] = time.perf_counter() - t0
-    if sweep:
-        report.sweep = threshold_sweep(infsup, sweep)
-    return report
 
 
 def threshold_sweep(infsup, thresholds=SWEEP_THRESHOLDS):

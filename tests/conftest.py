@@ -31,7 +31,7 @@ def spectrum_for(forms_for):
     def get(family, n, r, h1=False):
         key = (family, n, r, h1)
         if key not in cache:
-            cache[key] = infsup_spectrum(forms_for(family, n, r), h1=h1).values
+            cache[key] = infsup_spectrum(forms_for(family, n, r), h1=h1)
         return cache[key]
 
     return get

@@ -7,6 +7,8 @@ same quantity the long way, from the assembled matrices and without the
 library's eigensolvers, so the tests compare two routes rather than a
 value against itself.  All of them are dense and meant for small cases.
 ``classify_spectrum`` splits a full spectrum at the zero threshold.
+``cholesky_reduced`` turns a generalized pencil into the standard problem
+the library's dense eigensolver takes.
 ``dense_schur`` forms a Schur complement with a dense solve where the
 library uses a sparse LU, and ``dense_schur_solve`` does the same for the
 mixed source problem, which the library solves by one sparse LU of the
@@ -67,6 +69,16 @@ def jacobi_generalized_eig(S, M, tol=1e-14, max_sweeps=60):
     else:
         raise EigensolveError("Jacobi iteration did not converge")
     return np.sort(np.diag(c))
+
+
+def cholesky_reduced(S, M):
+    """L^{-1} S L^{-T} with M = L L^T by LAPACK: the standard problem with
+    the eigenvalues of the pencil S x = lambda M x, in the M-orthonormal
+    coordinates the library reduces its own pencils to."""
+    lower = sla.cholesky(_dense(M), lower=True)
+    c = sla.solve_triangular(lower, _dense(S), lower=True)
+    c = sla.solve_triangular(lower, c.T, lower=True).T
+    return 0.5 * (c + c.T)
 
 
 def _jacobi_cholesky(matrix):

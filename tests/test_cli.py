@@ -129,6 +129,34 @@ def test_infsup_json_payload(tmp_path):
     assert data["provenance"]["tool"] == "mixed-stab"
 
 
+def test_infsup_report_fields(tmp_path):
+    out = tmp_path / "uj.json"
+    case = ["infsup", "--family", "unionjack", "--n", "4", "--r", "1",
+            "--with-alpha", "--with-gamma", "--with-stokes"]
+    assert run_cli(*case, "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["family"] == "unionjack"
+    assert data["sigma"] == 4 and data["dimN"] == 4
+    assert data["gamma"] == 0.0
+    assert abs(data["alpha"] - 1.0) < 1e-9
+    assert data["beta_h1_reduced"] <= data["beta_div_reduced"]
+    assert run_cli(*case, "--format", "csv", "--out", str(out)) == 0
+    _, header, row = out.read_text().splitlines()
+    assert len(row.split(",")) == len(header.split(","))
+
+
+def test_infsup_with_imported_mesh(tmp_path):
+    mesh_file, out = tmp_path / "cc.txt", tmp_path / "cc.json"
+    assert run_cli("mesh", "--family", "crisscross", "--n", "4",
+                   "--out", str(mesh_file)) == 0
+    assert run_cli("infsup", "--mesh", str(mesh_file), "--r", "1",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["family"] == "imported"
+    assert data["n"] is None
+    assert data["sigma"] == 16 and data["dimN"] == 16
+
+
 def test_infsup_sweep_monotone(tmp_path):
     out = tmp_path / "sweep.json"
     assert run_cli("infsup", "--family", "flipped", "--n", "8", "--r", "1",
@@ -249,7 +277,7 @@ def test_laplace_eig_takes_mu_at_the_spurious_split(tmp_path):
 
 @pytest.fixture
 def factorization_log(monkeypatch):
-    """Records the splu, schur_complement and sym_generalized_eig calls in
+    """Records the splu, schur_complement and symmetric_eigenvalues calls in
     order (``calls``), the InertiaSlicers made (``pencils``, each with the
     number of splu calls before it as ``splu_before``) and the number of
     eigsh calls (``eigsh``)."""
@@ -279,7 +307,7 @@ def factorization_log(monkeypatch):
         return eigsh(*args, **kwargs)
 
     counting(stability, "schur_complement")
-    counting(stability, "sym_generalized_eig")
+    counting(stability, "symmetric_eigenvalues")
     counting(eigensolve, "splu")
     monkeypatch.setattr(eigensolve, "eigsh", counting_eigsh)
     monkeypatch.setattr(stability, "InertiaSlicer", RecordedSlicer)
@@ -288,11 +316,13 @@ def factorization_log(monkeypatch):
 
 def test_every_constant_comes_from_sparse_factorizations(tmp_path,
                                                          factorization_log):
-    calls, pencils = factorization_log.calls, factorization_log.pencils
+    log = factorization_log
+    calls, pencils = log.calls, log.pencils
 
     def run(*argv):
         calls.clear()
         pencils.clear()
+        log.eigsh = 0
         assert run_cli(*argv, "--family", "unionjack", "--n", "4", "--r", "2",
                        "--out", str(tmp_path / "o.json")) == 0
 
@@ -300,18 +330,23 @@ def test_every_constant_comes_from_sparse_factorizations(tmp_path,
     # the one that certifies its norm matrix
     for argv, slices in ((["infsup", "--with-alpha", "--with-gamma",
                            "--with-stokes", "--sweep"], 2),
-                         (["laplace-eig"], 1), (["coercivity"], 1),
-                         (["stokes-infsup"], 1)):
+                         (["laplace-eig"], 1), (["stokes-infsup"], 1)):
         run(*argv)
         assert len(pencils) == slices, argv
         assert calls == ["splu"] * sum(1 + p.factorizations
                                        for p in pencils), argv
         assert all(3 <= p.factorizations <= 15 for p in pencils), argv
+    # coercivity prints alpha and the kernel dimension, which need dim N_h
+    # only: the A_div check and the count at tau, no eigenvalue
+    run("coercivity")
+    assert calls == ["splu"] * 2
+    assert [p.factorizations for p in pencils] == [1]
+    assert log.eigsh == 0
     for pencil in ("infsup", "laplace", "divdiv", "babuska", "stokes"):
         run("spectrum", "--pencil", pencil)
         assert not pencils
         assert sorted(calls) == ["schur_complement", "splu",
-                                 "sym_generalized_eig"], pencil
+                                 "symmetric_eigenvalues"], pencil
 
 
 def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
@@ -337,6 +372,35 @@ def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
     per_case = run("--which", "T2", "--n", "4")
     assert per_case == [1 + p.factorizations for p in log.pencils]
     assert len(per_case) == 4 and log.eigsh >= 4
+
+
+GOLDEN = ROOT / "tests" / "golden"
+FULL_INFSUP = ["infsup", "--with-alpha", "--with-gamma", "--with-stokes",
+               "--sweep"]
+# golden file -> command line, run with --format csv in a directory that
+# holds the mesh file the mesh command writes, as the test below does.  The
+# imported case reads that file by a relative path, because the path enters
+# the provenance hash.  spectrum and laplace-eig print 12 digits that vary
+# with the LAPACK build, so the oracle tests check them instead.
+GOLDEN_CASES = {
+    "infsup_unionjack_n4_r1.csv":
+        [*FULL_INFSUP, "--family", "unionjack", "--n", "4", "--r", "1"],
+    "infsup_imported_crisscross_n4_r1.csv":
+        [*FULL_INFSUP, "--mesh", "crisscross_n4.mesh", "--r", "1"],
+    "stokes-infsup_diagonal_n4_r2.csv":
+        ["stokes-infsup", "--family", "diagonal", "--n", "4", "--r", "2"],
+    "coercivity_diagonal_n4_r2.csv":
+        ["coercivity", "--family", "diagonal", "--n", "4", "--r", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_single_case_csv_matches_golden_bytes(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("mesh", "--family", "crisscross", "--n", "4",
+                   "--out", "crisscross_n4.mesh") == 0
+    assert run_cli(*GOLDEN_CASES[name], "--format", "csv", "--out", name) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_coercivity_and_laplace_commands(tmp_path):

@@ -6,13 +6,12 @@ import pytest
 import scipy.linalg as sla
 
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
-from mixedstab.mesh import Family, generate
-from mixedstab.stability import (DEFAULT_THRESHOLD, StabilityReport,
-                                 babuska_infsup, brezzi_coercivity,
-                                 brezzi_infsup, infsup_spectrum,
+from mixedstab.mesh import Family, singular_vertices
+from mixedstab.stability import (DEFAULT_THRESHOLD, babuska_infsup,
+                                 brezzi_coercivity, brezzi_infsup,
+                                 case_forms, infsup_spectrum,
                                  infsup_to_laplace, laplace_eigenvalue,
-                                 orthonormal_divergence,
-                                 reproduce_table, run_case,
+                                 orthonormal_divergence, reproduce_table,
                                  spurious_modes, stokes_infsup,
                                  threshold_sweep, TABLE_FAMILIES)
 
@@ -69,13 +68,13 @@ def test_orthonormal_pencils_match_the_generalized_route(forms_for, family, r):
     # coordinates; the generalized pencil against M_Q has the same spectrum
     forms = forms_for(family, 4, r)
     m_q = forms.M_Q.toarray()
-    brezzi = infsup_spectrum(forms).values
+    brezzi = infsup_spectrum(forms)
     expected = sla.eigh(dense_schur(forms.B, forms.A_div), m_q, eigvals_only=True)
     assert np.max(np.abs(brezzi - expected)) < 1e-12
     stokes = stokes_infsup(forms)
     s_1 = dense_schur(forms.B, forms.A_1)
     expected = sla.eigh(s_1, m_q, eigvals_only=True)
-    values = infsup_spectrum(forms, h1=True).values
+    values = infsup_spectrum(forms, h1=True)
     assert np.max(np.abs(values - expected)) < 1e-12 * expected[-1]
     ones = np.ones(forms.Q_h.ndofs)
     mode = (ones @ s_1 @ ones) / (ones @ m_q @ ones)
@@ -111,7 +110,7 @@ def test_orthonormal_divergence_requires_cellwise_blocks(forms_for):
 
 def test_coercivity_is_one_with_divergence_free_kernel(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    res = brezzi_coercivity(forms, brezzi_infsup(forms))
+    res = brezzi_coercivity(forms, brezzi_infsup(forms).dim_spurious)
     assert res.kernel_dim == forms.V_h.ndofs - forms.Q_h.ndofs  # 50 - 32
     assert res.alpha == 1.0
     assert res.residual < 1e-14
@@ -126,7 +125,7 @@ def test_coercivity_rejects_a_broken_divdiv_identity(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 2)
     with pytest.raises(NumericalError, match="alpha = 1 does not hold"):
         brezzi_coercivity(dataclasses.replace(forms, K=1.01 * forms.K),
-                          brezzi_infsup(forms))
+                          brezzi_infsup(forms).dim_spurious)
 
 
 def test_babuska_positive_and_below_brezzi(forms_for):
@@ -165,7 +164,7 @@ def test_laplace_eigenvalue_stable_pair(forms_for):
 
 def test_eigenvalue_map_and_divdiv_route(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    lam = infsup_spectrum(forms).values
+    lam = infsup_spectrum(forms)
     mu = laplace_pencil_eigenvalues(forms)
     mapped = infsup_to_laplace(lam)
     assert np.max(np.abs(mu - mapped) / (1.0 + np.abs(mu))) < 1e-10
@@ -181,36 +180,6 @@ def test_threshold_sweep_monotone(forms_for):
     dims = [dim for _, dim, _ in rows]
     assert dims == sorted(dims, reverse=True)
     assert dims[1] == 12  # n(n-2)/2 at the default threshold
-
-
-def test_run_case_report_fields(forms_for):
-    report = run_case(Family.UNIONJACK, 4, 1,
-                      forms=forms_for(Family.UNIONJACK, 4, 1),
-                      with_alpha=True, with_gamma=True, with_stokes=True)
-    assert report.family == "unionjack"
-    assert report.sigma == 4 and report.dim_spurious == 4
-    assert report.gamma == 0.0
-    assert abs(report.alpha - 1.0) < 1e-9
-    assert report.beta_h1_reduced <= report.beta_div_reduced
-    row = report.csv_row()
-    assert len(row.split(",")) == len(StabilityReport.CSV_HEADER.split(","))
-
-
-def test_run_case_times_assembly_only_when_it_assembles(forms_for):
-    given = run_case(Family.DIAGONAL, 4, 1, forms=forms_for(Family.DIAGONAL, 4, 1))
-    assert "assemble" not in given.timings
-    built = run_case(Family.DIAGONAL, 4, 1)
-    assert built.timings["assemble"] > 0
-
-
-def test_run_case_with_imported_mesh():
-    from mixedstab.mesh import export_mesh, import_mesh
-
-    mesh = import_mesh(export_mesh(generate(Family.CRISSCROSS, 4)))
-    report = run_case(mesh=mesh, r=1)
-    assert report.family == "imported"
-    assert report.n is None
-    assert report.sigma == 16 and report.dim_spurious == 16
 
 
 def test_reproduce_table_t2_small():
@@ -244,15 +213,18 @@ def test_reproduce_table_parallel_matches_serial():
 
 
 def test_table_rows_equal_run_case_reports():
+    # each table row against the singular-vertex count and the Brezzi
+    # constant of its case, computed on their own
     for family, n, r, sigma, dim in reproduce_table(
             "T1", n_values=[4], r_values=[1, 2]).rows:
-        report = run_case(Family(family), n, r)
-        assert (sigma, dim) == (report.sigma, report.dim_spurious), (family, r)
+        forms = case_forms(Family(family), n, r)
+        assert (sigma, dim) == (singular_vertices(forms.mesh).sigma,
+                                brezzi_infsup(forms).dim_spurious), (family, r)
     for n, *cells in reproduce_table("T2", n_values=[4, 6]).rows:
-        diag, zig, flip, uj = (run_case(family, n, 1)
+        diag, zig, flip, uj = (brezzi_infsup(case_forms(family, n, 1))
                                for family in TABLE_FAMILIES)
-        assert cells == [diag.beta_div, zig.beta_div, flip.beta_div_reduced,
-                         flip.dim_spurious, uj.beta_div_reduced,
+        assert cells == [diag.beta, zig.beta, flip.beta_reduced,
+                         flip.dim_spurious, uj.beta_reduced,
                          uj.dim_spurious], n
 
 
