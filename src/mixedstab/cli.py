@@ -255,7 +255,10 @@ def config_from_args(args):
         cfg.fmt = "mesh"
         return cfg
 
-    cfg.threshold = resolve_threshold(args)
+    # converge refuses spurious modes at DEFAULT_THRESHOLD, so it reads no
+    # threshold, and its hash keeps the default
+    if command != "converge":
+        cfg.threshold = resolve_threshold(args)
     if command not in ("converge", "tables"):
         cfg.r = args.r
         if not 1 <= cfg.r <= MAX_SPACE_DEGREE:

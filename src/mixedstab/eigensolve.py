@@ -23,8 +23,9 @@ The full spectrum of an inf-sup pencil, which only ``mixed-stab spectrum``
 and the tests read, is dense: the caller reduces the pencil to
 M-orthonormal coordinates, ``schur_complement`` forms S = B A^{-1} B^T,
 and ``symmetric_eigenvalues`` returns all its eigenvalues from one LAPACK
-``syevd``.  ``positive_definite_lu`` factors A there, and checks the norm
-matrices on the sliced path.  Independent cross-check solvers, the
+``syevd``.  ``positive_definite_lu`` factors A there, checks the norm
+matrices on the sliced path, and factors the A_div that the source solve
+(``poisson.solve_mixed``) solves with.  Independent cross-check solvers, the
 generalized ones included, live in tests/oracles.py, not here.
 """
 

@@ -1,12 +1,15 @@
 """Mixed source problem and convergence study.
 
-Solves M_V u + B^T p = 0, B u = G by one sparse LU of the saddle-point
-matrix [[M_V, B^T], [B, 0]], the same path at every size.  A mesh with
-spurious pressure modes makes that matrix singular; the solve is then
-refused (SpuriousModeError) when the LU breaks down or its pivots span
-more than 1/PIVOT_RATIO_TOL, and every returned solution has passed a
-1e-10 relative residual check.  Errors of (u_h, p_h) are measured against
-high-order interpolants of the closed-form solution
+Solves M_V u + B^T p = 0, B u = G on the H(div) norm matrix A_div, the
+same path at every size.  Spurious pressure modes make the saddle-point
+problem singular: the solve counts them first, by the inertia count of
+``stability.spurious_modes`` at the default threshold, and refuses the
+case (SpuriousModeError) when there is one.  Otherwise one sparse LDL^T
+certifies A_div positive definite, and conjugate gradients on the
+inf-sup operator, one solve with that factor per step, give the pressure;
+every returned solution has passed a 1e-10 relative residual check.
+Errors of (u_h, p_h) are measured against high-order interpolants of the
+closed-form solution
 
     p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u.
 
@@ -20,24 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .assembly import (assemble, build_spaces, cell_geometry,
                        scalar_lagrange_space, vector_lagrange_space)
+from .eigensolve import positive_definite_lu
 from .element import quadrature
 from .errors import NumericalError, SpuriousModeError
 from .mesh import Family, generate
+from .stability import (DEFAULT_THRESHOLD, _count_spurious,
+                        orthonormal_divergence)
 
 INTERPOLANT_DEGREE = 6
 ERROR_QUAD_DEGREE = 14
-# smallest-to-largest |diag U| ratio of the saddle-point LU below which
-# the matrix is taken as singular (spurious pressure modes).  On the
-# generated families at n = 4..16, r = 1..4, stable cases sit above 5e-5
-# and spurious ones below 1e-14; this decides refusal, it certifies no dimN
-PIVOT_RATIO_TOL = 1e-9
-_SINGULAR_SADDLE = ("saddle-point matrix is singular (spurious pressure modes); "
-                    "project them out and solve the reduced problem instead")
 
 
 @dataclass
@@ -153,30 +151,50 @@ def load_vector(g_field, q_space, quad_degree=ERROR_QUAD_DEGREE):
 def solve_mixed(forms, g_field, quad_degree=ERROR_QUAD_DEGREE):
     """Solve the mixed source problem for (u_h, p_h).
 
-    Factors the saddle-point matrix [[M_V, B^T], [B, 0]] once by sparse
-    LU (COLAMD column ordering) and solves for [u; p] with right-hand
-    side [0; G].  Spurious pressure modes make the matrix singular: the
-    solve is refused with SpuriousModeError when the factorization
-    breaks down or when min|diag U| < PIVOT_RATIO_TOL * max|diag U|.
-    The assembled-system residual is checked to 1e-10 relative.
+    Counts the spurious modes first (one sparse LDL^T of K - s M_V at the
+    default threshold) and refuses the case with SpuriousModeError when
+    there is one.  Then, in M_Q-orthonormal pressure coordinates, with
+    C B from ``orthonormal_divergence``, g_hat = C G and p = C^T p_hat,
+    the system reads A_div u + (C B)^T p_hat = (C B)^T g_hat,
+    (C B) u = g_hat, since K = (C B)^T (C B).  Eliminating u leaves
+    T p_hat = T g_hat - g_hat with T = (C B) A_div^{-1} (C B)^T, whose
+    eigenvalues are the inf-sup lambda in [beta^2, 1].  CG solves it, one
+    solve per step on the LDL^T that certifies A_div positive definite,
+    and u = A_div^{-1} (C B)^T (g_hat - p_hat).  Raises NumericalError
+    when CG does not converge or the assembled-system residual exceeds
+    1e-10 relative.
     """
     rhs = load_vector(g_field, forms.Q_h, quad_degree=quad_degree)
-    b = forms.B.tocsr()
-    n_v = forms.V_h.ndofs
-    saddle = sp.bmat([[forms.M_V, b.T], [b, None]], format="csc")
-    try:
-        lu = spla.splu(saddle)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SpuriousModeError(_SINGULAR_SADDLE) from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() < PIVOT_RATIO_TOL * pivots.max():
-        raise SpuriousModeError(_SINGULAR_SADDLE)
-    x = lu.solve(np.concatenate([np.zeros(n_v), rhs]))
-    u, p = x[:n_v], x[n_v:]
+    # counted before A_div is factored, and the slicer is dropped at once,
+    # so the two factors never coexist
+    _, _, dim = _count_spurious(forms, DEFAULT_THRESHOLD)
+    if dim > 0:
+        raise SpuriousModeError(
+            f"{dim} spurious pressure modes (dim N_h at threshold "
+            f"{DEFAULT_THRESHOLD:g}) make the saddle-point problem singular; "
+            f"project them out and solve the reduced problem instead")
+    a_div = positive_definite_lu(forms.A_div)
+    b_hat, lower = orthonormal_divergence(forms)
+    n_q = forms.Q_h.ndofs
+    nb = lower.shape[1]
+    g_hat = np.linalg.solve(lower, rhs.reshape(-1, nb, 1)).ravel()
+
+    def infsup_operator(x):
+        return b_hat @ a_div.solve(b_hat.T @ x)
+
+    t_op = LinearOperator((n_q, n_q), matvec=infsup_operator, dtype=float)
+    p_hat, info = cg(t_op, infsup_operator(g_hat) - g_hat, rtol=1e-15,
+                     atol=0.0)
+    if info != 0:
+        raise NumericalError(f"CG on the inf-sup operator did not converge "
+                             f"(info {info})")
+    u = a_div.solve(b_hat.T @ (g_hat - p_hat))
+    p = np.linalg.solve(lower.transpose(0, 2, 1),
+                        p_hat.reshape(-1, nb, 1)).ravel()
 
     scale = max(np.linalg.norm(rhs), 1.0)
-    res_u = np.linalg.norm(forms.M_V @ u + b.T @ p)
-    res_p = np.linalg.norm(b @ u - rhs)
+    res_u = np.linalg.norm(forms.M_V @ u + forms.B.T @ p)
+    res_p = np.linalg.norm(forms.B @ u - rhs)
     if max(res_u, res_p) > 1e-10 * scale:
         raise NumericalError(
             f"mixed solve residual too large: |M_V u + B^T p| = {res_u:.2e}, "

@@ -10,7 +10,7 @@ reported constant is read off a spectrum slice of that pencil
 * dim N_h, the spurious pressure modes: the eigenvalues lambda below the
   zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
   s = tau / (1 - tau), from one sparse LDL^T (``spurious_modes``, all
-  that table T1 reads);
+  that table T1 reads; the source solve refuses a case by the same count);
 * mu, the first eigenvalue past the spurious ones, by shift-invert
   Lanczos in a window bracketed by counts; beta_reduced =
   sqrt(mu / (1 + mu)), and beta = beta_reduced, or 0.0 when dim N_h > 0;
@@ -161,6 +161,12 @@ def spurious_modes(forms, threshold=DEFAULT_THRESHOLD):
         zeros, and dim N_h.
     """
     positive_definite_lu(forms.A_div)
+    return _count_spurious(forms, threshold)
+
+
+def _count_spurious(forms, threshold):
+    """(pencil, kernel, dim) of ``spurious_modes``, counted with one sparse
+    factorization and no check of A_div."""
     pencil = InertiaSlicer(forms.K, forms.M_V)
     kernel = forms.V_h.ndofs - forms.Q_h.ndofs
     _, dim = _count_below(pencil, kernel, _divdiv_shift(threshold), threshold)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mixedstab import __version__
 from mixedstab.cli import (RunConfig, build_parser, main, parse_n_values,
                            resolve_threshold, THRESHOLD_ENV)
 from mixedstab.mesh import Family
@@ -178,6 +179,23 @@ def test_env_threshold_changes_output(tmp_path, monkeypatch):
     monkeypatch.setenv(THRESHOLD_ENV, "not-a-float")
     assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "1",
                    "--out", str(out)) == 2
+
+
+def test_converge_hash_ignores_env_threshold(tmp_path, monkeypatch):
+    # converge refuses spurious modes at the default threshold and reads
+    # none, so the variable changes neither its output nor its hash
+    out = tmp_path / "c.csv"
+    texts = []
+    for env in (None, "1e-3", "not-a-float"):
+        if env is None:
+            monkeypatch.delenv(THRESHOLD_ENV, raising=False)
+        else:
+            monkeypatch.setenv(THRESHOLD_ENV, env)
+        assert run_cli("converge", "--r", "1", "--n", "4",
+                       "--out", str(out)) == 0
+        texts.append(out.read_text())
+    assert texts[0].startswith(f"# mixed-stab {__version__} 8b8252a095d6\n")
+    assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 def test_spectrum_csv_and_dump(tmp_path):

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import mixedstab.eigensolve as eigensolve
 import mixedstab.poisson as po
 from mixedstab.assembly import (assemble, build_spaces, scalar_lagrange_space,
                                 vector_lagrange_space)
-from mixedstab.errors import SpuriousModeError
-from mixedstab.mesh import Family, generate
+from mixedstab.errors import NumericalError, SpuriousModeError
+from mixedstab.mesh import GENERATED_FAMILIES, Family, generate
 from mixedstab.poisson import (FieldCoefficients, convergence_study,
                                error_norms, eval_divergence, eval_scalar,
                                eval_vector, interpolate, load_vector,
                                manufactured_solution, solve_mixed)
-from mixedstab.stability import case_forms
+from mixedstab.stability import case_forms, spurious_modes
 
 from oracles import dense_schur_solve
 
@@ -125,16 +127,75 @@ def test_solve_residuals_small(forms_for):
     ("unionjack", 4, 4),
 ])
 def test_solve_refuses_spurious_modes(family, n, r):
-    # nQ runs from 320 to 5760 on the one LU path; the Schur complement of
-    # unionjack r=4 n=4 (dimN = 4) still admits a dense Cholesky
-    # factorization, so only the pivot-ratio rule refuses it
+    # nQ runs from 320 to 5760; the Schur complement of unionjack r=4 n=4
+    # (dimN = 4) still admits a dense Cholesky factorization, so a solver
+    # that waits for a breakdown would return a number, and only the
+    # inertia count refuses it
     forms = case_forms(Family(family), n, r)
     g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
     with pytest.raises(SpuriousModeError, match="reduced"):
         solve_mixed(forms, g)
 
 
-@pytest.mark.parametrize("r", [1, 3])
+@pytest.fixture
+def splu_log(monkeypatch):
+    """Records, for every splu call, whether it ran in symmetric mode."""
+    log = []
+
+    def recording(splu):
+        def wrapper(A, *args, **kwargs):
+            log.append(kwargs.get("options", {}).get("SymmetricMode", False))
+            return splu(A, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eigensolve, "splu", recording(eigensolve.splu))
+    monkeypatch.setattr(spla, "splu", recording(spla.splu))
+    return log
+
+
+def test_stable_solve_makes_two_symmetric_factorizations(forms_for, splu_log):
+    # the spurious-mode count and the LDL^T of A_div that CG solves with
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    solve_mixed(forms, FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs)))
+    assert splu_log == [True, True]
+
+
+def test_spurious_case_refused_after_one_factorization(forms_for, splu_log):
+    forms = forms_for(Family.CRISSCROSS, 4, 1)
+    g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
+    with pytest.raises(SpuriousModeError, match="threshold 0.0001"):
+        solve_mixed(forms, g)
+    assert splu_log == [True]
+
+
+@pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+def test_solve_refuses_exactly_the_spurious_cases(family):
+    refused = []
+    for n in (4, 6):
+        for r in (1, 2, 3, 4):
+            forms = case_forms(family, n, r)
+            dim = spurious_modes(forms)[2]
+            g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
+            if dim > 0:
+                with pytest.raises(SpuriousModeError,
+                                   match=f"^{dim} spurious"):
+                    solve_mixed(forms, g)
+                refused.append((n, r))
+            else:
+                solve_mixed(forms, g)
+    # the two families without singular vertices refuse nothing
+    assert bool(refused) == (family not in (Family.DIAGONAL, Family.ZIGZAG))
+
+
+def test_unconverged_cg_raises_numerical_error(forms_for, monkeypatch):
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    monkeypatch.setattr(po, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 7))
+    g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_mixed(forms, g)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_solve_matches_dense_schur_oracle(forms_for, r):
     forms = forms_for(Family.DIAGONAL, 8, r)
     _, _, g_exact = manufactured_solution()
