@@ -22,10 +22,6 @@ from .element import (
     lagrange_basis,
     quadrature,
 )
-from .eigensolve import (
-    schur_complement,
-    symmetric_eigenvalues,
-)
 from .errors import (
     EigensolveError,
     MeshFormatError,
@@ -66,14 +62,11 @@ from .stability import (
     StokesResult,
     TableReport,
     babuska_infsup,
-    babuska_spectrum,
     brezzi_coercivity,
     brezzi_infsup,
     case_forms,
-    divdiv_spectrum,
-    infsup_spectrum,
-    infsup_to_laplace,
     laplace_eigenvalue,
+    pencil_spectrum,
     reproduce_table,
     spurious_modes,
     stokes_infsup,

@@ -4,7 +4,7 @@ Subcommands
 -----------
 mesh            generate a triangulation and write it in the text format
 infsup          inf-sup constants and spurious modes for one case
-spectrum        full eigenvalue list of a chosen pencil
+spectrum        eigenvalues of a chosen pencil past its zero cluster
 coercivity      coercivity constant on the divergence-free subspace
 laplace-eig     mixed Laplace eigenvalue past the spurious modes
 stokes-infsup   inf-sup constant in the full gradient norm
@@ -38,12 +38,11 @@ from .assembly import MAX_SPACE_DEGREE, write_matrix_market
 from .errors import MixedStabError
 from .mesh import (Family, GENERATED_FAMILIES, check_grid_size, export_mesh,
                    generate, read_mesh, singular_vertices)
-from .stability import (DEFAULT_THRESHOLD, SWEEP_THRESHOLDS, TABLE_DEFAULTS,
-                        babuska_infsup, babuska_spectrum, brezzi_coercivity,
-                        brezzi_infsup, case_forms, divdiv_spectrum,
-                        infsup_spectrum, infsup_to_laplace, laplace_eigenvalue,
-                        reproduce_table, spurious_modes, stokes_infsup,
-                        threshold_sweep)
+from .stability import (DEFAULT_THRESHOLD, PENCILS, SWEEP_THRESHOLDS,
+                        TABLE_DEFAULTS, babuska_infsup, brezzi_coercivity,
+                        brezzi_infsup, case_forms, laplace_eigenvalue,
+                        pencil_spectrum, reproduce_table, spurious_modes,
+                        stokes_infsup, threshold_sweep)
 from .poisson import ConvergenceReport, convergence_study
 
 PROG = "mixed-stab"
@@ -171,12 +170,11 @@ def build_parser():
     p_inf.add_argument("--dump-matrices", metavar="DIR",
                        help="export assembled matrices (Matrix Market)")
 
-    p_spec = sub.add_parser("spectrum", help="full pencil spectrum")
+    p_spec = sub.add_parser(
+        "spectrum", help="pencil eigenvalues past the zero cluster, each with "
+                         "its index, by spectrum slicing")
     add_case_args(p_spec)
-    p_spec.add_argument("--pencil",
-                        choices=("infsup", "laplace", "stokes", "divdiv",
-                                 "babuska"),
-                        default="infsup")
+    p_spec.add_argument("--pencil", choices=PENCILS, default="infsup")
     p_spec.add_argument("--dump-matrices", metavar="DIR",
                         help="export assembled matrices (Matrix Market)")
 
@@ -376,17 +374,13 @@ def cmd_infsup(cfg):
 
 
 def cmd_spectrum(cfg):
-    forms = _case_forms(cfg)
-    values = infsup_spectrum(forms, h1=cfg.pencil == "stokes")
-    if cfg.pencil == "laplace":
-        values = infsup_to_laplace(values)
-    elif cfg.pencil == "divdiv":
-        values = divdiv_spectrum(forms, values)
-    elif cfg.pencil == "babuska":
-        values = babuska_spectrum(forms, values)
+    first, values = pencil_spectrum(_case_forms(cfg), cfg.pencil,
+                                    threshold=cfg.threshold)
+    indices = list(range(first, first + len(values)))
     values = [float(v) for v in values]
-    _emit(cfg, {"pencil": cfg.pencil, "count": len(values), "values": values},
-          ["index,value"] + [f"{i},{v:.12e}" for i, v in enumerate(values)])
+    _emit(cfg, {"pencil": cfg.pencil, "count": len(values),
+                "indices": indices, "values": values},
+          ["index,value"] + [f"{i},{v:.12e}" for i, v in zip(indices, values)])
     return 0
 
 

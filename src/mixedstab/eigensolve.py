@@ -1,10 +1,10 @@
-"""Inertia slicing of symmetric pencils, and the dense full-spectrum route.
+"""Inertia slicing of symmetric pencils.
 
-Every reported constant comes from a symmetric pencil K x = nu N x with N
-positive definite: the div-div pencil (K, M_V) for the Brezzi constant and
-the mixed Laplace eigenvalue, and (K, A_1) for the Stokes constant.
-``InertiaSlicer`` computes what is reported from sparse factorizations,
-with no dense matrix:
+Every reported eigenvalue comes from a symmetric pencil K x = nu N x with
+N positive definite: the div-div pencil (K, M_V) for the Brezzi constant,
+the mixed Laplace eigenvalue and the spectra derived from it, and (K, A_1)
+for the Stokes constant.  ``InertiaSlicer`` computes what is reported from
+sparse factorizations, with no dense matrix:
 
 * count: by Sylvester's law of inertia, an LDL^T factorization of K - s N
   has #{nu < s} negative pivots.  The factor is one sparse LU in symmetric
@@ -19,14 +19,10 @@ with no dense matrix:
   must split them as it says (Ericsson & Ruhe, Math. Comp. 1980; Grimes,
   Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).
 
-The full spectrum of an inf-sup pencil, which only ``mixed-stab spectrum``
-and the tests read, is dense: the caller reduces the pencil to
-M-orthonormal coordinates, ``schur_complement`` forms S = B A^{-1} B^T,
-and ``symmetric_eigenvalues`` returns all its eigenvalues from one LAPACK
-``syevd``.  ``positive_definite_lu`` factors A there, checks the norm
-matrices on the sliced path, and factors the A_div that the source solve
-(``poisson.solve_mixed``) solves with.  Independent cross-check solvers, the
-generalized ones included, live in tests/oracles.py, not here.
+``positive_definite_lu`` certifies the norm matrices of the pencils, and
+factors the A_div that the source solve (``poisson.solve_mixed``) solves
+with.  Independent cross-check solvers, dense ones included, live in
+tests/oracles.py, not here.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -50,28 +45,6 @@ WINDOW = 10
 # over the 117 default table cases a Brezzi constant took 9.6, 8.0 and
 # 8.4 factorizations at factors 10, 30 and 100
 GROWTH = 30.0
-
-
-def _dense(mat):
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
-
-
-def symmetric_eigenvalues(S):
-    """Ascending eigenvalues of the symmetric matrix S, by LAPACK ``syevd``.
-
-    The library calls it on pencils already reduced to M-orthonormal
-    coordinates, so no metric is factored here.
-
-    Raises EigensolveError unless S is square, or when LAPACK fails.
-    """
-    a = _dense(S)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise EigensolveError(f"eigenvalue problem needs a square matrix, "
-                              f"got shape {a.shape}")
-    try:
-        return sla.eigh(a, eigvals_only=True, driver="evd")
-    except sla.LinAlgError as exc:
-        raise EigensolveError(f"symmetric eigensolve failed: {exc}") from exc
 
 
 def _ldl(A, refuse):
@@ -105,28 +78,6 @@ def positive_definite_lu(A):
         raise NotPositiveDefiniteError(
             int(np.flatnonzero(lu.perm_c == non_positive[0])[0]) + 1)
     return lu
-
-
-def schur_complement(B, A):
-    """Dense symmetric S = B A^{-1} B^T for SPD A.
-
-    A is factored once by ``positive_definite_lu``.  S is then filled 64
-    columns at a time from the transposed rows of B, so the largest dense
-    temporary is dim(V) x 64, never the whole dim(V) x dim(Q) B^T.
-    """
-    if A.shape[0] != B.shape[1]:
-        raise EigensolveError(
-            f"Schur complement shape mismatch: A is {A.shape}, B is {B.shape}")
-    lu = positive_definite_lu(A)
-    if sp.issparse(B):
-        B = sp.csr_matrix(B)
-    s = np.empty((B.shape[0], B.shape[0]))
-    # 64 rows per solve, measured on A_div at diagonal n=12 r=3 (nV 2738,
-    # nQ 1728): 0.43 s per S against 0.50 s at 32 rows, 0.47-0.61 s at 128
-    # and 0.86 s with all rows in one solve
-    for j in range(0, B.shape[0], 64):
-        s[:, j:j + 64] = B @ lu.solve(_dense(B[j:j + 64]).T)
-    return 0.5 * (s + s.T)
 
 
 class InertiaSlicer:

@@ -22,12 +22,9 @@ lambda of B A_1^{-1} B^T p = lambda M_Q p.  A cluster warning is an
 inertia test: the counts at tau / 10, tau and 10 tau (those below 1)
 disagree.
 
-The full spectra are dense arrays: ``infsup_spectrum`` puts the pressures
-in M_Q-orthonormal coordinates by the cellwise Cholesky factors of the
-block-diagonal M_Q, and one Schur complement and one LAPACK eigensolve
-give all nQ eigenvalues.  The Laplace (``infsup_to_laplace``), div-div
-and Babuska spectra are mapped from it.  Only ``mixed-stab spectrum`` and
-the tests read them.
+``pencil_spectrum`` reads every eigenvalue past the spurious cluster off
+the same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and
+Babuska spectra are closed-form functions of the mu.
 
 Each result type (``InfSupResult``, ``StokesResult``, ...) carries what one
 function computed; the commands in ``cli`` call these functions directly
@@ -45,8 +42,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .assembly import assemble, build_spaces
-from .eigensolve import (InertiaSlicer, positive_definite_lu,
-                         schur_complement, symmetric_eigenvalues)
+from .eigensolve import InertiaSlicer, positive_definite_lu
 from .errors import NumericalError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
 
@@ -55,6 +51,8 @@ SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
 # smallest mixed Laplace eigenvalues past the spurious modes that
 # laplace_eigenvalue lists
 LAPLACE_LISTED = 5
+# the pencils pencil_spectrum reads
+PENCILS = ("infsup", "laplace", "divdiv", "babuska", "stokes")
 
 
 def _divdiv_shift(threshold):
@@ -131,18 +129,6 @@ def orthonormal_divergence(forms):
     c = sp.bsr_matrix((np.linalg.inv(lower), m_q.indices, m_q.indptr),
                       shape=m_q.shape)
     return sp.csr_matrix(c @ forms.B), lower
-
-
-def infsup_spectrum(forms, h1=False):
-    """All nQ eigenvalues of B A^{-1} B^T p = lambda M_Q p, ascending.
-
-    A is A_div (Brezzi) or, with ``h1``, A_1 (Stokes).  Solved densely as
-    the standard problem (C B) A^{-1} (C B)^T x = lambda x, with C from
-    ``orthonormal_divergence``: one Schur complement, one LAPACK ``syevd``.
-    """
-    b_hat, _ = orthonormal_divergence(forms)
-    return symmetric_eigenvalues(
-        schur_complement(b_hat, forms.A_1 if h1 else forms.A_div))
 
 
 def spurious_modes(forms, threshold=DEFAULT_THRESHOLD):
@@ -234,7 +220,7 @@ def babuska_infsup(infsup):
 
     Smallest-modulus eigenvalue of [[M_V, B^T], [B, 0]] against the graph
     norm diag(A_div, M_Q), whose spectrum is -lambda for every inf-sup
-    eigenvalue plus nV ones (``babuska_spectrum``), so gamma = beta^2 of
+    eigenvalue plus nV ones (``pencil_spectrum``), so gamma = beta^2 of
     the InfSupResult ``infsup``.  Reported as exactly zero when spurious
     modes make the form singular.
     """
@@ -246,11 +232,21 @@ def babuska_infsup(infsup):
 
 @dataclass
 class StokesResult:
+    """Stokes constant of one case, read off a slice of the pencil
+    (K, A_1), which stays attached for further reads."""
+
     beta: float
     beta_reduced: float
     dim_spurious: int
     constant_mode: float
-    factorizations: int
+    pencil: InertiaSlicer = field(repr=False)
+    kernel: int          # nV - nQ zeros of K
+
+    @property
+    def factorizations(self):
+        """Sparse factorizations made for this result and the reads since:
+        the one that certifies A_1, then the pencil's."""
+        return 1 + self.pencil.factorizations
 
 
 def stokes_infsup(forms, threshold=DEFAULT_THRESHOLD):
@@ -277,7 +273,7 @@ def stokes_infsup(forms, threshold=DEFAULT_THRESHOLD):
     dim, lam = _split(pencil, kernel, threshold, threshold)
     beta_reduced = math.sqrt(lam)
     return StokesResult(beta_reduced if dim == 0 else 0.0, beta_reduced, dim,
-                        constant_mode, 1 + pencil.factorizations)
+                        constant_mode, pencil, kernel)
 
 
 @dataclass
@@ -302,29 +298,42 @@ def laplace_eigenvalue(infsup):
     return LaplaceResult(infsup.mu, smallest)
 
 
-def divdiv_spectrum(forms, lam):
-    """Eigenvalues of <div u, div v> against the vector mass.
+def pencil_spectrum(forms, pencil, threshold=DEFAULT_THRESHOLD):
+    """Every eigenvalue of one pencil past its zero cluster, off one slice.
 
-    The div-div form is B^T M_Q^{-1} B, so the spectrum is nV - nQ zeros
-    plus the mixed Laplace eigenvalues of the full inf-sup spectrum
-    ``lam``.
+    The cluster holds the dim N_h eigenvalues below the threshold, and the
+    nV - nQ zeros of the div-div pencil; its values are rounding noise, so
+    only its size is returned, as the index of the first eigenvalue.  The
+    stokes pencil is (K, A_1) past the split of ``stokes_infsup``; the
+    others are closed-form functions of the mu of (K, M_V) past the split
+    of ``brezzi_infsup``:
+
+    * infsup: lambda = mu / (1 + mu), of B A_div^{-1} B^T p = lambda M_Q p;
+    * laplace: mu, of B M_V^{-1} B^T p = mu M_Q p;
+    * divdiv: mu, of K u = nu M_V u;
+    * babuska: -lambda, descending, then nV ones: the Babuska pencil
+      ordered by modulus, smallest first;
+    * stokes: lambda, of B A_1^{-1} B^T p = lambda M_Q p.
+
+    Returns
+    -------
+    (first, values)
+        values[j] is the eigenvalue of index first + j.
     """
-    zeros = np.zeros(forms.V_h.ndofs - forms.Q_h.ndofs)
-    return np.sort(np.concatenate([zeros, infsup_to_laplace(lam)]))
-
-
-def babuska_spectrum(forms, lam):
-    """Eigenvalues of the Babuska pencil: -lambda for every eigenvalue of
-    the full inf-sup spectrum ``lam``, plus nV ones."""
-    lam = np.asarray(lam, dtype=float)
-    # ascending, since lambda is ascending and lies in [0, 1)
-    return np.concatenate([-lam[::-1], np.ones(forms.V_h.ndofs)])
-
-
-def infsup_to_laplace(lam):
-    """Eigenvalue map between the inf-sup and mixed Laplace pencils."""
-    lam = np.asarray(lam, dtype=float)
-    return lam / (1.0 - lam)
+    if pencil not in PENCILS:
+        raise ValueError(f"unknown pencil {pencil!r} (expected one of "
+                         f"{', '.join(PENCILS)})")
+    res = (stokes_infsup if pencil == "stokes" else brezzi_infsup)(forms, threshold)
+    start = res.kernel + res.dim_spurious
+    nu = np.array([res.pencil.value(i) for i in range(start, res.pencil.size)])
+    if pencil == "divdiv":
+        return start, nu
+    if pencil in ("laplace", "stokes"):
+        return res.dim_spurious, nu
+    lam = nu / (1.0 + nu)
+    if pencil == "infsup":
+        return res.dim_spurious, lam
+    return res.dim_spurious, np.concatenate([-lam, np.ones(forms.V_h.ndofs)])
 
 
 def case_forms(family, n, r, mesh=None):

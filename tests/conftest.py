@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mixedstab.stability import case_forms, infsup_spectrum
+from mixedstab.stability import case_forms
+
+from oracles import schur_pencil_eigenvalues
 
 
 def pytest_configure(config):
@@ -24,14 +26,16 @@ def forms_for(request):
 
 @pytest.fixture(scope="session")
 def spectrum_for(forms_for):
-    """Session cache of the full (dense) inf-sup spectra, Brezzi or with
-    ``h1`` Stokes, as ascending arrays."""
+    """Session cache of the full inf-sup spectra, Brezzi or with ``h1``
+    Stokes, as ascending arrays from the dense oracle route."""
     cache = {}
 
     def get(family, n, r, h1=False):
         key = (family, n, r, h1)
         if key not in cache:
-            cache[key] = infsup_spectrum(forms_for(family, n, r), h1=h1)
+            forms = forms_for(family, n, r)
+            cache[key] = schur_pencil_eigenvalues(
+                forms, forms.A_1 if h1 else forms.A_div)
         return cache[key]
 
     return get

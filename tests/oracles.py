@@ -1,18 +1,18 @@
-"""Independent reference routes for the library's derived spectra.
+"""Independent reference routes for the library's spectra and solves.
 
-The library reads its constants off a sparse spectrum slice of one
-pencil per case, and derives the full mixed Laplace, div-div and Babuska
-spectra from one dense inf-sup spectrum.  Each function here computes the
-same quantity the long way, from the assembled matrices and without the
-library's eigensolvers, so the tests compare two routes rather than a
-value against itself.  All of them are dense and meant for small cases.
+The library reads every eigenvalue off a sparse spectrum slice of one
+pencil per case, and solves the mixed source problem by conjugate
+gradients on the inf-sup operator, with one sparse LDL^T of A_div.  Each
+function here computes the same quantity the long way, from the assembled
+matrices with dense LAPACK routines and without the library's solvers, so
+the tests compare two routes rather than a value against itself.  All of
+them are dense and meant for small cases.
 ``classify_spectrum`` splits a full spectrum at the zero threshold.
 ``cholesky_reduced`` turns a generalized pencil into the standard problem
-the library's dense eigensolver takes.
-``dense_schur`` forms a Schur complement with a dense solve where the
-library uses a sparse LU, and ``dense_schur_solve`` does the same for the
-mixed source problem, which the library solves by one sparse LU of the
-saddle-point matrix.
+that LAPACK and ``jacobi_generalized_eig`` both solve.
+``dense_schur`` forms the Schur complement B A^{-1} B^T that the library
+never forms; ``schur_pencil_eigenvalues`` gives every eigenvalue of it
+against M_Q, and ``dense_schur_solve`` solves the source problem by it.
 """
 
 import numpy as np
@@ -73,8 +73,8 @@ def jacobi_generalized_eig(S, M, tol=1e-14, max_sweeps=60):
 
 def cholesky_reduced(S, M):
     """L^{-1} S L^{-T} with M = L L^T by LAPACK: the standard problem with
-    the eigenvalues of the pencil S x = lambda M x, in the M-orthonormal
-    coordinates the library reduces its own pencils to."""
+    the eigenvalues of the pencil S x = lambda M x, in M-orthonormal
+    coordinates."""
     lower = sla.cholesky(_dense(M), lower=True)
     c = sla.solve_triangular(lower, _dense(S), lower=True)
     c = sla.solve_triangular(lower, c.T, lower=True).T
@@ -178,15 +178,24 @@ def babuska_pencil_eigenvalues(forms):
 
 
 def dense_schur(B, A):
-    """S = B A^{-1} B^T by a dense LAPACK solve, no sparse factorization."""
+    """S = B A^{-1} B^T by a dense LAPACK solve.  The library slices the
+    pencil (B^T M_Q^{-1} B, A) instead, which has the eigenvalues of
+    (S, M_Q) past its dim(A) - dim(S) zeros."""
     b = _dense(B)
     return b @ np.linalg.solve(_dense(A), b.T)
 
 
+def schur_pencil_eigenvalues(forms, A):
+    """All eigenvalues of B A^{-1} B^T p = lambda M_Q p, ascending, by
+    ``dense_schur`` and LAPACK ``eigh`` against M_Q: the inf-sup pencil
+    with A = A_div (Brezzi) or A_1 (Stokes)."""
+    s = dense_schur(forms.B, A)
+    return sla.eigh(0.5 * (s + s.T), forms.M_Q.toarray(), eigvals_only=True)
+
+
 def laplace_pencil_eigenvalues(forms):
     """Mixed Laplace pencil B M_V^{-1} B^T p = mu M_Q p by its own Schur complement."""
-    s = dense_schur(forms.B, forms.M_V)
-    return sla.eigh(0.5 * (s + s.T), forms.M_Q.toarray(), eigvals_only=True)
+    return schur_pencil_eigenvalues(forms, forms.M_V)
 
 
 def dense_schur_solve(forms, rhs):

@@ -17,7 +17,7 @@ from mixedstab.mesh import Family
 from mixedstab.stability import case_forms
 
 from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
-                     laplace_pencil_eigenvalues)
+                     laplace_pencil_eigenvalues, schur_pencil_eigenvalues)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -221,20 +221,28 @@ def test_spectrum_babuska_has_negative_values(tmp_path):
 
 @pytest.mark.parametrize("family", ["diagonal", "unionjack"])
 def test_spectrum_derived_pencils_match_oracles(tmp_path, family):
+    # every pencil is printed past its zero cluster, each value with its
+    # index in the oracle's full spectrum; the Babuska pencil is ordered by
+    # modulus
     forms = case_forms(Family.parse(family), 4, 2)
     n_v, n_q = forms.V_h.ndofs, forms.Q_h.ndofs
-    cases = {"laplace": (n_q, laplace_pencil_eigenvalues),
-             "divdiv": (n_v, divdiv_pencil_eigenvalues),
-             "babuska": (n_v + n_q, babuska_pencil_eigenvalues)}
-    for pencil, (count, oracle) in cases.items():
+    dim = {"diagonal": 0, "unionjack": 4}[family]
+    cases = {
+        "infsup": (dim, lambda f: schur_pencil_eigenvalues(f, f.A_div)),
+        "laplace": (dim, laplace_pencil_eigenvalues),
+        "divdiv": (n_v - n_q + dim, divdiv_pencil_eigenvalues),
+        "babuska": (dim, lambda f: sorted(babuska_pencil_eigenvalues(f), key=abs)),
+        "stokes": (dim, lambda f: schur_pencil_eigenvalues(f, f.A_1))}
+    for pencil, (first, oracle) in cases.items():
         out = tmp_path / f"{pencil}.json"
         assert run_cli("spectrum", "--family", family, "--n", "4", "--r", "2",
                        "--pencil", pencil, "--out", str(out)) == 0
         data = json.loads(out.read_text())
         values = np.array(data["values"])
-        assert data["count"] == count == len(values), pencil
-        assert np.all(np.diff(values) >= 0), pencil
-        want = oracle(forms)
+        want = np.array(oracle(forms))
+        assert data["indices"] == list(range(first, len(want))), pencil
+        assert data["count"] == len(values), pencil
+        want = want[data["indices"]]
         assert np.max(np.abs(values - want) / (1.0 + np.abs(want))) < 1e-8, pencil
 
 
@@ -280,25 +288,25 @@ def test_single_case_csv_layout(tmp_path, argv, header, row):
 
 def test_laplace_eig_takes_mu_at_the_spurious_split(tmp_path):
     # at threshold 0.75 the smallest inf-sup eigenvalue 0.718 counts as
-    # spurious, so mu belongs to the next one
+    # spurious, so mu belongs to the next one, the first spectrum prints
     case = ["--family", "diagonal", "--n", "4", "--r", "1", "--threshold", "0.75"]
     outs = {}
     for command in ("infsup", "spectrum", "laplace-eig"):
         outs[command] = tmp_path / f"{command}.json"
         assert run_cli(command, *case, "--out", str(outs[command])) == 0
     dim = json.loads(outs["infsup"].read_text())["dimN"]
-    lam = json.loads(outs["spectrum"].read_text())["values"][dim]
-    assert dim == 1
+    spectrum = json.loads(outs["spectrum"].read_text())
+    lam = spectrum["values"][spectrum["indices"].index(dim)]
+    assert dim == 1 == spectrum["indices"][0]
     mu = json.loads(outs["laplace-eig"].read_text())["mu"]
     assert mu == pytest.approx(lam / (1.0 - lam), rel=1e-12)
 
 
 @pytest.fixture
 def factorization_log(monkeypatch):
-    """Records the splu, schur_complement and symmetric_eigenvalues calls in
-    order (``calls``), the InertiaSlicers made (``pencils``, each with the
-    number of splu calls before it as ``splu_before``) and the number of
-    eigsh calls (``eigsh``)."""
+    """Records the splu calls (``calls``), the InertiaSlicers made
+    (``pencils``, each with the number of splu calls before it as
+    ``splu_before``) and the number of eigsh calls (``eigsh``)."""
     import mixedstab.eigensolve as eigensolve
     import mixedstab.stability as stability
 
@@ -324,8 +332,6 @@ def factorization_log(monkeypatch):
         log.eigsh += 1
         return eigsh(*args, **kwargs)
 
-    counting(stability, "schur_complement")
-    counting(stability, "symmetric_eigenvalues")
     counting(eigensolve, "splu")
     monkeypatch.setattr(eigensolve, "eigsh", counting_eigsh)
     monkeypatch.setattr(stability, "InertiaSlicer", RecordedSlicer)
@@ -360,11 +366,13 @@ def test_every_constant_comes_from_sparse_factorizations(tmp_path,
     assert calls == ["splu"] * 2
     assert [p.factorizations for p in pencils] == [1]
     assert log.eigsh == 0
+    # spectrum slices every eigenvalue past the 66 zeros and the 4
+    # spurious modes, and none of theirs
     for pencil in ("infsup", "laplace", "divdiv", "babuska", "stokes"):
         run("spectrum", "--pencil", pencil)
-        assert not pencils
-        assert sorted(calls) == ["schur_complement", "splu",
-                                 "symmetric_eigenvalues"], pencil
+        assert len(pencils) == 1, pencil
+        assert calls == ["splu"] * (1 + pencils[0].factorizations), pencil
+        assert sorted(pencils[0]._values) == list(range(70, 162)), pencil
 
 
 def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):

@@ -4,12 +4,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mixedstab.eigensolve import (InertiaSlicer, positive_definite_lu,
-                                  schur_complement, symmetric_eigenvalues)
+from mixedstab.eigensolve import InertiaSlicer, positive_definite_lu
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family
-from oracles import (cholesky_reduced, dense_schur, full_saddle_eigenvalues,
-                     jacobi_generalized_eig)
+from mixedstab.stability import pencil_spectrum
+from oracles import (cholesky_reduced, full_saddle_eigenvalues,
+                     jacobi_generalized_eig, schur_pencil_eigenvalues)
 
 
 def random_spd(rng, n, shift=1.0):
@@ -21,23 +21,13 @@ def random_pencil(rng, n):
     return random_spd(rng, n, 0.5), random_spd(rng, n, 1.0)
 
 
-def test_standard_eig_matches_numpy(rng):
-    s = random_spd(rng, 30, 0.5)
-    values = symmetric_eigenvalues(s)
-    scale = np.max(np.abs(values))
-    assert np.max(np.abs(values - np.linalg.eigvalsh(s))) < 1e-12 * scale
-    values = symmetric_eigenvalues(sp.csr_matrix(s))
-    assert np.max(np.abs(values - np.linalg.eigvalsh(s))) < 1e-12 * scale
-    with pytest.raises(EigensolveError):
-        symmetric_eigenvalues(np.ones((3, 4)))
-
-
 def test_jacobi_matches_main_solver(rng):
     # independent route: own Cholesky + cyclic Jacobi sweeps, against
-    # LAPACK on the M-orthonormal reduction the library solves in
+    # LAPACK on the M-orthonormal reduction; both are oracles of the
+    # slicer tests
     for _ in range(5):
         s, m = random_pencil(rng, 30)
-        main = symmetric_eigenvalues(cholesky_reduced(s, m))
+        main = sla.eigh(cholesky_reduced(s, m), eigvals_only=True)
         jac = jacobi_generalized_eig(s, m)
         assert np.max(np.abs(main - jac)) < 1e-10
 
@@ -49,70 +39,44 @@ def test_jacobi_rejects_indefinite_metric(rng):
         jacobi_generalized_eig(s, m)
 
 
-def test_schur_complement_against_direct(rng):
-    a = random_spd(rng, 12)
-    b = rng.standard_normal((5, 12))
-    s = schur_complement(sp.csr_matrix(b), sp.csr_matrix(a))
-    direct = b @ np.linalg.solve(a, b.T)
-    assert np.max(np.abs(s - direct)) < 1e-10
-    assert np.max(np.abs(s - s.T)) == 0.0
-
-
-@pytest.mark.parametrize("dense", [False, True])
-def test_schur_row_blocks_cover_a_partial_block(rng, dense):
-    # 133 rows: two full blocks of 64 and a last block of 5
-    a = random_spd(rng, 200)
-    b = rng.standard_normal((133, 200))
-    b[np.abs(b) < 1.0] = 0.0
-    s = schur_complement(b if dense else sp.csr_matrix(b), sp.csr_matrix(a))
-    oracle = dense_schur(b, a)
-    assert s.shape == (133, 133)
-    assert np.max(np.abs(s - oracle)) < 1e-12 * np.max(np.abs(oracle))
-    assert np.array_equal(s, s.T)
-
-
 @pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
                                        (Family.UNIONJACK, 3)])
 @pytest.mark.parametrize("form", ["A_div", "A_1"])
 def test_schur_matches_dense_oracle(forms_for, family, r, form):
+    # (K, A) with K = B^T M_Q^{-1} B has nV - nQ zeros plus the eigenvalues
+    # of the Schur pencil (B A^{-1} B^T, M_Q): counts and values agree
     forms = forms_for(family, 4, r)
-    s = schur_complement(forms.B, getattr(forms, form))
-    oracle = dense_schur(forms.B, getattr(forms, form))
-    assert np.max(np.abs(s - oracle)) < 1e-12 * np.max(np.abs(oracle))
+    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
+    oracle = schur_pencil_eigenvalues(forms, getattr(forms, form))
+    slicer = InertiaSlicer(forms.K, getattr(forms, form))
+    # shifts in the gaps wider than 1e-6 relative, past the spurious zeros
+    # of unionjack; A_1 has clusters near 1
+    gaps = np.flatnonzero((oracle[1:] > 1e-8)
+                          & (np.diff(oracle) > 1e-6 * oracle[1:])) + 1
+    for j in gaps[::max(1, len(gaps) // 8)]:
+        shift = 0.5 * (oracle[j - 1] + oracle[j])
+        assert slicer.count(shift) == kernel + j
+    got = [slicer.value(kernel + j) for j in range(20, forms.Q_h.ndofs, 20)]
+    want = oracle[20::20]
+    assert np.max(np.abs(got - want) / want) < 1e-10
 
 
-# schur_complement factors A by a symmetric-mode LU with diagonal pivots
-# only, which for SPD A is the Cholesky factorization A = L D L^T
 def test_cholesky_reconstructs(rng):
+    # a symmetric-mode LU with diagonal pivots only is, for SPD A, the
+    # Cholesky factorization A = L D L^T
     a = random_spd(rng, 40)
-    inverse = schur_complement(np.eye(40), sp.csc_matrix(a))
+    inverse = positive_definite_lu(sp.csc_matrix(a)).solve(np.eye(40))
     assert np.max(np.abs(a @ inverse - np.eye(40))) < 1e-8
     x = rng.standard_normal(40)
     assert np.max(np.abs(a @ (inverse @ x) - x)) < 1e-8
 
 
-def test_cholesky_reports_pivot():
-    with pytest.raises(NotPositiveDefiniteError) as info:
-        schur_complement(np.eye(3), sp.diags([1.0, 2.0, -3.0]))
-    assert info.value.pivot == 3
-
-
-def test_schur_refuses_non_spd():
-    with pytest.raises(NotPositiveDefiniteError):
-        schur_complement(np.eye(3), sp.diags([1.0, 0.0, 1.0]))
-    # indefinite with positive pivots once rows are swapped: the factor
-    # must refuse the off-diagonal pivot instead
-    with pytest.raises(NotPositiveDefiniteError):
-        schur_complement(np.eye(2), sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
-
-
 def test_schur_pencil_matches_full_saddle_pencil(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    s = schur_complement(forms.B, forms.A_div)
-    reduced = symmetric_eigenvalues(cholesky_reduced(s, forms.M_Q))
+    first, reduced = pencil_spectrum(forms, "infsup")
     full = full_saddle_eigenvalues(forms)
-    assert len(full) == len(reduced)
-    assert np.max(np.abs(np.sort(reduced) - full)) < 1e-9
+    assert first == 0 and len(full) == len(reduced)
+    assert np.max(np.abs(reduced - full)) < 1e-9
 
 
 def semidefinite_pencil(rng, n, rank):
@@ -154,6 +118,13 @@ def test_inertia_slicer_refuses_non_monotone_counts():
 
 
 def test_positive_definite_lu_refuses_indefinite_norm():
+    # a negative pivot, reported by its row; a zero pivot; and an
+    # indefinite matrix whose pivots are positive once rows are swapped,
+    # where the factor must refuse the off-diagonal pivot instead
     with pytest.raises(NotPositiveDefiniteError) as info:
         positive_definite_lu(sp.diags([1.0, 2.0, -3.0]))
     assert info.value.pivot == 3
+    with pytest.raises(NotPositiveDefiniteError):
+        positive_definite_lu(sp.diags([1.0, 0.0, 1.0]))
+    with pytest.raises(NotPositiveDefiniteError, match="off-diagonal pivot"):
+        positive_definite_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))

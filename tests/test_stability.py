@@ -9,9 +9,9 @@ from mixedstab.errors import NotPositiveDefiniteError, NumericalError
 from mixedstab.mesh import Family, singular_vertices
 from mixedstab.stability import (DEFAULT_THRESHOLD, babuska_infsup,
                                  brezzi_coercivity, brezzi_infsup,
-                                 case_forms, infsup_spectrum,
-                                 infsup_to_laplace, laplace_eigenvalue,
-                                 orthonormal_divergence, reproduce_table,
+                                 case_forms, laplace_eigenvalue,
+                                 orthonormal_divergence, pencil_spectrum,
+                                 reproduce_table,
                                  spurious_modes, stokes_infsup,
                                  threshold_sweep, TABLE_FAMILIES)
 
@@ -64,18 +64,21 @@ def test_brezzi_infsup_unionjack_anchor(forms_for):
 @pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
                                        (Family.UNIONJACK, 3)])
 def test_orthonormal_pencils_match_the_generalized_route(forms_for, family, r):
-    # the full spectra are solved as standard problems in M_Q-orthonormal
-    # coordinates; the generalized pencil against M_Q has the same spectrum
+    # the spectra past the spurious cluster are sliced from (K, A_div) and
+    # (K, A_1); the generalized pencil against M_Q has the same spectrum,
+    # and the constant mode is computed in M_Q-orthonormal coordinates
     forms = forms_for(family, 4, r)
     m_q = forms.M_Q.toarray()
-    brezzi = infsup_spectrum(forms)
+    first, brezzi = pencil_spectrum(forms, "infsup")
     expected = sla.eigh(dense_schur(forms.B, forms.A_div), m_q, eigvals_only=True)
-    assert np.max(np.abs(brezzi - expected)) < 1e-12
+    assert first == np.count_nonzero(expected < DEFAULT_THRESHOLD)
+    assert np.max(np.abs(brezzi - expected[first:])) < 1e-12
     stokes = stokes_infsup(forms)
     s_1 = dense_schur(forms.B, forms.A_1)
     expected = sla.eigh(s_1, m_q, eigvals_only=True)
-    values = infsup_spectrum(forms, h1=True)
-    assert np.max(np.abs(values - expected)) < 1e-12 * expected[-1]
+    first, values = pencil_spectrum(forms, "stokes")
+    assert first == np.count_nonzero(expected < DEFAULT_THRESHOLD)
+    assert np.max(np.abs(values - expected[first:])) < 1e-12 * expected[-1]
     ones = np.ones(forms.Q_h.ndofs)
     mode = (ones @ s_1 @ ones) / (ones @ m_q @ ones)
     assert abs(stokes.constant_mode - mode) < 1e-12 * mode
@@ -164,14 +167,19 @@ def test_laplace_eigenvalue_stable_pair(forms_for):
 
 def test_eigenvalue_map_and_divdiv_route(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    lam = infsup_spectrum(forms)
+    _, lam = pencil_spectrum(forms, "infsup")
     mu = laplace_pencil_eigenvalues(forms)
-    mapped = infsup_to_laplace(lam)
+    mapped = lam / (1.0 - lam)
     assert np.max(np.abs(mu - mapped) / (1.0 + np.abs(mu))) < 1e-10
     dd = divdiv_pencil_eigenvalues(forms)
     positive = np.sort(dd[dd > 1e-10])
     assert len(positive) == len(mu)
     assert np.max(np.abs(positive - np.sort(mu))) < 1e-8
+
+
+def test_pencil_spectrum_refuses_an_unknown_pencil(forms_for):
+    with pytest.raises(ValueError, match="unknown pencil 'stokes-h1'"):
+        pencil_spectrum(forms_for(Family.DIAGONAL, 4, 1), "stokes-h1")
 
 
 def test_threshold_sweep_monotone(forms_for):
@@ -307,7 +315,7 @@ def test_sliced_constants_match_the_dense_route(forms_for, spectrum_for, family)
             assert dim == want_dim, (tag, thr)
             assert rel(beta_reduced, want_beta) < 1e-10, (tag, thr)
         dim = infsup.dim_spurious
-        mu = infsup_to_laplace(lam[dim:dim + 5])
+        mu = lam[dim:dim + 5] / (1.0 - lam[dim:dim + 5])
         laplace = laplace_eigenvalue(infsup)
         assert rel(laplace.mu, mu[0]) < 1e-10, tag
         assert np.max(np.abs(np.array(laplace.smallest) - mu) / mu) < 1e-10, tag
