@@ -71,6 +71,28 @@ def test_cholesky_reconstructs(rng):
     assert np.max(np.abs(a @ (inverse @ x) - x)) < 1e-8
 
 
+def test_cholesky_reports_pivot():
+    # the one negative pivot sits in an isolated row between two SPD
+    # blocks, so the minimum-degree order moves it; the error names its
+    # row of A, not its place in the elimination order
+    a = sp.block_diag([sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(3, 3)),
+                       sp.diags([-1.0]),
+                       sp.csc_matrix([[2.0, 1.0], [1.0, 2.0]])])
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        positive_definite_lu(a.tocsc())
+    assert info.value.pivot == 4
+
+
+def test_schur_refuses_non_spd():
+    # the norm matrices of the Schur pencils are certified by this factor:
+    # a zero pivot is refused, and so is an indefinite matrix whose pivots
+    # are positive once rows are swapped, as an off-diagonal pivot
+    with pytest.raises(NotPositiveDefiniteError):
+        positive_definite_lu(sp.diags([1.0, 0.0, 1.0]))
+    with pytest.raises(NotPositiveDefiniteError, match="off-diagonal pivot"):
+        positive_definite_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
+
+
 def test_schur_pencil_matches_full_saddle_pencil(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
     first, reduced = pencil_spectrum(forms, "infsup")
@@ -118,13 +140,6 @@ def test_inertia_slicer_refuses_non_monotone_counts():
 
 
 def test_positive_definite_lu_refuses_indefinite_norm():
-    # a negative pivot, reported by its row; a zero pivot; and an
-    # indefinite matrix whose pivots are positive once rows are swapped,
-    # where the factor must refuse the off-diagonal pivot instead
     with pytest.raises(NotPositiveDefiniteError) as info:
         positive_definite_lu(sp.diags([1.0, 2.0, -3.0]))
     assert info.value.pivot == 3
-    with pytest.raises(NotPositiveDefiniteError):
-        positive_definite_lu(sp.diags([1.0, 0.0, 1.0]))
-    with pytest.raises(NotPositiveDefiniteError, match="off-diagonal pivot"):
-        positive_definite_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
