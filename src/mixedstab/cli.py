@@ -113,11 +113,15 @@ def parse_n_values(text):
     return [check_grid_size(n) for n in values]
 
 
-def _positive_int_list(text):
-    vals = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not vals or any(v <= 0 for v in vals):
-        raise ValueError(f"expected positive integers, got {text!r}")
-    return vals
+def parse_r_values(command, text):
+    """Parse a comma list of degrees.  UsageError unless it names at least
+    one degree and every one is in 1..MAX_SPACE_DEGREE; ValueError
+    unless every entry is an integer."""
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values or any(not 1 <= r <= MAX_SPACE_DEGREE for r in values):
+        raise UsageError(f"{command}: r must be in 1..{MAX_SPACE_DEGREE}, "
+                         f"got {text!r}")
+    return values
 
 
 def _threshold(value, source):
@@ -278,10 +282,7 @@ def config_from_args(args):
         cfg.pencil = args.pencil
         cfg.dump_matrices = args.dump_matrices
     elif command == "converge":
-        cfg.r_values = _positive_int_list(args.r)
-        bad = [r for r in cfg.r_values if not 1 <= r <= 4]
-        if bad:
-            raise UsageError(f"converge: r must be in 1..4, got {bad}")
+        cfg.r_values = parse_r_values(command, args.r)
         cfg.n_values = parse_n_values(args.n) if args.n is not None else None
         cfg.plot_data = args.plot_data
         cfg.family = cfg.family or "diagonal"
@@ -295,11 +296,7 @@ def config_from_args(args):
             if which != "T1":
                 raise UsageError(f"tables: --r applies to T1 only; {which} "
                                  f"fixes r = {TABLE_DEFAULTS[which][0]}")
-            cfg.r_values = [int(tok) for tok in args.r.split(",") if tok.strip()]
-            bad = [r for r in cfg.r_values if not 1 <= r <= MAX_SPACE_DEGREE]
-            if bad or not cfg.r_values:
-                raise UsageError(f"tables: r must be in 1..{MAX_SPACE_DEGREE}, "
-                                 f"got {args.r!r}")
+            cfg.r_values = parse_r_values(command, args.r)
         cfg.jobs = max(1, args.jobs)
     return cfg
 

@@ -35,9 +35,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import EigensolveError, NotPositiveDefiniteError
 
-# no mixedstab code reads this; only the benchmark's trace cost model does
-DENSE_LIMIT = 0
-
 # at most this many eigenvalues per Lanczos run, unless a cluster narrower
 # than the bisection can split holds more
 WINDOW = 10

@@ -8,14 +8,12 @@ case (SpuriousModeError) when there is one.  Otherwise one sparse LDL^T
 certifies A_div positive definite, and conjugate gradients on the
 inf-sup operator, one solve with that factor per step, give the pressure;
 every returned solution has passed a 1e-10 relative residual check.
-Errors of (u_h, p_h) are measured against high-order interpolants of the
-closed-form solution
+The load G and the errors of (u_h, p_h) come from the closed-form solution
 
-    p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u.
+    p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u,
 
-Source and reference fields are replaced by degree-6 continuous Lagrange
-interpolants before computing loads and errors, so the reported numbers
-are reproducible run to run; all integrals use degree-14 quadrature.
+evaluated at the points of the degree-14 quadrature rule that computes
+every integral here.
 """
 
 from __future__ import annotations
@@ -25,16 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .assembly import (assemble, build_spaces, cell_geometry,
-                       scalar_lagrange_space, vector_lagrange_space)
+from .assembly import cell_geometry
 from .eigensolve import positive_definite_lu
 from .element import quadrature
 from .errors import NumericalError, SpuriousModeError
-from .mesh import Family, generate
-from .stability import (DEFAULT_THRESHOLD, _count_spurious,
+from .mesh import Family
+from .stability import (DEFAULT_THRESHOLD, _count_spurious, case_forms,
                         orthonormal_divergence)
 
-INTERPOLANT_DEGREE = 6
 ERROR_QUAD_DEGREE = 14
 
 
@@ -107,6 +103,13 @@ def _physical_points(mesh, ref_points):
             + y[None, :, None] * (c - a)[:, None, :])
 
 
+def _closed_form(f, pts):
+    """A closed-form field at the physical points ``pts`` (ncells, npts, 2):
+    (ncells, npts) for a scalar ``f``, (ncells, npts, 2) for a vector one."""
+    vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
+    return vals.reshape(pts.shape[:2] + vals.shape[1:])
+
+
 def eval_scalar(field, ref_points):
     """Field values at reference points in every cell: (ncells, npts)."""
     tab = field.space.element.tabulate(ref_points)
@@ -134,13 +137,12 @@ def eval_divergence(field, ref_points):
     return np.einsum("cde,cqde->cq", inv_jac_t, ref)
 
 
-def load_vector(g_field, q_space, quad_degree=ERROR_QUAD_DEGREE):
-    """Right-hand side <g, psi> against the pressure basis."""
-    if g_field.space.mesh is not q_space.mesh:
-        raise ValueError("source field and pressure space use different meshes")
-    rule = quadrature(quad_degree)
+def load_vector(g, q_space):
+    """Right-hand side G = <g, psi> of the closed-form source ``g`` against
+    the pressure basis."""
+    rule = quadrature(ERROR_QUAD_DEGREE)
     _, _, det = cell_geometry(q_space.mesh)
-    gvals = eval_scalar(g_field, rule.points)
+    gvals = _closed_form(g, _physical_points(q_space.mesh, rule.points))
     psi = q_space.element.tabulate(rule.points)
     cellwise = np.einsum("q,cq,qk->ck", rule.weights, gvals, psi) * det[:, None]
     out = np.zeros(q_space.ndofs)
@@ -148,8 +150,9 @@ def load_vector(g_field, q_space, quad_degree=ERROR_QUAD_DEGREE):
     return out
 
 
-def solve_mixed(forms, g_field, quad_degree=ERROR_QUAD_DEGREE):
-    """Solve the mixed source problem for (u_h, p_h).
+def solve_mixed(forms, rhs):
+    """Solve the mixed source problem for (u_h, p_h) with load vector
+    ``rhs`` = G, one entry per pressure DOF (see ``load_vector``).
 
     Counts the spurious modes first (one sparse LDL^T of K - s M_V at the
     default threshold) and refuses the case with SpuriousModeError when
@@ -162,9 +165,12 @@ def solve_mixed(forms, g_field, quad_degree=ERROR_QUAD_DEGREE):
     solve per step on the LDL^T that certifies A_div positive definite,
     and u = A_div^{-1} (C B)^T (g_hat - p_hat).  Raises NumericalError
     when CG does not converge or the assembled-system residual exceeds
-    1e-10 relative.
+    1e-10 relative, and ValueError when ``rhs`` does not have shape (nQ,).
     """
-    rhs = load_vector(g_field, forms.Q_h, quad_degree=quad_degree)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (forms.Q_h.ndofs,):
+        raise ValueError(f"load vector has shape {rhs.shape}, pressure space "
+                         f"has {forms.Q_h.ndofs} dofs")
     # counted before A_div is factored, and the slicer is dropped at once,
     # so the two factors never coexist
     _, _, dim = _count_spurious(forms, DEFAULT_THRESHOLD)
@@ -210,21 +216,23 @@ class ErrorNorms:
     u_hdiv: float
 
 
-def error_norms(u_h, p_h, u_ref, p_ref, quad_degree=ERROR_QUAD_DEGREE):
-    """Errors of (u_h, p_h) against reference fields on the same mesh."""
+def error_norms(u_h, p_h, u_exact, p_exact, div_exact):
+    """Errors of (u_h, p_h), fields on one mesh, against the closed-form
+    velocity ``u_exact``, pressure ``p_exact`` and divergence ``div_exact``
+    (callables as returned by ``manufactured_solution``)."""
     mesh = u_h.space.mesh
-    for other in (p_h, u_ref, p_ref):
-        if other.space.mesh is not mesh:
-            raise ValueError("error_norms requires fields on one mesh")
-    rule = quadrature(quad_degree)
+    if p_h.space.mesh is not mesh:
+        raise ValueError("error_norms requires fields on one mesh")
+    rule = quadrature(ERROR_QUAD_DEGREE)
     _, _, det = cell_geometry(mesh)
 
     def integral(cellwise_sq):
         return float(np.einsum("cq,q,c->", cellwise_sq, rule.weights, det))
 
-    dp = eval_scalar(p_h, rule.points) - eval_scalar(p_ref, rule.points)
-    du = eval_vector(u_h, rule.points) - eval_vector(u_ref, rule.points)
-    ddiv = eval_divergence(u_h, rule.points) - eval_divergence(u_ref, rule.points)
+    pts = _physical_points(mesh, rule.points)
+    dp = eval_scalar(p_h, rule.points) - _closed_form(p_exact, pts)
+    du = eval_vector(u_h, rule.points) - _closed_form(u_exact, pts)
+    ddiv = eval_divergence(u_h, rule.points) - _closed_form(div_exact, pts)
     p_sq = integral(dp ** 2)
     u_sq = integral(np.sum(du ** 2, axis=-1))
     div_sq = integral(ddiv ** 2)
@@ -282,16 +290,9 @@ def convergence_study(r, n_values=None, family=Family.DIAGONAL):
 
     errors = {k: [] for k in NORM_KEYS}
     for n in n_values:
-        mesh = generate(family, n)
-        v_h, q_h = build_spaces(mesh, r)
-        forms = assemble(v_h, q_h)
-        p6_scalar = scalar_lagrange_space(mesh, INTERPOLANT_DEGREE)
-        p6_vector = vector_lagrange_space(mesh, INTERPOLANT_DEGREE)
-        g_h = interpolate(g_exact, p6_scalar)
-        u_h, p_h = solve_mixed(forms, g_h)
-        norms = error_norms(u_h, p_h,
-                            interpolate(u_exact, p6_vector),
-                            interpolate(p_exact, p6_scalar))
+        forms = case_forms(family, n, r)
+        u_h, p_h = solve_mixed(forms, load_vector(g_exact, forms.Q_h))
+        norms = error_norms(u_h, p_h, u_exact, p_exact, g_exact)
         for k in NORM_KEYS:
             errors[k].append(getattr(norms, k))
 

@@ -467,6 +467,17 @@ def test_converge_csv_and_plot_data(tmp_path):
         assert panel[2].split() == ["4", "1.000000e+00"]
 
 
+def test_converge_runs_to_the_largest_degree(capsys):
+    # errors are measured against the closed-form solution, so converge
+    # takes every r up to MAX_SPACE_DEGREE
+    assert run_cli("converge", "--r", "5,6", "--n", "4,8") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [(row[0], row[1]) for row in rows] == [("5", "4"), ("5", "8"),
+                                                 ("6", "4"), ("6", "8")]
+    # the n = 8 rows carry the p, div u and u L2 rates
+    assert all(cell for row in rows[1::2] for cell in row[-3:])
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-1e-4", "0"])
 def test_bad_thresholds_exit_two(bad, monkeypatch, capsys):
     case = ["infsup", "--family", "diagonal", "--n", "4", "--r", "1"]
@@ -491,7 +502,8 @@ SINGLE_CASE_COMMANDS = ["infsup", "spectrum", "coercivity", "laplace-eig",
                         "stokes-infsup"]
 
 
-@pytest.mark.parametrize("command", SINGLE_CASE_COMMANDS + ["tables"])
+@pytest.mark.parametrize("command",
+                         SINGLE_CASE_COMMANDS + ["tables", "converge"])
 @pytest.mark.parametrize("r", ["0", "-1", "7"])
 def test_bad_degree_exits_two(command, r, capsys):
     case = (["--which", "T1", "--n", "4"] if command == "tables"

@@ -4,8 +4,7 @@ import scipy.sparse.linalg as spla
 
 import mixedstab.eigensolve as eigensolve
 import mixedstab.poisson as po
-from mixedstab.assembly import (assemble, build_spaces, scalar_lagrange_space,
-                                vector_lagrange_space)
+from mixedstab.assembly import scalar_lagrange_space, vector_lagrange_space
 from mixedstab.errors import NumericalError, SpuriousModeError
 from mixedstab.mesh import GENERATED_FAMILIES, Family, generate
 from mixedstab.poisson import (FieldCoefficients, convergence_study,
@@ -81,8 +80,7 @@ def test_field_length_validation():
 
 def test_zero_source_gives_zero_solution(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    g = FieldCoefficients(forms.Q_h, np.zeros(forms.Q_h.ndofs))
-    u_h, p_h = solve_mixed(forms, g)
+    u_h, p_h = solve_mixed(forms, np.zeros(forms.Q_h.ndofs))
     assert np.max(np.abs(u_h.values)) < 1e-12
     assert np.max(np.abs(p_h.values)) < 1e-12
 
@@ -92,29 +90,31 @@ def test_constraint_equation_oracle(forms_for, rng):
     # equation forces B u_h = B w regardless of what u_h itself is
     forms = forms_for(Family.DIAGONAL, 4, 2)
     w = rng.standard_normal(forms.V_h.ndofs)
-    from mixedstab.assembly import pressure_mass_solve
-
-    div_w = pressure_mass_solve(forms, forms.B @ w)
-    g = FieldCoefficients(forms.Q_h, div_w)
-    u_h, _ = solve_mixed(forms, g)
-    lhs = forms.B @ u_h.values
     rhs = forms.B @ w
+    u_h, _ = solve_mixed(forms, rhs)
+    lhs = forms.B @ u_h.values
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_solve_rejects_spurious_meshes(forms_for):
     forms = forms_for(Family.CRISSCROSS, 4, 1)
-    g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
     with pytest.raises(SpuriousModeError, match="reduced"):
-        solve_mixed(forms, g)
+        solve_mixed(forms, np.ones(forms.Q_h.ndofs))
+
+
+def test_solve_refuses_wrong_shape_load(forms_for):
+    forms = forms_for(Family.DIAGONAL, 4, 1)
+    n_q = forms.Q_h.ndofs
+    for shape in [(n_q - 1,), (n_q + 1,), (n_q, 1)]:
+        with pytest.raises(ValueError, match="load vector"):
+            solve_mixed(forms, np.ones(shape))
 
 
 def test_solve_residuals_small(forms_for):
     forms = forms_for(Family.DIAGONAL, 8, 2)
     _, _, g_exact = manufactured_solution()
-    g = interpolate(g_exact, scalar_lagrange_space(forms.mesh, 6))
-    u_h, p_h = solve_mixed(forms, g)
-    rhs = load_vector(g, forms.Q_h)
+    rhs = load_vector(g_exact, forms.Q_h)
+    u_h, p_h = solve_mixed(forms, rhs)
     res = np.linalg.norm(forms.B @ u_h.values - rhs)
     assert res < 1e-10 * np.linalg.norm(rhs)
 
@@ -132,9 +132,8 @@ def test_solve_refuses_spurious_modes(family, n, r):
     # that waits for a breakdown would return a number, and only the
     # inertia count refuses it
     forms = case_forms(Family(family), n, r)
-    g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
     with pytest.raises(SpuriousModeError, match="reduced"):
-        solve_mixed(forms, g)
+        solve_mixed(forms, np.ones(forms.Q_h.ndofs))
 
 
 @pytest.fixture
@@ -156,15 +155,14 @@ def splu_log(monkeypatch):
 def test_stable_solve_makes_two_symmetric_factorizations(forms_for, splu_log):
     # the spurious-mode count and the LDL^T of A_div that CG solves with
     forms = forms_for(Family.DIAGONAL, 4, 2)
-    solve_mixed(forms, FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs)))
+    solve_mixed(forms, np.ones(forms.Q_h.ndofs))
     assert splu_log == [True, True]
 
 
 def test_spurious_case_refused_after_one_factorization(forms_for, splu_log):
     forms = forms_for(Family.CRISSCROSS, 4, 1)
-    g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
     with pytest.raises(SpuriousModeError, match="threshold 0.0001"):
-        solve_mixed(forms, g)
+        solve_mixed(forms, np.ones(forms.Q_h.ndofs))
     assert splu_log == [True]
 
 
@@ -175,14 +173,14 @@ def test_solve_refuses_exactly_the_spurious_cases(family):
         for r in (1, 2, 3, 4):
             forms = case_forms(family, n, r)
             dim = spurious_modes(forms)[2]
-            g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
+            rhs = np.ones(forms.Q_h.ndofs)
             if dim > 0:
                 with pytest.raises(SpuriousModeError,
                                    match=f"^{dim} spurious"):
-                    solve_mixed(forms, g)
+                    solve_mixed(forms, rhs)
                 refused.append((n, r))
             else:
-                solve_mixed(forms, g)
+                solve_mixed(forms, rhs)
     # the two families without singular vertices refuse nothing
     assert bool(refused) == (family not in (Family.DIAGONAL, Family.ZIGZAG))
 
@@ -190,53 +188,60 @@ def test_solve_refuses_exactly_the_spurious_cases(family):
 def test_unconverged_cg_raises_numerical_error(forms_for, monkeypatch):
     forms = forms_for(Family.DIAGONAL, 4, 2)
     monkeypatch.setattr(po, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 7))
-    g = FieldCoefficients(forms.Q_h, np.ones(forms.Q_h.ndofs))
     with pytest.raises(NumericalError, match="did not converge"):
-        solve_mixed(forms, g)
+        solve_mixed(forms, np.ones(forms.Q_h.ndofs))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_solve_matches_dense_schur_oracle(forms_for, r):
     forms = forms_for(Family.DIAGONAL, 8, r)
     _, _, g_exact = manufactured_solution()
-    g = interpolate(g_exact, scalar_lagrange_space(forms.mesh, 6))
-    u_h, p_h = solve_mixed(forms, g)
-    u_ref, p_ref = dense_schur_solve(forms, load_vector(g, forms.Q_h))
+    rhs = load_vector(g_exact, forms.Q_h)
+    u_h, p_h = solve_mixed(forms, rhs)
+    u_ref, p_ref = dense_schur_solve(forms, rhs)
     assert np.max(np.abs(u_h.values - u_ref)) < 1e-8
     assert np.max(np.abs(p_h.values - p_ref)) < 1e-8
 
 
 def test_error_norms_value_checks(forms_for):
     forms = forms_for(Family.DIAGONAL, 8, 1)
-    mesh = forms.mesh
-    p_exact, u_exact, _ = manufactured_solution()
-    p6 = scalar_lagrange_space(mesh, 6)
-    p6v = vector_lagrange_space(mesh, 6)
-    u_ref = interpolate(u_exact, p6v)
-    p_ref = interpolate(p_exact, p6)
+    p_exact, u_exact, g_exact = manufactured_solution()
 
     zero_u = FieldCoefficients(forms.V_h, np.zeros(forms.V_h.ndofs))
     zero_p = FieldCoefficients(forms.Q_h, np.zeros(forms.Q_h.ndofs))
-    norms = error_norms(zero_u, zero_p, u_ref, p_ref)
-    # |p|_0 = 1/2 and |u|_0^2 = 2 pi^2 for the closed-form solution, up
-    # to the interpolation error of the degree-6 reference fields
-    assert abs(norms.p_l2 - 0.5) < 1e-6
-    assert abs(norms.u_l2 ** 2 - TWO_PI_SQ) < 1e-4
+    norms = error_norms(zero_u, zero_p, u_exact, p_exact, g_exact)
+    # |p|_0 = 1/2, |u|_0^2 = 2 pi^2 and |div u|_0^2 = 16 pi^4 for the
+    # closed-form solution, integrated to rounding by the degree-14 rule
+    assert abs(norms.p_l2 - 0.5) < 1e-12
+    assert abs(norms.u_l2 ** 2 - TWO_PI_SQ) < 1e-12
+    assert abs(norms.u_div ** 2 / (16 * np.pi ** 4) - 1) < 1e-12
     assert norms.u_hdiv >= norms.u_l2
 
-    same = error_norms(
-        FieldCoefficients(p6v, u_ref.values.copy()), zero_p, u_ref, p_ref)
-    assert same.u_l2 < 1e-12 and same.u_div < 1e-10
+    # fields in the spaces are measured against themselves with no error
+    def u_linear(pts):
+        return np.stack([2 * pts[:, 0] + pts[:, 1],
+                         pts[:, 0] + 3 * pts[:, 1]], axis=-1)
+
+    def p_constant(pts):
+        return np.full(len(pts), 0.7)
+
+    def div_u_linear(pts):
+        return np.full(len(pts), 5.0)
+
+    same = error_norms(interpolate(u_linear, forms.V_h),
+                       interpolate(p_constant, forms.Q_h),
+                       u_linear, p_constant, div_u_linear)
+    assert same.u_l2 < 1e-12 and same.u_div < 1e-10 and same.p_l2 < 1e-12
 
 
 def test_error_norms_rejects_mixed_meshes(forms_for):
     forms4 = forms_for(Family.DIAGONAL, 4, 1)
     forms8 = forms_for(Family.DIAGONAL, 8, 1)
     zero4u = FieldCoefficients(forms4.V_h, np.zeros(forms4.V_h.ndofs))
-    zero4p = FieldCoefficients(forms4.Q_h, np.zeros(forms4.Q_h.ndofs))
     zero8p = FieldCoefficients(forms8.Q_h, np.zeros(forms8.Q_h.ndofs))
+    p_exact, u_exact, g_exact = manufactured_solution()
     with pytest.raises(ValueError):
-        error_norms(zero4u, zero8p, zero4u, zero4p)
+        error_norms(zero4u, zero8p, u_exact, p_exact, g_exact)
 
 
 def test_eval_vector_and_divergence_consistent(rng):
@@ -278,3 +283,12 @@ def test_r3_asymptotic_velocity_rate():
     rate = rep.rates["u_l2"][0]
     assert 2.8 < rate < 3.2
     assert abs(rep.rates["p_l2"][0] - 3.0) < 0.1
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_high_degree_rates_are_optimal(r):
+    # past r = 3 the pair is stable on diagonal meshes (Scott & Vogelius)
+    # and u converges with the optimal L2 order r + 1 already at n = 4 -> 8
+    rep = convergence_study(r, n_values=[4, 8])
+    assert abs(rep.rates["p_l2"][0] - r) < 0.2
+    assert abs(rep.rates["u_l2"][0] - (r + 1)) < 0.2
