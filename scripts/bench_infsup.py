@@ -11,9 +11,9 @@ the median wall time and peak RSS and the single runs.  The run (with the
 source's git commit, the BLAS library and the core count) is appended to
 the "runs" list of --out, so one file holds the before and after runs of
 a change.  On a source that still forms the dense nQ x nQ Schur
-complement, the last five cases (nQ 6,144 to 13,824) would need 0.3 to
-1.5 GB for it alone; time such a source with its own copy of this
-script, which stops at the first seven.
+complement, the cases past the first seven (nQ 6,144 to 55,296) would
+need 0.3 GB to 24 GB for it alone; time such a source with its own copy
+of this script, which stops at the first seven.
 """
 import argparse
 import json
@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 # (family, r, n): diagonal and unionjack at each degree, one larger case,
-# then the cases only spectrum slicing reaches
+# then the cases only spectrum slicing reaches, up to the longer tables'
+# range (nQ 24,576 to 55,296)
 CASES = [
     ("diagonal", 1, 16), ("unionjack", 1, 16),
     ("diagonal", 2, 14), ("unionjack", 2, 14),
@@ -35,6 +36,7 @@ CASES = [
     ("diagonal", 2, 32), ("unionjack", 2, 32),
     ("diagonal", 2, 48), ("unionjack", 2, 48),
     ("diagonal", 3, 32),
+    ("diagonal", 2, 64), ("diagonal", 2, 96), ("diagonal", 3, 48),
 ]
 REPEATS = 3
 

@@ -343,10 +343,14 @@ def cmd_infsup(cfg):
                "beta_div": infsup.beta,
                "beta_div_reduced": infsup.beta_reduced,
                "threshold": cfg.threshold}
-    if infsup.warning:
-        payload["warnings"] = [infsup.warning]
+    warning = infsup.warning
+    if warning:
+        payload["warnings"] = [warning]
+    diagnostics = {"mu_bound": infsup.mu_bound}
     if cfg.with_alpha:
-        payload["alpha"] = brezzi_coercivity(forms, infsup.dim_spurious).alpha
+        coercivity = brezzi_coercivity(forms, infsup.dim_spurious)
+        payload["alpha"] = coercivity.alpha
+        diagnostics["alpha_residual"] = coercivity.residual
     if cfg.with_gamma:
         payload["gamma"] = babuska_infsup(infsup).gamma
     if cfg.with_stokes:
@@ -366,6 +370,10 @@ def cmd_infsup(cfg):
                             for t, d, b in rows]
         lines.append("threshold,dimN,beta_reduced")
         lines += [f"{t:g},{d},{b:.6f}" for t, d, b in rows]
+    # how the numbers were computed, JSON only: the factorizations made
+    # for the Brezzi constant and every read of its pencil above
+    diagnostics["factorizations"] = infsup.factorizations
+    payload["diagnostics"] = diagnostics
     _emit(cfg, payload, lines)
     return 0
 

@@ -18,6 +18,18 @@ sparse factorizations, with no dense matrix:
   returns exactly them, and the counts give their indices; the count at b
   must split them as it says (Ericsson & Ruhe, Math. Comp. 1980; Grimes,
   Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).
+* values under an upper bound: ``value(i, bound)`` counts at the bound
+  first.  When that count closes a window of at most ``WINDOW``
+  eigenvalues above the largest shift counted below nu_i, they are the
+  eigenvalues just below the bound, and shift-invert Lanczos at
+  sigma = bound, on the bound's own factor, returns them with no bracket
+  growth and no midpoint factor.  Any other count stays cached, and the
+  window is sliced as above.
+
+Each value is the Rayleigh quotient of its Ritz vector, which must have a
+residual ||K x - nu N x|| <= 1e-8 (||K x|| + |nu| ||N x||): the Ritz value
+itself is only as accurate as the solves with a factor that may have a
+small pivot.  No factor outlives the call that made it.
 
 ``positive_definite_lu`` certifies the norm matrices of the pencils, and
 factors the A_div that the source solve (``poisson.solve_mixed``) solves
@@ -120,12 +132,16 @@ class InertiaSlicer:
             self._factor(s)
         return self._counts[s]
 
-    def value(self, i):
+    def value(self, i, bound=None):
         """The eigenvalue nu_i (0-based).
 
         Slices a window of eigenvalues that holds nu_i, unless an earlier
         window did.  Its bracket starts from the largest positive shift
-        already counted with at most i eigenvalues below it.
+        already counted with at most i eigenvalues below it.  A ``bound``
+        (a guess at an upper bound of nu_i, such as a Rayleigh quotient)
+        is counted first, and the window below it is read with one
+        Lanczos run when that count closes it; the value is the same
+        either way.
         """
         if not 0 <= i < self.size:
             raise EigensolveError(f"no eigenvalue {i} in a pencil of size {self.size}")
@@ -133,8 +149,62 @@ class InertiaSlicer:
             if not any(s > 0 and c <= i for s, c in self._counts.items()):
                 raise EigensolveError(f"no positive shift counted below "
                                       f"eigenvalue {i}")
-            self._slice(i)
+            if bound is not None:
+                self._below_bound(i, bound)
+            if i not in self._values:
+                self._slice(i)
         return self._values[i]
+
+    def _below_bound(self, i, bound):
+        """Cache the window [a, bound) that holds nu_i when the count at
+        ``bound`` closes one of at most WINDOW eigenvalues; a is the
+        largest positive shift counted with at most i eigenvalues below.
+        Counts nothing when the bound lies at or below a, or is counted."""
+        counts = self._counts
+        a = max(s for s, c in counts.items() if 0 < s and c <= i)
+        if not (math.isfinite(bound) and bound > a) or bound in counts:
+            return
+        above, lu = self._factor(bound)
+        k = above - counts[a]
+        if not (i < above and k <= WINDOW and k < self.size - 1):
+            return
+        # the k eigenvalues in [a, bound) are the k just below the bound:
+        # the smallest of the shift-inverted spectrum 1 / (nu - bound)
+        values = self._lanczos(lu, bound, k, "SA")
+        slack = 1e-9 * bound
+        if not (a - slack <= values[0] and values[-1] < bound + slack):
+            raise EigensolveError(
+                f"Lanczos below {bound:g} returned {k} values in "
+                f"[{values[0]:g}, {values[-1]:g}], which the counts at "
+                f"{a:g} and {bound:g} do not certify")
+        for j, value in enumerate(values):
+            self._values[counts[a] + j] = float(value)
+
+    def _lanczos(self, lu, sigma, k, which):
+        """Ascending Rayleigh quotients of the k Ritz vectors of
+        shift-invert Lanczos at sigma, on the factor ``lu`` of K - sigma N.
+        Raises EigensolveError unless every ||K x - nu N x|| <= 1e-8
+        (||K x|| + |nu| ||N x||)."""
+        opinv = LinearOperator((self.size, self.size), matvec=lu.solve,
+                               dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(self.size)
+        try:
+            _, vectors = eigsh(self.K, k, M=self.N, sigma=sigma, which=which,
+                               OPinv=opinv, v0=v0)
+        except (RuntimeError, ValueError) as exc:
+            raise EigensolveError(f"shift-invert Lanczos at {sigma:g} "
+                                  f"failed: {exc}") from exc
+        kx, nx = self.K @ vectors, self.N @ vectors
+        values = np.einsum("ij,ij->j", vectors, kx) / np.einsum("ij,ij->j",
+                                                                vectors, nx)
+        residual = np.linalg.norm(kx - nx * values, axis=0)
+        scale = (np.linalg.norm(kx, axis=0)
+                 + np.abs(values) * np.linalg.norm(nx, axis=0))
+        if not np.all(residual <= 1e-8 * scale):
+            raise EigensolveError(
+                f"Lanczos at {sigma:g} returned Ritz vectors with relative "
+                f"residuals up to {np.max(residual / scale):.1e}")
+        return np.sort(values)
 
     def _slice(self, i):
         """Cache the eigenvalues of one counted window that holds nu_i."""
@@ -162,15 +232,7 @@ class InertiaSlicer:
             raise EigensolveError(f"a window of {k} eigenvalues is too wide "
                                   f"for a pencil of size {self.size}")
         below_b, lu = self._factor(b)
-        opinv = LinearOperator((self.size, self.size), matvec=lu.solve,
-                               dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(self.size)
-        try:
-            values = np.sort(eigsh(self.K, k, M=self.N, sigma=b, OPinv=opinv,
-                                   v0=v0, return_eigenvectors=False))
-        except (RuntimeError, ValueError) as exc:
-            raise EigensolveError(f"shift-invert Lanczos at {b:g} failed: "
-                                  f"{exc}") from exc
+        values = self._lanczos(lu, b, k, "LM")
         slack = 1e-9 * top
         if not (a - slack <= values[0] and values[-1] < top + slack
                 and np.count_nonzero(values < b) == below_b - counts[a]):

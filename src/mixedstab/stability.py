@@ -13,14 +13,20 @@ reported constant is read off a spectrum slice of that pencil
   that table T1 reads; the source solve refuses a case by the same count);
 * mu, the first eigenvalue past the spurious ones, by shift-invert
   Lanczos in a window bracketed by counts; beta_reduced =
-  sqrt(mu / (1 + mu)), and beta = beta_reduced, or 0.0 when dim N_h > 0;
+  sqrt(mu / (1 + mu)), and beta = beta_reduced, or 0.0 when dim N_h > 0.
+  The factor that certifies A_div makes one solve first, for the Rayleigh
+  quotient of the pressure sin(pi x) sin(pi y).  Raised by MU_BOUND_MARGIN
+  and mapped to mu, it tops the slice (Courant-Fischer: an upper bound of
+  mu when dim N_h = 0, only a guess otherwise), so a stable case takes
+  three factorizations: A_div, the count at tau and the bound;
 * gamma = beta^2 (the Babuska pencil has the eigenvalues -lambda and nV
   ones) and alpha = 1 on a kernel of dimension nV - nQ + dim N_h.
 
 The Stokes constant slices (K, A_1) the same way; its eigenvalues are the
 lambda of B A_1^{-1} B^T p = lambda M_Q p.  A cluster warning is an
 inertia test: the counts at tau / 10, tau and 10 tau (those below 1)
-disagree.
+disagree.  The two probes are counted only when the warning is read, so
+the tables, which print none, do not pay for them.
 
 ``pencil_spectrum`` reads every eigenvalue past the spurious cluster off
 the same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and
@@ -53,6 +59,9 @@ SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
 LAPLACE_LISTED = 5
 # the pencils pencil_spectrum reads
 PENCILS = ("infsup", "laplace", "divdiv", "babuska", "stokes")
+# the Rayleigh-quotient bound of mu is raised by this factor, so that it
+# lies above mu when the quotient equals it to rounding
+MU_BOUND_MARGIN = 1.01
 
 
 def _divdiv_shift(threshold):
@@ -95,13 +104,28 @@ class InfSupResult:
     threshold: float
     pencil: InertiaSlicer = field(repr=False)
     kernel: int          # nV - nQ zeros of K
-    warning: str | None = None
+    mu_bound: float | None = None   # the slice's top, None when not found
 
     @property
     def factorizations(self):
         """Sparse factorizations made for this result and the reads since:
         the one that certifies A_div, then the pencil's."""
         return 1 + self.pencil.factorizations
+
+    @property
+    def warning(self):
+        """None, or the message that the counts at tau / 10, tau and
+        10 tau (those below 1) disagree: the threshold splits a cluster.
+        The first read counts the two probes."""
+        probes = [t for t in (self.threshold / 10.0, self.threshold,
+                              10.0 * self.threshold) if t < 1.0]
+        counts = [self.pencil.count(_divdiv_shift(t)) - self.kernel
+                  for t in probes]
+        if len(set(counts)) == 1:
+            return None
+        return (f"threshold {self.threshold:g} splits a cluster: "
+                + ", ".join(f"{c} eigenvalues below {t:g}"
+                            for c, t in zip(counts, probes)))
 
 
 def orthonormal_divergence(forms):
@@ -159,27 +183,40 @@ def _count_spurious(forms, threshold):
     return pencil, kernel, dim
 
 
+def _mu_bound(forms):
+    """Certify A_div positive definite, as ``spurious_modes`` does, and
+    make one solve with its factor: the Rayleigh quotient
+
+        lambda^ = g^T A_div^{-1} g / p^T M_Q p,   g = B^T p,
+
+    of the Q_h interpolant p of sin(pi x) sin(pi y), the first Dirichlet
+    eigenfunction, in the Brezzi pencil.  Returns mu^ = lambda^ /
+    (1 - lambda^) raised by MU_BOUND_MARGIN, or None unless 0 < lambda^ <
+    1.  The factor is released on return, before the pencil is counted.
+    """
+    a_div = positive_definite_lu(forms.A_div)
+    pts = forms.Q_h.interpolation_points
+    p = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
+    g = forms.B.T @ p
+    lam = float(g @ a_div.solve(g)) / float(p @ (forms.M_Q @ p))
+    if not 0.0 < lam < 1.0:
+        return None
+    return MU_BOUND_MARGIN * lam / (1.0 - lam)
+
+
 def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
     """Brezzi inf-sup constant in the H(div) norm, with spurious modes.
 
-    Counts the spurious modes (``spurious_modes``), then slices (K, M_V)
-    past them.
+    Certifies A_div and takes the Rayleigh bound of mu off its factor
+    (``_mu_bound``), counts the spurious modes, then slices (K, M_V) past
+    them, topped by the bound.
     """
-    pencil, kernel, dim = spurious_modes(forms, threshold)
-    # counted before the slice, so its bracket can start at 10 tau; a
-    # probe at or above 1 would count every eigenvalue, so it is left out
-    probes = [t for t in (threshold / 10.0, threshold, 10.0 * threshold)
-              if t < 1.0]
-    counts = [pencil.count(_divdiv_shift(t)) - kernel for t in probes]
-    mu = pencil.value(kernel + dim)
+    bound = _mu_bound(forms)
+    pencil, kernel, dim = _count_spurious(forms, threshold)
+    mu = pencil.value(kernel + dim, bound)
     beta_reduced = math.sqrt(mu / (1.0 + mu))
-    warning = None
-    if len(set(counts)) > 1:
-        warning = (f"threshold {threshold:g} splits a cluster: "
-                   + ", ".join(f"{c} eigenvalues below {t:g}"
-                               for c, t in zip(counts, probes)))
     return InfSupResult(beta_reduced if dim == 0 else 0.0, beta_reduced, dim,
-                        mu, threshold, pencil, kernel, warning)
+                        mu, threshold, pencil, kernel, bound)
 
 
 @dataclass

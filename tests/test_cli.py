@@ -14,7 +14,7 @@ from mixedstab import __version__
 from mixedstab.cli import (RunConfig, build_parser, main, parse_n_values,
                            resolve_threshold, THRESHOLD_ENV)
 from mixedstab.mesh import Family
-from mixedstab.stability import case_forms
+from mixedstab.stability import InfSupResult, _divdiv_shift, case_forms
 
 from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
                      laplace_pencil_eigenvalues, schur_pencil_eigenvalues)
@@ -390,14 +390,58 @@ def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
         assert starts[0] == 0
         return [b - a for a, b in zip(starts, starts[1:])]
 
+    def no_cluster_probes():
+        # no table prints a cluster warning, so no row counts its probes
+        probes = {_divdiv_shift(1e-4 / 10.0), _divdiv_shift(10.0 * 1e-4)}
+        return all(probes.isdisjoint(p._counts) for p in log.pencils)
+
     # T1: the A_div check and the count at tau, no eigenvalue
     assert run("--which", "T1", "--n", "4", "--r", "1") == [2] * 5
     assert [p.factorizations for p in log.pencils] == [1] * 5
-    assert log.eigsh == 0
+    assert log.eigsh == 0 and no_cluster_probes()
     # T2: the A_div check and the slice of the Brezzi constant
     per_case = run("--which", "T2", "--n", "4")
     assert per_case == [1 + p.factorizations for p in log.pencils]
-    assert len(per_case) == 4 and log.eigsh >= 4
+    assert len(per_case) == 4 and log.eigsh >= 4 and no_cluster_probes()
+    # T3, T4: the A_div check (with its Rayleigh bound), the count at tau
+    # and the count at the bound, whose factor gives mu in one Lanczos run;
+    # every case needs at least one, so four runs are one a case
+    for which in ("T3", "T4"):
+        assert run("--which", which, "--n", "4") == [3] * 4, which
+        assert log.eigsh == 4 and no_cluster_probes(), which
+
+
+def test_infsup_json_carries_diagnostics(tmp_path):
+    out = tmp_path / "i.json"
+    assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "2",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    mu = data["beta_div"] ** 2 / (1.0 - data["beta_div"] ** 2)
+    # A_div, tau and the bound, then tau / 10 and 10 tau for the warning
+    assert data["diagnostics"]["factorizations"] == 5
+    assert mu < data["diagnostics"]["mu_bound"] < 1.02 * 2 * np.pi ** 2
+    assert "alpha_residual" not in data["diagnostics"]
+    assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "2",
+                   "--with-alpha", "--out", str(out)) == 0
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert 0.0 <= diagnostics["alpha_residual"] <= 1e-10
+
+
+def test_infsup_reads_the_cluster_warning_once(tmp_path, monkeypatch):
+    # the warning counts two probes when read; the command reads it once
+    reads = []
+    warning = InfSupResult.warning
+
+    def counted(self):
+        reads.append(self)
+        return warning.fget(self)
+    monkeypatch.setattr(InfSupResult, "warning", property(counted))
+    assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "1",
+                   "--threshold", "0.75", "--out", str(tmp_path / "i.json")) == 0
+    assert len(reads) == 1
+    assert json.loads((tmp_path / "i.json").read_text())["warnings"] == [
+        "threshold 0.75 splits a cluster: 0 eigenvalues below 0.075, "
+        "1 eigenvalues below 0.75"]
 
 
 GOLDEN = ROOT / "tests" / "golden"

@@ -4,10 +4,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mixedstab.eigensolve import InertiaSlicer, positive_definite_lu
+import mixedstab.eigensolve as eigensolve
+from mixedstab.eigensolve import WINDOW, InertiaSlicer, positive_definite_lu
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family
-from mixedstab.stability import pencil_spectrum
+from mixedstab.stability import _mu_bound, pencil_spectrum
 from oracles import (cholesky_reduced, full_saddle_eigenvalues,
                      jacobi_generalized_eig, schur_pencil_eigenvalues)
 
@@ -143,3 +144,75 @@ def test_positive_definite_lu_refuses_indefinite_norm():
     with pytest.raises(NotPositiveDefiniteError) as info:
         positive_definite_lu(sp.diags([1.0, 2.0, -3.0]))
     assert info.value.pivot == 3
+
+
+def bounded_and_sliced(k, n, lower, i, bound):
+    """(value, slicer, unbounded): value(i, bound) of a slicer that
+    counted ``lower`` first, that slicer, and value(i) of a fresh one that
+    did the same."""
+    bounded, sliced = InertiaSlicer(k, n), InertiaSlicer(k, n)
+    bounded.count(lower)
+    sliced.count(lower)
+    return bounded.value(i, bound), bounded, sliced.value(i)
+
+
+def test_bound_that_closes_a_window_takes_one_lanczos_run(rng, monkeypatch):
+    k, n = semidefinite_pencil(rng, 60, 45)   # 15 zeros
+    dense = sla.eigh(k.toarray(), n.toarray(), eigvals_only=True)
+    runs = []
+    eigsh = eigensolve.eigsh
+    monkeypatch.setattr(eigensolve, "eigsh",
+                        lambda *a, **kw: runs.append(kw["sigma"]) or eigsh(*a, **kw))
+    bound = 0.5 * (dense[17] + dense[18])
+    got, slicer, want = bounded_and_sliced(k, n, 1e-8, 15, bound)
+    assert abs(got - want) <= 1e-12 * want
+    # the count at 1e-8, then the bound's factor, and its Lanczos run first
+    assert runs[0] == bound and slicer.factorizations == 2
+    assert sorted(slicer._values) == [15, 16, 17]
+    assert max(abs(slicer.value(j) - dense[j]) / dense[j]
+               for j in (15, 16, 17)) < 1e-10
+
+
+@pytest.mark.parametrize("where", ["at", "below", "wide"])
+def test_bound_that_closes_no_window_falls_back(rng, where):
+    # a bound at or below nu_15 leaves it outside the window, and one above
+    # nu_30 closes a window of 16 > WINDOW eigenvalues: the count at the
+    # bound is kept and the unbounded slice runs
+    k, n = semidefinite_pencil(rng, 60, 45)
+    dense = sla.eigh(k.toarray(), n.toarray(), eigvals_only=True)
+    bound = {"at": dense[15], "below": 0.5 * dense[15],
+             "wide": 0.5 * (dense[30] + dense[31])}[where]
+    got, slicer, want = bounded_and_sliced(k, n, 1e-8, 15, bound)
+    assert abs(got - want) <= 1e-12 * want
+    assert bound in slicer._counts
+    if where == "wide":
+        assert slicer.count(bound) - 15 > WINDOW
+
+
+def test_bound_guessed_past_spurious_modes_gives_the_slice_value(forms_for):
+    # unionjack n=6 r=2 has 12 spurious modes, so the quotient of the
+    # sine pressure need not lie above the first eigenvalue past them
+    forms = forms_for(Family.UNIONJACK, 6, 2)
+    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
+    got, _, want = bounded_and_sliced(forms.K, forms.M_V, 1e-4 / (1 - 1e-4),
+                                      kernel + 12, _mu_bound(forms))
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("fault", ["above the bound", "large residual"])
+def test_bounded_lanczos_refuses_what_the_counts_do_not_certify(
+        rng, monkeypatch, fault):
+    k, n = semidefinite_pencil(rng, 60, 45)
+    values, vectors = sla.eigh(k.toarray(), n.toarray())
+    bound = 0.5 * (values[17] + values[18])
+
+    def fake_eigsh(a, count, **kw):
+        if fault == "above the bound":   # true eigenpairs, past the bound
+            return values[18:18 + count], vectors[:, 18:18 + count]
+        return values[15:15 + count], rng.standard_normal((60, count))
+    monkeypatch.setattr(eigensolve, "eigsh", fake_eigsh)
+    slicer = InertiaSlicer(k, n)
+    slicer.count(1e-8)
+    with pytest.raises(EigensolveError, match="do not certify" if fault ==
+                       "above the bound" else "residuals"):
+        slicer.value(15, bound)

@@ -7,7 +7,8 @@ import scipy.linalg as sla
 
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
 from mixedstab.mesh import Family, singular_vertices
-from mixedstab.stability import (DEFAULT_THRESHOLD, babuska_infsup,
+from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN,
+                                 _mu_bound, babuska_infsup,
                                  brezzi_coercivity, brezzi_infsup,
                                  case_forms, laplace_eigenvalue,
                                  orthonormal_divergence, pencil_spectrum,
@@ -334,6 +335,27 @@ def test_beta_is_zero_with_spurious_modes(forms_for):
     assert brezzi.dim_spurious == stokes.dim_spurious == 4
     assert brezzi.beta == stokes.beta == 0.0
     assert brezzi.beta_reduced > 0.9 and stokes.beta_reduced > 0.1
+
+
+@pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
+                                       (Family.ZIGZAG, 2),
+                                       (Family.FLIPPED, 3)])
+def test_rayleigh_bound_tops_mu_without_spurious_modes(forms_for, family, r):
+    # Courant-Fischer: with dim N_h = 0 the quotient of any pressure lies
+    # at or above the smallest lambda, so the raised mu^ lies above mu
+    forms = forms_for(family, 4, r)
+    res = brezzi_infsup(forms)
+    assert res.dim_spurious == 0
+    assert res.mu * MU_BOUND_MARGIN <= _mu_bound(forms) == res.mu_bound
+
+
+def test_rayleigh_bound_needs_a_quotient_in_the_unit_interval(forms_for):
+    # a pressure in the kernel of B^T has quotient 0: no bound, and the
+    # slice runs without one (B enters the pencil only through K)
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    unbounded = brezzi_infsup(dataclasses.replace(forms, B=0.0 * forms.B))
+    assert unbounded.mu_bound is None
+    assert abs(unbounded.mu - brezzi_infsup(forms).mu) <= 1e-12 * unbounded.mu
 
 
 def test_cluster_warning_is_an_inertia_test(forms_for):
