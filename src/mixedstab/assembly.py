@@ -189,11 +189,11 @@ def _symmetrized(mat):
     return (mat + mat.T) * 0.5
 
 
-def assemble(V_h, Q_h, quad_degree=None):
+def assemble(V_h, Q_h):
     """Assemble all forms for a velocity/pressure pair on one mesh.
 
-    The quadrature degree defaults to 2r + 2, which is exact for every
-    assembled integrand on affine cells.
+    The quadrature degree is 2r + 2, which is exact for every assembled
+    integrand on affine cells.
 
     Returns
     -------
@@ -207,7 +207,7 @@ def assemble(V_h, Q_h, quad_degree=None):
         raise ValueError("Q_h must be a discontinuous space")
     mesh = V_h.mesh
     r = V_h.degree
-    rule = quadrature(quad_degree if quad_degree is not None else 2 * r + 2)
+    rule = quadrature(2 * r + 2)
     w = rule.weights
 
     phi = V_h.element.tabulate(rule.points)            # (nq, nb)

@@ -354,7 +354,8 @@ def cmd_infsup(cfg):
     if cfg.with_gamma:
         payload["gamma"] = babuska_infsup(infsup).gamma
     if cfg.with_stokes:
-        stokes = stokes_infsup(forms, threshold=cfg.threshold)
+        stokes = stokes_infsup(forms, infsup.dim_spurious, cfg.threshold)
+        diagnostics["stokes_factorizations"] = stokes.factorizations
         payload.update(beta_h1=stokes.beta, beta_h1_reduced=stokes.beta_reduced,
                        stokes_constant_mode=stokes.constant_mode)
     row = [mesh.family.value, "" if mesh.n is None else str(mesh.n),
@@ -408,7 +409,9 @@ def cmd_laplace(cfg):
 
 
 def cmd_stokes(cfg):
-    res = stokes_infsup(_case_forms(cfg), threshold=cfg.threshold)
+    forms = _case_forms(cfg)
+    _, _, dim = spurious_modes(forms, cfg.threshold)
+    res = stokes_infsup(forms, dim, cfg.threshold)
     _emit(cfg, {"beta_h1": res.beta, "beta_h1_reduced": res.beta_reduced,
                 "dimN": res.dim_spurious, "constant_mode": res.constant_mode,
                 "threshold": cfg.threshold, "r": cfg.r},

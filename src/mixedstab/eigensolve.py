@@ -15,16 +15,13 @@ sparse factorizations, with no dense matrix:
   bisected geometrically, until the window [a, t) holds at most
   ``WINDOW`` eigenvalues.  They are the eigenvalues nearest its midpoint
   b, so shift-invert Lanczos (ARPACK) at sigma = b, on the LU of K - b N,
-  returns exactly them, and the counts give their indices; the count at b
-  must split them as it says (Ericsson & Ruhe, Math. Comp. 1980; Grimes,
-  Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).
-* values under an upper bound: ``value(i, bound)`` counts at the bound
-  first.  When that count closes a window of at most ``WINDOW``
-  eigenvalues above the largest shift counted below nu_i, they are the
-  eigenvalues just below the bound, and shift-invert Lanczos at
-  sigma = bound, on the bound's own factor, returns them with no bracket
-  growth and no midpoint factor.  Any other count stays cached, and the
-  window is sliced as above.
+  returns exactly them (Ericsson & Ruhe, Math. Comp. 1980; Grimes, Lewis
+  & Simon, SIAM J. Matrix Anal. Appl. 1994).  ``value(i, bound)`` counts
+  at an upper bound first; when that count closes such a window, it holds
+  the eigenvalues just below the bound, read at sigma = bound on the
+  bound's own factor, with no bracket growth and no midpoint factor.
+  Either way one reader checks the values against the counts: they lie
+  in the window, and the count at sigma splits them as it says.
 
 Each value is the Rayleigh quotient of its Ritz vector, which must have a
 residual ||K x - nu N x|| <= 1e-8 (||K x|| + |nu| ||N x||): the Ritz value
@@ -149,36 +146,8 @@ class InertiaSlicer:
             if not any(s > 0 and c <= i for s, c in self._counts.items()):
                 raise EigensolveError(f"no positive shift counted below "
                                       f"eigenvalue {i}")
-            if bound is not None:
-                self._below_bound(i, bound)
-            if i not in self._values:
-                self._slice(i)
+            self._slice(i, bound)
         return self._values[i]
-
-    def _below_bound(self, i, bound):
-        """Cache the window [a, bound) that holds nu_i when the count at
-        ``bound`` closes one of at most WINDOW eigenvalues; a is the
-        largest positive shift counted with at most i eigenvalues below.
-        Counts nothing when the bound lies at or below a, or is counted."""
-        counts = self._counts
-        a = max(s for s, c in counts.items() if 0 < s and c <= i)
-        if not (math.isfinite(bound) and bound > a) or bound in counts:
-            return
-        above, lu = self._factor(bound)
-        k = above - counts[a]
-        if not (i < above and k <= WINDOW and k < self.size - 1):
-            return
-        # the k eigenvalues in [a, bound) are the k just below the bound:
-        # the smallest of the shift-inverted spectrum 1 / (nu - bound)
-        values = self._lanczos(lu, bound, k, "SA")
-        slack = 1e-9 * bound
-        if not (a - slack <= values[0] and values[-1] < bound + slack):
-            raise EigensolveError(
-                f"Lanczos below {bound:g} returned {k} values in "
-                f"[{values[0]:g}, {values[-1]:g}], which the counts at "
-                f"{a:g} and {bound:g} do not certify")
-        for j, value in enumerate(values):
-            self._values[counts[a] + j] = float(value)
 
     def _lanczos(self, lu, sigma, k, which):
         """Ascending Rayleigh quotients of the k Ritz vectors of
@@ -206,11 +175,37 @@ class InertiaSlicer:
                 f"residuals up to {np.max(residual / scale):.1e}")
         return np.sort(values)
 
-    def _slice(self, i):
-        """Cache the eigenvalues of one counted window that holds nu_i."""
+    def _read_window(self, a, top, sigma, lu, which):
+        """Cache the eigenvalues in the counted window [a, top), read by
+        Lanczos at sigma on its factor ``lu``: the k that ``which`` selects
+        must lie in the window, split by the count at sigma as it says."""
+        counts = self._counts
+        k = counts[top] - counts[a]
+        values = self._lanczos(lu, sigma, k, which)
+        slack = 1e-9 * top
+        if not (a - slack <= values[0] and values[-1] < top + slack
+                and np.count_nonzero(values < sigma) == counts[sigma] - counts[a]):
+            raise EigensolveError(
+                f"Lanczos at {sigma:g} returned {k} values in [{values[0]:g}, "
+                f"{values[-1]:g}], which the counts at {a:g}, {sigma:g} and "
+                f"{top:g} do not certify")
+        for j, value in enumerate(values):
+            self._values[counts[a] + j] = float(value)
+
+    def _slice(self, i, bound=None):
+        """Cache the eigenvalues of one counted window that holds nu_i:
+        the one below ``bound`` when its count closes one, see ``value``."""
         counts = self._counts
         # bracket [a, top] with count(a) <= i < count(top), both counted
         a = max(s for s, c in counts.items() if 0 < s and c <= i)
+        if bound is not None and a < bound < math.inf and bound not in counts:
+            above, lu = self._factor(bound)
+            if i < above and above - counts[a] <= min(WINDOW, self.size - 2):
+                # the eigenvalues just below the bound are the smallest of
+                # the shift-inverted spectrum 1 / (nu - bound)
+                self._read_window(a, bound, bound, lu, "SA")
+                return
+            del lu   # no factor outlives its use
         top = min((s for s, c in counts.items() if c > i), default=None)
         while top is None:
             s = a * GROWTH
@@ -224,21 +219,11 @@ class InertiaSlicer:
                 top = mid
             else:
                 a = mid
-        # every eigenvalue in [a, top) lies nearer to the midpoint b than
-        # any outside it, so the k nearest b are exactly the window
         k = counts[top] - counts[a]
-        b = 0.5 * (a + top)
         if k >= self.size - 1:
             raise EigensolveError(f"a window of {k} eigenvalues is too wide "
                                   f"for a pencil of size {self.size}")
-        below_b, lu = self._factor(b)
-        values = self._lanczos(lu, b, k, "LM")
-        slack = 1e-9 * top
-        if not (a - slack <= values[0] and values[-1] < top + slack
-                and np.count_nonzero(values < b) == below_b - counts[a]):
-            raise EigensolveError(
-                f"Lanczos at {b:g} returned {k} values in [{values[0]:g}, "
-                f"{values[-1]:g}], which the counts at {a:g}, {b:g} and "
-                f"{top:g} do not certify")
-        for j, value in enumerate(values):
-            self._values[counts[a] + j] = float(value)
+        # every eigenvalue in [a, top) lies nearer to the midpoint b than
+        # any outside it, so the k nearest b are exactly the window
+        b = 0.5 * (a + top)
+        self._read_window(a, top, b, self._factor(b)[1], "LM")

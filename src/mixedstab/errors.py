@@ -26,9 +26,9 @@ class NotPositiveDefiniteError(MixedStabError):
 
 
 class EigensolveError(MixedStabError):
-    """An eigenvalue computation failed or received bad input: the dense
-    LAPACK solve, or the inertia slicer (a refused or non-monotone
-    inertia count, a Lanczos run the counts do not certify)."""
+    """The inertia slicer failed or received bad input: a refused or
+    non-monotone inertia count, or a Lanczos run the counts do not
+    certify."""
 
 
 class NumericalError(MixedStabError):

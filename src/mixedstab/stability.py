@@ -23,10 +23,13 @@ reported constant is read off a spectrum slice of that pencil
   ones) and alpha = 1 on a kernel of dimension nV - nQ + dim N_h.
 
 The Stokes constant slices (K, A_1) the same way; its eigenvalues are the
-lambda of B A_1^{-1} B^T p = lambda M_Q p.  A cluster warning is an
-inertia test: the counts at tau / 10, tau and 10 tau (those below 1)
-disagree.  The two probes are counted only when the warning is read, so
-the tables, which print none, do not pay for them.
+lambda of B A_1^{-1} B^T p = lambda M_Q p.  N_h = ker B^T does not depend
+on the velocity norm, so it takes dim N_h from the count above and checks
+it by one count at tau h^2, h the shortest mesh edge: by the inverse
+inequality, a lambda above tau maps to one above about tau h^2 there.  A
+cluster warning is an inertia test: the counts at tau / 10, tau and 10 tau
+(those below 1) disagree.  The two probes are counted only when the
+warning is read, so the tables, which print none, do not pay for them.
 
 ``pencil_spectrum`` reads every eigenvalue past the spurious cluster off
 the same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and
@@ -83,13 +86,6 @@ def _count_below(pencil, kernel, shift, threshold):
         raise NumericalError(f"all {pencil.size - kernel} eigenvalues fall "
                              f"below the threshold {threshold}")
     return count, dim
-
-
-def _split(pencil, kernel, shift, threshold):
-    """(dim, nu): the pencil eigenvalues below ``shift`` past the ``kernel``
-    zeros, and the first eigenvalue at or above it."""
-    count, dim = _count_below(pencil, kernel, shift, threshold)
-    return dim, pencil.value(count)
 
 
 @dataclass
@@ -183,22 +179,24 @@ def _count_spurious(forms, threshold):
     return pencil, kernel, dim
 
 
-def _mu_bound(forms):
-    """Certify A_div positive definite, as ``spurious_modes`` does, and
-    make one solve with its factor: the Rayleigh quotient
-
-        lambda^ = g^T A_div^{-1} g / p^T M_Q p,   g = B^T p,
-
-    of the Q_h interpolant p of sin(pi x) sin(pi y), the first Dirichlet
-    eigenfunction, in the Brezzi pencil.  Returns mu^ = lambda^ /
-    (1 - lambda^) raised by MU_BOUND_MARGIN, or None unless 0 < lambda^ <
-    1.  The factor is released on return, before the pencil is counted.
-    """
-    a_div = positive_definite_lu(forms.A_div)
-    pts = forms.Q_h.interpolation_points
-    p = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
+def _quotient(forms, norm, p):
+    """Rayleigh quotient g^T norm^{-1} g / p^T M_Q p, g = B^T p, of the
+    pressure p in the pencil B norm^{-1} B^T p = lambda M_Q p, from one
+    solve with the factor that certifies ``norm`` positive definite; the
+    factor is released on return."""
     g = forms.B.T @ p
-    lam = float(g @ a_div.solve(g)) / float(p @ (forms.M_Q @ p))
+    return (float(g @ positive_definite_lu(norm).solve(g))
+            / float(p @ (forms.M_Q @ p)))
+
+
+def _mu_bound(forms):
+    """Certify A_div, as ``spurious_modes`` does, with the ``_quotient`` of
+    the Q_h interpolant of sin(pi x) sin(pi y), the first Dirichlet
+    eigenfunction.  Returns mu^ = lambda^ / (1 - lambda^) raised by
+    MU_BOUND_MARGIN, or None unless 0 < lambda^ < 1."""
+    pts = forms.Q_h.interpolation_points
+    lam = _quotient(forms, forms.A_div,
+                    np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
     if not 0.0 < lam < 1.0:
         return None
     return MU_BOUND_MARGIN * lam / (1.0 - lam)
@@ -286,31 +284,37 @@ class StokesResult:
         return 1 + self.pencil.factorizations
 
 
-def stokes_infsup(forms, threshold=DEFAULT_THRESHOLD):
+def stokes_infsup(forms, dim_spurious, threshold=DEFAULT_THRESHOLD):
     """Inf-sup constant of the divergence form in the full H1 norm.
 
     Slices (K, A_1), whose eigenvalues past its nV - nQ zeros are the
-    lambda of B A_1^{-1} B^T p = lambda M_Q p, at the threshold tau
-    itself; beta_reduced = sqrt(lambda), and beta = beta_reduced, or 0.0
-    with spurious modes.  No zero-mean pressure constraint is imposed; the
-    Rayleigh quotient of the constant pressure is reported separately so
-    its position in the spectrum is visible.  It takes one solve with A_1,
-    on the factor that certifies A_1 positive definite.
+    lambda of B A_1^{-1} B^T p = lambda M_Q p, past the ``dim_spurious``
+    = dim N_h modes counted at the threshold tau (``spurious_modes`` or an
+    InfSupResult); beta_reduced = sqrt(lambda), and beta = beta_reduced,
+    or 0.0 with spurious modes.  Raises NumericalError unless (K, A_1) has
+    nV - nQ + dim N_h eigenvalues below tau h^2, h the shortest mesh edge:
+    by the inverse inequality |u|_1 <= C h^-1 ||u||, a lambda above tau in
+    the H(div) norm lies above about tau h^2 in the H1 norm.  No zero-mean
+    pressure constraint is imposed; the Rayleigh quotient of the constant
+    pressure, from the factor that certifies A_1, is reported separately
+    so its position in the spectrum is visible, and tops the slice when
+    dim N_h = 0 (Courant-Fischer).
     """
-    b_hat, lower = orthonormal_divergence(forms)
-    a_1 = positive_definite_lu(forms.A_1)
+    constant_mode = _quotient(forms, forms.A_1, np.ones(forms.Q_h.ndofs))
     pencil = InertiaSlicer(forms.K, forms.A_1)
-    # the constant pressure 1 has coordinates w = C^{-T} 1 = L^T 1, so
-    # 1^T B A_1^{-1} B^T 1 = g^T A_1^{-1} g with g = (C B)^T w, and
-    # 1^T M_Q 1 = w^T w
-    w = lower.sum(axis=1).ravel()
-    g = b_hat.T @ w
-    constant_mode = float((g @ a_1.solve(g)) / (w @ w))
     kernel = forms.V_h.ndofs - forms.Q_h.ndofs
-    dim, lam = _split(pencil, kernel, threshold, threshold)
-    beta_reduced = math.sqrt(lam)
-    return StokesResult(beta_reduced if dim == 0 else 0.0, beta_reduced, dim,
-                        constant_mode, pencil, kernel)
+    edges = np.diff(forms.mesh.vertices[forms.mesh.edges], axis=1)[:, 0]
+    shift = threshold * float(np.min(np.einsum("ij,ij->i", edges, edges)))
+    count = pencil.count(shift)
+    if count != kernel + dim_spurious:
+        raise NumericalError(f"(K, A_1) has {count - kernel} eigenvalues past "
+                             f"its {kernel} zeros below tau h^2 = {shift:g}, "
+                             f"but (K, M_V) counts {dim_spurious} spurious modes")
+    bound = MU_BOUND_MARGIN * constant_mode if dim_spurious == 0 else None
+    beta_reduced = math.sqrt(pencil.value(count, bound))
+    return StokesResult(beta_reduced if dim_spurious == 0 else 0.0,
+                        beta_reduced, dim_spurious, constant_mode, pencil,
+                        kernel)
 
 
 @dataclass
@@ -341,9 +345,9 @@ def pencil_spectrum(forms, pencil, threshold=DEFAULT_THRESHOLD):
     The cluster holds the dim N_h eigenvalues below the threshold, and the
     nV - nQ zeros of the div-div pencil; its values are rounding noise, so
     only its size is returned, as the index of the first eigenvalue.  The
-    stokes pencil is (K, A_1) past the split of ``stokes_infsup``; the
-    others are closed-form functions of the mu of (K, M_V) past the split
-    of ``brezzi_infsup``:
+    stokes pencil is (K, A_1) past the dim N_h that ``spurious_modes``
+    counts; the others are closed-form functions of the mu of (K, M_V)
+    past the split of ``brezzi_infsup``:
 
     * infsup: lambda = mu / (1 + mu), of B A_div^{-1} B^T p = lambda M_Q p;
     * laplace: mu, of B M_V^{-1} B^T p = mu M_Q p;
@@ -360,7 +364,11 @@ def pencil_spectrum(forms, pencil, threshold=DEFAULT_THRESHOLD):
     if pencil not in PENCILS:
         raise ValueError(f"unknown pencil {pencil!r} (expected one of "
                          f"{', '.join(PENCILS)})")
-    res = (stokes_infsup if pencil == "stokes" else brezzi_infsup)(forms, threshold)
+    if pencil == "stokes":
+        _, _, dim = spurious_modes(forms, threshold)
+        res = stokes_infsup(forms, dim, threshold)
+    else:
+        res = brezzi_infsup(forms, threshold)
     start = res.kernel + res.dim_spurious
     nu = np.array([res.pencil.value(i) for i in range(start, res.pencil.size)])
     if pencil == "divdiv":
@@ -390,7 +398,9 @@ def threshold_sweep(infsup, thresholds=SWEEP_THRESHOLDS):
     """
     rows = []
     for thr in thresholds:
-        dim, mu = _split(infsup.pencil, infsup.kernel, _divdiv_shift(thr), thr)
+        count, dim = _count_below(infsup.pencil, infsup.kernel,
+                                  _divdiv_shift(thr), thr)
+        mu = infsup.pencil.value(count)
         rows.append((float(thr), dim, math.sqrt(mu / (1.0 + mu))))
     return rows
 

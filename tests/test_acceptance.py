@@ -283,7 +283,7 @@ def test_criterion_7_h1_vs_div_infsup(record, forms_for, infsup_for):
     for family, n, r in itertools.product(ALL_FAMILIES, (4, 6, 8), (1, 2)):
         tag = f"{family.value} n={n} r={r}"
         div = infsup_for(family, n, r)
-        h1 = stokes_infsup(forms_for(family, n, r))
+        h1 = stokes_infsup(forms_for(family, n, r), div.dim_spurious)
         if h1.beta_reduced > div.beta_reduced + 1e-9:
             failures.append(f"{tag}: reduced H1 constant above div constant "
                             f"({h1.beta_reduced:.8f} > {div.beta_reduced:.8f})")
@@ -291,7 +291,8 @@ def test_criterion_7_h1_vs_div_infsup(record, forms_for, infsup_for):
             failures.append(f"{tag}: raw H1 constant above div constant")
     # on the diagonal family at r=2 the H1 constant decays like h while
     # the div constant stays put
-    h1_betas = {n: stokes_infsup(forms_for(Family.DIAGONAL, n, 2)).beta
+    h1_betas = {n: stokes_infsup(forms_for(Family.DIAGONAL, n, 2),
+                                 infsup_for(Family.DIAGONAL, n, 2).dim_spurious).beta
                 for n in (4, 8, 16)}
     div_betas = {n: infsup_for(Family.DIAGONAL, n, 2).beta for n in (4, 8, 16)}
     for coarse, fine in ((4, 8), (8, 16)):

@@ -354,12 +354,19 @@ def test_every_constant_comes_from_sparse_factorizations(tmp_path,
     # the one that certifies its norm matrix
     for argv, slices in ((["infsup", "--with-alpha", "--with-gamma",
                            "--with-stokes", "--sweep"], 2),
-                         (["laplace-eig"], 1), (["stokes-infsup"], 1)):
+                         (["laplace-eig"], 1)):
         run(*argv)
         assert len(pencils) == slices, argv
         assert calls == ["splu"] * sum(1 + p.factorizations
                                        for p in pencils), argv
         assert all(3 <= p.factorizations <= 15 for p in pencils), argv
+    # stokes-infsup takes dim N_h from the Brezzi count (the A_div check
+    # and the count at tau, no value), then slices (K, A_1)
+    run("stokes-infsup")
+    assert calls == ["splu"] * sum(1 + p.factorizations for p in pencils)
+    count, stokes = pencils
+    assert count.factorizations == 1 and not count._values
+    assert 3 <= stokes.factorizations <= 15
     # coercivity prints alpha and the kernel dimension, which need dim N_h
     # only: the A_div check and the count at tau, no eigenvalue
     run("coercivity")
@@ -367,12 +374,16 @@ def test_every_constant_comes_from_sparse_factorizations(tmp_path,
     assert [p.factorizations for p in pencils] == [1]
     assert log.eigsh == 0
     # spectrum slices every eigenvalue past the 66 zeros and the 4
-    # spurious modes, and none of theirs
+    # spurious modes, and none of theirs; the stokes pencil after the
+    # Brezzi count
     for pencil in ("infsup", "laplace", "divdiv", "babuska", "stokes"):
         run("spectrum", "--pencil", pencil)
-        assert len(pencils) == 1, pencil
-        assert calls == ["splu"] * (1 + pencils[0].factorizations), pencil
-        assert sorted(pencils[0]._values) == list(range(70, 162)), pencil
+        *counts, sliced = pencils
+        assert [p.factorizations for p in counts] == (
+            [1] if pencil == "stokes" else []), pencil
+        assert calls == ["splu"] * sum(1 + p.factorizations
+                                       for p in pencils), pencil
+        assert sorted(sliced._values) == list(range(70, 162)), pencil
 
 
 def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
@@ -421,10 +432,14 @@ def test_infsup_json_carries_diagnostics(tmp_path):
     assert data["diagnostics"]["factorizations"] == 5
     assert mu < data["diagnostics"]["mu_bound"] < 1.02 * 2 * np.pi ** 2
     assert "alpha_residual" not in data["diagnostics"]
+    assert "stokes_factorizations" not in data["diagnostics"]
     assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "2",
-                   "--with-alpha", "--out", str(out)) == 0
+                   "--with-alpha", "--with-stokes", "--out", str(out)) == 0
     diagnostics = json.loads(out.read_text())["diagnostics"]
     assert 0.0 <= diagnostics["alpha_residual"] <= 1e-10
+    # A_1, tau h^2, the bound (above every eigenvalue), two bisection
+    # counts and the midpoint factor
+    assert diagnostics["stokes_factorizations"] == 6
 
 
 def test_infsup_reads_the_cluster_warning_once(tmp_path, monkeypatch):

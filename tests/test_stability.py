@@ -67,14 +67,14 @@ def test_brezzi_infsup_unionjack_anchor(forms_for):
 def test_orthonormal_pencils_match_the_generalized_route(forms_for, family, r):
     # the spectra past the spurious cluster are sliced from (K, A_div) and
     # (K, A_1); the generalized pencil against M_Q has the same spectrum,
-    # and the constant mode is computed in M_Q-orthonormal coordinates
+    # and the constant mode is the quotient of the pressure 1
     forms = forms_for(family, 4, r)
     m_q = forms.M_Q.toarray()
     first, brezzi = pencil_spectrum(forms, "infsup")
     expected = sla.eigh(dense_schur(forms.B, forms.A_div), m_q, eigvals_only=True)
     assert first == np.count_nonzero(expected < DEFAULT_THRESHOLD)
     assert np.max(np.abs(brezzi - expected[first:])) < 1e-12
-    stokes = stokes_infsup(forms)
+    stokes = stokes_infsup(forms, first)
     s_1 = dense_schur(forms.B, forms.A_1)
     expected = sla.eigh(s_1, m_q, eigvals_only=True)
     first, values = pencil_spectrum(forms, "stokes")
@@ -154,8 +154,8 @@ def test_babuska_zero_with_spurious_modes(forms_for):
 
 def test_stokes_below_divergence_norm_constant(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 2)
-    stokes = stokes_infsup(forms)
     brezzi = brezzi_infsup(forms)
+    stokes = stokes_infsup(forms, brezzi.dim_spurious)
     assert stokes.beta <= brezzi.beta
     assert stokes.constant_mode > 0.5  # constant pressure is not degenerate
     assert stokes.dim_spurious == 0
@@ -324,14 +324,15 @@ def test_sliced_constants_match_the_dense_route(forms_for, spectrum_for, family)
             continue
         h1 = spectrum_for(family, n, r, h1=True)
         want_dim, _, want_beta, _ = classify_spectrum(h1, DEFAULT_THRESHOLD)
-        stokes = stokes_infsup(forms)
+        stokes = stokes_infsup(forms, infsup.dim_spurious)
         assert stokes.dim_spurious == want_dim, tag
         assert rel(stokes.beta_reduced, want_beta) < 1e-10, tag
 
 
 def test_beta_is_zero_with_spurious_modes(forms_for):
     forms = forms_for(Family.UNIONJACK, 4, 2)
-    brezzi, stokes = brezzi_infsup(forms), stokes_infsup(forms)
+    brezzi = brezzi_infsup(forms)
+    stokes = stokes_infsup(forms, brezzi.dim_spurious)
     assert brezzi.dim_spurious == stokes.dim_spurious == 4
     assert brezzi.beta == stokes.beta == 0.0
     assert brezzi.beta_reduced > 0.9 and stokes.beta_reduced > 0.1
@@ -376,7 +377,30 @@ def test_sliced_constants_refuse_an_indefinite_norm(forms_for, form):
     forms = forms_for(Family.DIAGONAL, 4, 1)
     broken = dataclasses.replace(forms, **{form: -getattr(forms, form)})
     with pytest.raises(NotPositiveDefiniteError):
-        (brezzi_infsup if form == "A_div" else stokes_infsup)(broken)
+        if form == "A_div":
+            brezzi_infsup(broken)
+        else:
+            stokes_infsup(broken, 0)
+
+
+def test_stokes_takes_dim_n_from_the_div_div_count(forms_for):
+    # N_h = ker B^T does not depend on the velocity norm: at tau = 0.01,
+    # above beta_h1^2 = 0.0061, the div-div pencil counts no spurious mode,
+    # and the Stokes constant is the one at the default threshold
+    forms = forms_for(Family.DIAGONAL, 8, 2)
+    _, _, dim = spurious_modes(forms, 0.01)
+    coarse = stokes_infsup(forms, dim, 0.01)
+    default = stokes_infsup(forms, spurious_modes(forms)[2])
+    assert dim == coarse.dim_spurious == 0
+    assert abs(coarse.beta - default.beta) <= 1e-12 * default.beta
+    assert round(default.beta, 6) == 0.077880
+
+
+def test_stokes_refuses_a_count_its_pencil_does_not_show(forms_for):
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    with pytest.raises(NumericalError, match="has 0 eigenvalues past its 66 "
+                       "zeros .* counts 1 spurious modes"):
+        stokes_infsup(forms, 1)
 
 
 def test_threshold_at_or_above_one_counts_every_eigenvalue(forms_for):
