@@ -19,7 +19,6 @@ from .element import (
     ElementKind,
     QuadratureRule,
     ReferenceElement,
-    lagrange_basis,
     quadrature,
 )
 from .errors import (

@@ -18,8 +18,10 @@ mesh writes through one emitter.  CSV artifacts start with a provenance
 line ``# mixed-stab <version> <config-hash>`` so golden files detect
 configuration drift; JSON output carries the same data under a
 "provenance" key.  Exit codes: 0 success, 1 numerical failure, 2 usage
-error, which includes an r outside 1..MAX_SPACE_DEGREE, an r given to a
-table that fixes it (T2..T4) and an n that is not an even integer >= 4.
+error.  Each argument parses and checks its own value (an r outside
+1..MAX_SPACE_DEGREE, an n that is not an even integer >= 4, a threshold
+that is not finite and positive, --jobs below 1); ``config_from_args``
+checks the two rules that tie arguments together.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -46,7 +47,6 @@ from .stability import (DEFAULT_THRESHOLD, PENCILS, SWEEP_THRESHOLDS,
 from .poisson import ConvergenceReport, convergence_study
 
 PROG = "mixed-stab"
-THRESHOLD_ENV = "MIXEDSTAB_THRESHOLD"
 
 # fields that locate outputs or control scheduling; they never change the
 # numbers, so they stay out of the provenance hash
@@ -95,6 +95,10 @@ class RunConfig:
                 "config_hash": self.config_hash()}
 
 
+class UsageError(Exception):
+    pass
+
+
 def parse_n_values(text):
     """Parse an n argument: "8", "4,8,16" or an inclusive range "4..16"
     stepping by 2.  ValueError unless it names at least one n and every n
@@ -113,25 +117,69 @@ def parse_n_values(text):
     return [check_grid_size(n) for n in values]
 
 
-def parse_r_values(command, text):
-    """Parse a comma list of degrees.  UsageError unless it names at least
-    one degree and every one is in 1..MAX_SPACE_DEGREE; ValueError
-    unless every entry is an integer."""
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+def parse_r_values(text):
+    """Parse a comma list of degrees.  ValueError unless it names at least
+    one degree and every one is an integer in 1..MAX_SPACE_DEGREE."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
     if not values or any(not 1 <= r <= MAX_SPACE_DEGREE for r in values):
-        raise UsageError(f"{command}: r must be in 1..{MAX_SPACE_DEGREE}, "
-                         f"got {text!r}")
+        raise ValueError(f"r must be in 1..{MAX_SPACE_DEGREE}, got {text!r}")
     return values
 
 
-def _threshold(value, source):
+def parse_threshold(text, source="--threshold"):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"{source}: threshold must be finite and positive, "
-                         f"got {value!r}")
+        raise ValueError(f"{source}: threshold must be finite and positive, "
+                         f"got {text!r}")
     return value
 
 
+def parse_sweep(text):
+    return [parse_threshold(t, "--sweep") for t in text.split(",") if t.strip()]
+
+
+def parse_table(text):
+    if text.upper() not in TABLE_DEFAULTS:
+        raise ValueError(f"tables: unknown table {text!r}")
+    return text.upper()
+
+
+def parse_jobs(text):
+    if not text.strip().isdigit() or int(text) < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _single(parse, name):
+    def one(text):
+        values = parse(text)
+        if len(values) != 1:
+            raise ValueError(f"exactly one {name} expected, got {values}")
+        return values[0]
+    return one
+
+
+def _arg(parse):
+    """argparse ``type`` of ``parse``: its ValueError becomes a UsageError,
+    which argparse lets through to main, so a bad value is reported in one
+    line and exit code 2, not argparse's usage message."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise UsageError(exc) from None
+    return convert
+
+
 def build_parser():
+    """Every argument parses, checks and defaults itself; its ``dest`` is
+    the RunConfig field it fills."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="stability constants and convergence studies for "
@@ -141,163 +189,95 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     family_names = [f.value for f in GENERATED_FAMILIES]
+    one_n = _arg(_single(parse_n_values, "n"))
+    n_values = _arg(parse_n_values)
+    threshold = _arg(parse_threshold)
 
-    def add_case_args(p, with_mesh=True):
-        p.add_argument("--family", choices=family_names)
-        p.add_argument("--n", help="subdivisions: int, list (4,8) or range 4..16")
-        p.add_argument("--r", type=int, default=1,
-                       help="velocity degree (pressure degree is r-1)")
-        if with_mesh:
-            p.add_argument("--mesh", help="mesh file instead of --family/--n")
-        p.add_argument("--threshold", type=float, default=None,
-                       help=f"zero threshold (default {DEFAULT_THRESHOLD:g}, "
-                            f"or ${THRESHOLD_ENV})")
+    def add_output(p, fmt):
         p.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                       default=None)
+                       default=fmt)
         p.add_argument("--out", "-o", help="output path (default stdout)")
 
     p_mesh = sub.add_parser("mesh", help="generate a triangulation")
     p_mesh.add_argument("--family", choices=family_names, required=True)
-    p_mesh.add_argument("--n", required=True)
+    p_mesh.add_argument("--n", type=one_n, required=True)
     p_mesh.add_argument("--out", "-o", help="output path (default stdout)")
+    p_mesh.set_defaults(fmt="mesh")
 
-    p_inf = sub.add_parser("infsup", help="inf-sup constants for one case")
-    add_case_args(p_inf)
+    case = {}
+    for name, text in (
+            ("infsup", "inf-sup constants for one case"),
+            ("spectrum", "pencil eigenvalues past the zero cluster, each with "
+                         "its index, by spectrum slicing"),
+            ("coercivity", "coercivity on the divergence-free subspace"),
+            ("laplace-eig", "mixed Laplace eigenvalue past the spurious modes"),
+            ("stokes-infsup", "inf-sup constant in the gradient norm")):
+        case[name] = p = sub.add_parser(name, help=text)
+        p.add_argument("--family", choices=family_names)
+        p.add_argument("--n", type=one_n, help="subdivisions: one even n >= 4")
+        p.add_argument("--r", type=_arg(_single(parse_r_values, "r")),
+                       default=1, help="velocity degree (pressure degree is r-1)")
+        p.add_argument("--mesh", help="mesh file instead of --family/--n")
+        p.add_argument("--threshold", type=threshold, default=DEFAULT_THRESHOLD,
+                       help=f"zero threshold (default {DEFAULT_THRESHOLD:g})")
+        add_output(p, "json")
+    for name in ("infsup", "spectrum"):
+        case[name].add_argument("--dump-matrices", metavar="DIR",
+                                help="export assembled matrices (Matrix Market)")
+    p_inf = case["infsup"]
     p_inf.add_argument("--with-gamma", action="store_true",
                        help="also compute the full-pencil constant")
     p_inf.add_argument("--with-alpha", action="store_true",
                        help="also compute the coercivity constant")
     p_inf.add_argument("--with-stokes", action="store_true",
                        help="also compute the gradient-norm constant")
-    p_inf.add_argument("--sweep", nargs="?", const="default", default=None,
+    p_inf.add_argument("--sweep", nargs="?", type=_arg(parse_sweep),
+                       const=list(SWEEP_THRESHOLDS),
                        help="threshold sweep; optional comma list of thresholds")
-    p_inf.add_argument("--dump-matrices", metavar="DIR",
-                       help="export assembled matrices (Matrix Market)")
+    case["spectrum"].add_argument("--pencil", choices=PENCILS, default="infsup")
 
-    p_spec = sub.add_parser(
-        "spectrum", help="pencil eigenvalues past the zero cluster, each with "
-                         "its index, by spectrum slicing")
-    add_case_args(p_spec)
-    p_spec.add_argument("--pencil", choices=PENCILS, default="infsup")
-    p_spec.add_argument("--dump-matrices", metavar="DIR",
-                        help="export assembled matrices (Matrix Market)")
-
-    p_coer = sub.add_parser("coercivity",
-                            help="coercivity on the divergence-free subspace")
-    add_case_args(p_coer)
-
-    p_lap = sub.add_parser("laplace-eig",
-                           help="mixed Laplace eigenvalue past the spurious modes")
-    add_case_args(p_lap)
-
-    p_sto = sub.add_parser("stokes-infsup",
-                           help="inf-sup constant in the gradient norm")
-    add_case_args(p_sto)
-
+    # converge refuses spurious modes at DEFAULT_THRESHOLD, so it takes no
+    # threshold, and its hash keeps the default
     p_conv = sub.add_parser("converge", help="convergence study")
     p_conv.add_argument("--family", choices=family_names, default="diagonal")
-    p_conv.add_argument("--r", help="degree or comma list (default 2)",
-                        default="2")
-    p_conv.add_argument("--n", help="mesh list (default 4,8,16,32 resp. 4,8,16)")
-    p_conv.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default=None)
-    p_conv.add_argument("--out", "-o")
+    p_conv.add_argument("--r", dest="r_values", metavar="R", default="2",
+                        type=_arg(parse_r_values),
+                        help="degree or comma list (default 2)")
+    p_conv.add_argument("--n", dest="n_values", metavar="N", type=n_values,
+                        help="mesh list (default 4,8,16,32 resp. 4,8,16)")
+    add_output(p_conv, "csv")
     p_conv.add_argument("--plot-data", metavar="DIR",
                         help="write normalized-error panel files")
 
     p_tab = sub.add_parser("tables", help="recompute golden tables")
-    p_tab.add_argument("--which", required=True,
-                       help="one of T1, T2, T3, T4")
-    p_tab.add_argument("--n", help="n values (list or range)")
-    p_tab.add_argument("--r", help="degree list for T1 (default 1,2,3)")
-    p_tab.add_argument("--threshold", type=float, default=None)
-    p_tab.add_argument("--jobs", type=int, default=1)
-    p_tab.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                       default=None)
-    p_tab.add_argument("--out", "-o")
+    p_tab.add_argument("--which", type=_arg(parse_table), required=True,
+                       help="one of " + ", ".join(TABLE_DEFAULTS))
+    p_tab.add_argument("--n", dest="n_values", metavar="N", type=n_values,
+                       help="n values (list or range)")
+    p_tab.add_argument("--r", dest="r_values", metavar="R",
+                       type=_arg(parse_r_values),
+                       help="degree list for T1 (default 1,2,3)")
+    p_tab.add_argument("--threshold", type=threshold, default=DEFAULT_THRESHOLD)
+    p_tab.add_argument("--jobs", type=_arg(parse_jobs), default=1,
+                       help="worker processes, at least 1 (capped at the "
+                            "cases and the cores)")
+    add_output(p_tab, "csv")
 
     return parser
 
 
-def resolve_threshold(args):
-    value = getattr(args, "threshold", None)
-    if value is not None:
-        return _threshold(float(value), "--threshold")
-    env = os.environ.get(THRESHOLD_ENV)
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise UsageError(f"bad {THRESHOLD_ENV} value {env!r}")
-        return _threshold(value, THRESHOLD_ENV)
-    return DEFAULT_THRESHOLD
-
-
-class UsageError(Exception):
-    pass
-
-
 def config_from_args(args):
-    command = args.command
-    cfg = RunConfig(command=command)
-    cfg.family = getattr(args, "family", None)
-    cfg.mesh = getattr(args, "mesh", None)
-    cfg.out = getattr(args, "out", None)
-
-    if command in ("mesh", "infsup", "spectrum", "coercivity", "laplace-eig",
-                   "stokes-infsup"):
-        if cfg.mesh is None:
-            if cfg.family is None or getattr(args, "n", None) is None:
-                raise UsageError(f"{command}: need --family and --n, or --mesh")
-            ns = parse_n_values(args.n)
-            if len(ns) != 1:
-                raise UsageError(f"{command}: exactly one n expected, got {ns}")
-            cfg.n = ns[0]
-    if command == "mesh":
-        cfg.fmt = "mesh"
-        return cfg
-
-    # converge refuses spurious modes at DEFAULT_THRESHOLD, so it reads no
-    # threshold, and its hash keeps the default
-    if command != "converge":
-        cfg.threshold = resolve_threshold(args)
-    if command not in ("converge", "tables"):
-        cfg.r = args.r
-        if not 1 <= cfg.r <= MAX_SPACE_DEGREE:
-            raise UsageError(f"{command}: r must be in 1..{MAX_SPACE_DEGREE}, "
-                             f"got {cfg.r}")
-    default_fmt = "csv" if command in ("converge", "tables") else "json"
-    cfg.fmt = getattr(args, "fmt", None) or default_fmt
-
-    if command == "infsup":
-        cfg.with_gamma = args.with_gamma
-        cfg.with_alpha = args.with_alpha
-        cfg.with_stokes = args.with_stokes
-        cfg.dump_matrices = args.dump_matrices
-        if args.sweep is not None:
-            cfg.sweep = (list(SWEEP_THRESHOLDS) if args.sweep == "default"
-                         else [_threshold(float(t), "--sweep")
-                               for t in args.sweep.split(",") if t.strip()])
-    elif command == "spectrum":
-        cfg.pencil = args.pencil
-        cfg.dump_matrices = args.dump_matrices
-    elif command == "converge":
-        cfg.r_values = parse_r_values(command, args.r)
-        cfg.n_values = parse_n_values(args.n) if args.n is not None else None
-        cfg.plot_data = args.plot_data
-        cfg.family = cfg.family or "diagonal"
-    elif command == "tables":
-        which = args.which.upper()
-        if which not in ("T1", "T2", "T3", "T4"):
-            raise UsageError(f"tables: unknown table {args.which!r}")
-        cfg.which = which
-        cfg.n_values = parse_n_values(args.n) if args.n is not None else None
-        if args.r is not None:
-            if which != "T1":
-                raise UsageError(f"tables: --r applies to T1 only; {which} "
-                                 f"fixes r = {TABLE_DEFAULTS[which][0]}")
-            cfg.r_values = parse_r_values(command, args.r)
-        cfg.jobs = max(1, args.jobs)
+    """RunConfig of the parsed arguments, each already checked on its own;
+    only the rules that tie two arguments together are left."""
+    cfg = RunConfig(**vars(args))
+    if hasattr(args, "mesh"):   # the single-case commands
+        if cfg.mesh is not None:
+            cfg.n = None        # the mesh file fixes the grid
+        elif cfg.family is None or cfg.n is None:
+            raise UsageError(f"{cfg.command}: need --family and --n, or --mesh")
+    if cfg.r_values is not None and cfg.which not in (None, "T1"):
+        raise UsageError(f"tables: --r applies to T1 only; {cfg.which} "
+                         f"fixes r = {TABLE_DEFAULTS[cfg.which][0]}")
     return cfg
 
 
@@ -480,11 +460,9 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except (UsageError, ValueError) as exc:
+        cfg = config_from_args(build_parser().parse_args(argv))
+    except UsageError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -192,28 +192,6 @@ class ReferenceElement:
         return _gradients_at(self.degree, np.atleast_2d(np.asarray(points, float)))
 
 
-def lagrange_basis(degree, point):
-    """Values and gradients of the scalar Lagrange basis at one point.
-
-    Parameters
-    ----------
-    degree : int
-        1..6.
-    point : array_like, shape (2,)
-        Reference coordinates.
-
-    Returns
-    -------
-    values : ndarray, shape (nb,)
-    gradients : ndarray, shape (nb, 2)
-    """
-    if not 1 <= degree <= MAX_LAGRANGE_DEGREE:
-        raise UnsupportedDegreeError(
-            f"Lagrange degree must be in 1..{MAX_LAGRANGE_DEGREE}, got {degree}")
-    pts = np.asarray(point, float).reshape(1, 2)
-    return _values_at(degree, pts)[0], _gradients_at(degree, pts)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Quadrature points and weights on the reference triangle.

@@ -310,6 +310,9 @@ def stokes_infsup(forms, dim_spurious, threshold=DEFAULT_THRESHOLD):
         raise NumericalError(f"(K, A_1) has {count - kernel} eigenvalues past "
                              f"its {kernel} zeros below tau h^2 = {shift:g}, "
                              f"but (K, M_V) counts {dim_spurious} spurious modes")
+    # the quotient lies above every eigenvalue of (K, A_1) seen, so its
+    # count closes no window, but it caps the bracket growing from tau h^2:
+    # without it diagonal n=32 and n=64 at r=2 take 7 factorizations, not 5
     bound = MU_BOUND_MARGIN * constant_mode if dim_spurious == 0 else None
     beta_reduced = math.sqrt(pencil.value(count, bound))
     return StokesResult(beta_reduced if dim_spurious == 0 else 0.0,
@@ -501,7 +504,7 @@ def reproduce_table(which, n_values=None, r_values=None,
 
 def _run_cases(cases, jobs):
     # under fork every worker starts at once: no more than cases or cores
-    workers = min(jobs or 1, len(cases), os.cpu_count() or 1)
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

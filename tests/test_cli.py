@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from mixedstab import __version__
-from mixedstab.cli import (RunConfig, build_parser, main, parse_n_values,
-                           resolve_threshold, THRESHOLD_ENV)
+from mixedstab.cli import RunConfig, build_parser, main, parse_n_values
 from mixedstab.mesh import Family
 from mixedstab.stability import InfSupResult, _divdiv_shift, case_forms
 
@@ -50,16 +49,11 @@ def test_parse_n_values():
             parse_n_values(bad)
 
 
-def test_threshold_resolution(monkeypatch):
+def test_threshold_resolution():
     parser = build_parser()
-    args = parser.parse_args(["infsup", "--family", "diagonal", "--n", "4"])
-    monkeypatch.delenv(THRESHOLD_ENV, raising=False)
-    assert resolve_threshold(args) == 1e-4
-    monkeypatch.setenv(THRESHOLD_ENV, "1e-6")
-    assert resolve_threshold(args) == 1e-6
-    args = parser.parse_args(["infsup", "--family", "diagonal", "--n", "4",
-                              "--threshold", "1e-3"])
-    assert resolve_threshold(args) == 1e-3  # flag beats environment
+    case = ["infsup", "--family", "diagonal", "--n", "4"]
+    assert parser.parse_args(case).threshold == 1e-4
+    assert parser.parse_args([*case, "--threshold", "1e-3"]).threshold == 1e-3
 
 
 # --- subcommands --------------------------------------------------------
@@ -170,32 +164,28 @@ def test_infsup_sweep_monotone(tmp_path):
     assert dims[1] == 9  # (n/2 - 1)^2 at the default threshold
 
 
-def test_env_threshold_changes_output(tmp_path, monkeypatch):
-    out = tmp_path / "r.json"
-    monkeypatch.setenv(THRESHOLD_ENV, "0.5")
-    assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "1",
-                   "--out", str(out)) == 0
-    assert json.loads(out.read_text())["threshold"] == 0.5
-    monkeypatch.setenv(THRESHOLD_ENV, "not-a-float")
-    assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "1",
-                   "--out", str(out)) == 2
+# provenance hashes of outputs no golden file covers; a change to how the
+# arguments are read must leave every one of them as it is
+HASH_PINS = {
+    "converge": (["converge", "--r", "1", "--n", "4"], "8b8252a095d6"),
+    "spectrum": (["spectrum", "--family", "diagonal", "--n", "4", "--r", "1",
+                  "--format", "csv"], "ca6135e20d67"),
+    "laplace-eig": (["laplace-eig", "--family", "zigzag", "--n", "4",
+                     "--r", "2", "--format", "csv"], "b36772fd63b9"),
+    "tables-T1": (["tables", "--which", "T1", "--n", "4", "--r", "1"],
+                  "4eb3c6ceca6f"),
+    "tables-T2": (["tables", "--which", "T2", "--n", "4"], "3831e702b569"),
+    "infsup-sweep": (["infsup", "--family", "flipped", "--n", "4", "--r", "1",
+                      "--sweep", "--format", "csv"], "0be9d06cc24e"),
+}
 
 
-def test_converge_hash_ignores_env_threshold(tmp_path, monkeypatch):
-    # converge refuses spurious modes at the default threshold and reads
-    # none, so the variable changes neither its output nor its hash
-    out = tmp_path / "c.csv"
-    texts = []
-    for env in (None, "1e-3", "not-a-float"):
-        if env is None:
-            monkeypatch.delenv(THRESHOLD_ENV, raising=False)
-        else:
-            monkeypatch.setenv(THRESHOLD_ENV, env)
-        assert run_cli("converge", "--r", "1", "--n", "4",
-                       "--out", str(out)) == 0
-        texts.append(out.read_text())
-    assert texts[0].startswith(f"# mixed-stab {__version__} 8b8252a095d6\n")
-    assert texts[1] == texts[0] and texts[2] == texts[0]
+@pytest.mark.parametrize("name", list(HASH_PINS))
+def test_provenance_hash_pins(tmp_path, name):
+    argv, digest = HASH_PINS[name]
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.read_text().startswith(f"# mixed-stab {__version__} {digest}\n")
 
 
 def test_spectrum_csv_and_dump(tmp_path):
@@ -537,15 +527,18 @@ def test_converge_runs_to_the_largest_degree(capsys):
     assert all(cell for row in rows[1::2] for cell in row[-3:])
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-1e-4", "0"])
-def test_bad_thresholds_exit_two(bad, monkeypatch, capsys):
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1e-4", "0", "x"])
+def test_bad_thresholds_exit_two(bad, capsys):
     case = ["infsup", "--family", "diagonal", "--n", "4", "--r", "1"]
-    monkeypatch.delenv(THRESHOLD_ENV, raising=False)
     assert run_cli(*case, f"--threshold={bad}") == 2
     assert run_cli(*case, "--sweep", f"1e-3,{bad}") == 2
-    monkeypatch.setenv(THRESHOLD_ENV, bad)
-    assert run_cli(*case) == 2
-    assert capsys.readouterr().out == ""
+    assert run_cli("tables", "--which", "T2", "--n", "4",
+                   f"--threshold={bad}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("mixed-stab: ")
+                                   for line in lines)
 
 
 def test_usage_errors_exit_two(capsys):
@@ -563,7 +556,7 @@ SINGLE_CASE_COMMANDS = ["infsup", "spectrum", "coercivity", "laplace-eig",
 
 @pytest.mark.parametrize("command",
                          SINGLE_CASE_COMMANDS + ["tables", "converge"])
-@pytest.mark.parametrize("r", ["0", "-1", "7"])
+@pytest.mark.parametrize("r", ["0", "-1", "7", "x", "1,x"])
 def test_bad_degree_exits_two(command, r, capsys):
     case = (["--which", "T1", "--n", "4"] if command == "tables"
             else ["--family", "diagonal", "--n", "4"])
@@ -591,6 +584,15 @@ def test_tables_with_fixed_degree_refuse_r(which, capsys):
     ["converge", "--n", ","],
     ["tables", "--which", "T2", "--n", "5"],
     ["tables", "--which", "T2", "--n", ","],
+    ["infsup", "--family", "diagonal", "--n", "x"],
+    ["mesh", "--family", "diagonal", "--n", "4,8"],
+    # every other argument checks its own value the same way
+    ["tables", "--which", "T1", "--n", "4", "--jobs", "0"],
+    ["tables", "--which", "T1", "--n", "4", "--jobs", "-3"],
+    ["tables", "--which", "T1", "--n", "4", "--jobs", "x"],
+    ["tables", "--which", "T0", "--n", "4"],
+    ["infsup", "--family", "diagonal", "--n", "4", "--r", "1,2"],
+    ["infsup", "--family", "diagonal", "--n", "4", "--sweep", "default"],
 ])
 def test_bad_n_exits_two(argv, capsys):
     assert run_cli(*argv) == 2

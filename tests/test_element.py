@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mixedstab.element import (MAX_QUADRATURE_DEGREE, ReferenceElement,
-                               lagrange_basis, lattice_nodes,
-                               monomial_integral, quadrature)
+                               lattice_nodes, monomial_integral, quadrature)
 from mixedstab.errors import UnsupportedDegreeError
 
 
@@ -87,12 +86,6 @@ def test_discontinuous_degree_zero_is_constant(rng):
     elem = ReferenceElement.discontinuous(0)
     pts = random_points(rng)
     assert np.max(np.abs(elem.tabulate(pts) - 1.0)) < 1e-15
-
-
-def test_lagrange_basis_helper():
-    vals, grads = lagrange_basis(1, (1 / 3, 1 / 3))
-    assert np.allclose(vals, [1 / 3, 1 / 3, 1 / 3])
-    assert np.allclose(grads, [[-1, -1], [1, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("degree", [0, 7, -1])

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from mixedstab.eigensolve import InertiaSlicer
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
 from mixedstab.mesh import Family, singular_vertices
 from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN,
@@ -394,6 +396,18 @@ def test_stokes_takes_dim_n_from_the_div_div_count(forms_for):
     assert dim == coarse.dim_spurious == 0
     assert abs(coarse.beta - default.beta) <= 1e-12 * default.beta
     assert round(default.beta, 6) == 0.077880
+
+
+def test_stokes_bound_saves_factorizations(forms_for):
+    # the constant-mode bound caps the bracket of the first value past the
+    # count at tau h^2 (h = 1/32 on diagonal n=32): counted with every
+    # factorization stokes_infsup makes, it still beats a fresh slice
+    forms = forms_for(Family.DIAGONAL, 32, 2)
+    res = stokes_infsup(forms, 0)
+    pencil = InertiaSlicer(forms.K, forms.A_1)
+    beta = math.sqrt(pencil.value(pencil.count(DEFAULT_THRESHOLD / 32**2)))
+    assert res.factorizations < pencil.factorizations
+    assert abs(res.beta - beta) <= 1e-12 * beta
 
 
 def test_stokes_refuses_a_count_its_pencil_does_not_show(forms_for):
