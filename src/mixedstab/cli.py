@@ -141,7 +141,10 @@ def parse_threshold(text, source="--threshold"):
 
 
 def parse_sweep(text):
-    return [parse_threshold(t, "--sweep") for t in text.split(",") if t.strip()]
+    values = [parse_threshold(t, "--sweep") for t in text.split(",") if t.strip()]
+    if not values:
+        raise ValueError(f"--sweep: no thresholds in {text!r}")
+    return values
 
 
 def parse_table(text):

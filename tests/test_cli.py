@@ -593,6 +593,7 @@ def test_tables_with_fixed_degree_refuse_r(which, capsys):
     ["tables", "--which", "T0", "--n", "4"],
     ["infsup", "--family", "diagonal", "--n", "4", "--r", "1,2"],
     ["infsup", "--family", "diagonal", "--n", "4", "--sweep", "default"],
+    ["infsup", "--family", "diagonal", "--n", "4", "--sweep", ","],
 ])
 def test_bad_n_exits_two(argv, capsys):
     assert run_cli(*argv) == 2
