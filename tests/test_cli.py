@@ -276,6 +276,33 @@ def test_single_case_csv_layout(tmp_path, argv, header, row):
         assert re.fullmatch(pattern, cell), (cell, pattern)
 
 
+INFSUP_KEYS = {"family", "n", "r", "sigma", "dimN", "beta_div",
+               "beta_div_reduced", "threshold", "diagnostics", "provenance"}
+
+
+@pytest.mark.parametrize("argv, keys, diagnostics", [
+    (["infsup"], INFSUP_KEYS, {"mu_bound", "factorizations"}),
+    (["infsup", "--with-alpha", "--with-gamma", "--with-stokes", "--sweep"],
+     INFSUP_KEYS | {"alpha", "gamma", "beta_h1", "beta_h1_reduced",
+                    "stokes_constant_mode", "sweep"},
+     {"mu_bound", "factorizations", "alpha_residual", "stokes_factorizations"}),
+    (["coercivity"], {"alpha", "kernel_dim", "r", "provenance"}, None),
+    (["laplace-eig"], {"mu", "threshold", "smallest_eigenvalues", "r",
+                       "provenance"}, None),
+    (["stokes-infsup"], {"beta_h1", "beta_h1_reduced", "dimN", "constant_mode",
+                         "threshold", "r", "provenance"}, None),
+], ids=["infsup", "infsup-all-flags", "coercivity", "laplace-eig",
+        "stokes-infsup"])
+def test_single_case_json_keys(tmp_path, argv, keys, diagnostics):
+    out = tmp_path / "o.json"
+    assert run_cli(*argv, "--family", "unionjack", "--n", "4", "--r", "2",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert set(data) == keys
+    if diagnostics is not None:
+        assert set(data["diagnostics"]) == diagnostics
+
+
 def test_laplace_eig_takes_mu_at_the_spurious_split(tmp_path):
     # at threshold 0.75 the smallest inf-sup eigenvalue 0.718 counts as
     # spurious, so mu belongs to the next one, the first spectrum prints
