@@ -4,10 +4,13 @@
     python scripts/bench_infsup.py --src src --out BENCH.json
 
 Every case runs REPEATS times, each in a fresh Python process with --src
-first on its path.  The process assembles the forms, times one
-``brezzi_infsup`` call and reports its own peak RSS and the sparse
-factorizations it made; the entry keeps the sizes,
-the median wall time and peak RSS and the single runs.  The run (with the
+first on its path.  The process assembles the forms, times the first
+read of ``Case(forms).beta_div_reduced`` (the A_div check, the count of
+dimN and the slice of mu) and reports its own peak RSS and the sparse
+factorizations it made; the entry keeps the sizes, the median wall time
+and peak RSS and the single runs.  The child reads ``stability.Case``,
+so it times only sources that have it; the runs of older sources are
+kept in BENCH_13.json.  The run (with the
 source's git commit, the BLAS library and the core count) is appended to
 the "runs" list of --out, so one file holds the before and after runs of
 a change.  On a source that still forms the dense nQ x nQ Schur
@@ -42,16 +45,17 @@ REPEATS = 3
 
 CHILD = """
 import json, resource, sys, time
-from mixedstab.stability import brezzi_infsup, case_forms
+from mixedstab.stability import Case, case_forms
 family, r, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 forms = case_forms(family, n, r)
+case = Case(forms)
 t0 = time.perf_counter()
-res = brezzi_infsup(forms)
+beta_reduced = case.beta_div_reduced
 wall = time.perf_counter() - t0
 print(json.dumps({"nV": forms.V_h.ndofs, "nQ": forms.Q_h.ndofs,
                   "nnz": int(forms.A_div.nnz + 2 * forms.B.nnz),
-                  "dimN": res.dim_spurious, "beta_reduced": res.beta_reduced,
-                  "factorizations": res.factorizations,
+                  "dimN": case.dimN, "beta_reduced": beta_reduced,
+                  "factorizations": case.factorizations,
                   "wall_s": wall,
                   "peak_rss_mb": resource.getrusage(
                       resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
@@ -59,7 +63,7 @@ print(json.dumps({"nV": forms.V_h.ndofs, "nQ": forms.Q_h.ndofs,
 
 
 def run_once(src, family, r, n):
-    """One fresh process: sizes, brezzi_infsup wall time and peak RSS."""
+    """One fresh process: sizes, inf-sup wall time and peak RSS."""
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
     proc = subprocess.run([sys.executable, "-c", CHILD, family, str(r), str(n)],
                           capture_output=True, text=True, env=env, check=True)

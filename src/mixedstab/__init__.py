@@ -54,22 +54,10 @@ from .poisson import (
 )
 from .stability import (
     DEFAULT_THRESHOLD,
-    BabuskaResult,
-    CoercivityResult,
-    InfSupResult,
-    LaplaceResult,
-    StokesResult,
+    Case,
     TableReport,
-    babuska_infsup,
-    brezzi_coercivity,
-    brezzi_infsup,
     case_forms,
-    laplace_eigenvalue,
-    pencil_spectrum,
     reproduce_table,
-    spurious_modes,
-    stokes_infsup,
-    threshold_sweep,
 )
 
 __version__ = "0.1.0"

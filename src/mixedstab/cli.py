@@ -11,10 +11,11 @@ stokes-infsup   inf-sup constant in the full gradient norm
 converge        source-problem convergence study
 tables          recompute the golden stability tables (T1..T4)
 
-The single-case commands (infsup to stokes-infsup) load their case
-through one helper, call the computations whose results they print and
-nothing else, and format those results themselves; every command but
-mesh writes through one emitter.  CSV artifacts start with a provenance
+infsup, coercivity, laplace-eig and stokes-infsup are one command,
+``cmd_case``: it prints the COLUMNS of its command, fields of one
+``stability.Case`` that are computed on their first read, so a command
+computes what it prints and nothing else.  Every command but mesh writes
+through one emitter.  CSV artifacts start with a provenance
 line ``# mixed-stab <version> <config-hash>`` so golden files detect
 configuration drift; JSON output carries the same data under a
 "provenance" key.  Exit codes: 0 success, 1 numerical failure, 2 usage
@@ -38,15 +39,37 @@ from . import __version__
 from .assembly import MAX_SPACE_DEGREE, write_matrix_market
 from .errors import MixedStabError
 from .mesh import (Family, GENERATED_FAMILIES, check_grid_size, export_mesh,
-                   generate, read_mesh, singular_vertices)
-from .stability import (DEFAULT_THRESHOLD, PENCILS, SWEEP_THRESHOLDS,
-                        TABLE_DEFAULTS, babuska_infsup, brezzi_coercivity,
-                        brezzi_infsup, case_forms, laplace_eigenvalue,
-                        pencil_spectrum, reproduce_table, spurious_modes,
-                        stokes_infsup, threshold_sweep)
+                   generate, read_mesh)
+from .stability import (DEFAULT_THRESHOLD, PENCILS, SWEEP_THRESHOLDS, TABLES,
+                        Case, case_forms, reproduce_table)
 from .poisson import ConvergenceReport, convergence_study
 
 PROG = "mixed-stab"
+
+# what each single-case command prints of its Case, in CSV order: (key,
+# CSV format[, flag]).  A key with no format is printed in the JSON only,
+# and one with a flag only when the flag is set (its CSV cell is left
+# empty otherwise).  A key names a Case field, through FIELDS where the
+# two differ; a field that is None (n of a mesh file) leaves its cell empty
+COLUMNS = {
+    "infsup": (("family", ""), ("n", ""), ("r", ""), ("sigma", ""),
+               ("dimN", ""), ("beta_div", ".6f"), ("beta_div_reduced", ".6f"),
+               ("alpha", ".6f", "with_alpha"), ("beta_h1", ".6f", "with_stokes"),
+               ("threshold", "g"), ("gamma", None, "with_gamma"),
+               ("beta_h1_reduced", None, "with_stokes"),
+               ("stokes_constant_mode", None, "with_stokes")),
+    "coercivity": (("alpha", ".12f"), ("kernel_dim", ""), ("r", "")),
+    "laplace-eig": (("mu", ".12f"), ("threshold", "g"), ("r", ""),
+                    ("smallest_eigenvalues", None)),
+    "stokes-infsup": (("beta_h1", ".6f"), ("beta_h1_reduced", ".6f"),
+                      ("dimN", ""), ("constant_mode", ".6f"),
+                      ("threshold", "g"), ("r", "")),
+}
+FIELDS = {"stokes_constant_mode": "constant_mode"}
+# how infsup computed its numbers, in the JSON's "diagnostics" block only,
+# (field[, flag]); factorizations comes last, to count every read before it
+DIAGNOSTICS = (("mu_bound",), ("alpha_residual", "with_alpha"),
+               ("stokes_factorizations", "with_stokes"), ("factorizations",))
 
 # fields that locate outputs or control scheduling; they never change the
 # numbers, so they stay out of the provenance hash
@@ -148,7 +171,7 @@ def parse_sweep(text):
 
 
 def parse_table(text):
-    if text.upper() not in TABLE_DEFAULTS:
+    if text.upper() not in TABLES:
         raise ValueError(f"tables: unknown table {text!r}")
     return text.upper()
 
@@ -254,7 +277,7 @@ def build_parser():
 
     p_tab = sub.add_parser("tables", help="recompute golden tables")
     p_tab.add_argument("--which", type=_arg(parse_table), required=True,
-                       help="one of " + ", ".join(TABLE_DEFAULTS))
+                       help="one of " + ", ".join(TABLES))
     p_tab.add_argument("--n", dest="n_values", metavar="N", type=n_values,
                        help="n values (list or range)")
     p_tab.add_argument("--r", dest="r_values", metavar="R",
@@ -280,7 +303,7 @@ def config_from_args(args):
             raise UsageError(f"{cfg.command}: need --family and --n, or --mesh")
     if cfg.r_values is not None and cfg.which not in (None, "T1"):
         raise UsageError(f"tables: --r applies to T1 only; {cfg.which} "
-                         f"fixes r = {TABLE_DEFAULTS[cfg.which][0]}")
+                         f"fixes r = {TABLES[cfg.which][0]}")
     return cfg
 
 
@@ -316,91 +339,46 @@ def cmd_mesh(cfg):
     return 0
 
 
-def cmd_infsup(cfg):
-    forms = _case_forms(cfg)
-    mesh = forms.mesh
-    sigma = singular_vertices(mesh).sigma
-    infsup = brezzi_infsup(forms, threshold=cfg.threshold)
-    payload = {"family": mesh.family.value, "n": mesh.n, "r": cfg.r,
-               "sigma": sigma, "dimN": infsup.dim_spurious,
-               "beta_div": infsup.beta,
-               "beta_div_reduced": infsup.beta_reduced,
-               "threshold": cfg.threshold}
-    warning = infsup.warning
+def cmd_case(cfg):
+    """infsup, coercivity, laplace-eig and stokes-infsup: the COLUMNS of the
+    command, read off one Case in order; infsup then reads the cluster
+    warning, the sweep and the DIAGNOSTICS, in that order."""
+    case = Case(_case_forms(cfg), cfg.threshold)
+    payload, header, cells = {}, [], []
+    for key, fmt, *flag in COLUMNS[cfg.command]:
+        if flag and not getattr(cfg, flag[0]):
+            value = None
+        else:
+            value = payload[key] = getattr(case, FIELDS.get(key, key))
+        if fmt is not None:
+            header.append(key)
+            cells.append("" if value is None else format(value, fmt))
+    lines = [",".join(header), ",".join(cells)]
+    infsup = cfg.command == "infsup"
+    warning = case.warning if infsup else None
     if warning:
         payload["warnings"] = [warning]
-    diagnostics = {"mu_bound": infsup.mu_bound}
-    if cfg.with_alpha:
-        coercivity = brezzi_coercivity(forms, infsup.dim_spurious)
-        payload["alpha"] = coercivity.alpha
-        diagnostics["alpha_residual"] = coercivity.residual
-    if cfg.with_gamma:
-        payload["gamma"] = babuska_infsup(infsup).gamma
-    if cfg.with_stokes:
-        stokes = stokes_infsup(forms, infsup.dim_spurious, cfg.threshold)
-        diagnostics["stokes_factorizations"] = stokes.factorizations
-        payload.update(beta_h1=stokes.beta, beta_h1_reduced=stokes.beta_reduced,
-                       stokes_constant_mode=stokes.constant_mode)
-    row = [mesh.family.value, "" if mesh.n is None else str(mesh.n),
-           str(cfg.r), str(sigma), str(infsup.dim_spurious)]
-    # constants not computed leave their cells empty
-    row += [f"{payload[key]:.6f}" if key in payload else ""
-            for key in ("beta_div", "beta_div_reduced", "alpha", "beta_h1")]
-    lines = ["family,n,r,sigma,dimN,beta_div,beta_div_reduced,alpha,beta_h1,"
-             "threshold", ",".join([*row, f"{cfg.threshold:g}"])]
     if cfg.sweep:
-        rows = threshold_sweep(infsup, cfg.sweep)
+        rows = case.sweep(cfg.sweep)
         payload["sweep"] = [{"threshold": t, "dimN": d, "beta_reduced": b}
                             for t, d, b in rows]
         lines.append("threshold,dimN,beta_reduced")
         lines += [f"{t:g},{d},{b:.6f}" for t, d, b in rows]
-    # how the numbers were computed, JSON only: the factorizations made
-    # for the Brezzi constant and every read of its pencil above
-    diagnostics["factorizations"] = infsup.factorizations
-    payload["diagnostics"] = diagnostics
+    if infsup:
+        payload["diagnostics"] = {key: getattr(case, key)
+                                  for key, *flag in DIAGNOSTICS
+                                  if not flag or getattr(cfg, flag[0])}
     _emit(cfg, payload, lines)
     return 0
 
 
 def cmd_spectrum(cfg):
-    first, values = pencil_spectrum(_case_forms(cfg), cfg.pencil,
-                                    threshold=cfg.threshold)
+    first, values = Case(_case_forms(cfg), cfg.threshold).spectrum(cfg.pencil)
     indices = list(range(first, first + len(values)))
     values = [float(v) for v in values]
     _emit(cfg, {"pencil": cfg.pencil, "count": len(values),
                 "indices": indices, "values": values},
           ["index,value"] + [f"{i},{v:.12e}" for i, v in zip(indices, values)])
-    return 0
-
-
-def cmd_coercivity(cfg):
-    forms = _case_forms(cfg)
-    _, _, dim = spurious_modes(forms, cfg.threshold)
-    res = brezzi_coercivity(forms, dim)
-    _emit(cfg, {"alpha": res.alpha, "kernel_dim": res.kernel_dim, "r": cfg.r},
-          ["alpha,kernel_dim,r", f"{res.alpha:.12f},{res.kernel_dim},{cfg.r}"])
-    return 0
-
-
-def cmd_laplace(cfg):
-    res = laplace_eigenvalue(brezzi_infsup(_case_forms(cfg),
-                                           threshold=cfg.threshold))
-    _emit(cfg, {"mu": res.mu, "threshold": cfg.threshold,
-                "smallest_eigenvalues": res.smallest, "r": cfg.r},
-          ["mu,threshold,r", f"{res.mu:.12f},{cfg.threshold:g},{cfg.r}"])
-    return 0
-
-
-def cmd_stokes(cfg):
-    forms = _case_forms(cfg)
-    _, _, dim = spurious_modes(forms, cfg.threshold)
-    res = stokes_infsup(forms, dim, cfg.threshold)
-    _emit(cfg, {"beta_h1": res.beta, "beta_h1_reduced": res.beta_reduced,
-                "dimN": res.dim_spurious, "constant_mode": res.constant_mode,
-                "threshold": cfg.threshold, "r": cfg.r},
-          ["beta_h1,beta_h1_reduced,dimN,constant_mode,threshold,r",
-           f"{res.beta:.6f},{res.beta_reduced:.6f},{res.dim_spurious},"
-           f"{res.constant_mode:.6f},{cfg.threshold:g},{cfg.r}"])
     return 0
 
 
@@ -452,11 +430,11 @@ def cmd_tables(cfg):
 
 COMMANDS = {
     "mesh": cmd_mesh,
-    "infsup": cmd_infsup,
+    "infsup": cmd_case,
     "spectrum": cmd_spectrum,
-    "coercivity": cmd_coercivity,
-    "laplace-eig": cmd_laplace,
-    "stokes-infsup": cmd_stokes,
+    "coercivity": cmd_case,
+    "laplace-eig": cmd_case,
+    "stokes-infsup": cmd_case,
     "converge": cmd_converge,
     "tables": cmd_tables,
 }

@@ -23,10 +23,13 @@ sparse factorizations, with no dense matrix:
   Either way one reader checks the values against the counts: they lie
   in the window, and the count at sigma splits them as it says.
 
-Each value is the Rayleigh quotient of its Ritz vector, which must have a
-residual ||K x - nu N x|| <= 1e-8 (||K x|| + |nu| ||N x||): the Ritz value
-itself is only as accurate as the solves with a factor that may have a
-small pivot.  No factor outlives the call that made it.
+Each value is the Rayleigh quotient of its Ritz vector, whose normwise
+backward error ||K x - nu N x|| / ((||K||_1 + |nu| ||N||_1) ||x||) must
+be at most 1e-8 (Higham, Accuracy and Stability of Numerical Algorithms):
+the Ritz value is only as accurate as the solves with a factor that may
+have a small pivot.  Scaled by ||K x|| + |nu| ||N x|| instead, the check
+would ask for a residual below rounding near a nearly singular vertex,
+where x nearly lies in the kernel of K.  No factor outlives its call.
 
 ``positive_definite_lu`` certifies the norm matrices of the pencils, and
 factors the A_div that the source solve (``poisson.solve_mixed``) solves
@@ -40,7 +43,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, norm, splu
 
 from .errors import EigensolveError, NotPositiveDefiniteError
 
@@ -102,6 +105,9 @@ class InertiaSlicer:
         self.K = sp.csc_matrix(K)
         self.N = sp.csc_matrix(N)
         self.size = K.shape[0]
+        # the scale of the Ritz backward errors, taken before any factor
+        # exists, so that the copy |K| does not add to the peak memory
+        self._norms = (norm(self.K, 1), norm(self.N, 1))
         self.factorizations = 0
         self._counts = {}   # shift -> #{nu < shift}
         self._values = {}   # index -> nu_index
@@ -153,7 +159,7 @@ class InertiaSlicer:
         """Ascending Rayleigh quotients of the k Ritz vectors of
         shift-invert Lanczos at sigma, on the factor ``lu`` of K - sigma N.
         Raises EigensolveError unless every ||K x - nu N x|| <= 1e-8
-        (||K x|| + |nu| ||N x||)."""
+        (||K||_1 + |nu| ||N||_1) ||x||, a normwise backward error."""
         opinv = LinearOperator((self.size, self.size), matvec=lu.solve,
                                dtype=float)
         v0 = np.random.default_rng(0).standard_normal(self.size)
@@ -167,12 +173,12 @@ class InertiaSlicer:
         values = np.einsum("ij,ij->j", vectors, kx) / np.einsum("ij,ij->j",
                                                                 vectors, nx)
         residual = np.linalg.norm(kx - nx * values, axis=0)
-        scale = (np.linalg.norm(kx, axis=0)
-                 + np.abs(values) * np.linalg.norm(nx, axis=0))
+        norm_k, norm_n = self._norms
+        scale = (norm_k + np.abs(values) * norm_n) * np.linalg.norm(vectors, axis=0)
         if not np.all(residual <= 1e-8 * scale):
             raise EigensolveError(
-                f"Lanczos at {sigma:g} returned Ritz vectors with relative "
-                f"residuals up to {np.max(residual / scale):.1e}")
+                f"Lanczos at {sigma:g} returned Ritz vectors whose residuals "
+                f"reach a backward error of {np.max(residual / scale):.1e}")
         return np.sort(values)
 
     def _read_window(self, a, top, sigma, lu, which):

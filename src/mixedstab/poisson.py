@@ -3,7 +3,7 @@
 Solves M_V u + B^T p = 0, B u = G on the H(div) norm matrix A_div, the
 same path at every size.  Spurious pressure modes make the saddle-point
 problem singular: the solve counts them first, by the inertia count of
-``stability.spurious_modes`` at the default threshold, and refuses the
+``stability.Case.dimN`` at the default threshold, and refuses the
 case (SpuriousModeError) when there is one.  Otherwise one sparse LDL^T
 certifies A_div positive definite, and conjugate gradients on the
 inf-sup operator, one solve with that factor per step, give the pressure;
@@ -173,7 +173,7 @@ def solve_mixed(forms, rhs):
                          f"has {forms.Q_h.ndofs} dofs")
     # counted before A_div is factored, and the slicer is dropped at once,
     # so the two factors never coexist
-    _, _, dim = _count_spurious(forms, DEFAULT_THRESHOLD)
+    dim = _count_spurious(forms, DEFAULT_THRESHOLD)
     if dim > 0:
         raise SpuriousModeError(
             f"{dim} spurious pressure modes (dim N_h at threshold "

@@ -5,46 +5,48 @@ div-div pencil K u = nu M_V u has nV - nQ zeros plus the mixed Laplace
 eigenvalues mu, and these map one to one onto the Brezzi inf-sup pencil
 B A_div^{-1} B^T p = lambda M_Q p by mu = lambda / (1 - lambda).  Every
 reported constant is read off a spectrum slice of that pencil
-(``eigensolve.InertiaSlicer``), with no dense nQ x nQ matrix:
+(``eigensolve.InertiaSlicer``), with no dense nQ x nQ matrix.  ``Case``
+holds every number of one case, each computed on its first read and kept:
 
-* dim N_h, the spurious pressure modes: the eigenvalues lambda below the
+* dimN, the spurious pressure modes: the eigenvalues lambda below the
   zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
-  s = tau / (1 - tau), from one sparse LDL^T (``spurious_modes``, all
-  that table T1 reads; the source solve refuses a case by the same count);
+  s = tau / (1 - tau), from one sparse LDL^T after the one that
+  certifies A_div (all that table T1 reads; the source solve refuses a
+  case by the same count, ``_count_spurious``);
 * mu, the first eigenvalue past the spurious ones, by shift-invert
-  Lanczos in a window bracketed by counts; beta_reduced =
-  sqrt(mu / (1 + mu)), and beta = beta_reduced, or 0.0 when dim N_h > 0.
-  The factor that certifies A_div makes one solve first, for the Rayleigh
-  quotient of the pressure sin(pi x) sin(pi y).  Raised by MU_BOUND_MARGIN
-  and mapped to mu, it tops the slice (Courant-Fischer: an upper bound of
-  mu when dim N_h = 0, only a guess otherwise), so a stable case takes
-  three factorizations: A_div, the count at tau and the bound;
-* gamma = beta^2 (the Babuska pencil has the eigenvalues -lambda and nV
-  ones) and alpha = 1 on a kernel of dimension nV - nQ + dim N_h.
+  Lanczos in a window bracketed by counts; beta_div_reduced =
+  sqrt(mu / (1 + mu)), and beta_div = beta_div_reduced, or 0.0 when
+  dimN > 0.  The factor that certifies A_div makes one solve, for the
+  Rayleigh quotient of the pressure sin(pi x) sin(pi y).  Raised by
+  MU_BOUND_MARGIN and mapped to mu, it tops the slice (mu_bound;
+  Courant-Fischer: an upper bound of mu when dimN = 0, only a guess
+  otherwise), so a stable case takes three factorizations: A_div, the
+  count at tau and the bound;
+* gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
+  nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN.
 
-The Stokes constant slices (K, A_1) the same way; its eigenvalues are the
-lambda of B A_1^{-1} B^T p = lambda M_Q p.  N_h = ker B^T does not depend
-on the velocity norm, so it takes dim N_h from the count above and checks
-it by one count at tau h^2, h the shortest mesh edge: by the inverse
-inequality, a lambda above tau maps to one above about tau h^2 there.  A
-cluster warning is an inertia test: the counts at tau / 10, tau and 10 tau
-(those below 1) disagree.  The two probes are counted only when the
-warning is read, so the tables, which print none, do not pay for them.
+The Stokes constant beta_h1 slices (K, A_1) the same way; its eigenvalues
+are the lambda of B A_1^{-1} B^T p = lambda M_Q p.  N_h = ker B^T does not
+depend on the velocity norm, so it takes dimN from the count above and
+checks it by one count at tau h^2, h the shortest mesh edge: by the
+inverse inequality, a lambda above tau maps to one above about tau h^2
+there.  A cluster warning is an inertia test: the counts at tau / 10, tau
+and 10 tau (those below 1) disagree.  The two probes are counted only when
+the warning is read, so the tables, which print none, do not pay for them.
 
-``pencil_spectrum`` reads every eigenvalue past the spurious cluster off
-the same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and
-Babuska spectra are closed-form functions of the mu.
-
-Each result type (``InfSupResult``, ``StokesResult``, ...) carries what one
-function computed; the commands in ``cli`` call these functions directly
-and format what they print.
+``Case.spectrum`` reads every eigenvalue past the spurious cluster off the
+same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and Babuska
+spectra are closed-form functions of the mu.  A table is a list of cases
+and the fields it prints of each (``TABLES``), and the single-case
+commands in ``cli`` print fields of one Case by name.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,9 +60,9 @@ from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
 DEFAULT_THRESHOLD = 1e-4
 SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
 # smallest mixed Laplace eigenvalues past the spurious modes that
-# laplace_eigenvalue lists
+# Case.smallest_eigenvalues lists
 LAPLACE_LISTED = 5
-# the pencils pencil_spectrum reads
+# the pencils Case.spectrum reads
 PENCILS = ("infsup", "laplace", "divdiv", "babuska", "stokes")
 # the Rayleigh-quotient bound of mu is raised by this factor, so that it
 # lies above mu when the quotient equals it to rounding
@@ -88,40 +90,12 @@ def _count_below(pencil, kernel, shift, threshold):
     return count, dim
 
 
-@dataclass
-class InfSupResult:
-    """Brezzi constant of one case, read off a slice of the div-div pencil
-    (K, M_V), which stays attached for further reads."""
-
-    beta: float
-    beta_reduced: float
-    dim_spurious: int
-    mu: float
-    threshold: float
-    pencil: InertiaSlicer = field(repr=False)
-    kernel: int          # nV - nQ zeros of K
-    mu_bound: float | None = None   # the slice's top, None when not found
-
-    @property
-    def factorizations(self):
-        """Sparse factorizations made for this result and the reads since:
-        the one that certifies A_div, then the pencil's."""
-        return 1 + self.pencil.factorizations
-
-    @property
-    def warning(self):
-        """None, or the message that the counts at tau / 10, tau and
-        10 tau (those below 1) disagree: the threshold splits a cluster.
-        The first read counts the two probes."""
-        probes = [t for t in (self.threshold / 10.0, self.threshold,
-                              10.0 * self.threshold) if t < 1.0]
-        counts = [self.pencil.count(_divdiv_shift(t)) - self.kernel
-                  for t in probes]
-        if len(set(counts)) == 1:
-            return None
-        return (f"threshold {self.threshold:g} splits a cluster: "
-                + ", ".join(f"{c} eigenvalues below {t:g}"
-                            for c, t in zip(counts, probes)))
+def _count_spurious(forms, threshold):
+    """dim N_h at the threshold, as ``Case.dimN`` counts it, with one sparse
+    factorization and no check of A_div."""
+    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
+    return _count_below(InertiaSlicer(forms.K, forms.M_V), kernel,
+                        _divdiv_shift(threshold), threshold)[1]
 
 
 def orthonormal_divergence(forms):
@@ -151,34 +125,6 @@ def orthonormal_divergence(forms):
     return sp.csr_matrix(c @ forms.B), lower
 
 
-def spurious_modes(forms, threshold=DEFAULT_THRESHOLD):
-    """Spurious pressure modes dim N_h, counted without an eigenvalue.
-
-    Requires every pivot of A_div = K + M_V to be positive
-    (NotPositiveDefiniteError otherwise), then counts the eigenvalues of
-    (K, M_V) below the threshold's shift: two sparse factorizations.
-    Raises NumericalError when the count is below the kernel or takes in
-    every eigenvalue.
-
-    Returns
-    -------
-    (pencil, kernel, dim)
-        The InertiaSlicer of (K, M_V) with that count cached, its nV - nQ
-        zeros, and dim N_h.
-    """
-    positive_definite_lu(forms.A_div)
-    return _count_spurious(forms, threshold)
-
-
-def _count_spurious(forms, threshold):
-    """(pencil, kernel, dim) of ``spurious_modes``, counted with one sparse
-    factorization and no check of A_div."""
-    pencil = InertiaSlicer(forms.K, forms.M_V)
-    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
-    _, dim = _count_below(pencil, kernel, _divdiv_shift(threshold), threshold)
-    return pencil, kernel, dim
-
-
 def _quotient(forms, norm, p):
     """Rayleigh quotient g^T norm^{-1} g / p^T M_Q p, g = B^T p, of the
     pressure p in the pencil B norm^{-1} B^T p = lambda M_Q p, from one
@@ -189,199 +135,243 @@ def _quotient(forms, norm, p):
             / float(p @ (forms.M_Q @ p)))
 
 
-def _mu_bound(forms):
-    """Certify A_div, as ``spurious_modes`` does, with the ``_quotient`` of
-    the Q_h interpolant of sin(pi x) sin(pi y), the first Dirichlet
-    eigenfunction.  Returns mu^ = lambda^ / (1 - lambda^) raised by
-    MU_BOUND_MARGIN, or None unless 0 < lambda^ < 1."""
-    pts = forms.Q_h.interpolation_points
-    lam = _quotient(forms, forms.A_div,
-                    np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
-    if not 0.0 < lam < 1.0:
-        return None
-    return MU_BOUND_MARGIN * lam / (1.0 - lam)
+class Case:
+    """Every reported number of one case, under the name the outputs print.
 
-
-def brezzi_infsup(forms, threshold=DEFAULT_THRESHOLD):
-    """Brezzi inf-sup constant in the H(div) norm, with spurious modes.
-
-    Certifies A_div and takes the Rayleigh bound of mu off its factor
-    (``_mu_bound``), counts the spurious modes, then slices (K, M_V) past
-    them, topped by the bound.
+    Each field that costs work is computed on its first read and kept.  A
+    field reads the fields it builds on first, so whatever is read first,
+    the A_div check (``mu_bound``) comes before the div-div pencil
+    (``pencil``, counted at tau by ``dimN``), and the A_1 check
+    (``constant_mode``) before the Stokes pencil (``stokes_pencil``).  A
+    read of a pencil's values depends on the counts made before it, so the
+    commands read in a fixed order.  ``factorizations`` and
+    ``stokes_factorizations`` count the factorizations made so far.
     """
-    bound = _mu_bound(forms)
-    pencil, kernel, dim = _count_spurious(forms, threshold)
-    mu = pencil.value(kernel + dim, bound)
-    beta_reduced = math.sqrt(mu / (1.0 + mu))
-    return InfSupResult(beta_reduced if dim == 0 else 0.0, beta_reduced, dim,
-                        mu, threshold, pencil, kernel, bound)
 
+    def __init__(self, forms, threshold=DEFAULT_THRESHOLD):
+        self.forms = forms
+        self.threshold = threshold
+        self.kernel = forms.V_h.ndofs - forms.Q_h.ndofs   # zeros of K
+        # n is None on a mesh file
+        self.family, self.n = forms.mesh.family.value, forms.mesh.n
+        self.r = forms.V_h.degree
 
-@dataclass
-class CoercivityResult:
-    alpha: float
-    kernel_dim: int
-    residual: float  # relative Frobenius norm of K - B^T M_Q^{-1} B
+    @cached_property
+    def sigma(self):
+        return singular_vertices(self.forms.mesh).sigma
 
+    @cached_property
+    def mu_bound(self):
+        """Certifies A_div with the ``_quotient`` of the Q_h interpolant of
+        sin(pi x) sin(pi y), the first Dirichlet eigenfunction: mu^ =
+        lambda^ / (1 - lambda^) raised by MU_BOUND_MARGIN, or None unless
+        0 < lambda^ < 1."""
+        pts = self.forms.Q_h.interpolation_points
+        lam = _quotient(self.forms, self.forms.A_div,
+                        np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
+        return MU_BOUND_MARGIN * lam / (1.0 - lam) if 0.0 < lam < 1.0 else None
 
-def brezzi_coercivity(forms, dim_spurious):
-    """Coercivity constant of <u, v> on the discrete divergence-free space.
+    @cached_property
+    def pencil(self):
+        """The InertiaSlicer of (K, M_V), made after the A_div check."""
+        self.mu_bound   # NotPositiveDefiniteError unless A_div passes
+        return InertiaSlicer(self.forms.K, self.forms.M_V)
 
-    Exactly one: K = B^T M_Q^{-1} B vanishes on the kernel of B, whose
-    dimension is nV - nQ + dim N_h, with ``dim_spurious`` = dim N_h (from
-    ``spurious_modes`` or an InfSupResult).
-    Raises NumericalError unless the identity holds on the assembled
-    matrices to 1e-10 relative, checked as K = (C B)^T (C B) with the
-    cellwise factor C of ``orthonormal_divergence``.
-    """
-    b_hat, _ = orthonormal_divergence(forms)
-    residual = float(sparse_norm(forms.K - b_hat.T @ b_hat)
-                     / sparse_norm(forms.K))
-    if not residual <= 1e-10:
-        raise NumericalError(f"div-div form differs from B^T M_Q^-1 B by "
-                             f"{residual:.2e} (relative); alpha = 1 does not hold")
-    kernel_dim = forms.V_h.ndofs - forms.Q_h.ndofs + dim_spurious
-    return CoercivityResult(alpha=1.0, kernel_dim=kernel_dim, residual=residual)
+    @cached_property
+    def dimN(self):
+        """Spurious pressure modes dim N_h: the eigenvalues of (K, M_V)
+        past its zeros below the threshold's shift, with no eigenvalue.
+        Raises NumericalError when the count is below the zeros or takes
+        in every eigenvalue."""
+        return _count_below(self.pencil, self.kernel,
+                            _divdiv_shift(self.threshold), self.threshold)[1]
 
+    @cached_property
+    def mu(self):
+        """The first mixed Laplace eigenvalue past the spurious modes,
+        sliced below ``mu_bound``; its continuous value is 2 pi^2."""
+        return self.pencil.value(self.kernel + self.dimN, self.mu_bound)
 
-@dataclass
-class BabuskaResult:
-    gamma: float
-    note: str | None = None
+    @property
+    def beta_div_reduced(self):
+        """Brezzi inf-sup constant in the H(div) norm past the spurious
+        modes."""
+        return math.sqrt(self.mu / (1.0 + self.mu))
 
+    @property
+    def beta_div(self):
+        """Brezzi inf-sup constant in the H(div) norm: 0.0 with spurious
+        modes."""
+        return 0.0 if self.dimN else self.beta_div_reduced
 
-def babuska_infsup(infsup):
-    """Babuska constant of the full mixed form on V_h x Q_h.
+    @property
+    def gamma(self):
+        """Babuska constant of the full mixed form on V_h x Q_h against the
+        graph norm diag(A_div, M_Q).  Its pencil has the eigenvalues
+        -lambda and nV ones (``spectrum``), so gamma = beta_div^2, and 0.0
+        when spurious modes make the form singular."""
+        return 0.0 if self.dimN else self.beta_div ** 2
 
-    Smallest-modulus eigenvalue of [[M_V, B^T], [B, 0]] against the graph
-    norm diag(A_div, M_Q), whose spectrum is -lambda for every inf-sup
-    eigenvalue plus nV ones (``pencil_spectrum``), so gamma = beta^2 of
-    the InfSupResult ``infsup``.  Reported as exactly zero when spurious
-    modes make the form singular.
-    """
-    if infsup.dim_spurious > 0:
-        return BabuskaResult(0.0, note=f"singular pencil: "
-                                       f"{infsup.dim_spurious} spurious modes")
-    return BabuskaResult(infsup.beta ** 2)
+    @cached_property
+    def alpha_residual(self):
+        """Relative Frobenius norm of K - B^T M_Q^{-1} B, checked as
+        K = (C B)^T (C B) with the cellwise factor C of
+        ``orthonormal_divergence``.  Raises NumericalError above 1e-10."""
+        b_hat, _ = orthonormal_divergence(self.forms)
+        residual = float(sparse_norm(self.forms.K - b_hat.T @ b_hat)
+                         / sparse_norm(self.forms.K))
+        if not residual <= 1e-10:
+            raise NumericalError(f"div-div form differs from B^T M_Q^-1 B by "
+                                 f"{residual:.2e} (relative); alpha = 1 does "
+                                 f"not hold")
+        return residual
 
+    @property
+    def alpha(self):
+        """Coercivity constant of <u, v> on the discrete divergence-free
+        space: exactly one, as K = B^T M_Q^{-1} B vanishes on the kernel of
+        B, once ``alpha_residual`` has checked the identity."""
+        self.alpha_residual
+        return 1.0
 
-@dataclass
-class StokesResult:
-    """Stokes constant of one case, read off a slice of the pencil
-    (K, A_1), which stays attached for further reads."""
+    @property
+    def kernel_dim(self):
+        """Dimension of the kernel of B, nV - nQ + dimN."""
+        return self.kernel + self.dimN
 
-    beta: float
-    beta_reduced: float
-    dim_spurious: int
-    constant_mode: float
-    pencil: InertiaSlicer = field(repr=False)
-    kernel: int          # nV - nQ zeros of K
+    @cached_property
+    def smallest_eigenvalues(self):
+        """The first LAPLACE_LISTED mixed Laplace eigenvalues past the
+        spurious modes (fewer when the pencil has fewer), mu first."""
+        first = self.kernel + self.dimN
+        last = min(first + LAPLACE_LISTED, self.pencil.size)
+        return [self.mu] + [self.pencil.value(i) for i in range(first + 1, last)]
+
+    @cached_property
+    def warning(self):
+        """None, or the message that the counts at tau / 10, tau and
+        10 tau (those below 1) disagree: the threshold splits a cluster.
+        Counts the two probes."""
+        probes = [t for t in (self.threshold / 10.0, self.threshold,
+                              10.0 * self.threshold) if t < 1.0]
+        counts = [self.pencil.count(_divdiv_shift(t)) - self.kernel
+                  for t in probes]
+        if len(set(counts)) == 1:
+            return None
+        return (f"threshold {self.threshold:g} splits a cluster: "
+                + ", ".join(f"{c} eigenvalues below {t:g}"
+                            for c, t in zip(counts, probes)))
 
     @property
     def factorizations(self):
-        """Sparse factorizations made for this result and the reads since:
-        the one that certifies A_1, then the pencil's."""
+        """Sparse factorizations made so far for the div-div fields: the
+        A_div check, then the pencil's."""
         return 1 + self.pencil.factorizations
 
+    @cached_property
+    def constant_mode(self):
+        """Rayleigh quotient of the constant pressure in the Stokes pencil,
+        from the factor that certifies A_1.  No zero-mean pressure
+        constraint is imposed, so its place in the spectrum is reported."""
+        return _quotient(self.forms, self.forms.A_1, np.ones(self.forms.Q_h.ndofs))
 
-def stokes_infsup(forms, dim_spurious, threshold=DEFAULT_THRESHOLD):
-    """Inf-sup constant of the divergence form in the full H1 norm.
+    @cached_property
+    def stokes_pencil(self):
+        """The InertiaSlicer of (K, A_1), made after the A_1 check."""
+        self.constant_mode   # NotPositiveDefiniteError unless A_1 passes
+        return InertiaSlicer(self.forms.K, self.forms.A_1)
 
-    Slices (K, A_1), whose eigenvalues past its nV - nQ zeros are the
-    lambda of B A_1^{-1} B^T p = lambda M_Q p, past the ``dim_spurious``
-    = dim N_h modes counted at the threshold tau (``spurious_modes`` or an
-    InfSupResult); beta_reduced = sqrt(lambda), and beta = beta_reduced,
-    or 0.0 with spurious modes.  Raises NumericalError unless (K, A_1) has
-    nV - nQ + dim N_h eigenvalues below tau h^2, h the shortest mesh edge:
-    by the inverse inequality |u|_1 <= C h^-1 ||u||, a lambda above tau in
-    the H(div) norm lies above about tau h^2 in the H1 norm.  No zero-mean
-    pressure constraint is imposed; the Rayleigh quotient of the constant
-    pressure, from the factor that certifies A_1, is reported separately
-    so its position in the spectrum is visible, and tops the slice when
-    dim N_h = 0 (Courant-Fischer).
-    """
-    constant_mode = _quotient(forms, forms.A_1, np.ones(forms.Q_h.ndofs))
-    pencil = InertiaSlicer(forms.K, forms.A_1)
-    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
-    edges = np.diff(forms.mesh.vertices[forms.mesh.edges], axis=1)[:, 0]
-    shift = threshold * float(np.min(np.einsum("ij,ij->i", edges, edges)))
-    count = pencil.count(shift)
-    if count != kernel + dim_spurious:
-        raise NumericalError(f"(K, A_1) has {count - kernel} eigenvalues past "
-                             f"its {kernel} zeros below tau h^2 = {shift:g}, "
-                             f"but (K, M_V) counts {dim_spurious} spurious modes")
-    # the quotient lies above every eigenvalue of (K, A_1) seen, so its
-    # count closes no window, but it caps the bracket growing from tau h^2:
-    # without it diagonal n=32 and n=64 at r=2 take 7 factorizations, not 5
-    bound = MU_BOUND_MARGIN * constant_mode if dim_spurious == 0 else None
-    beta_reduced = math.sqrt(pencil.value(count, bound))
-    return StokesResult(beta_reduced if dim_spurious == 0 else 0.0,
-                        beta_reduced, dim_spurious, constant_mode, pencil,
-                        kernel)
+    @cached_property
+    def beta_h1_reduced(self):
+        """Inf-sup constant of the divergence form in the full H1 norm past
+        the dimN spurious modes: sqrt of the first eigenvalue of (K, A_1)
+        past them.  Raises NumericalError unless (K, A_1) has nV - nQ +
+        dimN eigenvalues below tau h^2, h the shortest mesh edge: by the
+        inverse inequality |u|_1 <= C h^-1 ||u||, a lambda above tau in the
+        H(div) norm lies above about tau h^2 in the H1 norm.  With dimN = 0
+        the raised ``constant_mode`` tops the slice (Courant-Fischer)."""
+        dim = self.dimN
+        pencil = self.stokes_pencil
+        mesh = self.forms.mesh
+        edges = np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0]
+        shift = self.threshold * float(np.min(np.einsum("ij,ij->i", edges, edges)))
+        count = pencil.count(shift)
+        if count != self.kernel + dim:
+            raise NumericalError(f"(K, A_1) has {count - self.kernel} "
+                                 f"eigenvalues past its {self.kernel} zeros "
+                                 f"below tau h^2 = {shift:g}, but (K, M_V) "
+                                 f"counts {dim} spurious modes")
+        # the quotient lies above every eigenvalue of (K, A_1) seen, so its
+        # count closes no window, but it caps the bracket growing from tau h^2:
+        # without it diagonal n=32 and n=64 at r=2 take 7 factorizations, not 5
+        bound = MU_BOUND_MARGIN * self.constant_mode if dim == 0 else None
+        return math.sqrt(pencil.value(count, bound))
 
+    @property
+    def beta_h1(self):
+        """Inf-sup constant in the full H1 norm: 0.0 with spurious modes."""
+        return 0.0 if self.dimN else self.beta_h1_reduced
 
-@dataclass
-class LaplaceResult:
-    mu: float
-    smallest: list
+    @property
+    def stokes_factorizations(self):
+        """Sparse factorizations made so far for the Stokes fields: the A_1
+        check, then the pencil's."""
+        return 1 + self.stokes_pencil.factorizations
 
+    def sweep(self, thresholds):
+        """Rows (threshold, dimN, beta_div_reduced), one per threshold in
+        the order given, read off the div-div pencil.  A threshold whose
+        count matches one already made reuses its eigenvalue; any other
+        slices the pencil past its own split."""
+        rows = []
+        for thr in thresholds:
+            count, dim = _count_below(self.pencil, self.kernel,
+                                      _divdiv_shift(thr), thr)
+            mu = self.pencil.value(count)
+            rows.append((float(thr), dim, math.sqrt(mu / (1.0 + mu))))
+        return rows
 
-def laplace_eigenvalue(infsup):
-    """Smallest mixed Laplace eigenvalues past the spurious modes.
+    def spectrum(self, pencil):
+        """Every eigenvalue of one pencil past its zero cluster.
 
-    B M_V^{-1} B^T p = mu M_Q p has the nonzero eigenvalues of the div-div
-    pencil (K, M_V), so mu is the first of them past the split the zero
-    threshold of the InfSupResult ``infsup`` made, and ``smallest`` lists
-    the first LAPLACE_LISTED (fewer when the pencil has fewer), read off
-    the same slice.  The continuous value on the unit square is 2 pi^2;
-    how close mu comes depends on the stability of the pair.
-    """
-    pencil, first = infsup.pencil, infsup.kernel + infsup.dim_spurious
-    last = min(first + LAPLACE_LISTED, pencil.size)
-    smallest = [pencil.value(i) for i in range(first, last)]
-    return LaplaceResult(infsup.mu, smallest)
+        The cluster holds the dimN eigenvalues below the threshold, and the
+        nV - nQ zeros of the div-div pencil; its values are rounding noise,
+        so only its size is returned, as the index of the first eigenvalue.
+        The stokes pencil is (K, A_1) past dimN; the others are closed-form
+        functions of the mu of (K, M_V):
 
+        * infsup: lambda = mu / (1 + mu), of B A_div^{-1} B^T p = lambda M_Q p;
+        * laplace: mu, of B M_V^{-1} B^T p = mu M_Q p;
+        * divdiv: mu, of K u = nu M_V u;
+        * babuska: -lambda, descending, then nV ones: the Babuska pencil
+          ordered by modulus, smallest first;
+        * stokes: lambda, of B A_1^{-1} B^T p = lambda M_Q p.
 
-def pencil_spectrum(forms, pencil, threshold=DEFAULT_THRESHOLD):
-    """Every eigenvalue of one pencil past its zero cluster, off one slice.
-
-    The cluster holds the dim N_h eigenvalues below the threshold, and the
-    nV - nQ zeros of the div-div pencil; its values are rounding noise, so
-    only its size is returned, as the index of the first eigenvalue.  The
-    stokes pencil is (K, A_1) past the dim N_h that ``spurious_modes``
-    counts; the others are closed-form functions of the mu of (K, M_V)
-    past the split of ``brezzi_infsup``:
-
-    * infsup: lambda = mu / (1 + mu), of B A_div^{-1} B^T p = lambda M_Q p;
-    * laplace: mu, of B M_V^{-1} B^T p = mu M_Q p;
-    * divdiv: mu, of K u = nu M_V u;
-    * babuska: -lambda, descending, then nV ones: the Babuska pencil
-      ordered by modulus, smallest first;
-    * stokes: lambda, of B A_1^{-1} B^T p = lambda M_Q p.
-
-    Returns
-    -------
-    (first, values)
-        values[j] is the eigenvalue of index first + j.
-    """
-    if pencil not in PENCILS:
-        raise ValueError(f"unknown pencil {pencil!r} (expected one of "
-                         f"{', '.join(PENCILS)})")
-    if pencil == "stokes":
-        _, _, dim = spurious_modes(forms, threshold)
-        res = stokes_infsup(forms, dim, threshold)
-    else:
-        res = brezzi_infsup(forms, threshold)
-    start = res.kernel + res.dim_spurious
-    nu = np.array([res.pencil.value(i) for i in range(start, res.pencil.size)])
-    if pencil == "divdiv":
-        return start, nu
-    if pencil in ("laplace", "stokes"):
-        return res.dim_spurious, nu
-    lam = nu / (1.0 + nu)
-    if pencil == "infsup":
-        return res.dim_spurious, lam
-    return res.dim_spurious, np.concatenate([-lam, np.ones(forms.V_h.ndofs)])
+        Returns
+        -------
+        (first, values)
+            values[j] is the eigenvalue of index first + j.
+        """
+        if pencil not in PENCILS:
+            raise ValueError(f"unknown pencil {pencil!r} (expected one of "
+                             f"{', '.join(PENCILS)})")
+        # the first value is sliced below its bound, the rest past it
+        if pencil == "stokes":
+            self.beta_h1_reduced
+            slicer = self.stokes_pencil
+        else:
+            self.mu
+            slicer = self.pencil
+        start = self.kernel + self.dimN
+        nu = np.array([slicer.value(i) for i in range(start, slicer.size)])
+        if pencil == "divdiv":
+            return start, nu
+        if pencil in ("laplace", "stokes"):
+            return self.dimN, nu
+        lam = nu / (1.0 + nu)
+        if pencil == "infsup":
+            return self.dimN, lam
+        return self.dimN, np.concatenate([-lam, np.ones(self.forms.V_h.ndofs)])
 
 
 def case_forms(family, n, r, mesh=None):
@@ -392,29 +382,27 @@ def case_forms(family, n, r, mesh=None):
     return assemble(v_h, q_h)
 
 
-def threshold_sweep(infsup, thresholds=SWEEP_THRESHOLDS):
-    """Rows (threshold, dim_spurious, beta_reduced), one per threshold in
-    the order given, read off the slice of the InfSupResult ``infsup``.
-
-    A threshold whose count matches one already made reuses its
-    eigenvalue; any other slices the pencil past its own split.
-    """
-    rows = []
-    for thr in thresholds:
-        count, dim = _count_below(infsup.pencil, infsup.kernel,
-                                  _divdiv_shift(thr), thr)
-        mu = infsup.pencil.value(count)
-        rows.append((float(thr), dim, math.sqrt(mu / (1.0 + mu))))
-    return rows
-
-
-TABLE_FAMILIES = (Family.DIAGONAL, Family.ZIGZAG, Family.FLIPPED, Family.UNIONJACK)
-
-TABLE_DEFAULTS = {
-    "T1": (None, (4, 6, 8)),
-    "T2": (1, tuple(range(4, 17, 2))),
-    "T3": (2, tuple(range(4, 15, 2))),
-    "T4": (3, tuple(range(4, 13, 2))),
+# the degrees of T1 unless given
+T1_DEGREES = (1, 2, 3)
+# which -> (r, default n, columns).  T1 (r None) has one row per case, of
+# the Case fields its columns name; T2-T4 have one row per n, each cell
+# (header, family, field) one field of that family's case at n and r
+_T3_T4 = (("beta_diagonal", Family.DIAGONAL, "beta_div"),
+          ("beta_zigzag", Family.ZIGZAG, "beta_div"),
+          ("beta_flipped", Family.FLIPPED, "beta_div"),
+          ("beta_unionjack_reduced", Family.UNIONJACK, "beta_div_reduced"),
+          ("dimN_unionjack", Family.UNIONJACK, "dimN"))
+TABLES = {
+    "T1": (None, (4, 6, 8), ("family", "n", "r", "sigma", "dimN")),
+    "T2": (1, tuple(range(4, 17, 2)), (
+        ("beta_diagonal", Family.DIAGONAL, "beta_div"),
+        ("beta_zigzag", Family.ZIGZAG, "beta_div"),
+        ("beta_flipped_reduced", Family.FLIPPED, "beta_div_reduced"),
+        ("dimN_flipped", Family.FLIPPED, "dimN"),
+        ("beta_unionjack_reduced", Family.UNIONJACK, "beta_div_reduced"),
+        ("dimN_unionjack", Family.UNIONJACK, "dimN"))),
+    "T3": (2, tuple(range(4, 15, 2)), _T3_T4),
+    "T4": (3, tuple(range(4, 13, 2)), _T3_T4),
 }
 
 
@@ -428,78 +416,55 @@ class TableReport:
 
     def to_csv(self):
         lines = [",".join(self.header)]
-        for row in self.rows:
-            cells = []
-            for x in row:
-                if x is None:
-                    cells.append("")
-                elif isinstance(x, float):
-                    cells.append(f"{x:.6f}")
-                else:
-                    cells.append(str(x))
-            lines.append(",".join(cells))
+        lines += [",".join(f"{x:.6f}" if isinstance(x, float) else str(x)
+                           for x in row) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
 def _table_case(args):
-    """One case of a table.  T1: the row (family, n, r, sigma, dimN), from
-    the two factorizations of ``spurious_modes``; T2-T4: (beta,
-    beta_reduced, dimN) of the Brezzi constant."""
-    which, family, n, r, threshold = args
-    forms = case_forms(family, n, r)
-    if which == "T1":
-        _, _, dim = spurious_modes(forms, threshold)
-        return [family.value, n, r, singular_vertices(forms.mesh).sigma, dim]
-    res = brezzi_infsup(forms, threshold)
-    return res.beta, res.beta_reduced, res.dim_spurious
+    """The values of the named fields of one case, in order.  Plain values
+    go back to the pool, not the Case, which holds its pencils."""
+    family, n, r, threshold, fields = args
+    case = Case(case_forms(family, n, r), threshold)
+    return [getattr(case, field) for field in fields]
 
 
 def reproduce_table(which, n_values=None, r_values=None,
                     threshold=DEFAULT_THRESHOLD, jobs=1):
-    """Recompute one of the four golden tables.
+    """Recompute one of the four golden tables of ``TABLES``.
 
-    T1 lists sigma and the spurious dimension per (family, n, r), with no
-    eigenvalue; T2, T3 and T4 list the inf-sup constants of the four
-    diagonal-pattern families at r = 1, 2, 3 (reduced constants and mode
-    counts where the family has spurious modes).
+    T1 lists sigma and dimN per (family, n, r), with no eigenvalue; T2, T3
+    and T4 list the inf-sup constants of the four diagonal-pattern
+    families at r = 1, 2, 3 (reduced constants and mode counts where the
+    family has spurious modes).  ``r_values`` applies to T1 only.
 
     Returns
     -------
     TableReport
     """
     which = which.upper()
-    if which not in TABLE_DEFAULTS:
+    if which not in TABLES:
         raise ValueError(f"unknown table {which!r} (expected T1..T4)")
-    r_default, n_default = TABLE_DEFAULTS[which]
-    n_values = list(n_values) if n_values is not None else list(n_default)
-
-    if which == "T1":
-        r_list = list(r_values) if r_values is not None else [1, 2, 3]
-        cases = [(which, fam, n, r, threshold)
-                 for fam in GENERATED_FAMILIES for n in n_values for r in r_list]
-        return TableReport(which, None, threshold,
-                           ["family", "n", "r", "sigma", "dimN"],
+    r, n_default, columns = TABLES[which]
+    n_values = list(n_default if n_values is None else n_values)
+    if r is None:
+        degrees = T1_DEGREES if r_values is None else r_values
+        cases = [(fam, n, deg, threshold, columns)
+                 for fam in GENERATED_FAMILIES for n in n_values for deg in degrees]
+        return TableReport(which, None, threshold, list(columns),
                            _run_cases(cases, jobs))
 
-    r = r_default
-    cases = [(which, fam, n, r, threshold)
-             for n in n_values for fam in TABLE_FAMILIES]
-    # (family, n) -> (beta, beta_reduced, dimN)
-    by_key = {case[1:3]: res for case, res in zip(cases, _run_cases(cases, jobs))}
-    rows = []
-    for n in n_values:
-        diag, zig, flip, uj = (by_key[(fam, n)] for fam in TABLE_FAMILIES)
-        if which == "T2":
-            rows.append([n, diag[0], zig[0], flip[1], flip[2], uj[1], uj[2]])
-        else:
-            rows.append([n, diag[0], zig[0], flip[0], uj[1], uj[2]])
-    if which == "T2":
-        header = ["n", "beta_diagonal", "beta_zigzag", "beta_flipped_reduced",
-                  "dimN_flipped", "beta_unionjack_reduced", "dimN_unionjack"]
-    else:
-        header = ["n", "beta_diagonal", "beta_zigzag", "beta_flipped",
-                  "beta_unionjack_reduced", "dimN_unionjack"]
-    return TableReport(which, r, threshold, header, rows)
+    families = dict.fromkeys(fam for _, fam, _ in columns)
+    cases = [(fam, n, r, threshold,
+              tuple(field for _, col_fam, field in columns if col_fam is fam))
+             for n in n_values for fam in families]
+    values = {}   # (family, n, field) -> value
+    for (fam, n, _, _, fields), got in zip(cases, _run_cases(cases, jobs)):
+        values.update(((fam, n, field), v) for field, v in zip(fields, got))
+    rows = [[n, *(values[fam, n, field] for _, fam, field in columns)]
+            for n in n_values]
+    return TableReport(which, r, threshold, ["n", *(h for h, _, _ in columns)],
+                       rows)
 
 
 def _run_cases(cases, jobs):

@@ -19,9 +19,7 @@ import scipy.linalg as sla
 from mixedstab.element import monomial_exponents, monomial_integral, quadrature
 from mixedstab.mesh import Family, generate, singular_vertices
 from mixedstab.poisson import convergence_study
-from mixedstab.stability import (DEFAULT_THRESHOLD, brezzi_coercivity,
-                                 brezzi_infsup, pencil_spectrum,
-                                 stokes_infsup)
+from mixedstab.stability import DEFAULT_THRESHOLD, Case
 
 from oracles import (cholesky_reduced, classify_spectrum,
                      divdiv_pencil_eigenvalues,
@@ -89,7 +87,7 @@ def infsup_for(forms_for):
     def get(family, n, r):
         key = (family, n, r)
         if key not in cache:
-            cache[key] = brezzi_infsup(forms_for(family, n, r))
+            cache[key] = Case(forms_for(family, n, r))
         return cache[key]
 
     return get
@@ -124,7 +122,7 @@ def test_criterion_1_singular_vertex_and_spurious_counts(record, infsup_for):
              + [(f, n, 2) for f in ALL_FAMILIES for n in (4, 6)]
              + [(f, 4, 3) for f in ALL_FAMILIES])
     for family, n, r in cases:
-        dim = infsup_for(family, n, r).dim_spurious
+        dim = infsup_for(family, n, r).dimN
         want = expected_dim_spurious(family, n, r)
         if dim != want:
             failures.append(
@@ -143,14 +141,14 @@ def test_criterion_2_infsup_values_r1(record, infsup_for):
             failures.append(f"{tag}: {got:.6f} != {want:.6f}")
 
     for n, (b_diag, b_zig, b_flip, dim_flip, b_uj, dim_uj) in T2.items():
-        compare(f"diagonal n={n}", infsup_for(Family.DIAGONAL, n, 1).beta, b_diag)
-        compare(f"zigzag n={n}", infsup_for(Family.ZIGZAG, n, 1).beta, b_zig)
+        compare(f"diagonal n={n}", infsup_for(Family.DIAGONAL, n, 1).beta_div, b_diag)
+        compare(f"zigzag n={n}", infsup_for(Family.ZIGZAG, n, 1).beta_div, b_zig)
         flip = infsup_for(Family.FLIPPED, n, 1)
-        compare(f"flipped n={n}", flip.beta_reduced, b_flip)
+        compare(f"flipped n={n}", flip.beta_div_reduced, b_flip)
         uj = infsup_for(Family.UNIONJACK, n, 1)
-        compare(f"unionjack n={n}", uj.beta_reduced, b_uj)
-        if (flip.dim_spurious, uj.dim_spurious) != (dim_flip, dim_uj):
-            failures.append(f"dims n={n}: {flip.dim_spurious},{uj.dim_spurious}")
+        compare(f"unionjack n={n}", uj.beta_div_reduced, b_uj)
+        if (flip.dimN, uj.dimN) != (dim_flip, dim_uj):
+            failures.append(f"dims n={n}: {flip.dimN},{uj.dimN}")
     check(record, "2: T2 reference values (r=1)", failures,
           f"28 constants within {BETA_TOL:g} (worst dev {worst:.2e}), dims exact")
 
@@ -165,21 +163,21 @@ def test_criterion_3_infsup_values_r2(record, infsup_for):
             failures.append(f"{tag}: {got:.6f} != {want:.6f}")
 
     for n, want in T3_DIAGONAL.items():
-        compare(f"diagonal n={n}", infsup_for(Family.DIAGONAL, n, 2).beta, want)
+        compare(f"diagonal n={n}", infsup_for(Family.DIAGONAL, n, 2).beta_div, want)
     for n, want in T3_ZIGZAG.items():
-        compare(f"zigzag n={n}", infsup_for(Family.ZIGZAG, n, 2).beta, want)
+        compare(f"zigzag n={n}", infsup_for(Family.ZIGZAG, n, 2).beta_div, want)
     for n, want in T3_FLIPPED.items():
         res = infsup_for(Family.FLIPPED, n, 2)
-        compare(f"flipped n={n}", res.beta, want)
-        if res.dim_spurious != 0:
-            failures.append(f"flipped n={n}: dim {res.dim_spurious} != 0")
+        compare(f"flipped n={n}", res.beta_div, want)
+        if res.dimN != 0:
+            failures.append(f"flipped n={n}: dim {res.dimN} != 0")
     for n, (want, dim) in T3_UNIONJACK.items():
         res = infsup_for(Family.UNIONJACK, n, 2)
-        compare(f"unionjack n={n}", res.beta_reduced, want)
-        if res.dim_spurious != dim:
-            failures.append(f"unionjack n={n}: dim {res.dim_spurious} != {dim}")
+        compare(f"unionjack n={n}", res.beta_div_reduced, want)
+        if res.dimN != dim:
+            failures.append(f"unionjack n={n}: dim {res.dimN} != {dim}")
     # finest diagonal value should have locked onto the continuous constant
-    dev = abs(infsup_for(Family.DIAGONAL, 14, 2).beta - BETA_EXACT)
+    dev = abs(infsup_for(Family.DIAGONAL, 14, 2).beta_div - BETA_EXACT)
     if dev > 1e-5:
         failures.append(f"diagonal n=14 off the limit constant by {dev:.2e}")
     check(record, "3: T3 reference values (r=2)", failures,
@@ -197,18 +195,18 @@ def test_criterion_4_infsup_values_r3(record, infsup_for):
 
     diag = []
     for n, want in T4_DIAGONAL.items():
-        beta = infsup_for(Family.DIAGONAL, n, 3).beta
+        beta = infsup_for(Family.DIAGONAL, n, 3).beta_div
         diag.append(beta)
         compare(f"diagonal n={n}", beta, want)
     for n, want in T4_ZIGZAG.items():
-        compare(f"zigzag n={n}", infsup_for(Family.ZIGZAG, n, 3).beta, want)
+        compare(f"zigzag n={n}", infsup_for(Family.ZIGZAG, n, 3).beta_div, want)
     for n, want in T4_FLIPPED.items():
-        compare(f"flipped n={n}", infsup_for(Family.FLIPPED, n, 3).beta, want)
+        compare(f"flipped n={n}", infsup_for(Family.FLIPPED, n, 3).beta_div, want)
     for n, (want, dim) in T4_UNIONJACK.items():
         res = infsup_for(Family.UNIONJACK, n, 3)
-        compare(f"unionjack n={n}", res.beta_reduced, want)
-        if res.dim_spurious != dim:
-            failures.append(f"unionjack n={n}: dim {res.dim_spurious} != {dim}")
+        compare(f"unionjack n={n}", res.beta_div_reduced, want)
+        if res.dimN != dim:
+            failures.append(f"unionjack n={n}: dim {res.dimN} != {dim}")
     # the diagonal family degrades monotonically below the limit constant
     if not all(a > b for a, b in zip(diag, diag[1:])):
         failures.append(f"diagonal column not strictly decreasing: {diag}")
@@ -226,7 +224,7 @@ def test_criterion_5_eigenvalue_map(record, forms_for):
         forms = forms_for(Family.DIAGONAL, n, r)
         # the library's sliced inf-sup spectrum; diagonal has no spurious
         # modes, so it holds all nQ eigenvalues
-        first, lam = pencil_spectrum(forms, "infsup")
+        first, lam = Case(forms).spectrum("infsup")
         # independent route: the mixed Laplace pencil's own Schur complement
         mu = laplace_pencil_eigenvalues(forms)
         if first != 0 or len(lam) != len(mu):
@@ -263,10 +261,9 @@ def test_criterion_6_coercivity_is_exact(record, forms_for, infsup_for):
     cases = [(f, n, r) for f in ALL_FAMILIES for n in (4, 6) for r in (1, 2)]
     cases.append((Family.DIAGONAL, 4, 3))
     for family, n, r in cases:
-        forms = forms_for(family, n, r)
-        res = brezzi_coercivity(forms, infsup_for(family, n, r).dim_spurious)
+        res = infsup_for(family, n, r)
         # independent route: SVD nullspace basis of B
-        alpha, kernel = svd_coercivity(forms)
+        alpha, kernel = svd_coercivity(forms_for(family, n, r))
         worst = max(worst, abs(alpha - 1.0), abs(res.alpha - alpha))
         if max(abs(alpha - 1.0), abs(res.alpha - alpha)) > 1e-9:
             failures.append(f"{family.value} n={n} r={r}: alpha = "
@@ -282,19 +279,17 @@ def test_criterion_7_h1_vs_div_infsup(record, forms_for, infsup_for):
     failures = []
     for family, n, r in itertools.product(ALL_FAMILIES, (4, 6, 8), (1, 2)):
         tag = f"{family.value} n={n} r={r}"
-        div = infsup_for(family, n, r)
-        h1 = stokes_infsup(forms_for(family, n, r), div.dim_spurious)
-        if h1.beta_reduced > div.beta_reduced + 1e-9:
+        case = infsup_for(family, n, r)
+        if case.beta_h1_reduced > case.beta_div_reduced + 1e-9:
             failures.append(f"{tag}: reduced H1 constant above div constant "
-                            f"({h1.beta_reduced:.8f} > {div.beta_reduced:.8f})")
-        if h1.beta > div.beta + 1e-6:
+                            f"({case.beta_h1_reduced:.8f} > "
+                            f"{case.beta_div_reduced:.8f})")
+        if case.beta_h1 > case.beta_div + 1e-6:
             failures.append(f"{tag}: raw H1 constant above div constant")
     # on the diagonal family at r=2 the H1 constant decays like h while
     # the div constant stays put
-    h1_betas = {n: stokes_infsup(forms_for(Family.DIAGONAL, n, 2),
-                                 infsup_for(Family.DIAGONAL, n, 2).dim_spurious).beta
-                for n in (4, 8, 16)}
-    div_betas = {n: infsup_for(Family.DIAGONAL, n, 2).beta for n in (4, 8, 16)}
+    h1_betas = {n: infsup_for(Family.DIAGONAL, n, 2).beta_h1 for n in (4, 8, 16)}
+    div_betas = {n: infsup_for(Family.DIAGONAL, n, 2).beta_div for n in (4, 8, 16)}
     for coarse, fine in ((4, 8), (8, 16)):
         ratio = h1_betas[fine] / h1_betas[coarse]
         if not 0.4 <= ratio <= 0.6:
@@ -349,7 +344,7 @@ def test_criterion_9_independent_routes(record, forms_for, rng):
     # inf-sup spectrum
     forms = forms_for(Family.DIAGONAL, 4, 1)
     full = full_saddle_eigenvalues(forms)
-    first, reduced = pencil_spectrum(forms, "infsup")
+    first, reduced = Case(forms).spectrum("infsup")
     dev_saddle = (np.max(np.abs(reduced - full))
                   if first == 0 and len(full) == len(reduced) else np.inf)
     if dev_saddle > 1e-9:
@@ -386,8 +381,8 @@ def test_criterion_10a_spurious_count_at_default_threshold(record, infsup_for):
     res = infsup_for(Family.UNIONJACK, 6, 2)
     assert res.threshold == DEFAULT_THRESHOLD
     record("10a: unionjack n=6 r=2 finds all 12 spurious modes at 1e-4",
-           res.dim_spurious == 12, f"dimN = {res.dim_spurious}")
-    assert res.dim_spurious == 12
+           res.dimN == 12, f"dimN = {res.dimN}")
+    assert res.dimN == 12
 
 
 @pytest.mark.xfail(strict=True,

@@ -13,7 +13,7 @@ import pytest
 from mixedstab import __version__
 from mixedstab.cli import RunConfig, build_parser, main, parse_n_values
 from mixedstab.mesh import Family
-from mixedstab.stability import InfSupResult, _divdiv_shift, case_forms
+from mixedstab.stability import Case, _divdiv_shift, case_forms
 
 from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
                      laplace_pencil_eigenvalues, schur_pencil_eigenvalues)
@@ -462,12 +462,12 @@ def test_infsup_json_carries_diagnostics(tmp_path):
 def test_infsup_reads_the_cluster_warning_once(tmp_path, monkeypatch):
     # the warning counts two probes when read; the command reads it once
     reads = []
-    warning = InfSupResult.warning
+    warning = Case.warning
 
     def counted(self):
         reads.append(self)
-        return warning.fget(self)
-    monkeypatch.setattr(InfSupResult, "warning", property(counted))
+        return warning.func(self)
+    monkeypatch.setattr(Case, "warning", property(counted))
     assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "1",
                    "--threshold", "0.75", "--out", str(tmp_path / "i.json")) == 0
     assert len(reads) == 1
@@ -692,15 +692,6 @@ def run_script(name, *argv):
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path})
-
-
-def test_threshold_sweep_script(tmp_path):
-    proc = run_script("threshold_sweep.py", "--outdir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "threshold_sweep.csv").read_text().splitlines()
-    assert lines[0] == "family,n,r,threshold,dimN,beta_reduced"
-    assert len(lines) == 1 + 4 * 6
-    assert "flipped,8,1,0.0001,9," in (tmp_path / "threshold_sweep.csv").read_text()
 
 
 def test_bench_infsup_script_one_case():

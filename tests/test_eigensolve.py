@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import mixedstab.eigensolve as eigensolve
 from mixedstab.eigensolve import WINDOW, InertiaSlicer, positive_definite_lu
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
-from mixedstab.mesh import Family
-from mixedstab.stability import _mu_bound, pencil_spectrum
+from mixedstab.mesh import Family, Triangulation, generate
+from mixedstab.stability import DEFAULT_THRESHOLD, Case, case_forms
 from oracles import (cholesky_reduced, full_saddle_eigenvalues,
                      jacobi_generalized_eig, schur_pencil_eigenvalues)
 
@@ -96,7 +96,7 @@ def test_schur_refuses_non_spd():
 
 def test_schur_pencil_matches_full_saddle_pencil(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    first, reduced = pencil_spectrum(forms, "infsup")
+    first, reduced = Case(forms).spectrum("infsup")
     full = full_saddle_eigenvalues(forms)
     assert first == 0 and len(full) == len(reduced)
     assert np.max(np.abs(reduced - full)) < 1e-9
@@ -195,7 +195,7 @@ def test_bound_guessed_past_spurious_modes_gives_the_slice_value(forms_for):
     forms = forms_for(Family.UNIONJACK, 6, 2)
     kernel = forms.V_h.ndofs - forms.Q_h.ndofs
     got, _, want = bounded_and_sliced(forms.K, forms.M_V, 1e-4 / (1 - 1e-4),
-                                      kernel + 12, _mu_bound(forms))
+                                      kernel + 12, Case(forms).mu_bound)
     assert abs(got - want) <= 1e-12 * want
 
 
@@ -216,3 +216,24 @@ def test_bounded_lanczos_refuses_what_the_counts_do_not_certify(
     with pytest.raises(EigensolveError, match="do not certify" if fault ==
                        "above the bound" else "residuals"):
         slicer.value(15, bound)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_near_singular_vertices_match_the_dense_route(r):
+    # crisscross n=4 with each centre moved by 3e-4 h along x: no vertex is
+    # singular, and tau splits a band of small eigenvalues at r=2 (14 lie
+    # below it).  A residual scaled by ||K x|| + |nu| ||N x|| refused both
+    # cases (2.8e-8 in the Lanczos run at 19.95 at r=2, 2.2e-7 at 2.6e-4
+    # at r=4); as a normwise backward error it passes, and the counts
+    # still certify every window
+    mesh = generate(Family.CRISSCROSS, 4)
+    vertices = mesh.vertices.copy()
+    vertices[25:, 0] += 3e-4 / 4
+    forms = case_forms(None, None, r, mesh=Triangulation(vertices, mesh.cells))
+    case = Case(forms)
+    lam = schur_pencil_eigenvalues(forms, forms.A_div)
+    dim = int(np.count_nonzero(lam < DEFAULT_THRESHOLD))
+    assert case.sigma == 0
+    assert case.dimN == dim
+    want = np.sqrt(lam[dim])
+    assert abs(case.beta_div_reduced - want) <= 1e-9 * want

@@ -8,21 +8,18 @@ import scipy.linalg as sla
 
 from mixedstab.eigensolve import InertiaSlicer
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
-from mixedstab.mesh import Family, singular_vertices
-from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN,
-                                 _mu_bound, babuska_infsup,
-                                 brezzi_coercivity, brezzi_infsup,
-                                 case_forms, laplace_eigenvalue,
-                                 orthonormal_divergence, pencil_spectrum,
-                                 reproduce_table,
-                                 spurious_modes, stokes_infsup,
-                                 threshold_sweep, TABLE_FAMILIES)
+from mixedstab.mesh import (Family, Triangulation, export_mesh, generate,
+                            import_mesh, singular_vertices)
+from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN, Case,
+                                 _count_spurious, case_forms,
+                                 orthonormal_divergence, reproduce_table)
 
 from oracles import (babuska_pencil_eigenvalues, classify_spectrum,
                      dense_schur, divdiv_pencil_eigenvalues,
                      laplace_pencil_eigenvalues, svd_coercivity)
 
 TWO_PI_SQ = 2 * np.pi ** 2
+TABLE_FAMILIES = (Family.DIAGONAL, Family.ZIGZAG, Family.FLIPPED, Family.UNIONJACK)
 
 
 def test_classify_spectrum_counts_and_clips():
@@ -47,10 +44,10 @@ def test_classify_spectrum_rejects_all_below():
 
 
 def test_brezzi_infsup_diagonal_anchor(forms_for, spectrum_for):
-    res = brezzi_infsup(forms_for(Family.DIAGONAL, 4, 1))
-    assert res.dim_spurious == 0
-    assert abs(res.beta - 0.847171) < 5e-5
-    assert res.beta == res.beta_reduced
+    res = Case(forms_for(Family.DIAGONAL, 4, 1))
+    assert res.dimN == 0
+    assert abs(res.beta_div - 0.847171) < 5e-5
+    assert res.beta_div == res.beta_div_reduced
     # eigenvalues live in [0, 1)
     values = spectrum_for(Family.DIAGONAL, 4, 1)
     assert values[0] > 0.5
@@ -58,10 +55,10 @@ def test_brezzi_infsup_diagonal_anchor(forms_for, spectrum_for):
 
 
 def test_brezzi_infsup_unionjack_anchor(forms_for):
-    res = brezzi_infsup(forms_for(Family.UNIONJACK, 4, 1))
-    assert res.dim_spurious == 4
-    assert res.beta == 0.0
-    assert abs(res.beta_reduced - 0.976985) < 5e-5
+    res = Case(forms_for(Family.UNIONJACK, 4, 1))
+    assert res.dimN == 4
+    assert res.beta_div == 0.0
+    assert abs(res.beta_div_reduced - 0.976985) < 5e-5
 
 
 @pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
@@ -72,19 +69,19 @@ def test_orthonormal_pencils_match_the_generalized_route(forms_for, family, r):
     # and the constant mode is the quotient of the pressure 1
     forms = forms_for(family, 4, r)
     m_q = forms.M_Q.toarray()
-    first, brezzi = pencil_spectrum(forms, "infsup")
+    case = Case(forms)
+    first, brezzi = case.spectrum("infsup")
     expected = sla.eigh(dense_schur(forms.B, forms.A_div), m_q, eigvals_only=True)
     assert first == np.count_nonzero(expected < DEFAULT_THRESHOLD)
     assert np.max(np.abs(brezzi - expected[first:])) < 1e-12
-    stokes = stokes_infsup(forms, first)
     s_1 = dense_schur(forms.B, forms.A_1)
     expected = sla.eigh(s_1, m_q, eigvals_only=True)
-    first, values = pencil_spectrum(forms, "stokes")
+    first, values = case.spectrum("stokes")
     assert first == np.count_nonzero(expected < DEFAULT_THRESHOLD)
     assert np.max(np.abs(values - expected[first:])) < 1e-12 * expected[-1]
     ones = np.ones(forms.Q_h.ndofs)
     mode = (ones @ s_1 @ ones) / (ones @ m_q @ ones)
-    assert abs(stokes.constant_mode - mode) < 1e-12 * mode
+    assert abs(case.constant_mode - mode) < 1e-12 * mode
 
 
 def test_orthonormal_divergence_factors_the_pressure_mass(forms_for):
@@ -116,10 +113,10 @@ def test_orthonormal_divergence_requires_cellwise_blocks(forms_for):
 
 def test_coercivity_is_one_with_divergence_free_kernel(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    res = brezzi_coercivity(forms, brezzi_infsup(forms).dim_spurious)
+    res = Case(forms)
     assert res.kernel_dim == forms.V_h.ndofs - forms.Q_h.ndofs  # 50 - 32
     assert res.alpha == 1.0
-    assert res.residual < 1e-14
+    assert res.alpha_residual < 1e-14
     alpha, kernel = svd_coercivity(forms)
     assert abs(alpha - 1.0) < 1e-9
     assert kernel.shape[1] == res.kernel_dim
@@ -130,15 +127,13 @@ def test_coercivity_is_one_with_divergence_free_kernel(forms_for):
 def test_coercivity_rejects_a_broken_divdiv_identity(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 2)
     with pytest.raises(NumericalError, match="alpha = 1 does not hold"):
-        brezzi_coercivity(dataclasses.replace(forms, K=1.01 * forms.K),
-                          brezzi_infsup(forms).dim_spurious)
+        Case(dataclasses.replace(forms, K=1.01 * forms.K)).alpha
 
 
 def test_babuska_positive_and_below_brezzi(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    infsup = brezzi_infsup(forms)
-    beta = infsup.beta
-    res = babuska_infsup(infsup)
+    res = Case(forms)
+    beta = res.beta_div
     assert res.gamma > 0.01
     assert res.gamma <= beta + 1e-12
     assert abs(res.gamma - beta ** 2) < 1e-12
@@ -149,28 +144,25 @@ def test_babuska_positive_and_below_brezzi(forms_for):
 
 def test_babuska_zero_with_spurious_modes(forms_for):
     forms = forms_for(Family.UNIONJACK, 4, 1)
-    res = babuska_infsup(brezzi_infsup(forms))
-    assert res.gamma == 0.0
-    assert "spurious" in res.note
+    assert Case(forms).gamma == 0.0
 
 
 def test_stokes_below_divergence_norm_constant(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 2)
-    brezzi = brezzi_infsup(forms)
-    stokes = stokes_infsup(forms, brezzi.dim_spurious)
-    assert stokes.beta <= brezzi.beta
-    assert stokes.constant_mode > 0.5  # constant pressure is not degenerate
-    assert stokes.dim_spurious == 0
+    case = Case(forms)
+    assert case.beta_h1 <= case.beta_div
+    assert case.constant_mode > 0.5  # constant pressure is not degenerate
+    assert case.dimN == 0
 
 
 def test_laplace_eigenvalue_stable_pair(forms_for):
-    res = laplace_eigenvalue(brezzi_infsup(forms_for(Family.DIAGONAL, 8, 2)))
+    res = Case(forms_for(Family.DIAGONAL, 8, 2))
     assert abs(res.mu - TWO_PI_SQ) < 5e-3
 
 
 def test_eigenvalue_map_and_divdiv_route(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    _, lam = pencil_spectrum(forms, "infsup")
+    _, lam = Case(forms).spectrum("infsup")
     mu = laplace_pencil_eigenvalues(forms)
     mapped = lam / (1.0 - lam)
     assert np.max(np.abs(mu - mapped) / (1.0 + np.abs(mu))) < 1e-10
@@ -182,12 +174,12 @@ def test_eigenvalue_map_and_divdiv_route(forms_for):
 
 def test_pencil_spectrum_refuses_an_unknown_pencil(forms_for):
     with pytest.raises(ValueError, match="unknown pencil 'stokes-h1'"):
-        pencil_spectrum(forms_for(Family.DIAGONAL, 4, 1), "stokes-h1")
+        Case(forms_for(Family.DIAGONAL, 4, 1)).spectrum("stokes-h1")
 
 
 def test_threshold_sweep_monotone(forms_for):
     forms = forms_for(Family.UNIONJACK, 6, 1)
-    rows = threshold_sweep(brezzi_infsup(forms), (1e-2, 1e-4, 1e-6, 1e-8))
+    rows = Case(forms).sweep((1e-2, 1e-4, 1e-6, 1e-8))
     dims = [dim for _, dim, _ in rows]
     assert dims == sorted(dims, reverse=True)
     assert dims[1] == 12  # n(n-2)/2 at the default threshold
@@ -230,21 +222,51 @@ def test_table_rows_equal_run_case_reports():
             "T1", n_values=[4], r_values=[1, 2]).rows:
         forms = case_forms(Family(family), n, r)
         assert (sigma, dim) == (singular_vertices(forms.mesh).sigma,
-                                brezzi_infsup(forms).dim_spurious), (family, r)
+                                Case(forms).dimN), (family, r)
     for n, *cells in reproduce_table("T2", n_values=[4, 6]).rows:
-        diag, zig, flip, uj = (brezzi_infsup(case_forms(family, n, 1))
+        diag, zig, flip, uj = (Case(case_forms(family, n, 1))
                                for family in TABLE_FAMILIES)
-        assert cells == [diag.beta, zig.beta, flip.beta_reduced,
-                         flip.dim_spurious, uj.beta_reduced,
-                         uj.dim_spurious], n
+        assert cells == [diag.beta_div, zig.beta_div, flip.beta_div_reduced,
+                         flip.dimN, uj.beta_div_reduced, uj.dimN], n
 
 
 def test_spurious_modes_is_the_count_brezzi_infsup_starts_from(forms_for):
     forms = forms_for(Family.UNIONJACK, 4, 1)
-    pencil, kernel, dim = spurious_modes(forms)
-    assert kernel == forms.V_h.ndofs - forms.Q_h.ndofs
-    assert pencil.factorizations == 1
-    assert dim == brezzi_infsup(forms).dim_spurious == 4
+    case = Case(forms)
+    dim = case.dimN
+    assert case.kernel == forms.V_h.ndofs - forms.Q_h.ndofs
+    assert case.pencil.factorizations == 1
+    assert dim == _count_spurious(forms, DEFAULT_THRESHOLD) == 4
+
+
+# symmetries of the unit square, each a map of (x, y) and whether it
+# reverses the orientation of the cells
+SQUARE_SYMMETRIES = {
+    "reflection": (lambda x, y: (1.0 - x, y), True),
+    "quarter-turn": (lambda x, y: (1.0 - y, x), False),
+    "transpose": (lambda x, y: (y, x), True),
+}
+
+
+@pytest.mark.parametrize("family", [Family.UNIONJACK, Family.FLIPPED,
+                                    Family.ZIGZAG, Family.CRISSCROSS],
+                         ids=lambda f: f.value)
+def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
+                                                                     family):
+    # the image of the exported mesh is imported again, so its singular
+    # vertices take the floating-point test, the generated mesh the exact one
+    exported = import_mesh(export_mesh(generate(family, 4)))
+    for name, (symmetry, flips) in SQUARE_SYMMETRIES.items():
+        x, y = symmetry(exported.vertices[:, 0], exported.vertices[:, 1])
+        cells = exported.cells[:, ::-1] if flips else exported.cells
+        image = import_mesh(export_mesh(Triangulation(np.column_stack([x, y]),
+                                                      cells)))
+        for r in (1, 2):
+            want = Case(forms_for(family, 4, r))
+            got = Case(case_forms(None, None, r, mesh=image))
+            tag = (name, r)
+            assert (got.sigma, got.dimN) == (want.sigma, want.dimN), tag
+            assert abs(got.beta_div_reduced - want.beta_div_reduced) <= 1e-12, tag
 
 
 class RecordingExecutor:
@@ -309,35 +331,33 @@ def test_sliced_constants_match_the_dense_route(forms_for, spectrum_for, family)
             continue
         tag = f"{family.value} n={n} r={r}"
         lam = spectrum_for(family, n, r)
-        infsup = brezzi_infsup(forms)
-        rows = threshold_sweep(infsup, SLICE_THRESHOLDS)
+        infsup = Case(forms)
+        rows = infsup.sweep(SLICE_THRESHOLDS)
         dims = [dim for _, dim, _ in rows]
         assert dims == sorted(dims), tag   # counts are monotone in s
         for thr, dim, beta_reduced in rows:
             want_dim, _, want_beta, _ = classify_spectrum(lam, thr)
             assert dim == want_dim, (tag, thr)
             assert rel(beta_reduced, want_beta) < 1e-10, (tag, thr)
-        dim = infsup.dim_spurious
+        dim = infsup.dimN
         mu = lam[dim:dim + 5] / (1.0 - lam[dim:dim + 5])
-        laplace = laplace_eigenvalue(infsup)
-        assert rel(laplace.mu, mu[0]) < 1e-10, tag
-        assert np.max(np.abs(np.array(laplace.smallest) - mu) / mu) < 1e-10, tag
+        assert rel(infsup.mu, mu[0]) < 1e-10, tag
+        assert (np.max(np.abs(np.array(infsup.smallest_eigenvalues) - mu) / mu)
+                < 1e-10), tag
         if n == 8:
             continue
         h1 = spectrum_for(family, n, r, h1=True)
         want_dim, _, want_beta, _ = classify_spectrum(h1, DEFAULT_THRESHOLD)
-        stokes = stokes_infsup(forms, infsup.dim_spurious)
-        assert stokes.dim_spurious == want_dim, tag
-        assert rel(stokes.beta_reduced, want_beta) < 1e-10, tag
+        assert infsup.dimN == want_dim, tag
+        assert rel(infsup.beta_h1_reduced, want_beta) < 1e-10, tag
 
 
 def test_beta_is_zero_with_spurious_modes(forms_for):
     forms = forms_for(Family.UNIONJACK, 4, 2)
-    brezzi = brezzi_infsup(forms)
-    stokes = stokes_infsup(forms, brezzi.dim_spurious)
-    assert brezzi.dim_spurious == stokes.dim_spurious == 4
-    assert brezzi.beta == stokes.beta == 0.0
-    assert brezzi.beta_reduced > 0.9 and stokes.beta_reduced > 0.1
+    case = Case(forms)
+    assert case.dimN == 4
+    assert case.beta_div == case.beta_h1 == 0.0
+    assert case.beta_div_reduced > 0.9 and case.beta_h1_reduced > 0.1
 
 
 @pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
@@ -347,31 +367,31 @@ def test_rayleigh_bound_tops_mu_without_spurious_modes(forms_for, family, r):
     # Courant-Fischer: with dim N_h = 0 the quotient of any pressure lies
     # at or above the smallest lambda, so the raised mu^ lies above mu
     forms = forms_for(family, 4, r)
-    res = brezzi_infsup(forms)
-    assert res.dim_spurious == 0
-    assert res.mu * MU_BOUND_MARGIN <= _mu_bound(forms) == res.mu_bound
+    res = Case(forms)
+    assert res.dimN == 0
+    assert res.mu * MU_BOUND_MARGIN <= Case(forms).mu_bound == res.mu_bound
 
 
 def test_rayleigh_bound_needs_a_quotient_in_the_unit_interval(forms_for):
     # a pressure in the kernel of B^T has quotient 0: no bound, and the
     # slice runs without one (B enters the pencil only through K)
     forms = forms_for(Family.DIAGONAL, 4, 2)
-    unbounded = brezzi_infsup(dataclasses.replace(forms, B=0.0 * forms.B))
+    unbounded = Case(dataclasses.replace(forms, B=0.0 * forms.B))
     assert unbounded.mu_bound is None
-    assert abs(unbounded.mu - brezzi_infsup(forms).mu) <= 1e-12 * unbounded.mu
+    assert abs(unbounded.mu - Case(forms).mu) <= 1e-12 * unbounded.mu
 
 
 def test_cluster_warning_is_an_inertia_test(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    assert brezzi_infsup(forms).warning is None
+    assert Case(forms).warning is None
     # lambda_min = 0.718 lies between tau / 10 and tau
-    res = brezzi_infsup(forms, threshold=0.75)
-    assert res.dim_spurious == 1
+    res = Case(forms, threshold=0.75)
+    assert res.dimN == 1
     assert res.warning == ("threshold 0.75 splits a cluster: 0 eigenvalues "
                            "below 0.075, 1 eigenvalues below 0.75")
     # 10 tau = 5 would count every eigenvalue; it is no probe
-    res = brezzi_infsup(forms, threshold=0.5)
-    assert res.dim_spurious == 0 and res.warning is None
+    res = Case(forms, threshold=0.5)
+    assert res.dimN == 0 and res.warning is None
 
 
 @pytest.mark.parametrize("form", ["A_div", "A_1"])
@@ -380,9 +400,9 @@ def test_sliced_constants_refuse_an_indefinite_norm(forms_for, form):
     broken = dataclasses.replace(forms, **{form: -getattr(forms, form)})
     with pytest.raises(NotPositiveDefiniteError):
         if form == "A_div":
-            brezzi_infsup(broken)
+            Case(broken).beta_div
         else:
-            stokes_infsup(broken, 0)
+            Case(broken).beta_h1
 
 
 def test_stokes_takes_dim_n_from_the_div_div_count(forms_for):
@@ -390,33 +410,32 @@ def test_stokes_takes_dim_n_from_the_div_div_count(forms_for):
     # above beta_h1^2 = 0.0061, the div-div pencil counts no spurious mode,
     # and the Stokes constant is the one at the default threshold
     forms = forms_for(Family.DIAGONAL, 8, 2)
-    _, _, dim = spurious_modes(forms, 0.01)
-    coarse = stokes_infsup(forms, dim, 0.01)
-    default = stokes_infsup(forms, spurious_modes(forms)[2])
-    assert dim == coarse.dim_spurious == 0
-    assert abs(coarse.beta - default.beta) <= 1e-12 * default.beta
-    assert round(default.beta, 6) == 0.077880
+    coarse, default = Case(forms, 0.01), Case(forms)
+    assert coarse.dimN == 0
+    assert abs(coarse.beta_h1 - default.beta_h1) <= 1e-12 * default.beta_h1
+    assert round(default.beta_h1, 6) == 0.077880
 
 
 def test_stokes_bound_saves_factorizations(forms_for):
     # the constant-mode bound caps the bracket of the first value past the
     # count at tau h^2 (h = 1/32 on diagonal n=32): counted with every
-    # factorization stokes_infsup makes, it still beats a fresh slice
+    # factorization the Stokes constant makes, it still beats a fresh slice
     forms = forms_for(Family.DIAGONAL, 32, 2)
-    res = stokes_infsup(forms, 0)
+    res = Case(forms)
     pencil = InertiaSlicer(forms.K, forms.A_1)
     beta = math.sqrt(pencil.value(pencil.count(DEFAULT_THRESHOLD / 32**2)))
-    assert res.factorizations < pencil.factorizations
-    assert abs(res.beta - beta) <= 1e-12 * beta
+    assert abs(res.beta_h1 - beta) <= 1e-12 * beta
+    assert res.stokes_factorizations < pencil.factorizations
 
 
 def test_stokes_refuses_a_count_its_pencil_does_not_show(forms_for):
-    forms = forms_for(Family.DIAGONAL, 4, 2)
+    case = Case(forms_for(Family.DIAGONAL, 4, 2))
+    case.dimN = 1   # a count (K, M_V) does not make
     with pytest.raises(NumericalError, match="has 0 eigenvalues past its 66 "
                        "zeros .* counts 1 spurious modes"):
-        stokes_infsup(forms, 1)
+        case.beta_h1_reduced
 
 
 def test_threshold_at_or_above_one_counts_every_eigenvalue(forms_for):
     with pytest.raises(NumericalError, match="all 32 eigenvalues"):
-        brezzi_infsup(forms_for(Family.DIAGONAL, 4, 1), threshold=1.0)
+        Case(forms_for(Family.DIAGONAL, 4, 1), threshold=1.0).dimN
