@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,29 @@ def test_vertex_ordering_rowwise():
     for j in range(n + 1):
         for i in range(n + 1):
             assert np.allclose(mesh.vertices[j * (n + 1) + i], [i / n, j / n])
+
+
+# sha256 of export_mesh(generate(family, n)).  The vertex and cell order
+# fix the DOF numbering, and through the LU orderings the last bits of
+# every printed number, so a rewrite of generate must keep them.
+MESH_SHA256 = {
+    ("diagonal", 4): "92cce8a7d2844a1a70fa5539e1eaa820288e993287d84ce053db96e623358ca2",
+    ("diagonal", 16): "1ce3310fc05c78c88d6b2b74d19bc7968e69deda32272b1cea78311cb628faa9",
+    ("flipped", 4): "9f1662cb4847db2041a2c2e0b70c9d86c4d31ca4d3f7d562477af101917d6e1a",
+    ("flipped", 16): "d1ce8a77e2f0bbc668025954f95f9d9e9c21d67001b69f88e6336b419cfd7b75",
+    ("zigzag", 4): "7cb65d58f843df6dc8060aa5237c2c5401077dcb875136c7b30fa21e9ff14a2b",
+    ("zigzag", 16): "b06264c541436603f780bf9157602cebbf004934d602e419471d909596ab785a",
+    ("crisscross", 4): "f7466eb9b769ce442692a71e09a59fe5370dbcb52924c42f82e130c016a93a4c",
+    ("crisscross", 16): "cbd11694b6a9e3a3244d62e767888fd1ccb95f76c7ba659c57475799d28e5adf",
+    ("unionjack", 4): "5b8172cee528d25d52f20be1168774b7f3a0b936d42eb1bca31f4a35dd5bd64d",
+    ("unionjack", 16): "1a35b0cdf507c6a28ef376d4ba2f101732262ffbcec6419af4b28517e632bc03",
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(MESH_SHA256))
+def test_generated_mesh_bytes_are_pinned(family, n):
+    text = export_mesh(generate(family, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == MESH_SHA256[family, n]
 
 
 @pytest.mark.parametrize("family", GENERATED_FAMILIES)
