@@ -33,7 +33,6 @@ from .errors import (
 )
 from .mesh import (
     Family,
-    SingularVertexReport,
     Triangulation,
     generate,
     import_mesh,

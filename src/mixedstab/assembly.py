@@ -90,8 +90,7 @@ def scalar_lagrange_space(mesh, degree):
         for e, (la, lb) in enumerate(((0, 1), (1, 2), (2, 0))):
             a = mesh.cells[:, la]
             b = mesh.cells[:, lb]
-            eid = mesh.edge_indices(a, b)
-            base = V + eid * nedge
+            base = V + mesh.cell_edges[:, e] * nedge
             for k in range(nedge):
                 # edge nodes are stored from the lower-numbered endpoint
                 cell_dofs[:, 3 + e * nedge + k] = np.where(a < b, base + k,

@@ -9,13 +9,13 @@ every subsquare into four triangles through its centre; ``unionjack``
 alternates the diagonal in a checkerboard so diagonals star around
 alternate grid vertices.
 
-Generated meshes carry exact integer vertex coordinates (scaled by 2n)
-so that singular-vertex detection is tolerance-free.
+Generated meshes carry exact integer vertex coordinates (scaled by 2n),
+on which the one singular-vertex predicate runs with tolerance 0; on an
+imported mesh it runs on unit edge directions with tolerance 1e-12.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,7 +46,7 @@ GENERATED_FAMILIES = (Family.DIAGONAL, Family.FLIPPED, Family.ZIGZAG,
 
 
 class Triangulation:
-    """Immutable triangle mesh with derived edge structure.
+    """Immutable triangle mesh with its edge connectivity, built once.
 
     Parameters
     ----------
@@ -58,23 +58,21 @@ class Triangulation:
     n : int or None
         Subdivision parameter for generated meshes.
     exact_vertices : array_like of int or None
-        Integer coordinates (vertices * exact_scale) for exact geometric
+        Integer coordinates (vertices * 2n) for exact geometric
         predicates; present on generated meshes.
-    exact_scale : int or None
 
     Attributes
     ----------
     edges : ndarray, shape (E, 2)
         Unique undirected edges, each row sorted, rows lexicographic.
-    edge_cells : list of tuple
-        Incident cell indices per edge (length 1 or 2).
+    cell_edges : ndarray, shape (C, 3)
+        Edge id of local edge k of each cell, the edge from local vertex
+        k to local vertex (k + 1) % 3.
     boundary_edges, boundary_vertices : ndarray of bool
-    vertex_edges : list of list
-        Incident edge indices per vertex.
     """
 
     def __init__(self, vertices, cells, family=Family.IMPORTED, n=None,
-                 exact_vertices=None, exact_scale=None):
+                 exact_vertices=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -84,7 +82,6 @@ class Triangulation:
         self.family = family
         self.n = n
         self.exact_vertices = None
-        self.exact_scale = exact_scale
         if exact_vertices is not None:
             self.exact_vertices = np.ascontiguousarray(exact_vertices, dtype=np.int64)
             self.exact_vertices.setflags(write=False)
@@ -133,6 +130,9 @@ class Triangulation:
             dup_row = sets[np.sort(first[counts > 1])[0]]
             dup = int(np.nonzero((sets == dup_row).all(axis=1))[0][1])
             raise MeshTopologyError(f"cell {dup}: duplicate of an earlier cell")
+        unused = np.bincount(self.cells.ravel(), minlength=V) == 0
+        if unused.any():
+            raise MeshTopologyError(f"vertex {np.argmax(unused)} belongs to no cell")
 
     def _build_edges(self):
         C = self.num_cells
@@ -162,24 +162,14 @@ class Triangulation:
                 f"cell {cell}: overlaps its neighbour across edge ({a}, {b})")
         self.edges = edges
         self.edges.setflags(write=False)
-        edge_cells = [[] for _ in range(edges.shape[0])]
-        order = np.argsort(inverse, kind="stable")
-        for row in order:
-            edge_cells[inverse[row]].append(int(owner[row]))
-        self.edge_cells = [tuple(c) for c in edge_cells]
+        self.cell_edges = inverse.reshape(3, C).T
+        self.cell_edges.setflags(write=False)
         self.boundary_edges = counts == 1
         self.boundary_edges.setflags(write=False)
         bv = np.zeros(self.num_vertices, dtype=bool)
         bv[edges[self.boundary_edges].ravel()] = True
         self.boundary_vertices = bv
         self.boundary_vertices.setflags(write=False)
-        vertex_edges = [[] for _ in range(self.num_vertices)]
-        for eid, (a, b) in enumerate(edges):
-            vertex_edges[a].append(eid)
-            vertex_edges[b].append(eid)
-        self.vertex_edges = vertex_edges
-        # searchable edge keys (edges are lexicographically sorted by unique)
-        self._edge_keys = edges[:, 0].astype(np.int64) * self.num_vertices + edges[:, 1]
 
     def _check_hanging_vertices(self):
         # at a T-junction the long edge has one cell and its pieces have
@@ -202,26 +192,11 @@ class Triangulation:
             if hanging.any():
                 i, j = np.argwhere(hanging)[0]
                 a, b = ends[i]
-                cell = self.edge_cells[bedges[lo + i]][0]
+                # a boundary edge belongs to exactly one cell
+                cell = np.argmax((self.cell_edges == bedges[lo + i]).any(axis=1))
                 raise MeshTopologyError(
                     f"cell {cell}: vertex {bverts[j]} hangs inside its boundary "
                     f"edge ({a}, {b}) (T-junction)")
-
-    def edge_indices(self, a, b):
-        """Edge ids for endpoint arrays a, b (order-insensitive)."""
-        lo = np.minimum(a, b).astype(np.int64)
-        hi = np.maximum(a, b).astype(np.int64)
-        keys = lo * self.num_vertices + hi
-        idx = np.searchsorted(self._edge_keys, keys)
-        if (idx >= self.num_edges) if np.isscalar(idx) else (idx >= self.num_edges).any():
-            raise MeshTopologyError("edge lookup failed")
-        if not np.array_equal(self._edge_keys[idx], keys):
-            raise MeshTopologyError("edge lookup failed")
-        return idx
-
-
-def _grid_id(i, j, n):
-    return j * (n + 1) + i
 
 
 def check_grid_size(n):
@@ -252,114 +227,74 @@ def generate(family, n):
         raise ValueError(f"cannot generate family {family}")
     n = check_grid_size(n)
 
-    scale = 2 * n
-    exact = [(2 * i, 2 * j) for j in range(n + 1) for i in range(n + 1)]
-    cells = []
-
+    # subsquares (i, j) row by row, with their corners in the vertex grid
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    exact = _grid_points(n + 1, 0)
     if family is Family.CRISSCROSS:
-        base = (n + 1) ** 2
-        exact += [(2 * i + 1, 2 * j + 1) for j in range(n) for i in range(n)]
-        for j in range(n):
-            for i in range(n):
-                v00 = _grid_id(i, j, n)
-                v10 = _grid_id(i + 1, j, n)
-                v01 = _grid_id(i, j + 1, n)
-                v11 = _grid_id(i + 1, j + 1, n)
-                c = base + j * n + i
-                cells += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
+        exact = np.concatenate([exact, _grid_points(n, 1)])
+        c = (n + 1) ** 2 + np.arange(n * n)
+        cells = [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
     else:
-        for j in range(n):
-            for i in range(n):
-                v00 = _grid_id(i, j, n)
-                v10 = _grid_id(i + 1, j, n)
-                v01 = _grid_id(i, j + 1, n)
-                v11 = _grid_id(i + 1, j + 1, n)
-                if _positive_diagonal(family, i, j):
-                    cells += [(v00, v10, v11), (v00, v11, v01)]
-                else:
-                    cells += [(v00, v10, v01), (v10, v11, v01)]
-
-    exact_arr = np.array(exact, dtype=np.int64)
-    vertices = exact_arr / float(scale)
-    return Triangulation(vertices, np.array(cells, dtype=np.int64), family=family,
-                         n=n, exact_vertices=exact_arr, exact_scale=scale)
+        positive = _POSITIVE_DIAGONAL[family](i, j)
+        cells = [np.where(positive, (v00, v10, v11), (v00, v10, v01)),
+                 np.where(positive, (v00, v11, v01), (v10, v11, v01))]
+    # (triangle, corner, subsquare) -> the triangles of each subsquare in turn
+    cells = np.array(cells).transpose(2, 0, 1).reshape(-1, 3)
+    return Triangulation(exact / float(2 * n), cells, family=family, n=n,
+                         exact_vertices=exact)
 
 
-def _positive_diagonal(family, i, j):
-    if family is Family.DIAGONAL:
-        return True
-    if family is Family.ZIGZAG:
-        return j % 2 == 0
-    if family is Family.FLIPPED:
-        return not (i % 2 == 0 and j % 2 == 0)
-    if family is Family.UNIONJACK:
-        return (i + j) % 2 == 0
-    raise ValueError(family)
+def _grid_points(m, offset):
+    """Integer points (2i + offset, 2j + offset) for i, j < m, row by row."""
+    j, i = np.divmod(np.arange(m * m), m)
+    return np.stack([2 * i + offset, 2 * j + offset], axis=1)
 
 
-@dataclass(frozen=True)
-class SingularVertexReport:
-    """Interior vertices whose 4 incident edges lie on 2 straight lines."""
-
-    vertices: np.ndarray
-    sigma: int
+# which subsquares (i, j) each family splits along the positive diagonal
+_POSITIVE_DIAGONAL = {
+    Family.DIAGONAL: lambda i, j: np.ones(i.shape, dtype=bool),
+    Family.ZIGZAG: lambda i, j: j % 2 == 0,
+    Family.FLIPPED: lambda i, j: (i % 2 == 1) | (j % 2 == 1),
+    Family.UNIONJACK: lambda i, j: (i + j) % 2 == 0,
+}
 
 
 def singular_vertices(mesh):
-    """Detect singular interior vertices.
+    """Ascending indices of the singular vertices of a mesh.
 
     A vertex is singular when it is interior, has exactly four incident
     edges, and those edges pair up into two distinct straight lines
-    through the vertex.  Generated meshes are tested in exact integer
-    arithmetic; imported meshes fall back to normalized directions with
-    an angular tolerance of 1e-12.
-
-    Returns
-    -------
-    SingularVertexReport
+    through the vertex.  The test runs on the exact integer coordinates
+    with tolerance 0 when the mesh has them (generated meshes), and on
+    unit edge directions with tolerance 1e-12 otherwise.
     """
+    degree = np.bincount(mesh.edges.ravel(), minlength=mesh.num_vertices)
+    centre = np.flatnonzero((degree == 4) & ~mesh.boundary_vertices)
+    # both orientations of every edge, grouped by start: the neighbour lists
+    ends = np.concatenate([mesh.edges, mesh.edges[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 0], kind="stable")]
+    first = np.cumsum(degree) - degree
+    nbrs = ends[first[centre, None] + np.arange(4), 1]
     exact = mesh.exact_vertices is not None
-    found = []
-    for v in np.flatnonzero(~mesh.boundary_vertices):
-        eids = mesh.vertex_edges[v]
-        if len(eids) != 4:
-            continue
-        nbrs = [int(a) if b == v else int(b) for a, b in mesh.edges[eids]]
-        if exact:
-            dirs = mesh.exact_vertices[nbrs] - mesh.exact_vertices[v]
-            if _two_lines_exact(dirs):
-                found.append(v)
-        else:
-            dirs = mesh.vertices[nbrs] - mesh.vertices[v]
-            dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-            if _two_lines_float(dirs):
-                found.append(v)
-    return SingularVertexReport(np.array(found, dtype=np.int64), len(found))
+    points = mesh.exact_vertices if exact else mesh.vertices
+    d = points[nbrs] - points[centre, None]
+    if not exact:
+        d = d / np.linalg.norm(d, axis=2, keepdims=True)
+    tol = 0 if exact else 1e-12
 
+    def collinear(p, q):
+        return np.abs(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) <= tol
 
-def _two_lines_exact(d):
-    d = [(int(a), int(b)) for a, b in d]
-    return _pair_up(d, lambda p, q: p[0] * q[1] - p[1] * q[0] == 0,
-                    lambda p, q: p[0] * q[0] + p[1] * q[1] < 0)
+    def line(p, q):   # p and q point opposite ways along one line
+        return collinear(p, q) & (np.sum(p * q, axis=1) < 0)
 
-
-def _two_lines_float(d, tol=1e-12):
-    d = [tuple(row) for row in d]
-    return _pair_up(d, lambda p, q: abs(p[0] * q[1] - p[1] * q[0]) <= tol,
-                    lambda p, q: p[0] * q[0] + p[1] * q[1] < 0)
-
-
-def _pair_up(dirs, collinear, opposite):
-    partners = [j for j in range(1, 4)
-                if collinear(dirs[0], dirs[j]) and opposite(dirs[0], dirs[j])]
-    if len(partners) != 1:
-        return False
-    rest = [j for j in range(1, 4) if j != partners[0]]
-    p, q = dirs[rest[0]], dirs[rest[1]]
-    if not (collinear(p, q) and opposite(p, q)):
-        return False
-    # the two lines must be distinct
-    return not collinear(dirs[0], p)
+    singular = np.zeros(len(centre), dtype=bool)
+    for a, b, c, e in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+        singular |= (line(d[:, a], d[:, b]) & line(d[:, c], d[:, e])
+                     & ~collinear(d[:, a], d[:, c]))
+    return centre[singular]
 
 
 def export_mesh(mesh):
@@ -400,15 +335,24 @@ def import_mesh(source):
             fail(lineno, "unexpected end of input")
         return lines[lineno - 1].strip()
 
+    def count(lineno, keyword, noun):
+        head = get(lineno).split()
+        if len(head) != 2 or head[0] != keyword:
+            fail(lineno, f"expected '{keyword} <count>'")
+        try:
+            value = int(head[1])
+        except ValueError:
+            fail(lineno, f"bad {noun} count {head[1]!r}")
+        # each counted item takes a line, so a count past the end of the
+        # input is refused before it sizes an array
+        if not 0 <= value <= len(lines) - lineno:
+            fail(lineno, f"{noun} count {value} is not between 0 and the "
+                         f"{len(lines) - lineno} lines that follow")
+        return value
+
     if get(1) != MESH_HEADER:
         fail(1, f"expected header {MESH_HEADER!r}")
-    head = get(2).split()
-    if len(head) != 2 or head[0] != "vertices":
-        fail(2, "expected 'vertices <count>'")
-    try:
-        nv = int(head[1])
-    except ValueError:
-        fail(2, f"bad vertex count {head[1]!r}")
+    nv = count(2, "vertices", "vertex")
     verts = np.empty((nv, 2), dtype=float)
     for k in range(nv):
         lineno = 3 + k
@@ -421,14 +365,7 @@ def import_mesh(source):
             fail(lineno, f"bad coordinate in {parts!r}")
         if not np.all(np.isfinite(verts[k])):
             fail(lineno, f"non-finite coordinate in {parts!r}")
-    lineno = 3 + nv
-    head = get(lineno).split()
-    if len(head) != 2 or head[0] != "cells":
-        fail(lineno, "expected 'cells <count>'")
-    try:
-        nc = int(head[1])
-    except ValueError:
-        fail(lineno, f"bad cell count {head[1]!r}")
+    nc = count(3 + nv, "cells", "cell")
     cells = np.empty((nc, 3), dtype=np.int64)
     for k in range(nc):
         lineno = 4 + nv + k

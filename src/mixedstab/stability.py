@@ -158,7 +158,7 @@ class Case:
 
     @cached_property
     def sigma(self):
-        return singular_vertices(self.forms.mesh).sigma
+        return singular_vertices(self.forms.mesh).size
 
     @cached_property
     def mu_bound(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixedstab.mesh import Triangulation
 from mixedstab.stability import case_forms
 
 from oracles import schur_pencil_eigenvalues
@@ -69,3 +70,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def relabel(rng):
+    """Relabel a mesh: a random vertex permutation, a cell permutation and
+    a cyclic rotation of each cell's triple, which keeps the orientation.
+    Returns the relabelled mesh and vperm, the new index of each vertex."""
+
+    def apply(mesh):
+        vperm = rng.permutation(mesh.num_vertices)
+        vertices = np.empty_like(mesh.vertices)
+        vertices[vperm] = mesh.vertices
+        cells = vperm[mesh.cells][rng.permutation(mesh.num_cells)]
+        shift = rng.integers(0, 3, size=len(cells))
+        cells = np.take_along_axis(cells, (np.arange(3) + shift[:, None]) % 3, axis=1)
+        return Triangulation(vertices, cells), vperm
+
+    return apply

@@ -114,7 +114,7 @@ def check(record, label, failures, ok_detail):
 def test_criterion_1_singular_vertex_and_spurious_counts(record, infsup_for):
     failures = []
     for family, n in itertools.product(ALL_FAMILIES, range(4, 17, 2)):
-        sigma = singular_vertices(generate(family, n)).sigma
+        sigma = singular_vertices(generate(family, n)).size
         want = expected_sigma(family, n)
         if sigma != want:
             failures.append(f"sigma({family.value}, n={n}) = {sigma} != {want}")

@@ -677,6 +677,26 @@ def test_hanging_vertex_mesh_file_exits_one(tmp_path, capsys):
     assert "MeshTopologyError: cell 2: vertex 4 hangs" in err
 
 
+def test_vertex_in_no_cell_mesh_file_exits_one(tmp_path, capsys):
+    mesh_file = tmp_path / "unused.txt"
+    mesh_file.write_text("mesh 2 triangle\nvertices 5\n0.0 0.0\n1.0 0.0\n"
+                         "0.0 1.0\n2.0 2.0\n1.0 1.0\ncells 2\n0 1 2\n"
+                         "1 4 2\n")
+    assert run_cli("infsup", "--mesh", str(mesh_file), "--r", "2") == 1
+    err = capsys.readouterr().err
+    assert "MeshTopologyError: vertex 3 belongs to no cell" in err
+
+
+@pytest.mark.parametrize("count", ["-1", "100000000000"])
+def test_bad_vertex_count_in_mesh_file_exits_one(tmp_path, capsys, count):
+    mesh_file = tmp_path / "count.txt"
+    mesh_file.write_text(f"mesh 2 triangle\nvertices {count}\n0.0 0.0\n")
+    assert run_cli("infsup", "--mesh", str(mesh_file), "--r", "2") == 1
+    err = capsys.readouterr().err
+    assert "MeshFormatError: line 2: vertex count" in err
+    assert "Traceback" not in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mixedstab.cli", "--version"],

@@ -34,7 +34,7 @@ def test_generated_mesh_invariants(family, n):
     # Euler characteristic of a disk: V - E + F = 1
     assert len(mesh.vertices) - len(mesh.edges) + len(mesh.cells) == 1
     # every edge belongs to one or two cells, boundary edges to one
-    counts = np.array([len(c) for c in mesh.edge_cells])
+    counts = np.bincount(mesh.cell_edges.ravel())
     assert set(counts) <= {1, 2}
     assert np.count_nonzero(counts == 1) == np.count_nonzero(mesh.boundary_edges)
 
@@ -82,16 +82,16 @@ def test_generated_mesh_bytes_are_pinned(family, n):
 @pytest.mark.parametrize("family", GENERATED_FAMILIES)
 def test_singular_vertex_counts(family):
     for n in range(4, 17, 2):
-        rep = singular_vertices(generate(family, n))
-        assert rep.sigma == expected_sigma(family, n), (family, n)
+        sigma = singular_vertices(generate(family, n)).size
+        assert sigma == expected_sigma(family, n), (family, n)
 
 
 def test_singular_vertices_are_interior():
     mesh = generate(Family.CRISSCROSS, 4)
-    rep = singular_vertices(mesh)
-    assert not mesh.boundary_vertices[rep.vertices].any()
-    # crisscross: exactly the appended cell-center vertices
-    assert set(rep.vertices) == set(range(25, 41))
+    singular = singular_vertices(mesh)
+    assert not mesh.boundary_vertices[singular].any()
+    # crisscross: exactly the appended cell-center vertices, ascending
+    assert np.array_equal(singular, np.arange(25, 41))
 
 
 def test_float_detection_matches_exact():
@@ -100,7 +100,16 @@ def test_float_detection_matches_exact():
         mesh = generate(family, 6)
         imported = import_mesh(export_mesh(mesh))
         assert imported.exact_vertices is None
-        assert singular_vertices(imported).sigma == singular_vertices(mesh).sigma
+        assert np.array_equal(singular_vertices(imported), singular_vertices(mesh))
+
+
+@pytest.mark.parametrize("family", GENERATED_FAMILIES)
+def test_singular_vertices_follow_a_relabelling(family, relabel):
+    mesh = generate(family, 8)
+    image, vperm = relabel(mesh)
+    assert image.exact_vertices is None
+    assert np.array_equal(singular_vertices(image),
+                          np.sort(vperm[singular_vertices(mesh)]))
 
 
 def test_export_import_round_trip():
@@ -148,9 +157,19 @@ def test_import_rejects_bad_header():
 
 def test_import_rejects_bad_vertex_count():
     lines = simple_mesh_text().splitlines()
-    lines[1] = "vertices 9999"
-    with pytest.raises(MeshFormatError):
-        import_mesh("\n".join(lines) + "\n")
+    for count in ("9999", "-1", "100000000000"):
+        lines[1] = f"vertices {count}"
+        with pytest.raises(MeshFormatError, match="line 2: vertex count"):
+            import_mesh("\n".join(lines) + "\n")
+
+
+def test_import_rejects_bad_cell_count():
+    lines = simple_mesh_text().splitlines()
+    at = lines.index("cells 32")
+    for count in ("33", "-2", "100000000000"):
+        lines[at] = f"cells {count}"
+        with pytest.raises(MeshFormatError, match=f"line {at + 1}: cell count"):
+            import_mesh("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("token", ["nan", "inf"])
@@ -188,7 +207,7 @@ def test_inverted_cell_rejected():
 def test_duplicate_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cells = np.array([[0, 1, 2], [1, 2, 0]])
-    with pytest.raises(MeshTopologyError):
+    with pytest.raises(MeshTopologyError, match="cell 1: duplicate"):
         Triangulation(verts, cells)
 
 
@@ -215,6 +234,15 @@ def test_hanging_vertex_rejected():
         Triangulation(verts, cells)
 
 
+def test_vertex_in_no_cell_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [0.5, 2.0]])
+    cells = np.array([[0, 1, 2], [1, 3, 2]])
+    with pytest.raises(MeshTopologyError) as info:
+        Triangulation(verts, cells)
+    assert str(info.value) == "vertex 4 belongs to no cell"
+
+
 def test_edge_shared_by_three_cells_message():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0],
                       [0.3, 0.8]])
@@ -234,7 +262,8 @@ def test_generated_meshes_pass_the_hanging_vertex_check(family, n):
 
 
 def test_edge_lookup():
+    # local edge k of a cell runs from local vertex k to (k + 1) % 3, and
+    # cell_edges names the row of edges holding its sorted endpoints
     mesh = generate(Family.DIAGONAL, 4)
-    a, b = mesh.edges[7]
-    assert mesh.edge_indices(np.array([a]), np.array([b]))[0] == 7
-    assert mesh.edge_indices(np.array([b]), np.array([a]))[0] == 7
+    ends = np.stack([mesh.cells, np.roll(mesh.cells, -1, axis=1)], axis=2)
+    assert np.array_equal(mesh.edges[mesh.cell_edges], np.sort(ends, axis=2))

@@ -221,7 +221,7 @@ def test_table_rows_equal_run_case_reports():
     for family, n, r, sigma, dim in reproduce_table(
             "T1", n_values=[4], r_values=[1, 2]).rows:
         forms = case_forms(Family(family), n, r)
-        assert (sigma, dim) == (singular_vertices(forms.mesh).sigma,
+        assert (sigma, dim) == (singular_vertices(forms.mesh).size,
                                 Case(forms).dimN), (family, r)
     for n, *cells in reproduce_table("T2", n_values=[4, 6]).rows:
         diag, zig, flip, uj = (Case(case_forms(family, n, 1))
@@ -249,18 +249,23 @@ SQUARE_SYMMETRIES = {
 
 
 @pytest.mark.parametrize("family", [Family.UNIONJACK, Family.FLIPPED,
-                                    Family.ZIGZAG, Family.CRISSCROSS],
+                                    Family.ZIGZAG, Family.CRISSCROSS,
+                                    Family.DIAGONAL],
                          ids=lambda f: f.value)
 def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
+                                                                     relabel,
                                                                      family):
     # the image of the exported mesh is imported again, so its singular
-    # vertices take the floating-point test, the generated mesh the exact one
+    # vertices take the floating-point test, the generated mesh the exact one;
+    # a relabelling of the vertices and cells joins the symmetries
     exported = import_mesh(export_mesh(generate(family, 4)))
+    images = {"relabelling": relabel(exported)[0]}
     for name, (symmetry, flips) in SQUARE_SYMMETRIES.items():
         x, y = symmetry(exported.vertices[:, 0], exported.vertices[:, 1])
         cells = exported.cells[:, ::-1] if flips else exported.cells
-        image = import_mesh(export_mesh(Triangulation(np.column_stack([x, y]),
-                                                      cells)))
+        images[name] = Triangulation(np.column_stack([x, y]), cells)
+    for name, mesh in images.items():
+        image = import_mesh(export_mesh(mesh))
         for r in (1, 2):
             want = Case(forms_for(family, 4, r))
             got = Case(case_forms(None, None, r, mesh=image))
