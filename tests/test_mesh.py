@@ -94,22 +94,17 @@ def test_singular_vertices_are_interior():
     assert np.array_equal(singular, np.arange(25, 41))
 
 
-def test_float_detection_matches_exact():
-    # import drops the exact integer coordinates, forcing the float path
-    for family in (Family.CRISSCROSS, Family.UNIONJACK, Family.ZIGZAG):
+def test_float_detection_matches_exact(relabel):
+    # import drops the exact integer coordinates, forcing the float path;
+    # a relabelling moves each singular vertex v to vperm[v]
+    for family in GENERATED_FAMILIES:
         mesh = generate(family, 6)
+        singular = singular_vertices(mesh)
         imported = import_mesh(export_mesh(mesh))
         assert imported.exact_vertices is None
-        assert np.array_equal(singular_vertices(imported), singular_vertices(mesh))
-
-
-@pytest.mark.parametrize("family", GENERATED_FAMILIES)
-def test_singular_vertices_follow_a_relabelling(family, relabel):
-    mesh = generate(family, 8)
-    image, vperm = relabel(mesh)
-    assert image.exact_vertices is None
-    assert np.array_equal(singular_vertices(image),
-                          np.sort(vperm[singular_vertices(mesh)]))
+        assert np.array_equal(singular_vertices(imported), singular)
+        image, vperm = relabel(mesh)
+        assert np.array_equal(singular_vertices(image), np.sort(vperm[singular]))
 
 
 def test_export_import_round_trip():
