@@ -13,12 +13,17 @@ that LAPACK and ``jacobi_generalized_eig`` both solve.
 ``dense_schur`` forms the Schur complement B A^{-1} B^T that the library
 never forms; ``schur_pencil_eigenvalues`` gives every eigenvalue of it
 against M_Q, and ``dense_schur_solve`` solves the source problem by it.
+``reference_assemble`` assembles the six forms the straightforward way,
+one COO->CSR conversion and one symmetrization per form, against which
+the library's shared-pattern assembly is compared bit for bit.
 """
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from mixedstab.assembly import AssembledForms, cell_geometry
+from mixedstab.element import quadrature
 from mixedstab.errors import (EigensolveError, NotPositiveDefiniteError,
                               NumericalError)
 
@@ -213,3 +218,62 @@ def dense_schur_solve(forms, rhs):
 def divdiv_pencil_eigenvalues(forms):
     """Div-div form against the vector mass, K u = nu M_V u, solved densely."""
     return sla.eigh(forms.K.toarray(), forms.M_V.toarray(), eigvals_only=True)
+
+
+def _scatter(local, row_dofs, col_dofs, shape):
+    rows = np.broadcast_to(row_dofs[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(col_dofs[:, None, :], local.shape).ravel()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _symmetrized(mat):
+    return (mat + mat.T) * 0.5
+
+
+def reference_assemble(V_h, Q_h):
+    """The six forms, each scattered and symmetrized on its own."""
+    mesh = V_h.mesh
+    r = V_h.degree
+    rule = quadrature(2 * r + 2)
+    w = rule.weights
+
+    phi = V_h.element.tabulate(rule.points)            # (nq, nb)
+    dphi = V_h.element.tabulate_gradients(rule.points)  # (nq, nb, 2)
+    psi = Q_h.element.tabulate(rule.points)            # (nq, nbq)
+    _, inv_jac_t, det = cell_geometry(mesh)
+
+    C = mesh.num_cells
+    nb = phi.shape[1]
+
+    g = np.einsum("cde,qie->cqid", inv_jac_t, dphi)
+    D = g.reshape(C, len(w), 2 * nb)
+
+    mass_ref = np.einsum("q,qi,qj->ij", w, phi, phi)
+    mass_vec = np.kron(mass_ref, np.eye(2))
+    mloc = det[:, None, None] * mass_vec[None, :, :]
+
+    kloc = np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * det[:, None, None]
+
+    grad_scalar = np.einsum("q,cqid,cqjd->cij", w, g, g, optimize=True)
+    gloc = np.einsum("cij,ab->ciajb", grad_scalar, np.eye(2)).reshape(C, 2 * nb, 2 * nb)
+    gloc *= det[:, None, None]
+
+    bloc = np.einsum("q,qk,cqm->ckm", w, psi, D) * det[:, None, None]
+
+    mq_ref = np.einsum("q,qk,ql->kl", w, psi, psi)
+    mqloc = det[:, None, None] * mq_ref[None, :, :]
+
+    vd = V_h.cell_dofs
+    qd = Q_h.cell_dofs
+    nV, nQ = V_h.ndofs, Q_h.ndofs
+    M_V = _symmetrized(_scatter(mloc, vd, vd, (nV, nV)))
+    K = _symmetrized(_scatter(kloc, vd, vd, (nV, nV)))
+    G = _symmetrized(_scatter(gloc, vd, vd, (nV, nV)))
+    B = _scatter(bloc, qd, vd, (nQ, nV))
+    M_Q = _symmetrized(_scatter(mqloc, qd, qd, (nQ, nQ)))
+    return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=M_V.tocsr(), K=K.tocsr(),
+                          A_div=(M_V + K).tocsr(), B=B.tocsr(),
+                          M_Q=M_Q.tocsr(), A_1=(M_V + G).tocsr())

@@ -10,8 +10,13 @@ from mixedstab.assembly import (assemble, build_spaces, cell_geometry,
                                 write_matrix_market)
 from mixedstab.element import quadrature
 from mixedstab.errors import UnsupportedDegreeError
-from mixedstab.mesh import Family, Triangulation, generate
+from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
+                            export_mesh, generate, import_mesh)
 from mixedstab.poisson import FieldCoefficients, eval_scalar, interpolate
+
+from oracles import reference_assemble
+
+FORM_NAMES = ("M_V", "K", "A_div", "B", "M_Q", "A_1")
 
 
 def reference_triangle_mesh():
@@ -178,3 +183,28 @@ def test_space_degree_validation():
         scalar_lagrange_space(mesh, 7)
     with pytest.raises(UnsupportedDegreeError):
         build_spaces(mesh, 0)
+
+
+def assert_same_bits(mesh, r):
+    v_h, q_h = build_spaces(mesh, r)
+    got = assemble(v_h, q_h)
+    want = reference_assemble(v_h, q_h)
+    for name in FORM_NAMES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert sp.isspmatrix_csr(a) and a.shape == b.shape, name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+def test_assembly_matches_the_reference_bit_for_bit(family, r, n):
+    # n = 6 puts vertices at non-dyadic coordinates (multiples of 1/6)
+    assert_same_bits(generate(family, n), r)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_assembly_matches_the_reference_on_a_relabelled_import(relabel, r):
+    mesh, _ = relabel(generate(Family.UNIONJACK, 6))
+    assert_same_bits(import_mesh(export_mesh(mesh)), r)
