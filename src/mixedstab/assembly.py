@@ -7,6 +7,15 @@ the scalar boundary condition of the mixed formulation is natural.
 Vector degrees of freedom interleave components per node (x0, y0, x1,
 y1, ...), and global scalar numbering runs vertices, then edge nodes,
 then cell-interior nodes.
+
+Assembly computes the sparsity pattern once and reuses it for every form
+that scatters over the same blocks (as in MILAMIN, Dabrowski, Krotkiewski
+& Schmid 2008, and Cuvelier, Japhet & Scarella 2016): M_V, K and the
+grad-grad form all live on the ``cell_dofs x cell_dofs`` blocks of V_h,
+so one pattern and one summation map serve all three, and each form is
+one gather and one ``np.bincount``.  The summation order is the one of
+scipy's COO->CSR conversion, so the matrices are bit for bit those of
+converting each form on its own.
 """
 
 from __future__ import annotations
@@ -175,24 +184,75 @@ class AssembledForms:
         return self.V_h.mesh
 
 
-def _scatter(local, row_dofs, col_dofs, shape):
-    rows = np.broadcast_to(row_dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(col_dofs[:, None, :], local.shape).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat
+def _pattern(cell_dofs, n):
+    """The CSR pattern of the ``cell_dofs x cell_dofs`` blocks of an n x n
+    form, with the map that sums local entries into it.
+
+    Returns ``(indptr, indices, order, slot, transpose)``.  The local
+    entries of a (C, m, m) array, read in the order ``order``, add into
+    pattern entries ``slot`` (non-decreasing), and ``transpose[k]`` is the
+    entry at the mirror position of entry k.  Summing in that order
+    repeats, bit for bit, scipy's COO->CSR conversion: ``coo_tocsr`` is
+    a counting sort by row that keeps the entry order, after which
+    ``sum_duplicates`` sorts each row with ``csr_sort_indices`` (not a
+    stable sort) and adds runs of equal columns left to right.
+    """
+    C, m = cell_dofs.shape
+    flat = cell_dofs.ravel()
+    # the m entries of one (cell, local row) pair are consecutive, so the
+    # stable sort by row of all C*m*m entries expands that of the C*m pairs
+    pairs = np.argsort(flat, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n) * m, out=indptr[1:])
+    by_row = sp.csr_matrix(((pairs[:, None] * m + np.arange(m)).ravel(),
+                            cell_dofs[pairs // m].ravel(), indptr), shape=(n, n))
+    del pairs
+    # the same row sort, carrying entry numbers, gives the summation order
+    by_row.sort_indices()
+    order, cols = by_row.data, by_row.indices
+    del by_row
+    starts = np.ones(len(cols), dtype=bool)
+    np.not_equal(cols[1:], cols[:-1], out=starts[1:])
+    starts[indptr[:-1]] = True   # every dof lies in a cell: no row is empty
+    slot = np.cumsum(starts) - 1
+    indices = cols[starts]
+    del cols, starts
+    indptr[1:] = slot[indptr[1:] - 1] + 1
+    # the pattern is symmetric, so its column-major listing holds, in row
+    # order, the mirror of each entry
+    transpose = sp.csr_matrix((np.arange(len(indices)), indices, indptr),
+                              shape=(n, n)).tocsc().data
+    return indptr, indices, order, slot, transpose
 
 
-def _symmetrized(mat):
-    return (mat + mat.T) * 0.5
+def _componentwise(blocks):
+    """Local matrices (C, 2nb, 2nb) of a form that acts on each velocity
+    component alike, from its scalar blocks (C, nb, nb)."""
+    C, nb, _ = blocks.shape
+    local = np.zeros((C, nb, 2, nb, 2))
+    local[:, :, 0, :, 0] = local[:, :, 1, :, 1] = blocks
+    return local.reshape(C, 2 * nb, 2 * nb)
+
+
+def _nonzero_csr(data, indptr, indices, shape):
+    """CSR matrix of the nonzero entries of ``data``, laid out on the
+    pattern (indptr, indices), in new arrays."""
+    keep = np.flatnonzero(data)
+    return sp.csr_matrix((data[keep], indices[keep], np.searchsorted(keep, indptr)),
+                         shape=shape)
 
 
 def assemble(V_h, Q_h):
     """Assemble all forms for a velocity/pressure pair on one mesh.
 
     The quadrature degree is 2r + 2, which is exact for every assembled
-    integrand on affine cells.
+    integrand on affine cells.  M_V, K and the grad-grad form share one
+    pattern (``_pattern``); each of their (C, m, m) local arrays is summed
+    onto it and freed before the next is formed, and A_div and A_1 are
+    sums of the summed entries.  B and M_Q are cellwise and written
+    directly.  Every square matrix is symmetrized as (S + S^T) / 2, and
+    all are stored without explicit zeros, with sorted indices: the same
+    bits as one COO->CSR conversion per form.
 
     Returns
     -------
@@ -200,55 +260,82 @@ def assemble(V_h, Q_h):
     """
     if V_h.mesh is not Q_h.mesh:
         raise ValueError("spaces must share one mesh")
-    if not V_h.is_vector or V_h.element.kind is not ElementKind.VECTOR_LAGRANGE:
+    if not V_h.is_vector:
         raise ValueError("V_h must be a vector Lagrange space")
     if Q_h.element.kind is not ElementKind.DISCONTINUOUS:
         raise ValueError("Q_h must be a discontinuous space")
     mesh = V_h.mesh
-    r = V_h.degree
-    rule = quadrature(2 * r + 2)
+    vd = V_h.cell_dofs
+    qd = Q_h.cell_dofs
+    nV, nQ = V_h.ndofs, Q_h.ndofs
+    rule = quadrature(2 * V_h.degree + 2)
     w = rule.weights
-
     phi = V_h.element.tabulate(rule.points)            # (nq, nb)
     dphi = V_h.element.tabulate_gradients(rule.points)  # (nq, nb, 2)
     psi = Q_h.element.tabulate(rule.points)            # (nq, nbq)
     _, inv_jac_t, det = cell_geometry(mesh)
-
     C = mesh.num_cells
     nb = phi.shape[1]
     nbq = psi.shape[1]
+    m = 2 * nb
+    scale = det[:, None, None]
 
-    # physical gradients g[c, q, i, d] and the flattened divergence table
-    # D[c, q, 2i+d] = d_d phi_i, matching the interleaved vector layout
-    g = np.einsum("cde,qie->cqid", inv_jac_t, dphi)
-    D = g.reshape(C, len(w), 2 * nb)
+    # physical gradients g[c, q, i, d] = sum_e inv_jac_t[c, d, e] dphi[q, i, e]
+    # and the flattened divergence table D[c, q, 2i+d] = d_d phi_i, matching
+    # the interleaved vector layout
+    jt = inv_jac_t[:, None, None, :, :]
+    g = jt[..., 0] * dphi[None, :, :, None, 0] + jt[..., 1] * dphi[None, :, :, None, 1]
+    D = g.reshape(C, len(w), m)
 
-    mass_ref = np.einsum("q,qi,qj->ij", w, phi, phi)
-    mass_vec = np.kron(mass_ref, np.eye(2))
-    mloc = det[:, None, None] * mass_vec[None, :, :]
+    # the cellwise forms have no duplicates: pressure dof c*nbq + i is local
+    # dof i of cell c (discontinuous_space), so row c*nbq + i of B is local
+    # row i of cell c with its columns sorted, and M_Q is block diagonal
+    bloc = np.einsum("q,qk,cqm->ckm", w, psi, D) * scale
+    sort = np.argsort(vd, axis=1)
+    b_indices = np.broadcast_to(np.take_along_axis(vd, sort, axis=1)[:, None, :],
+                                bloc.shape)
+    B = _nonzero_csr(np.take_along_axis(bloc, sort[:, None, :], axis=2).ravel(),
+                     np.arange(0, nQ * m + 1, m), b_indices.ravel(), (nQ, nV))
+    mqloc = scale * np.einsum("q,qk,ql->kl", w, psi, psi)[None, :, :]
+    mqloc = (mqloc + mqloc.transpose(0, 2, 1)) * 0.5
+    M_Q = _nonzero_csr(mqloc.ravel(), np.arange(0, nQ * nbq + 1, nbq),
+                       np.broadcast_to(qd[:, None, :], mqloc.shape).ravel(), (nQ, nQ))
+    del bloc, sort, b_indices, mqloc
 
-    kloc = np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * det[:, None, None]
-
+    # the scalar grad-grad blocks come before the pattern, since this
+    # einsum's temporaries are the largest of the call
     grad_scalar = np.einsum("q,cqid,cqjd->cij", w, g, g, optimize=True)
-    gloc = np.einsum("cij,ab->ciajb", grad_scalar, np.eye(2)).reshape(C, 2 * nb, 2 * nb)
-    gloc *= det[:, None, None]
+    grad_scalar *= scale
 
-    bloc = np.einsum("q,qk,cqm->ckm", w, psi, D) * det[:, None, None]
+    indptr, indices, order, slot, transpose = _pattern(vd, nV)
 
-    mq_ref = np.einsum("q,qk,ql->kl", w, psi, psi)
-    mqloc = det[:, None, None] * mq_ref[None, :, :]
+    def reduced(local):
+        """Symmetrized entries of a (C, m, m) local array on the pattern;
+        the array is freed as soon as it is gathered."""
+        weights = local.ravel()[order]
+        del local
+        summed = np.bincount(slot, weights=weights, minlength=len(indices))
+        del weights
+        summed += summed[transpose]
+        summed *= 0.5
+        return summed
 
-    vd = V_h.cell_dofs
-    qd = Q_h.cell_dofs
-    nV, nQ = V_h.ndofs, Q_h.ndofs
-    M_V = _symmetrized(_scatter(mloc, vd, vd, (nV, nV)))
-    K = _symmetrized(_scatter(kloc, vd, vd, (nV, nV)))
-    G = _symmetrized(_scatter(gloc, vd, vd, (nV, nV)))
-    B = _scatter(bloc, qd, vd, (nQ, nV))
-    M_Q = _symmetrized(_scatter(mqloc, qd, qd, (nQ, nQ)))
-    return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=M_V.tocsr(), K=K.tocsr(),
-                          A_div=(M_V + K).tocsr(), B=B.tocsr(),
-                          M_Q=M_Q.tocsr(), A_1=(M_V + G).tocsr())
+    m_v = reduced(_componentwise(scale * np.einsum("q,qi,qj->ij", w, phi, phi)))
+    k = reduced(np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * scale)
+    del g, D
+    a_1 = reduced(_componentwise(grad_scalar))
+    a_1 += m_v
+
+    # the matrices take new arrays while the pattern and the summed entries
+    # are still alive, so they lie above them and the freed temporaries
+    # coalesce into one block below: allocated into the holes instead,
+    # they split it and a tables run peaked 6-9 MB higher in RSS
+    def shared(data):
+        return _nonzero_csr(data, indptr, indices, (nV, nV))
+
+    A_div = shared(k + m_v)
+    return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=shared(m_v), K=shared(k),
+                          A_div=A_div, B=B, M_Q=M_Q, A_1=shared(a_1))
 
 
 def pressure_mass_solve(forms, rhs):

@@ -124,12 +124,15 @@ class Triangulation:
             bad = int(np.argmax(areas <= 0))
             kind = "degenerate" if areas[bad] == 0 else "inverted (clockwise)"
             raise MeshTopologyError(f"cell {bad}: {kind}")
+        # equal vertex sets are adjacent in lexicographic order, and the
+        # stable sort lists each group by ascending cell; the pair that starts
+        # with the smallest cell holds the first cell that repeats another
         sets = np.sort(self.cells, axis=1)
-        _, first, counts = np.unique(sets, axis=0, return_index=True, return_counts=True)
-        if (counts > 1).any():
-            dup_row = sets[np.sort(first[counts > 1])[0]]
-            dup = int(np.nonzero((sets == dup_row).all(axis=1))[0][1])
-            raise MeshTopologyError(f"cell {dup}: duplicate of an earlier cell")
+        order = np.lexsort(sets.T[::-1])
+        same = (sets[order[1:]] == sets[order[:-1]]).all(axis=1)
+        if same.any():
+            k = np.flatnonzero(same)[np.argmin(order[:-1][same])]
+            raise MeshTopologyError(f"cell {order[k + 1]}: duplicate of an earlier cell")
         unused = np.bincount(self.cells.ravel(), minlength=V) == 0
         if unused.any():
             raise MeshTopologyError(f"vertex {np.argmax(unused)} belongs to no cell")
@@ -142,8 +145,11 @@ class Triangulation:
         forward = pairs[:, 0] < pairs[:, 1]
         pairs = np.sort(pairs, axis=1)
         owner = np.tile(np.arange(C), 3)
-        edges, inverse, counts = np.unique(pairs, axis=0,
-                                           return_inverse=True, return_counts=True)
+        # the key a * V + b of a sorted pair orders the edges lexicographically
+        V = self.num_vertices
+        keys, inverse, counts = np.unique(pairs[:, 0] * V + pairs[:, 1],
+                                          return_inverse=True, return_counts=True)
+        edges = np.stack(np.divmod(keys, V), axis=1)
         if (counts > 2).any():
             eid = int(np.argmax(counts > 2))
             cells = [int(owner[k]) for k in np.nonzero(inverse == eid)[0]]
@@ -354,17 +360,27 @@ def import_mesh(source):
         fail(1, f"expected header {MESH_HEADER!r}")
     nv = count(2, "vertices", "vertex")
     verts = np.empty((nv, 2), dtype=float)
+
+    def check_finite(k):
+        # one array check for the first k vertex lines, not one per line
+        finite = np.isfinite(verts[:k]).all(axis=1)
+        if not finite.all():
+            lineno = 3 + int(np.argmin(finite))
+            fail(lineno, f"non-finite coordinate in {get(lineno).split()!r}")
+
+    def vertex_fault(k, msg):
+        check_finite(k)   # a non-finite coordinate above is the first fault
+        fail(3 + k, msg)
+
     for k in range(nv):
-        lineno = 3 + k
-        parts = get(lineno).split()
+        parts = get(3 + k).split()
         if len(parts) != 2:
-            fail(lineno, "expected two coordinates")
+            vertex_fault(k, "expected two coordinates")
         try:
             verts[k] = [float(parts[0]), float(parts[1])]
         except ValueError:
-            fail(lineno, f"bad coordinate in {parts!r}")
-        if not np.all(np.isfinite(verts[k])):
-            fail(lineno, f"non-finite coordinate in {parts!r}")
+            vertex_fault(k, f"bad coordinate in {parts!r}")
+    check_finite(nv)
     nc = count(3 + nv, "cells", "cell")
     cells = np.empty((nc, 3), dtype=np.int64)
     for k in range(nc):

@@ -175,6 +175,26 @@ def test_import_rejects_non_finite_coordinates(token):
         import_mesh("\n".join(lines) + "\n")
 
 
+def test_import_names_the_first_non_finite_vertex_line():
+    lines = simple_mesh_text().splitlines()
+    lines[20] = "0.5 nan"
+    lines[15] = "-inf 0.25"
+    with pytest.raises(MeshFormatError,
+                       match=r"^line 16: non-finite coordinate in \['-inf', '0.25'\]$"):
+        import_mesh("\n".join(lines) + "\n")
+    lines[15] = "0.25 0.75"
+    with pytest.raises(MeshFormatError, match="^line 21: non-finite coordinate"):
+        import_mesh("\n".join(lines) + "\n")
+    # a later malformed line does not hide the earlier non-finite one
+    for later in ("0.5", "0.5 x"):
+        lines[22] = later
+        with pytest.raises(MeshFormatError, match="^line 21: non-finite coordinate"):
+            import_mesh("\n".join(lines) + "\n")
+    lines[20] = "0.5 0.5"
+    with pytest.raises(MeshFormatError, match="^line 23: "):
+        import_mesh("\n".join(lines) + "\n")
+
+
 def test_import_rejects_trailing_garbage():
     with pytest.raises(MeshFormatError):
         import_mesh(simple_mesh_text() + "stray line\n")
@@ -204,6 +224,19 @@ def test_duplicate_cell_rejected():
     cells = np.array([[0, 1, 2], [1, 2, 0]])
     with pytest.raises(MeshTopologyError, match="cell 1: duplicate"):
         Triangulation(verts, cells)
+
+
+def test_duplicate_cell_message_names_the_earliest_repeated_cell():
+    # the repeated cell reported is the second copy of the vertex set that
+    # occurs first, whatever the order of the copies or their rotation
+    base = generate(Family.DIAGONAL, 4)
+    cells = base.cells
+    for extra, bad in (([cells[5], cells[2]], 33),
+                       ([cells[5], np.roll(cells[2], 1), cells[2], cells[5]], 33),
+                       ([cells[0]], 32)):
+        with pytest.raises(MeshTopologyError,
+                           match=f"^cell {bad}: duplicate of an earlier cell$"):
+            Triangulation(base.vertices, np.concatenate([cells, extra]))
 
 
 FOLDED_MESH = ("mesh 2 triangle\nvertices 5\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
