@@ -22,7 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
+from bench_infsup import blas_library, source_commit
 
 FAMILIES = ("diagonal", "zigzag", "flipped", "crisscross", "unionjack")
 T2_T4 = ("diagonal", "zigzag", "flipped", "unionjack")
@@ -74,17 +74,6 @@ def run(src, cases):
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(cases)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
-
-
-def blas_library():
-    deps = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    return f"{deps['name']} {deps.get('version', '')}".strip()
-
-
-def source_commit(src):
-    proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
 
 
 def main():

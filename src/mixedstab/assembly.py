@@ -333,7 +333,7 @@ def assemble(V_h, Q_h):
     def shared(data):
         return _nonzero_csr(data, indptr, indices, (nV, nV))
 
-    A_div = shared(k + m_v)
+    A_div = shared(k + m_v)   # first, so that the sum is gone before the rest
     return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=shared(m_v), K=shared(k),
                           A_div=A_div, B=B, M_Q=M_Q, A_1=shared(a_1))
 
