@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the Brezzi inf-sup constant of a source tree on a fixed case grid.
+"""Time the Brezzi and Stokes inf-sup constants of a source tree on a
+fixed case grid.
 
     python scripts/bench_infsup.py --src src --out BENCH.json
 
@@ -7,7 +8,11 @@ Every case runs REPEATS times, each in a fresh Python process with --src
 first on its path.  The process assembles the forms, times the first
 read of ``Case(forms).beta_div_reduced`` (the A_div check, the count of
 dimN and the slice of mu) and reports its own peak RSS and the sparse
-factorizations it made; the entry keeps the sizes, the median wall time
+factorizations it made.  It then times the first read of
+``Case.beta_h1_reduced`` (the A_1 check, the count at tau h^2 and the
+slice of (K, A_1)) and reports the peak RSS after it and its
+factorizations, as the ``stokes_`` fields.  ``beta_h1`` would read 0.0
+with no slice on a case with spurious modes (unionjack).  The entry keeps the sizes, the median wall times
 and peak RSS and the single runs.  The child reads ``stability.Case``,
 so it times only sources that have it; the runs of older sources are
 kept in BENCH_13.json.  The run (with the
@@ -52,18 +57,25 @@ case = Case(forms)
 t0 = time.perf_counter()
 beta_reduced = case.beta_div_reduced
 wall = time.perf_counter() - t0
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+t0 = time.perf_counter()
+beta_h1_reduced = case.beta_h1_reduced
+stokes_wall = time.perf_counter() - t0
 print(json.dumps({"nV": forms.V_h.ndofs, "nQ": forms.Q_h.ndofs,
                   "nnz": int(forms.A_div.nnz + 2 * forms.B.nnz),
                   "dimN": case.dimN, "beta_reduced": beta_reduced,
                   "factorizations": case.factorizations,
-                  "wall_s": wall,
-                  "peak_rss_mb": resource.getrusage(
+                  "wall_s": wall, "peak_rss_mb": peak_rss_mb,
+                  "beta_h1_reduced": beta_h1_reduced,
+                  "stokes_factorizations": case.stokes_factorizations,
+                  "stokes_wall_s": stokes_wall,
+                  "stokes_peak_rss_mb": resource.getrusage(
                       resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
 
 
 def run_once(src, family, r, n):
-    """One fresh process: sizes, inf-sup wall time and peak RSS."""
+    """One fresh process: sizes, inf-sup wall times and peak RSS."""
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
     proc = subprocess.run([sys.executable, "-c", CHILD, family, str(r), str(n)],
                           capture_output=True, text=True, env=env, check=True)
@@ -72,14 +84,17 @@ def run_once(src, family, r, n):
 
 def measure(src, family, r, n, repeats=REPEATS):
     runs = [run_once(src, family, r, n) for _ in range(repeats)]
-    walls = [run["wall_s"] for run in runs]
-    return {"family": family, "r": r, "n": n,
-            "nV": runs[0]["nV"], "nQ": runs[0]["nQ"], "nnz": runs[0]["nnz"],
-            "dimN": runs[0]["dimN"], "beta_reduced": runs[0]["beta_reduced"],
-            "factorizations": runs[0]["factorizations"],
-            "wall_s": statistics.median(walls),
-            "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
-            "wall_s_runs": walls}
+    entry = {"family": family, "r": r, "n": n}
+    for key in ("nV", "nQ", "nnz", "dimN", "beta_reduced", "factorizations",
+                "beta_h1_reduced", "stokes_factorizations"):
+        entry[key] = runs[0][key]
+    for prefix in ("", "stokes_"):
+        walls = [run[prefix + "wall_s"] for run in runs]
+        entry[prefix + "wall_s"] = statistics.median(walls)
+        entry[prefix + "peak_rss_mb"] = statistics.median(
+            run[prefix + "peak_rss_mb"] for run in runs)
+        entry[prefix + "wall_s_runs"] = walls
+    return entry
 
 
 def blas_library():
@@ -106,8 +121,10 @@ def main():
     for family, r, n in CASES:
         entry = measure(args.src, family, r, n)
         print(f"{family:10s} r={r} n={n:2d} nQ={entry['nQ']:5d} "
-              f"wall {entry['wall_s']:.3f} s  rss {entry['peak_rss_mb']:.0f} MB",
-              flush=True)
+              f"wall {entry['wall_s']:.3f} s  rss {entry['peak_rss_mb']:.0f} MB  "
+              f"stokes {entry['stokes_wall_s']:.3f} s "
+              f"({entry['stokes_factorizations']} LU)  "
+              f"rss {entry['stokes_peak_rss_mb']:.0f} MB", flush=True)
         cases.append(entry)
 
     out = Path(args.out)

@@ -236,9 +236,11 @@ def _componentwise(blocks):
 
 def _nonzero_csr(data, indptr, indices, shape):
     """CSR matrix of the nonzero entries of ``data``, laid out on the
-    pattern (indptr, indices), in new arrays."""
+    pattern (indptr, indices), in new arrays.  Int32 ``indices`` are kept
+    as they are; int64 ones would be scanned and downcast."""
     keep = np.flatnonzero(data)
-    return sp.csr_matrix((data[keep], indices[keep], np.searchsorted(keep, indptr)),
+    return sp.csr_matrix((data[keep], indices[keep],
+                          np.searchsorted(keep, indptr).astype(np.int32)),
                          shape=shape)
 
 
@@ -292,14 +294,15 @@ def assemble(V_h, Q_h):
     # row i of cell c with its columns sorted, and M_Q is block diagonal
     bloc = np.einsum("q,qk,cqm->ckm", w, psi, D) * scale
     sort = np.argsort(vd, axis=1)
-    b_indices = np.broadcast_to(np.take_along_axis(vd, sort, axis=1)[:, None, :],
-                                bloc.shape)
+    b_indices = np.broadcast_to(
+        np.take_along_axis(vd, sort, axis=1).astype(np.int32)[:, None, :], bloc.shape)
     B = _nonzero_csr(np.take_along_axis(bloc, sort[:, None, :], axis=2).ravel(),
                      np.arange(0, nQ * m + 1, m), b_indices.ravel(), (nQ, nV))
     mqloc = scale * np.einsum("q,qk,ql->kl", w, psi, psi)[None, :, :]
     mqloc = (mqloc + mqloc.transpose(0, 2, 1)) * 0.5
     M_Q = _nonzero_csr(mqloc.ravel(), np.arange(0, nQ * nbq + 1, nbq),
-                       np.broadcast_to(qd[:, None, :], mqloc.shape).ravel(), (nQ, nQ))
+                       np.broadcast_to(qd.astype(np.int32)[:, None, :],
+                                       mqloc.shape).ravel(), (nQ, nQ))
     del bloc, sort, b_indices, mqloc
 
     # the scalar grad-grad blocks come before the pattern, since this

@@ -18,8 +18,9 @@ computes what it prints and nothing else.  Every command but mesh writes
 through one emitter.  CSV artifacts start with a provenance
 line ``# mixed-stab <version> <config-hash>`` so golden files detect
 configuration drift; JSON output carries the same data under a
-"provenance" key.  Exit codes: 0 success, 1 numerical failure, 2 usage
-error.  Each argument parses and checks its own value (an r outside
+"provenance" key.  Exit codes: 0 success, 1 numerical failure or a
+malformed mesh file, 2 usage error or a path that cannot be read or
+written.  Each argument parses and checks its own value (an r outside
 1..MAX_SPACE_DEGREE, an n that is not an even integer >= 4, a threshold
 that is not finite and positive, --jobs below 1); ``config_from_args``
 checks the two rules that tie arguments together.
@@ -451,6 +452,9 @@ def main(argv=None):
     except MixedStabError as exc:
         print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:   # a path that cannot be read or written
+        print(f"{PROG}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -390,7 +390,7 @@ def import_mesh(source):
             fail(lineno, "expected three vertex indices")
         try:
             cells[k] = [int(p) for p in parts]
-        except ValueError:
+        except (ValueError, OverflowError):   # overflow: past the int64 range
             fail(lineno, f"bad vertex index in {parts!r}")
     for extra in range(4 + nv + nc, len(lines) + 1):
         if lines[extra - 1].strip():
@@ -399,8 +399,16 @@ def import_mesh(source):
 
 
 def read_mesh(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return import_mesh(fh.read())
+    """The mesh of a file in the text format.  MeshFormatError names the
+    first line that is not UTF-8 text; OSError if the file cannot be read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MeshFormatError(f"line {lineno}: not UTF-8 text") from None
+    return import_mesh(text)
 
 
 def write_mesh(mesh, path):

@@ -25,7 +25,8 @@ holds every number of one case, each computed on its first read and kept:
 * gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
   nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN.
 
-The Stokes constant beta_h1 slices (K, A_1) the same way; its eigenvalues
+The Stokes constant beta_h1 slices (K, A_1) the same way, below the top 2
+that bounds its whole spectrum (``Case.stokes_pencil``); its eigenvalues
 are the lambda of B A_1^{-1} B^T p = lambda M_Q p.  N_h = ker B^T does not
 depend on the velocity norm, so it takes dimN from the count above and
 checks it by one count at tau h^2, h the shortest mesh edge: by the
@@ -279,7 +280,9 @@ class Case:
     def stokes_pencil(self):
         """The InertiaSlicer of (K, A_1), made after the A_1 check."""
         self.constant_mode   # NotPositiveDefiniteError unless A_1 passes
-        return InertiaSlicer(self.forms.K, self.forms.A_1)
+        # pointwise (d1 u1 + d2 u2)^2 <= 2 |grad u|^2, so u^T K u <= 2 u^T G u
+        # < 2 u^T A_1 u: every eigenvalue lies below 2
+        return InertiaSlicer(self.forms.K, self.forms.A_1, upper=2.0)
 
     @cached_property
     def beta_h1_reduced(self):
@@ -288,8 +291,7 @@ class Case:
         past them.  Raises NumericalError unless (K, A_1) has nV - nQ +
         dimN eigenvalues below tau h^2, h the shortest mesh edge: by the
         inverse inequality |u|_1 <= C h^-1 ||u||, a lambda above tau in the
-        H(div) norm lies above about tau h^2 in the H1 norm.  With dimN = 0
-        the raised ``constant_mode`` tops the slice (Courant-Fischer)."""
+        H(div) norm lies above about tau h^2 in the H1 norm."""
         dim = self.dimN
         pencil = self.stokes_pencil
         mesh = self.forms.mesh
@@ -301,11 +303,7 @@ class Case:
                                  f"eigenvalues past its {self.kernel} zeros "
                                  f"below tau h^2 = {shift:g}, but (K, M_V) "
                                  f"counts {dim} spurious modes")
-        # the quotient lies above every eigenvalue of (K, A_1) seen, so its
-        # count closes no window, but it caps the bracket growing from tau h^2:
-        # without it diagonal n=32 and n=64 at r=2 take 7 factorizations, not 5
-        bound = MU_BOUND_MARGIN * self.constant_mode if dim == 0 else None
-        return math.sqrt(pencil.value(count, bound))
+        return math.sqrt(pencil.value(count))
 
     @property
     def beta_h1(self):

@@ -338,8 +338,8 @@ def factorization_log(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     class RecordedSlicer(stability.InertiaSlicer):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             self.splu_before = log.calls.count("splu")
             log.pencils.append(self)
 
@@ -454,9 +454,9 @@ def test_infsup_json_carries_diagnostics(tmp_path):
                    "--with-alpha", "--with-stokes", "--out", str(out)) == 0
     diagnostics = json.loads(out.read_text())["diagnostics"]
     assert 0.0 <= diagnostics["alpha_residual"] <= 1e-10
-    # A_1, tau h^2, the bound (above every eigenvalue), two bisection
-    # counts and the midpoint factor
-    assert diagnostics["stokes_factorizations"] == 6
+    # A_1, tau h^2, two bisection counts and the midpoint factor; the top
+    # 2, above every eigenvalue, is counted with no factor
+    assert diagnostics["stokes_factorizations"] == 5
 
 
 def test_infsup_reads_the_cluster_warning_once(tmp_path, monkeypatch):
@@ -621,6 +621,10 @@ def test_tables_with_fixed_degree_refuse_r(which, capsys):
     ["infsup", "--family", "diagonal", "--n", "4", "--r", "1,2"],
     ["infsup", "--family", "diagonal", "--n", "4", "--sweep", "default"],
     ["infsup", "--family", "diagonal", "--n", "4", "--sweep", ","],
+    # a path that cannot be read or written
+    ["infsup", "--mesh", "missing.mesh", "--r", "1"],
+    ["infsup", "--family", "diagonal", "--n", "4",
+     "--out", "/nonexistent/dir/x.json"],
 ])
 def test_bad_n_exits_two(argv, capsys):
     assert run_cli(*argv) == 2

@@ -140,6 +140,22 @@ def test_inertia_slicer_refuses_non_monotone_counts():
         slicer.count(3.5)
 
 
+def test_inertia_slicer_refuses_a_wrong_top(rng):
+    # a top between nu_40 and nu_41 claims all 60 eigenvalues below it: a
+    # count above it finds fewer, and a window below it cannot hold nu_50
+    k, n = semidefinite_pencil(rng, 60, 45)
+    dense = sla.eigh(k.toarray(), n.toarray(), eigvals_only=True)
+    upper = 0.5 * (dense[40] + dense[41])
+    slicer = InertiaSlicer(k, n, upper=upper)
+    assert slicer.count(upper) == 60 and slicer.factorizations == 0
+    with pytest.raises(EigensolveError, match="not monotone"):
+        slicer.count(0.5 * (dense[50] + dense[51]))
+    slicer = InertiaSlicer(k, n, upper=upper)
+    slicer.count(1e-8)
+    with pytest.raises(EigensolveError, match="do not certify"):
+        slicer.value(50)
+
+
 def test_positive_definite_lu_refuses_indefinite_norm():
     with pytest.raises(NotPositiveDefiniteError) as info:
         positive_definite_lu(sp.diags([1.0, 2.0, -3.0]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mixedstab.errors import MeshFormatError, MeshTopologyError
 from mixedstab.mesh import (Family, GENERATED_FAMILIES, Triangulation,
-                            export_mesh, generate, import_mesh,
+                            export_mesh, generate, import_mesh, read_mesh,
                             singular_vertices)
 
 families = st.sampled_from(GENERATED_FAMILIES)
@@ -193,6 +193,26 @@ def test_import_names_the_first_non_finite_vertex_line():
     lines[20] = "0.5 0.5"
     with pytest.raises(MeshFormatError, match="^line 23: "):
         import_mesh("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("token", ["x", "1e3", "99999999999999999999"])
+def test_import_rejects_a_bad_vertex_index(token):
+    # the last token overflows the int64 cell array
+    lines = simple_mesh_text().splitlines()
+    assert lines[28] == "0 1 6"
+    lines[28] = f"0 1 {token}"
+    with pytest.raises(MeshFormatError,
+                       match=rf"^line 29: bad vertex index in \['0', '1', '{token}'\]$"):
+        import_mesh("\n".join(lines) + "\n")
+
+
+def test_read_mesh_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.mesh"
+    lines = simple_mesh_text().encode().splitlines()
+    lines[3] = b"0.25 \xff"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(MeshFormatError, match="^line 4: not UTF-8 text$"):
+        read_mesh(path)
 
 
 def test_import_rejects_trailing_garbage():

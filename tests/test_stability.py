@@ -8,8 +8,9 @@ import scipy.linalg as sla
 
 from mixedstab.eigensolve import InertiaSlicer
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
-from mixedstab.mesh import (Family, Triangulation, export_mesh, generate,
-                            import_mesh, singular_vertices)
+from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
+                            export_mesh, generate, import_mesh,
+                            singular_vertices)
 from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN, Case,
                                  _count_spurious, case_forms,
                                  orthonormal_divergence, reproduce_table)
@@ -259,7 +260,7 @@ def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
     # vertices take the floating-point test, the generated mesh the exact one;
     # a relabelling of the vertices and cells joins the symmetries
     exported = import_mesh(export_mesh(generate(family, 4)))
-    images = {"relabelling": relabel(exported)[0]}
+    images = {"identity": exported, "relabelling": relabel(exported)[0]}
     for name, (symmetry, flips) in SQUARE_SYMMETRIES.items():
         x, y = symmetry(exported.vertices[:, 0], exported.vertices[:, 1])
         cells = exported.cells[:, ::-1] if flips else exported.cells
@@ -270,8 +271,15 @@ def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
             want = Case(forms_for(family, 4, r))
             got = Case(case_forms(None, None, r, mesh=image))
             tag = (name, r)
-            assert (got.sigma, got.dimN) == (want.sigma, want.dimN), tag
-            assert abs(got.beta_div_reduced - want.beta_div_reduced) <= 1e-12, tag
+            got_numbers = (got.sigma, got.dimN, got.beta_div_reduced,
+                           got.beta_h1_reduced)
+            want_numbers = (want.sigma, want.dimN, want.beta_div_reduced,
+                            want.beta_h1_reduced)
+            if name == "identity":   # the same floats: the same numbers
+                assert got_numbers == want_numbers, tag
+            assert got_numbers[:2] == want_numbers[:2], tag
+            assert np.allclose(got_numbers[2:], want_numbers[2:], rtol=0.0,
+                               atol=1e-12), tag
 
 
 class RecordingExecutor:
@@ -421,16 +429,31 @@ def test_stokes_takes_dim_n_from_the_div_div_count(forms_for):
     assert round(default.beta_h1, 6) == 0.077880
 
 
-def test_stokes_bound_saves_factorizations(forms_for):
-    # the constant-mode bound caps the bracket of the first value past the
-    # count at tau h^2 (h = 1/32 on diagonal n=32): counted with every
-    # factorization the Stokes constant makes, it still beats a fresh slice
+def test_stokes_top_saves_factorizations(forms_for):
+    # the top 2 closes the bracket of the first value past the count at
+    # tau h^2 (h = 1/32 on diagonal n=32) with no factorization: counted
+    # with every factorization the Stokes constant makes, it still beats a
+    # slice that grows its bracket from tau h^2
     forms = forms_for(Family.DIAGONAL, 32, 2)
     res = Case(forms)
     pencil = InertiaSlicer(forms.K, forms.A_1)
     beta = math.sqrt(pencil.value(pencil.count(DEFAULT_THRESHOLD / 32**2)))
     assert abs(res.beta_h1 - beta) <= 1e-12 * beta
     assert res.stokes_factorizations < pencil.factorizations
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
+def test_stokes_spectrum_lies_below_its_top(spectrum_for, family, r):
+    # (div u)^2 <= 2 |grad u|^2 pointwise, and A_1 adds the mass to the
+    # grad-grad form: every eigenvalue of (K, A_1) lies below 2
+    assert spectrum_for(family, 4, r, h1=True).max() < 2.0
+
+
+def test_stokes_top_costs_no_factorization(forms_for):
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    pencil = InertiaSlicer(forms.K, forms.A_1, upper=2.0)
+    assert pencil.count(2.0) == pencil.size and pencil.factorizations == 0
 
 
 def test_stokes_refuses_a_count_its_pencil_does_not_show(forms_for):
