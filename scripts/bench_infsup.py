@@ -11,9 +11,10 @@ dimN and the slice of mu) and reports its own peak RSS and the sparse
 factorizations it made.  It then times the first read of
 ``Case.beta_h1_reduced`` (the A_1 check, the count at tau h^2 and the
 slice of (K, A_1)) and reports the peak RSS after it and its
-factorizations, as the ``stokes_`` fields.  ``beta_h1`` would read 0.0
-with no slice on a case with spurious modes (unionjack).  The entry keeps the sizes, the median wall times
-and peak RSS and the single runs.  The child reads ``stability.Case``,
+factorizations, as the ``stokes_`` fields; ``beta_h1`` would read 0.0
+with no slice on a case with spurious modes (unionjack).  The entry
+keeps the sizes, the median wall times and peak RSS and the single
+runs.  The child reads ``stability.Case``,
 so it times only sources that have it; the runs of older sources are
 kept in BENCH_13.json.  The run (with the
 source's git commit, the BLAS library and the core count) is appended to

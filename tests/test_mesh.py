@@ -197,7 +197,7 @@ def test_import_names_the_first_non_finite_vertex_line():
 
 @pytest.mark.parametrize("token", ["x", "1e3", "99999999999999999999"])
 def test_import_rejects_a_bad_vertex_index(token):
-    # the last token overflows the int64 cell array
+    # the long integer overflows the int64 cell array
     lines = simple_mesh_text().splitlines()
     assert lines[28] == "0 1 6"
     lines[28] = f"0 1 {token}"
