@@ -42,10 +42,8 @@ from .mesh import (
     write_mesh,
 )
 from .poisson import (
-    ConvergenceReport,
     ErrorNorms,
     FieldCoefficients,
-    convergence_study,
     error_norms,
     interpolate,
     manufactured_solution,
@@ -56,6 +54,7 @@ from .stability import (
     Case,
     TableReport,
     case_forms,
+    convergence_study,
     reproduce_table,
 )
 

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from .element import ElementKind, ReferenceElement, quadrature
-from .errors import UnsupportedDegreeError
+from .errors import NumericalError, UnsupportedDegreeError
 
 MAX_SPACE_DEGREE = 6
 
@@ -339,6 +339,33 @@ def assemble(V_h, Q_h):
     A_div = shared(k + m_v)   # first, so that the sum is gone before the rest
     return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=shared(m_v), K=shared(k),
                           A_div=A_div, B=B, M_Q=M_Q, A_1=shared(a_1))
+
+
+def orthonormal_divergence(forms):
+    """The divergence form in M_Q-orthonormal pressure coordinates.
+
+    Factors each cell block of the pressure mass, M_Q|_K = L_K L_K^T, and
+    returns (C B, L) with C = blockdiag(L_K^{-1}) and L the stacked L_K,
+    shape (cells, nb, nb).  C M_Q C^T = I and M_Q^{-1} = C^T C, and C B
+    has the sparsity pattern of B.  Raises NumericalError unless M_Q is
+    block-diagonal with one block per cell, or if a block is not positive
+    definite.
+    """
+    nb = forms.Q_h.cell_dofs.shape[1]
+    m_q = sp.bsr_matrix(forms.M_Q, blocksize=(nb, nb))
+    cells = np.arange(m_q.shape[0] // nb + 1)
+    if not (np.array_equal(m_q.indptr, cells)
+            and np.array_equal(m_q.indices, cells[:-1])):
+        raise NumericalError("pressure mass matrix is not block-diagonal "
+                             "with one block per cell")
+    try:
+        lower = np.linalg.cholesky(m_q.data)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pressure mass block is not positive definite "
+                             f"({exc})") from exc
+    c = sp.bsr_matrix((np.linalg.inv(lower), m_q.indices, m_q.indptr),
+                      shape=m_q.shape)
+    return sp.csr_matrix(c @ forms.B), lower
 
 
 def pressure_mass_solve(forms, rhs):

@@ -23,7 +23,8 @@ malformed mesh file, 2 usage error or a path that cannot be read or
 written.  Each argument parses and checks its own value (an r outside
 1..MAX_SPACE_DEGREE, an n that is not an even integer >= 4, a threshold
 that is not finite and positive, --jobs below 1); ``config_from_args``
-checks the two rules that tie arguments together.
+checks the two rules that tie arguments together, and ``check_outputs``
+the output paths, before any case is built.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -41,9 +43,9 @@ from .assembly import MAX_SPACE_DEGREE, write_matrix_market
 from .errors import MixedStabError
 from .mesh import (Family, GENERATED_FAMILIES, check_grid_size, export_mesh,
                    generate, read_mesh)
+from .poisson import NORM_KEYS
 from .stability import (DEFAULT_THRESHOLD, PENCILS, SWEEP_THRESHOLDS, TABLES,
-                        Case, case_forms, reproduce_table)
-from .poisson import ConvergenceReport, convergence_study
+                        Case, case_forms, convergence_study, reproduce_table)
 
 PROG = "mixed-stab"
 
@@ -308,6 +310,25 @@ def config_from_args(args):
     return cfg
 
 
+def check_outputs(cfg):
+    """Refuse an --out that is a directory or whose directory is missing or
+    not writable, and a --plot-data whose nearest existing path is not a
+    writable directory.  Opens and creates nothing, so a refused or failed
+    run leaves an existing --out as it was."""
+    def writable_dir(path):
+        return path.is_dir() and os.access(path, os.W_OK | os.X_OK)
+
+    if cfg.out:
+        out = Path(cfg.out)
+        if out.is_dir() or not writable_dir(out.parent):
+            raise UsageError(f"--out: cannot write {out}: a directory, or its "
+                             f"directory is missing or not writable")
+    if cfg.plot_data:
+        plot = Path(cfg.plot_data)
+        if not writable_dir(next(p for p in (plot, *plot.parents) if p.exists())):
+            raise UsageError(f"--plot-data: {plot} cannot be a writable directory")
+
+
 def _write(cfg, text):
     if cfg.out:
         Path(cfg.out).write_text(text)
@@ -383,39 +404,43 @@ def cmd_spectrum(cfg):
     return 0
 
 
-def _write_plot_data(cfg, reports):
+def _write_plot_data(cfg, studies):
     """Normalized-error panels, one whitespace table per norm."""
     directory = Path(cfg.plot_data)
     directory.mkdir(parents=True, exist_ok=True)
     panels = {"p_l2": "normalized_p_L2.dat", "u_l2": "normalized_u_L2.dat",
               "u_hdiv": "normalized_u_Hdiv.dat"}
-    all_n = sorted({n for rep in reports for n in rep.n_values})
+    all_n = sorted({n for st in studies for n in st["n_values"]})
     for key, fname in panels.items():
         lines = [cfg.provenance_line(),
-                 "# n " + " ".join(f"r={rep.r}" for rep in reports)]
+                 "# n " + " ".join(f"r={st['r']}" for st in studies)]
         for n in all_n:
-            cells = [str(n)]
-            for rep in reports:
-                if n in rep.n_values:
-                    cells.append(f"{rep.normalized[key][rep.n_values.index(n)]:.6e}")
-                else:
-                    cells.append("-")
-            lines.append(" ".join(cells))
+            cells = [f"{st['normalized'][key][st['n_values'].index(n)]:.6e}"
+                     if n in st["n_values"] else "-" for st in studies]
+            lines.append(" ".join([str(n), *cells]))
         (directory / fname).write_text("\n".join(lines) + "\n")
+
+
+def _converge_csv(studies):
+    """CSV lines of the studies, header first: per r and n the errors, then
+    the rates into n, empty on the first n and where n does not double."""
+    lines = ["r,n,err_p_L2,err_u_div,err_u_L2,err_u_Hdiv,rate_p,rate_u_div,rate_u_L2"]
+    for st in studies:
+        rates = [[None, *st["rates"][k]] for k in ("p_l2", "u_div", "u_l2")]
+        lines += [",".join([str(st["r"]), str(n),
+                            *(f"{st['errors'][k][i]:.6e}" for k in NORM_KEYS),
+                            *("" if v[i] is None else f"{v[i]:.6f}" for v in rates)])
+                  for i, n in enumerate(st["n_values"])]
+    return lines
 
 
 def cmd_converge(cfg):
     family = Family.parse(cfg.family)
-    reports = [convergence_study(r, n_values=cfg.n_values, family=family)
+    studies = [convergence_study(r, n_values=cfg.n_values, family=family)
                for r in cfg.r_values]
     if cfg.plot_data:
-        _write_plot_data(cfg, reports)
-    payload = {"studies": [
-        {"r": rep.r, "family": rep.family, "n_values": rep.n_values,
-         "errors": rep.errors, "rates": rep.rates, "normalized": rep.normalized}
-        for rep in reports]}
-    _emit(cfg, payload, [ConvergenceReport.CSV_HEADER]
-          + [row for rep in reports for row in rep.csv_rows()])
+        _write_plot_data(cfg, studies)
+    _emit(cfg, {"studies": studies}, _converge_csv(studies))
     return 0
 
 
@@ -423,9 +448,7 @@ def cmd_tables(cfg):
     table = reproduce_table(cfg.which, n_values=cfg.n_values,
                             r_values=cfg.r_values, threshold=cfg.threshold,
                             jobs=cfg.jobs)
-    _emit(cfg, {"which": table.which, "r": table.r,
-                "threshold": table.threshold, "header": table.header,
-                "rows": table.rows}, table.to_csv().splitlines())
+    _emit(cfg, asdict(table), table.to_csv().splitlines())
     return 0
 
 
@@ -444,6 +467,7 @@ COMMANDS = {
 def main(argv=None):
     try:
         cfg = config_from_args(build_parser().parse_args(argv))
+        check_outputs(cfg)
     except UsageError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2

@@ -119,10 +119,14 @@ class Triangulation:
             bad = int(np.nonzero((self.cells < 0).any(axis=1)
                                  | (self.cells >= V).any(axis=1))[0][0])
             raise MeshTopologyError(f"cell {bad}: vertex index out of range")
-        areas = self.signed_areas()
-        if (areas <= 0).any():
-            bad = int(np.argmax(areas <= 0))
-            kind = "degenerate" if areas[bad] == 0 else "inverted (clockwise)"
+        with np.errstate(over="ignore", invalid="ignore"):   # huge coordinates
+            areas = self.signed_areas()
+        faulty = ~((areas > 0) & (areas < np.inf))
+        if faulty.any():
+            bad = int(np.argmax(faulty))
+            kind = ("degenerate" if areas[bad] == 0
+                    else "inverted (clockwise)" if areas[bad] < 0
+                    else f"signed area {areas[bad]} is not finite")
             raise MeshTopologyError(f"cell {bad}: {kind}")
         # equal vertex sets are adjacent in lexicographic order, and the
         # stable sort lists each group by ascending cell; the pair that starts

@@ -1,13 +1,12 @@
-"""Mixed source problem and convergence study.
+"""Mixed source problem: the solve and the error norms.
 
 Solves M_V u + B^T p = 0, B u = G on the H(div) norm matrix A_div, the
-same path at every size.  Spurious pressure modes make the saddle-point
-problem singular: the solve counts them first, by the inertia count of
-``stability.Case.dimN`` at the default threshold, and refuses the
-case (SpuriousModeError) when there is one.  Otherwise one sparse LDL^T
-certifies A_div positive definite, and conjugate gradients on the
-inf-sup operator, one solve with that factor per step, give the pressure;
-every returned solution has passed a 1e-10 relative residual check.
+same path at every size.  One sparse LDL^T certifies A_div positive
+definite, and conjugate gradients on the inf-sup operator, one solve with
+that factor per step, give the pressure; every returned solution has
+passed a 1e-10 relative residual check.  Spurious pressure modes make the
+saddle-point problem singular, so the pair must have none:
+``stability.Case.errors`` counts them first and refuses the case.
 The load G and the errors of (u_h, p_h) come from the closed-form solution
 
     p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u,
@@ -18,18 +17,15 @@ every integral here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .assembly import cell_geometry
+from .assembly import cell_geometry, orthonormal_divergence
 from .eigensolve import positive_definite_lu
 from .element import quadrature
-from .errors import NumericalError, SpuriousModeError
-from .mesh import Family
-from .stability import (DEFAULT_THRESHOLD, _count_spurious, case_forms,
-                        orthonormal_divergence)
+from .errors import NumericalError
 
 ERROR_QUAD_DEGREE = 14
 
@@ -154,12 +150,12 @@ def solve_mixed(forms, rhs):
     """Solve the mixed source problem for (u_h, p_h) with load vector
     ``rhs`` = G, one entry per pressure DOF (see ``load_vector``).
 
-    Counts the spurious modes first (one sparse LDL^T of K - s M_V at the
-    default threshold) and refuses the case with SpuriousModeError when
-    there is one.  Then, in M_Q-orthonormal pressure coordinates, with
-    C B from ``orthonormal_divergence``, g_hat = C G and p = C^T p_hat,
-    the system reads A_div u + (C B)^T p_hat = (C B)^T g_hat,
-    (C B) u = g_hat, since K = (C B)^T (C B).  Eliminating u leaves
+    The pair must have no spurious pressure modes, which make the system
+    singular; ``stability.Case.errors`` counts them first and refuses the
+    case.  In M_Q-orthonormal pressure coordinates, with C B from
+    ``orthonormal_divergence``, g_hat = C G and p = C^T p_hat, the system
+    reads A_div u + (C B)^T p_hat = (C B)^T g_hat, (C B) u = g_hat, since
+    K = (C B)^T (C B).  Eliminating u leaves
     T p_hat = T g_hat - g_hat with T = (C B) A_div^{-1} (C B)^T, whose
     eigenvalues are the inf-sup lambda in [beta^2, 1].  CG solves it, one
     solve per step on the LDL^T that certifies A_div positive definite,
@@ -171,14 +167,6 @@ def solve_mixed(forms, rhs):
     if rhs.shape != (forms.Q_h.ndofs,):
         raise ValueError(f"load vector has shape {rhs.shape}, pressure space "
                          f"has {forms.Q_h.ndofs} dofs")
-    # counted before A_div is factored, and the slicer is dropped at once,
-    # so the two factors never coexist
-    dim = _count_spurious(forms, DEFAULT_THRESHOLD)
-    if dim > 0:
-        raise SpuriousModeError(
-            f"{dim} spurious pressure modes (dim N_h at threshold "
-            f"{DEFAULT_THRESHOLD:g}) make the saddle-point problem singular; "
-            f"project them out and solve the reduced problem instead")
     a_div = positive_definite_lu(forms.A_div)
     b_hat, lower = orthonormal_divergence(forms)
     n_q = forms.Q_h.ndofs
@@ -246,64 +234,3 @@ def error_norms(u_h, p_h, u_exact, p_exact, div_exact):
 
 NORM_KEYS = ("p_l2", "u_div", "u_l2", "u_hdiv")
 
-
-@dataclass
-class ConvergenceReport:
-    """Errors and observed rates of the source problem over a mesh sequence."""
-
-    r: int
-    family: str
-    n_values: list
-    errors: dict       # norm key -> list of errors, one per n
-    rates: dict        # norm key -> list (len n-1), None unless n doubles
-    normalized: dict   # norm key -> errors / errors[0]
-
-    CSV_HEADER = "r,n,err_p_L2,err_u_div,err_u_L2,err_u_Hdiv,rate_p,rate_u_div,rate_u_L2"
-
-    def csv_rows(self):
-        rows = []
-        for i, n in enumerate(self.n_values):
-            cells = [str(self.r), str(n)]
-            cells += [f"{self.errors[k][i]:.6e}" for k in NORM_KEYS]
-            for k in ("p_l2", "u_div", "u_l2"):
-                rate = None if i == 0 else self.rates[k][i - 1]
-                cells.append("" if rate is None else f"{rate:.6f}")
-            rows.append(",".join(cells))
-        return rows
-
-
-def default_n_values(r):
-    return [4, 8, 16, 32] if r <= 2 else [4, 8, 16]
-
-
-def convergence_study(r, n_values=None, family=Family.DIAGONAL):
-    """Solve the source problem over a mesh sequence and report rates.
-
-    Rates are log2 ratios of consecutive errors, reported only when the
-    next n doubles the previous one; normalized errors divide by the
-    first-mesh error.
-    """
-    if n_values is None:
-        n_values = default_n_values(r)
-    n_values = list(n_values)
-    p_exact, u_exact, g_exact = manufactured_solution()
-
-    errors = {k: [] for k in NORM_KEYS}
-    for n in n_values:
-        forms = case_forms(family, n, r)
-        u_h, p_h = solve_mixed(forms, load_vector(g_exact, forms.Q_h))
-        norms = error_norms(u_h, p_h, u_exact, p_exact, g_exact)
-        for k in NORM_KEYS:
-            errors[k].append(getattr(norms, k))
-
-    rates = {k: [] for k in NORM_KEYS}
-    for i in range(1, len(n_values)):
-        doubled = n_values[i] == 2 * n_values[i - 1]
-        for k in NORM_KEYS:
-            if doubled and errors[k][i] > 0:
-                rates[k].append(float(np.log2(errors[k][i - 1] / errors[k][i])))
-            else:
-                rates[k].append(None)
-    normalized = {k: [e / errors[k][0] for e in errors[k]] for k in NORM_KEYS}
-    return ConvergenceReport(r=r, family=family.value, n_values=n_values,
-                             errors=errors, rates=rates, normalized=normalized)

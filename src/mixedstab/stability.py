@@ -11,8 +11,7 @@ holds every number of one case, each computed on its first read and kept:
 * dimN, the spurious pressure modes: the eigenvalues lambda below the
   zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
   s = tau / (1 - tau), from one sparse LDL^T after the one that
-  certifies A_div (all that table T1 reads; the source solve refuses a
-  case by the same count, ``_count_spurious``);
+  certifies A_div (all that table T1 reads);
 * mu, the first eigenvalue past the spurious ones, by shift-invert
   Lanczos in a window bracketed by counts; beta_div_reduced =
   sqrt(mu / (1 + mu)), and beta_div = beta_div_reduced, or 0.0 when
@@ -23,7 +22,10 @@ holds every number of one case, each computed on its first read and kept:
   otherwise), so a stable case takes three factorizations: A_div, the
   count at tau and the bound;
 * gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
-  nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN.
+  nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN;
+* p_l2, u_div, u_l2 and u_hdiv, the source-problem errors (``errors``),
+  refused unless dimN = 0, counted before ``poisson.solve_mixed`` factors
+  A_div: a stable case takes two factorizations, never alive at once.
 
 The Stokes constant beta_h1 slices (K, A_1) the same way, below the top 2
 that bounds its whole spectrum (``Case.stokes_pencil``); its eigenvalues
@@ -38,8 +40,9 @@ the warning is read, so the tables, which print none, do not pay for them.
 ``Case.spectrum`` reads every eigenvalue past the spurious cluster off the
 same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and Babuska
 spectra are closed-form functions of the mu.  A table is a list of cases
-and the fields it prints of each (``TABLES``), and the single-case
-commands in ``cli`` print fields of one Case by name.
+and the fields it prints of each (``TABLES``), a convergence study the
+error fields of one case per n (``convergence_study``), and the
+single-case commands in ``cli`` print fields of one Case by name.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .assembly import assemble, build_spaces
+from .assembly import assemble, build_spaces, orthonormal_divergence
 from .eigensolve import InertiaSlicer, positive_definite_lu
-from .errors import NumericalError
+from .errors import NumericalError, SpuriousModeError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
+from .poisson import (NORM_KEYS, error_norms, load_vector,
+                      manufactured_solution, solve_mixed)
 
 DEFAULT_THRESHOLD = 1e-4
 SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
@@ -91,41 +95,6 @@ def _count_below(pencil, kernel, shift, threshold):
     return count, dim
 
 
-def _count_spurious(forms, threshold):
-    """dim N_h at the threshold, as ``Case.dimN`` counts it, with one sparse
-    factorization and no check of A_div."""
-    kernel = forms.V_h.ndofs - forms.Q_h.ndofs
-    return _count_below(InertiaSlicer(forms.K, forms.M_V), kernel,
-                        _divdiv_shift(threshold), threshold)[1]
-
-
-def orthonormal_divergence(forms):
-    """The divergence form in M_Q-orthonormal pressure coordinates.
-
-    Factors each cell block of the pressure mass, M_Q|_K = L_K L_K^T, and
-    returns (C B, L) with C = blockdiag(L_K^{-1}) and L the stacked L_K,
-    shape (cells, nb, nb).  C M_Q C^T = I and M_Q^{-1} = C^T C, and C B
-    has the sparsity pattern of B.  Raises NumericalError unless M_Q is
-    block-diagonal with one block per cell, or if a block is not positive
-    definite.
-    """
-    nb = forms.Q_h.cell_dofs.shape[1]
-    m_q = sp.bsr_matrix(forms.M_Q, blocksize=(nb, nb))
-    cells = np.arange(m_q.shape[0] // nb + 1)
-    if not (np.array_equal(m_q.indptr, cells)
-            and np.array_equal(m_q.indices, cells[:-1])):
-        raise NumericalError("pressure mass matrix is not block-diagonal "
-                             "with one block per cell")
-    try:
-        lower = np.linalg.cholesky(m_q.data)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pressure mass block is not positive definite "
-                             f"({exc})") from exc
-    c = sp.bsr_matrix((np.linalg.inv(lower), m_q.indices, m_q.indptr),
-                      shape=m_q.shape)
-    return sp.csr_matrix(c @ forms.B), lower
-
-
 def _quotient(forms, norm, p):
     """Rayleigh quotient g^T norm^{-1} g / p^T M_Q p, g = B^T p, of the
     pressure p in the pencil B norm^{-1} B^T p = lambda M_Q p, from one
@@ -143,7 +112,8 @@ class Case:
     field reads the fields it builds on first, so whatever is read first,
     the A_div check (``mu_bound``) comes before the div-div pencil
     (``pencil``, counted at tau by ``dimN``), and the A_1 check
-    (``constant_mode``) before the Stokes pencil (``stokes_pencil``).  A
+    (``constant_mode``) before the Stokes pencil (``stokes_pencil``), but
+    ``errors`` counts on ``slicer``, as its solve certifies A_div.  A
     read of a pencil's values depends on the counts made before it, so the
     commands read in a fixed order.  ``factorizations`` and
     ``stokes_factorizations`` count the factorizations made so far.
@@ -173,10 +143,15 @@ class Case:
         return MU_BOUND_MARGIN * lam / (1.0 - lam) if 0.0 < lam < 1.0 else None
 
     @cached_property
-    def pencil(self):
-        """The InertiaSlicer of (K, M_V), made after the A_div check."""
-        self.mu_bound   # NotPositiveDefiniteError unless A_div passes
+    def slicer(self):
+        """The InertiaSlicer of (K, M_V), with no check of A_div."""
         return InertiaSlicer(self.forms.K, self.forms.M_V)
+
+    @property
+    def pencil(self):
+        """``slicer``, after the A_div check."""
+        self.mu_bound   # NotPositiveDefiniteError unless A_div passes
+        return self.slicer
 
     @cached_property
     def dimN(self):
@@ -268,6 +243,30 @@ class Case:
         """Sparse factorizations made so far for the div-div fields: the
         A_div check, then the pencil's."""
         return 1 + self.pencil.factorizations
+
+    @cached_property
+    def errors(self):
+        """ErrorNorms of the source problem with the closed-form load of
+        ``poisson.manufactured_solution``.  SpuriousModeError when the
+        count on ``slicer``, made before ``solve_mixed`` factors A_div,
+        finds a spurious mode."""
+        # the slicer keeps its counts, so dimN reads this one again
+        dim = _count_below(self.slicer, self.kernel,
+                           _divdiv_shift(self.threshold), self.threshold)[1]
+        if dim > 0:
+            raise SpuriousModeError(
+                f"{dim} spurious pressure modes (dim N_h at threshold "
+                f"{self.threshold:g}) make the saddle-point problem singular; "
+                f"project them out and solve the reduced problem instead")
+        p_exact, u_exact, g_exact = manufactured_solution()
+        u_h, p_h = solve_mixed(self.forms, load_vector(g_exact, self.forms.Q_h))
+        return error_norms(u_h, p_h, u_exact, p_exact, g_exact)
+
+    # the source errors under the names converge prints
+    p_l2 = property(lambda self: self.errors.p_l2)
+    u_div = property(lambda self: self.errors.u_div)
+    u_l2 = property(lambda self: self.errors.u_l2)
+    u_hdiv = property(lambda self: self.errors.u_hdiv)
 
     @cached_property
     def constant_mode(self):
@@ -474,3 +473,22 @@ def _run_cases(cases, jobs):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_table_case, cases))
     return [_table_case(c) for c in cases]
+
+
+def convergence_study(r, n_values=None, family=Family.DIAGONAL):
+    """The dict ``converge`` prints of one degree: r, family, n_values, and
+    errors, rates and normalized, each NORM_KEYS to one list.  The errors
+    are the fields of one Case per n, run in order; rates are log2 ratios
+    of consecutive errors, None unless n doubles; normalized errors divide
+    by the first-mesh error."""
+    if n_values is None:
+        n_values = [4, 8, 16, 32] if r <= 2 else [4, 8, 16]
+    n_values = list(n_values)
+    cases = [(family, n, r, DEFAULT_THRESHOLD, NORM_KEYS) for n in n_values]
+    errors = dict(zip(NORM_KEYS, map(list, zip(*_run_cases(cases, 1)))))
+    doubled = [b == 2 * a for a, b in zip(n_values, n_values[1:])]
+    rates = {k: [float(np.log2(e[i] / e[i + 1])) if d and e[i + 1] > 0 else None
+                 for i, d in enumerate(doubled)] for k, e in errors.items()}
+    normalized = {k: [x / e[0] for x in e] for k, e in errors.items()}
+    return {"r": r, "family": family.value, "n_values": n_values,
+            "errors": errors, "rates": rates, "normalized": normalized}

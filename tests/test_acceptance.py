@@ -18,8 +18,7 @@ import scipy.linalg as sla
 
 from mixedstab.element import monomial_exponents, monomial_integral, quadrature
 from mixedstab.mesh import Family, generate, singular_vertices
-from mixedstab.poisson import convergence_study
-from mixedstab.stability import DEFAULT_THRESHOLD, Case
+from mixedstab.stability import DEFAULT_THRESHOLD, Case, convergence_study
 
 from oracles import (cholesky_reduced, classify_spectrum,
                      divdiv_pencil_eigenvalues,
@@ -306,11 +305,11 @@ def test_criterion_8a_convergence_rates(record, study_for):
     failures = []
 
     def last_rate(report, key):
-        return report.rates[key][-1]
+        return report["rates"][key][-1]
 
     r1 = study_for(1)
     for key in ("p_l2", "u_l2"):
-        final = r1.normalized[key][-1]
+        final = r1["normalized"][key][-1]
         if final < 0.9:
             failures.append(f"r=1 {key}: normalized error fell to {final:.3f}")
     bands = {2: {"p_l2": 2, "u_hdiv": 2, "u_l2": 2},
@@ -331,7 +330,7 @@ def test_criterion_8a_convergence_rates(record, study_for):
                    reason="u L2 error is preasymptotic on the default r=3 "
                           "range; the order appears one doubling later")
 def test_criterion_8b_u_l2_rate_r3_default_range(record, study_for):
-    rate = study_for(3).rates["u_l2"][-1]
+    rate = study_for(3)["rates"]["u_l2"][-1]
     record("8b: u L2 rate at r=3 on the default range", 2.8 <= rate <= 3.2,
            f"measured {rate:.3f} at the n=8->16 doubling, band [2.8, 3.2]; "
            "the n=16->32 doubling reaches 3.06 (see test_poisson)")

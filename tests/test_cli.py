@@ -493,6 +493,10 @@ GOLDEN_CASES = {
         ["stokes-infsup", "--family", "diagonal", "--n", "4", "--r", "2"],
     "coercivity_diagonal_n4_r2.csv":
         ["coercivity", "--family", "diagonal", "--n", "4", "--r", "2"],
+    # the r=1 stall, the r=3 rates and the empty rate cells of a step that
+    # does not double n
+    "converge_diagonal_r1_r3_n4_8_12.csv":
+        ["converge", "--r", "1,3", "--n", "4,8,12"],
 }
 
 
@@ -625,8 +629,18 @@ def test_tables_with_fixed_degree_refuse_r(which, capsys):
     ["infsup", "--mesh", "missing.mesh", "--r", "1"],
     ["infsup", "--family", "diagonal", "--n", "4",
      "--out", "/nonexistent/dir/x.json"],
+    # an output path is refused before any case is built
+    ["tables", "--which", "T3", "--out", "/nonexistent/dir/x.csv"],
+    ["tables", "--which", "T1", "--n", "4", "--out", str(ROOT / "tests")],
+    ["converge", "--r", "1", "--n", "4",
+     "--plot-data", str(ROOT / "pyproject.toml")],
 ])
-def test_bad_n_exits_two(argv, capsys):
+def test_bad_n_exits_two(argv, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a case was built")
+
+    monkeypatch.setattr("mixedstab.stability.case_forms", unreachable)
+    monkeypatch.setattr("mixedstab.cli.case_forms", unreachable)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ def test_inverted_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshTopologyError, match="clockwise"):
         Triangulation(verts, np.array([[0, 2, 1]]))
+
+
+def test_cell_area_that_overflows_rejected():
+    # coordinates of 1e160 are finite, but their products overflow, so the
+    # signed areas are inf; the refusal is the only message, with no numpy
+    # warning before it
+    mesh = generate(Family.DIAGONAL, 4)
+    lines = export_mesh(mesh).splitlines()
+    lines[2:2 + mesh.num_vertices] = [f"{x * 1e160:.17g} {y * 1e160:.17g}"
+                                      for x, y in mesh.vertices]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshTopologyError,
+                           match="^cell 0: signed area inf is not finite$"):
+            import_mesh("\n".join(lines) + "\n")
 
 
 def test_duplicate_cell_rejected():

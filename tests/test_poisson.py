@@ -7,11 +7,12 @@ import mixedstab.poisson as po
 from mixedstab.assembly import scalar_lagrange_space, vector_lagrange_space
 from mixedstab.errors import NumericalError, SpuriousModeError
 from mixedstab.mesh import GENERATED_FAMILIES, Family, generate
-from mixedstab.poisson import (FieldCoefficients, convergence_study,
-                               error_norms, eval_divergence, eval_scalar,
-                               eval_vector, interpolate, load_vector,
+from mixedstab.cli import _converge_csv
+from mixedstab.poisson import (FieldCoefficients, error_norms,
+                               eval_divergence, eval_scalar, eval_vector,
+                               interpolate, load_vector,
                                manufactured_solution, solve_mixed)
-from mixedstab.stability import Case, case_forms
+from mixedstab.stability import Case, case_forms, convergence_study
 
 from oracles import dense_schur_solve
 
@@ -99,7 +100,7 @@ def test_constraint_equation_oracle(forms_for, rng):
 def test_solve_rejects_spurious_meshes(forms_for):
     forms = forms_for(Family.CRISSCROSS, 4, 1)
     with pytest.raises(SpuriousModeError, match="reduced"):
-        solve_mixed(forms, np.ones(forms.Q_h.ndofs))
+        Case(forms).errors
 
 
 def test_solve_refuses_wrong_shape_load(forms_for):
@@ -133,7 +134,7 @@ def test_solve_refuses_spurious_modes(family, n, r):
     # inertia count refuses it
     forms = case_forms(Family(family), n, r)
     with pytest.raises(SpuriousModeError, match="reduced"):
-        solve_mixed(forms, np.ones(forms.Q_h.ndofs))
+        Case(forms).errors
 
 
 @pytest.fixture
@@ -154,15 +155,13 @@ def splu_log(monkeypatch):
 
 def test_stable_solve_makes_two_symmetric_factorizations(forms_for, splu_log):
     # the spurious-mode count and the LDL^T of A_div that CG solves with
-    forms = forms_for(Family.DIAGONAL, 4, 2)
-    solve_mixed(forms, np.ones(forms.Q_h.ndofs))
+    Case(forms_for(Family.DIAGONAL, 4, 2)).errors
     assert splu_log == [True, True]
 
 
 def test_spurious_case_refused_after_one_factorization(forms_for, splu_log):
-    forms = forms_for(Family.CRISSCROSS, 4, 1)
     with pytest.raises(SpuriousModeError, match="threshold 0.0001"):
-        solve_mixed(forms, np.ones(forms.Q_h.ndofs))
+        Case(forms_for(Family.CRISSCROSS, 4, 1)).errors
     assert splu_log == [True]
 
 
@@ -173,14 +172,13 @@ def test_solve_refuses_exactly_the_spurious_cases(family):
         for r in (1, 2, 3, 4):
             forms = case_forms(family, n, r)
             dim = Case(forms).dimN
-            rhs = np.ones(forms.Q_h.ndofs)
             if dim > 0:
                 with pytest.raises(SpuriousModeError,
                                    match=f"^{dim} spurious"):
-                    solve_mixed(forms, rhs)
+                    Case(forms).errors
                 refused.append((n, r))
             else:
-                solve_mixed(forms, rhs)
+                Case(forms).errors
     # the two families without singular vertices refuse nothing
     assert bool(refused) == (family not in (Family.DIAGONAL, Family.ZIGZAG))
 
@@ -261,28 +259,28 @@ def test_eval_vector_and_divergence_consistent(rng):
 
 def test_convergence_study_rates_r2():
     rep = convergence_study(2, n_values=[4, 8, 16])
-    assert rep.n_values == [4, 8, 16]
-    assert all(v[0] == 1.0 for v in rep.normalized.values())
-    assert abs(rep.rates["p_l2"][-1] - 2.0) < 0.1
-    assert abs(rep.rates["u_hdiv"][-1] - 2.0) < 0.1
-    rows = rep.csv_rows()
+    assert rep["n_values"] == [4, 8, 16]
+    assert all(v[0] == 1.0 for v in rep["normalized"].values())
+    assert abs(rep["rates"]["p_l2"][-1] - 2.0) < 0.1
+    assert abs(rep["rates"]["u_hdiv"][-1] - 2.0) < 0.1
+    rows = _converge_csv([rep])[1:]
     assert len(rows) == 3
     assert rows[0].endswith(",,,")  # no rates on the first mesh
 
 
 def test_convergence_rates_only_for_doublings():
     rep = convergence_study(1, n_values=[4, 12])
-    assert rep.rates["p_l2"] == [None]
-    assert ",," in rep.csv_rows()[1]
+    assert rep["rates"]["p_l2"] == [None]
+    assert ",," in _converge_csv([rep])[2]
 
 
 def test_r3_asymptotic_velocity_rate():
     # the L2 velocity rate at r=3 settles to ~r one doubling after the
     # default desk scale; n=32 is also the largest source solve in the suite
     rep = convergence_study(3, n_values=[16, 32])
-    rate = rep.rates["u_l2"][0]
+    rate = rep["rates"]["u_l2"][0]
     assert 2.8 < rate < 3.2
-    assert abs(rep.rates["p_l2"][0] - 3.0) < 0.1
+    assert abs(rep["rates"]["p_l2"][0] - 3.0) < 0.1
 
 
 @pytest.mark.parametrize("r", [5, 6])
@@ -290,5 +288,5 @@ def test_high_degree_rates_are_optimal(r):
     # past r = 3 the pair is stable on diagonal meshes (Scott & Vogelius)
     # and u converges with the optimal L2 order r + 1 already at n = 4 -> 8
     rep = convergence_study(r, n_values=[4, 8])
-    assert abs(rep.rates["p_l2"][0] - r) < 0.2
-    assert abs(rep.rates["u_l2"][0] - (r + 1)) < 0.2
+    assert abs(rep["rates"]["p_l2"][0] - r) < 0.2
+    assert abs(rep["rates"]["u_l2"][0] - (r + 1)) < 0.2

@@ -7,12 +7,13 @@ import pytest
 import scipy.linalg as sla
 
 from mixedstab.eigensolve import InertiaSlicer
-from mixedstab.errors import NotPositiveDefiniteError, NumericalError
+from mixedstab.errors import (NotPositiveDefiniteError, NumericalError,
+                              SpuriousModeError)
 from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh,
                             singular_vertices)
 from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN, Case,
-                                 _count_spurious, case_forms,
+                                 _divdiv_shift, case_forms,
                                  orthonormal_divergence, reproduce_table)
 
 from oracles import (babuska_pencil_eigenvalues, classify_spectrum,
@@ -237,7 +238,10 @@ def test_spurious_modes_is_the_count_brezzi_infsup_starts_from(forms_for):
     dim = case.dimN
     assert case.kernel == forms.V_h.ndofs - forms.Q_h.ndofs
     assert case.pencil.factorizations == 1
-    assert dim == _count_spurious(forms, DEFAULT_THRESHOLD) == 4
+    # the source solve is refused by that count, with no factorization more
+    with pytest.raises(SpuriousModeError, match=f"^{dim} spurious"):
+        case.errors
+    assert case.pencil.factorizations == 1 and dim == 4
 
 
 # symmetries of the unit square, each a map of (x, y) and whether it
@@ -246,7 +250,26 @@ SQUARE_SYMMETRIES = {
     "reflection": (lambda x, y: (1.0 - x, y), True),
     "quarter-turn": (lambda x, y: (1.0 - y, x), False),
     "transpose": (lambda x, y: (y, x), True),
+    "half-turn": (lambda x, y: (1.0 - x, 1.0 - y), False),
+    "three-quarter-turn": (lambda x, y: (y, 1.0 - x), False),
+    "vertical-reflection": (lambda x, y: (x, 1.0 - y), True),
+    "anti-transpose": (lambda x, y: (1.0 - y, 1.0 - x), True),
 }
+
+
+def square_images(family, relabel=None):
+    """The images of the family's n=4 mesh, exported and imported again,
+    under each SQUARE_SYMMETRIES map, and ``relabel`` when given, each
+    exported and imported once more; "identity" is the exported mesh."""
+    exported = import_mesh(export_mesh(generate(family, 4)))
+    images = {"identity": exported}
+    if relabel is not None:
+        images["relabelling"] = relabel(exported)[0]
+    for name, (symmetry, flips) in SQUARE_SYMMETRIES.items():
+        x, y = symmetry(exported.vertices[:, 0], exported.vertices[:, 1])
+        cells = exported.cells[:, ::-1] if flips else exported.cells
+        images[name] = Triangulation(np.column_stack([x, y]), cells)
+    return {name: import_mesh(export_mesh(mesh)) for name, mesh in images.items()}
 
 
 @pytest.mark.parametrize("family", [Family.UNIONJACK, Family.FLIPPED,
@@ -256,17 +279,9 @@ SQUARE_SYMMETRIES = {
 def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
                                                                      relabel,
                                                                      family):
-    # the image of the exported mesh is imported again, so its singular
-    # vertices take the floating-point test, the generated mesh the exact one;
-    # a relabelling of the vertices and cells joins the symmetries
-    exported = import_mesh(export_mesh(generate(family, 4)))
-    images = {"identity": exported, "relabelling": relabel(exported)[0]}
-    for name, (symmetry, flips) in SQUARE_SYMMETRIES.items():
-        x, y = symmetry(exported.vertices[:, 0], exported.vertices[:, 1])
-        cells = exported.cells[:, ::-1] if flips else exported.cells
-        images[name] = Triangulation(np.column_stack([x, y]), cells)
-    for name, mesh in images.items():
-        image = import_mesh(export_mesh(mesh))
+    # the images are imported meshes, so their singular vertices take the
+    # floating-point test, the generated mesh the exact one
+    for name, image in square_images(family, relabel).items():
         for r in (1, 2):
             want, got = ((c.sigma, c.dimN, c.beta_div_reduced, c.beta_h1_reduced)
                          for c in (Case(forms_for(family, 4, r)),
@@ -277,6 +292,42 @@ def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
             else:
                 assert got[:2] == want[:2], tag
                 assert np.allclose(got[2:], want[2:], rtol=0.0, atol=1e-12), tag
+
+
+@pytest.mark.parametrize("family", [Family.DIAGONAL, Family.ZIGZAG],
+                         ids=lambda f: f.value)
+def test_source_errors_are_invariant_under_the_symmetries_of_the_square(
+        forms_for, family):
+    # p = sin(2 pi x) sin(2 pi y) maps to +-p under every symmetry of the
+    # square, and u = grad p and div u with it, so the error norms of the
+    # image are those of the original up to rounding.  A relabelling is left
+    # out: it rotates the vertex triples, the collapsed Gauss rule is not
+    # symmetric under a rotation, and its quadrature of the closed-form
+    # integrands moves the errors by up to 4e-9 relative at r=3
+    want = {r: Case(forms_for(family, 4, r)).errors for r in (1, 2, 3)}
+    for name, image in square_images(family).items():
+        for r in (1, 2, 3):
+            got = Case(case_forms(None, None, r, mesh=image)).errors
+            tag = (name, r)
+            if name == "identity":   # the same floats: the same numbers
+                assert got == want[r], tag
+            else:
+                assert np.allclose(dataclasses.astuple(got),
+                                   dataclasses.astuple(want[r]),
+                                   rtol=1e-12, atol=0.0), tag
+
+
+@pytest.mark.parametrize("family", [Family.DIAGONAL, Family.UNIONJACK],
+                         ids=lambda f: f.value)
+def test_a_permuted_dof_order_keeps_the_inertia_counts(forms_for, rng, family):
+    # P K P^T - s P M_V P^T = P (K - s M_V) P^T has the inertia of
+    # K - s M_V (Sylvester), whatever order the factorization pivots in
+    forms = forms_for(family, 4, 2)
+    case = Case(forms)
+    perm = rng.permutation(forms.V_h.ndofs)
+    permuted = InertiaSlicer(forms.K[perm][:, perm], forms.M_V[perm][:, perm])
+    for s in (_divdiv_shift(DEFAULT_THRESHOLD), 2.0 * case.mu):
+        assert permuted.count(s) == case.pencil.count(s), s
 
 
 class RecordingExecutor:
