@@ -6,8 +6,8 @@ fixed case grid.
 
 Every case runs REPEATS times, each in a fresh Python process with --src
 first on its path.  The process assembles the forms, times the first
-read of ``Case(forms).beta_div_reduced`` (the A_div check, the count of
-dimN and the slice of mu) and reports its own peak RSS and the sparse
+read of ``Case(forms).beta_div_reduced`` (the count of dimN, the A_div
+check and the slice of mu) and reports its own peak RSS and the sparse
 factorizations it made.  It then times the first read of
 ``Case.beta_h1_reduced`` (the A_1 check, the count at tau h^2 and the
 slice of (K, A_1)) and reports the peak RSS after it and its

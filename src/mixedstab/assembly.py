@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .element import ElementKind, ReferenceElement, quadrature
 from .errors import NumericalError, UnsupportedDegreeError
@@ -384,6 +383,8 @@ def pressure_mass_solve(forms, rhs):
 def write_matrix_market(forms, directory):
     """Dump the six assembled matrices as Matrix Market files."""
     import os
+
+    from scipy.io import mmwrite
 
     os.makedirs(directory, exist_ok=True)
     for name in ("M_V", "K", "A_div", "B", "M_Q", "A_1"):

@@ -82,7 +82,8 @@ def positive_definite_lu(A):
     Raises NotPositiveDefiniteError when the factor breaks down, refuses a
     diagonal pivot or has a pivot <= 0; ``pivot`` is the 1-based row of A.
     """
-    lu = _ldl(A, lambda pivot, why: NotPositiveDefiniteError(
+    # A^T of a symmetric CSR matrix is its CSC form with no copy
+    lu = _ldl(A.T, lambda pivot, why: NotPositiveDefiniteError(
         pivot, f"matrix is not positive definite ({why})"))
     non_positive = np.flatnonzero(lu.U.diagonal() <= 0)
     if non_positive.size:
@@ -104,8 +105,10 @@ class InertiaSlicer:
     def __init__(self, K, N, upper=math.inf):
         if K.shape != N.shape or K.shape[0] != K.shape[1]:
             raise EigensolveError(f"pencil shape mismatch: {K.shape} vs {N.shape}")
-        self.K = sp.csc_matrix(K)
-        self.N = sp.csc_matrix(N)
+        # the CSR arrays of a symmetric matrix are its CSC arrays: the
+        # transpose is its CSC form, with no copy
+        self.K = sp.csr_matrix(K).T
+        self.N = sp.csr_matrix(N).T
         self.size = K.shape[0]
         # the scale of the Ritz backward errors, taken before any factor
         # exists, so that the copy |K| does not add to the peak memory

@@ -10,8 +10,9 @@ holds every number of one case, each computed on its first read and kept:
 
 * dimN, the spurious pressure modes: the eigenvalues lambda below the
   zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
-  s = tau / (1 - tau), from one sparse LDL^T after the one that
-  certifies A_div (all that table T1 reads);
+  s = tau / (1 - tau), from one sparse LDL^T, with no factor of A_div
+  (all that table T1 reads): it needs M_V positive definite only, as
+  every mesh ``Triangulation`` accepts makes it;
 * mu, the first eigenvalue past the spurious ones, by shift-invert
   Lanczos in a window bracketed by counts; beta_div_reduced =
   sqrt(mu / (1 + mu)), and beta_div = beta_div_reduced, or 0.0 when
@@ -19,8 +20,8 @@ holds every number of one case, each computed on its first read and kept:
   Rayleigh quotient of the pressure sin(pi x) sin(pi y).  Raised by
   MU_BOUND_MARGIN and mapped to mu, it tops the slice (mu_bound;
   Courant-Fischer: an upper bound of mu when dimN = 0, only a guess
-  otherwise), so a stable case takes three factorizations: A_div, the
-  count at tau and the bound;
+  otherwise), so a stable case takes three factorizations: the count at
+  tau, A_div and the bound;
 * gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
   nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN;
 * p_l2, u_div, u_l2 and u_hdiv, the source-problem errors (``errors``),
@@ -109,13 +110,13 @@ class Case:
     """Every reported number of one case, under the name the outputs print.
 
     Each field that costs work is computed on its first read and kept.  A
-    field reads the fields it builds on first, so whatever is read first,
-    the A_div check (``mu_bound``) comes before the div-div pencil
-    (``pencil``, counted at tau by ``dimN``), and the A_1 check
-    (``constant_mode``) before the Stokes pencil (``stokes_pencil``), but
-    ``errors`` counts on ``slicer``, as its solve certifies A_div.  A
-    read of a pencil's values depends on the counts made before it, so the
-    commands read in a fixed order.  ``factorizations`` and
+    field reads the fields it builds on first.  The div-div pencil
+    (``pencil``, counted at tau by ``dimN``) needs no check of A_div: only
+    ``mu_bound`` factors it, for ``mu``, and ``errors`` solves with it
+    after ``dimN``.  The A_1 check (``constant_mode``) comes before the
+    Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A read of a
+    pencil's values depends on the counts made before it, so the commands
+    read in a fixed order.  ``factorizations`` and
     ``stokes_factorizations`` count the factorizations made so far.
     """
 
@@ -143,15 +144,9 @@ class Case:
         return MU_BOUND_MARGIN * lam / (1.0 - lam) if 0.0 < lam < 1.0 else None
 
     @cached_property
-    def slicer(self):
-        """The InertiaSlicer of (K, M_V), with no check of A_div."""
-        return InertiaSlicer(self.forms.K, self.forms.M_V)
-
-    @property
     def pencil(self):
-        """``slicer``, after the A_div check."""
-        self.mu_bound   # NotPositiveDefiniteError unless A_div passes
-        return self.slicer
+        """The InertiaSlicer of the div-div pencil (K, M_V)."""
+        return InertiaSlicer(self.forms.K, self.forms.M_V)
 
     @cached_property
     def dimN(self):
@@ -241,21 +236,17 @@ class Case:
     @property
     def factorizations(self):
         """Sparse factorizations made so far for the div-div fields: the
-        A_div check, then the pencil's."""
-        return 1 + self.pencil.factorizations
+        pencil's, and the A_div check once ``mu_bound`` has made it."""
+        return ("mu_bound" in self.__dict__) + self.pencil.factorizations
 
     @cached_property
     def errors(self):
         """ErrorNorms of the source problem with the closed-form load of
-        ``poisson.manufactured_solution``.  SpuriousModeError when the
-        count on ``slicer``, made before ``solve_mixed`` factors A_div,
-        finds a spurious mode."""
-        # the slicer keeps its counts, so dimN reads this one again
-        dim = _count_below(self.slicer, self.kernel,
-                           _divdiv_shift(self.threshold), self.threshold)[1]
-        if dim > 0:
+        ``poisson.manufactured_solution``.  SpuriousModeError when
+        ``dimN``, counted before ``solve_mixed`` factors A_div, is not 0."""
+        if self.dimN > 0:
             raise SpuriousModeError(
-                f"{dim} spurious pressure modes (dim N_h at threshold "
+                f"{self.dimN} spurious pressure modes (dim N_h at threshold "
                 f"{self.threshold:g}) make the saddle-point problem singular; "
                 f"project them out and solve the reduced problem instead")
         p_exact, u_exact, g_exact = manufactured_solution()

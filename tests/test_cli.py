@@ -377,29 +377,29 @@ def test_every_constant_comes_from_sparse_factorizations(tmp_path,
         assert calls == ["splu"] * sum(1 + p.factorizations
                                        for p in pencils), argv
         assert all(3 <= p.factorizations <= 15 for p in pencils), argv
-    # stokes-infsup takes dim N_h from the Brezzi count (the A_div check
-    # and the count at tau, no value), then slices (K, A_1)
+    # stokes-infsup takes dim N_h from the Brezzi count (the count at tau,
+    # no A_div check, no value), then slices (K, A_1) after the A_1 check
     run("stokes-infsup")
-    assert calls == ["splu"] * sum(1 + p.factorizations for p in pencils)
     count, stokes = pencils
+    assert calls == ["splu"] * (1 + 1 + stokes.factorizations)
     assert count.factorizations == 1 and not count._values
     assert 3 <= stokes.factorizations <= 15
     # coercivity prints alpha and the kernel dimension, which need dim N_h
-    # only: the A_div check and the count at tau, no eigenvalue
+    # only: the count at tau, no A_div check and no eigenvalue
     run("coercivity")
-    assert calls == ["splu"] * 2
+    assert calls == ["splu"]
     assert [p.factorizations for p in pencils] == [1]
     assert log.eigsh == 0
     # spectrum slices every eigenvalue past the 66 zeros and the 4
-    # spurious modes, and none of theirs; the stokes pencil after the
-    # Brezzi count
+    # spurious modes, and none of theirs, after the check of the sliced
+    # pencil's norm matrix; the stokes pencil after the Brezzi count
     for pencil in ("infsup", "laplace", "divdiv", "babuska", "stokes"):
         run("spectrum", "--pencil", pencil)
         *counts, sliced = pencils
         assert [p.factorizations for p in counts] == (
             [1] if pencil == "stokes" else []), pencil
-        assert calls == ["splu"] * sum(1 + p.factorizations
-                                       for p in pencils), pencil
+        assert calls == ["splu"] * (1 + sum(p.factorizations
+                                            for p in pencils)), pencil
         assert sorted(sliced._values) == list(range(70, 162)), pencil
 
 
@@ -412,9 +412,9 @@ def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
         log.eigsh = 0
         assert run_cli("tables", *argv, "--out", str(tmp_path / "t.csv")) == 0
         assert set(log.calls) == {"splu"}
-        # case i makes the splu calls from the A_div check just before its
-        # pencil up to the next case's
-        starts = [p.splu_before - 1 for p in log.pencils] + [len(log.calls)]
+        # case i makes the splu calls from its pencil's first count up to
+        # the next case's; the A_div check, if any, comes after that count
+        starts = [p.splu_before for p in log.pencils] + [len(log.calls)]
         assert starts[0] == 0
         return [b - a for a, b in zip(starts, starts[1:])]
 
@@ -423,15 +423,15 @@ def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
         probes = {_divdiv_shift(1e-4 / 10.0), _divdiv_shift(10.0 * 1e-4)}
         return all(probes.isdisjoint(p._counts) for p in log.pencils)
 
-    # T1: the A_div check and the count at tau, no eigenvalue
-    assert run("--which", "T1", "--n", "4", "--r", "1") == [2] * 5
+    # T1: the count at tau, no A_div check and no eigenvalue
+    assert run("--which", "T1", "--n", "4", "--r", "1") == [1] * 5
     assert [p.factorizations for p in log.pencils] == [1] * 5
     assert log.eigsh == 0 and no_cluster_probes()
-    # T2: the A_div check and the slice of the Brezzi constant
+    # T2: the slice of the Brezzi constant and the A_div check that tops it
     per_case = run("--which", "T2", "--n", "4")
     assert per_case == [1 + p.factorizations for p in log.pencils]
     assert len(per_case) == 4 and log.eigsh >= 4 and no_cluster_probes()
-    # T3, T4: the A_div check (with its Rayleigh bound), the count at tau
+    # T3, T4: the count at tau, the A_div check (with its Rayleigh bound)
     # and the count at the bound, whose factor gives mu in one Lanczos run;
     # every case needs at least one, so four runs are one a case
     for which in ("T3", "T4"):
@@ -715,21 +715,23 @@ def test_bad_vertex_count_in_mesh_file_exits_one(tmp_path, capsys, count):
     assert "Traceback" not in err
 
 
+def run_python(*argv):
+    """Run python with src/ ahead of the caller's PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+
+
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mixedstab.cli", "--version"],
-        capture_output=True, text=True)
+    proc = run_python("-m", "mixedstab.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "mixed-stab 0.1.0"
 
 
 def run_script(name, *argv):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *argv],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+    return run_python(str(ROOT / "scripts" / name), *argv)
 
 
 def test_bench_infsup_script_one_case():

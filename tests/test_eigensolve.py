@@ -62,6 +62,21 @@ def test_schur_matches_dense_oracle(forms_for, family, r, form):
     assert np.max(np.abs(got - want) / want) < 1e-10
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pencils_read_the_assembled_forms_in_place(forms_for, r):
+    # the assembled forms are exactly symmetric, so the transpose of each
+    # CSR matrix is its CSC form bit for bit: the slicer copies none
+    forms = forms_for(Family.UNIONJACK, 4, r)
+    for name in ("K", "M_V", "A_div", "A_1"):
+        given = getattr(forms, name)
+        got, want = InertiaSlicer(given, forms.M_V).K, sp.csc_matrix(given)
+        assert got.format == "csc", name
+        assert np.shares_memory(got.data, given.data), name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part),
+                                  getattr(want, part)), (name, part)
+
+
 def test_cholesky_reconstructs(rng):
     # a symmetric-mode LU with diagonal pivots only is, for SPD A, the
     # Cholesky factorization A = L D L^T

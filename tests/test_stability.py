@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import mixedstab.eigensolve as eigensolve
 from mixedstab.eigensolve import InertiaSlicer
 from mixedstab.errors import (NotPositiveDefiniteError, NumericalError,
                               SpuriousModeError)
@@ -464,6 +465,28 @@ def test_sliced_constants_refuse_an_indefinite_norm(forms_for, form):
             Case(broken).beta_div
         else:
             Case(broken).beta_h1
+
+
+def test_counts_need_no_check_of_a_div(forms_for, monkeypatch):
+    # dim N_h and the kernel dimension count on (K, M_V) alone: with A_div
+    # negated they are the counts of the intact forms, from one
+    # factorization, and only the slice that A_div's quotient tops refuses
+    forms = forms_for(Family.DIAGONAL, 4, 2)
+    intact = Case(forms)
+    want = (intact.dimN, intact.kernel_dim)
+    calls = []
+    splu = eigensolve.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(eigensolve, "splu", counted)
+    case = Case(dataclasses.replace(forms, A_div=-forms.A_div))
+    assert (case.dimN, case.kernel_dim) == want
+    assert len(calls) == case.factorizations == 1
+    with pytest.raises(NotPositiveDefiniteError):
+        case.beta_div
+    assert len(calls) == 2 and case.factorizations == 1
 
 
 def test_stokes_takes_dim_n_from_the_div_div_count(forms_for):
