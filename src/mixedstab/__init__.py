@@ -28,7 +28,6 @@ from .errors import (
     MixedStabError,
     NotPositiveDefiniteError,
     NumericalError,
-    SpuriousModeError,
     UnsupportedDegreeError,
 )
 from .mesh import (

@@ -265,8 +265,8 @@ def build_parser():
                        help="threshold sweep; optional comma list of thresholds")
     case["spectrum"].add_argument("--pencil", choices=PENCILS, default="infsup")
 
-    # converge refuses spurious modes at DEFAULT_THRESHOLD, so it takes no
-    # threshold, and its hash keeps the default
+    # converge solves on (V_h, div V_h) and counts no spurious mode, so it
+    # takes no threshold, and its hash keeps the default
     p_conv = sub.add_parser("converge", help="convergence study")
     p_conv.add_argument("--family", choices=family_names, default="diagonal")
     p_conv.add_argument("--r", dest="r_values", metavar="R", default="2",
@@ -301,7 +301,9 @@ def config_from_args(args):
     cfg = RunConfig(**vars(args))
     if hasattr(args, "mesh"):   # the single-case commands
         if cfg.mesh is not None:
-            cfg.n = None        # the mesh file fixes the grid
+            if cfg.family is not None or cfg.n is not None:
+                raise UsageError(f"{cfg.command}: --mesh fixes the grid; "
+                                 f"give no --family or --n with it")
         elif cfg.family is None or cfg.n is None:
             raise UsageError(f"{cfg.command}: need --family and --n, or --mesh")
     if cfg.r_values is not None and cfg.which not in (None, "T1"):

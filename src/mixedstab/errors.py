@@ -33,7 +33,3 @@ class EigensolveError(MixedStabError):
 
 class NumericalError(MixedStabError):
     """A numerical post-condition (residual, spectrum range, ...) failed."""
-
-
-class SpuriousModeError(NumericalError):
-    """Pressure system is singular because spurious modes are present."""

@@ -1,12 +1,11 @@
 """Mixed source problem: the solve and the error norms.
 
-Solves M_V u + B^T p = 0, B u = G on the H(div) norm matrix A_div, the
-same path at every size.  One sparse LDL^T certifies A_div positive
-definite, and conjugate gradients on the inf-sup operator, one solve with
-that factor per step, give the pressure; every returned solution has
-passed a 1e-10 relative residual check.  Spurious pressure modes make the
-saddle-point problem singular, so the pair must have none:
-``stability.Case.errors`` counts them first and refuses the case.
+Solves M_V u + B^T p = 0, B u = G on the pair (V_h, div V_h), the same
+path at every size, with spurious pressure modes or without: the load is
+projected onto div V_h, and p is orthogonal to the spurious modes.  One
+sparse LDL^T of A_div serves two conjugate-gradient runs on the inf-sup
+operator, and every returned solution has passed a 1e-10 relative
+residual check (``solve_mixed``).
 The load G and the errors of (u_h, p_h) come from the closed-form solution
 
     p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u,
@@ -147,21 +146,24 @@ def load_vector(g, q_space):
 
 
 def solve_mixed(forms, rhs):
-    """Solve the mixed source problem for (u_h, p_h) with load vector
-    ``rhs`` = G, one entry per pressure DOF (see ``load_vector``).
+    """Solve the mixed source problem on (V_h, div V_h) for (u_h, p_h),
+    with load vector ``rhs`` = G, one entry per pressure DOF.
 
-    The pair must have no spurious pressure modes, which make the system
-    singular; ``stability.Case.errors`` counts them first and refuses the
-    case.  In M_Q-orthonormal pressure coordinates, with C B from
+    In M_Q-orthonormal pressure coordinates, with C B from
     ``orthonormal_divergence``, g_hat = C G and p = C^T p_hat, the system
     reads A_div u + (C B)^T p_hat = (C B)^T g_hat, (C B) u = g_hat, since
-    K = (C B)^T (C B).  Eliminating u leaves
-    T p_hat = T g_hat - g_hat with T = (C B) A_div^{-1} (C B)^T, whose
-    eigenvalues are the inf-sup lambda in [beta^2, 1].  CG solves it, one
-    solve per step on the LDL^T that certifies A_div positive definite,
-    and u = A_div^{-1} (C B)^T (g_hat - p_hat).  Raises NumericalError
-    when CG does not converge or the assembled-system residual exceeds
-    1e-10 relative, and ValueError when ``rhs`` does not have shape (nQ,).
+    K = (C B)^T (C B).  T = (C B) A_div^{-1} (C B)^T has the inf-sup
+    eigenvalues lambda in [beta^2, 1] on div V_h and zero on the spurious
+    modes N_h, and CG on a consistent singular system stays in the range of
+    T, div V_h.  So CG on T y = T g_hat gives y = g_r, the part of g_hat in
+    div V_h, and CG on T w = y gives w; then p_hat = y - w (L2-orthogonal
+    to N_h) and u = A_div^{-1} (C B)^T w solve the system with the load g_r.
+    Both runs solve with the LDL^T that certifies A_div positive definite,
+    at rtol 1e-13.  CG on T p_hat = T y - y instead, whose right-hand side
+    can be far below the rounding of y on N_h, broke down or stalled.
+    Raises NumericalError when CG does not converge or the residual against
+    G_r = C^{-1} g_r is not below 1e-10 relative, and ValueError when
+    ``rhs`` does not have shape (nQ,).
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (forms.Q_h.ndofs,):
@@ -169,30 +171,35 @@ def solve_mixed(forms, rhs):
                          f"has {forms.Q_h.ndofs} dofs")
     a_div = positive_definite_lu(forms.A_div)
     b_hat, lower = orthonormal_divergence(forms)
-    n_q = forms.Q_h.ndofs
     nb = lower.shape[1]
     g_hat = np.linalg.solve(lower, rhs.reshape(-1, nb, 1)).ravel()
 
     def infsup_operator(x):
         return b_hat @ a_div.solve(b_hat.T @ x)
 
-    t_op = LinearOperator((n_q, n_q), matvec=infsup_operator, dtype=float)
-    p_hat, info = cg(t_op, infsup_operator(g_hat) - g_hat, rtol=1e-15,
-                     atol=0.0)
-    if info != 0:
-        raise NumericalError(f"CG on the inf-sup operator did not converge "
-                             f"(info {info})")
-    u = a_div.solve(b_hat.T @ (g_hat - p_hat))
-    p = np.linalg.solve(lower.transpose(0, 2, 1),
-                        p_hat.reshape(-1, nb, 1)).ravel()
+    def cg_solve(b):
+        x, info = cg(LinearOperator((len(b),) * 2, matvec=infsup_operator,
+                                    dtype=float), b, rtol=1e-13, atol=0.0)
+        if info != 0:
+            raise NumericalError(f"CG on the inf-sup operator did not "
+                                 f"converge (info {info})")
+        return x
 
+    g_r = cg_solve(infsup_operator(g_hat))
+    w = cg_solve(g_r)
+    u = a_div.solve(b_hat.T @ w)
+    p = np.linalg.solve(lower.transpose(0, 2, 1),
+                        (g_r - w).reshape(-1, nb, 1)).ravel()
+
+    rhs_r = (lower @ g_r.reshape(-1, nb, 1)).ravel()
     scale = max(np.linalg.norm(rhs), 1.0)
     res_u = np.linalg.norm(forms.M_V @ u + forms.B.T @ p)
-    res_p = np.linalg.norm(forms.B @ u - rhs)
-    if max(res_u, res_p) > 1e-10 * scale:
+    res_p = np.linalg.norm(forms.B @ u - rhs_r)
+    # written so that a NaN residual fails it
+    if not (res_u <= 1e-10 * scale and res_p <= 1e-10 * scale):
         raise NumericalError(
             f"mixed solve residual too large: |M_V u + B^T p| = {res_u:.2e}, "
-            f"|B u - G| = {res_p:.2e} against scale {scale:.2e}")
+            f"|B u - G_r| = {res_p:.2e} against scale {scale:.2e}")
     return (FieldCoefficients(forms.V_h, u), FieldCoefficients(forms.Q_h, p))
 
 

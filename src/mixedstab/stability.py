@@ -24,9 +24,9 @@ holds every number of one case, each computed on its first read and kept:
   tau, A_div and the bound;
 * gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
   nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN;
-* p_l2, u_div, u_l2 and u_hdiv, the source-problem errors (``errors``),
-  refused unless dimN = 0, counted before ``poisson.solve_mixed`` factors
-  A_div: a stable case takes two factorizations, never alive at once.
+* p_l2, u_div, u_l2 and u_hdiv, the source-problem errors (``errors``) on
+  the pair (V_h, div V_h), from ``poisson.solve_mixed``, whose LDL^T of
+  A_div is their only factorization, with spurious modes or without.
 
 The Stokes constant beta_h1 slices (K, A_1) the same way, below the top 2
 that bounds its whole spectrum (``Case.stokes_pencil``); its eigenvalues
@@ -58,7 +58,7 @@ from scipy.sparse.linalg import norm as sparse_norm
 
 from .assembly import assemble, build_spaces, orthonormal_divergence
 from .eigensolve import InertiaSlicer, positive_definite_lu
-from .errors import NumericalError, SpuriousModeError
+from .errors import NumericalError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
 from .poisson import (NORM_KEYS, error_norms, load_vector,
                       manufactured_solution, solve_mixed)
@@ -112,11 +112,11 @@ class Case:
     Each field that costs work is computed on its first read and kept.  A
     field reads the fields it builds on first.  The div-div pencil
     (``pencil``, counted at tau by ``dimN``) needs no check of A_div: only
-    ``mu_bound`` factors it, for ``mu``, and ``errors`` solves with it
-    after ``dimN``.  The A_1 check (``constant_mode``) comes before the
-    Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A read of a
-    pencil's values depends on the counts made before it, so the commands
-    read in a fixed order.  ``factorizations`` and
+    ``mu_bound`` factors it, for ``mu``, and ``errors``, which reads no
+    count, for its own solve.  The A_1 check (``constant_mode``) comes
+    before the Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A
+    read of a pencil's values depends on the counts made before it, so the
+    commands read in a fixed order.  ``factorizations`` and
     ``stokes_factorizations`` count the factorizations made so far.
     """
 
@@ -241,14 +241,9 @@ class Case:
 
     @cached_property
     def errors(self):
-        """ErrorNorms of the source problem with the closed-form load of
-        ``poisson.manufactured_solution``.  SpuriousModeError when
-        ``dimN``, counted before ``solve_mixed`` factors A_div, is not 0."""
-        if self.dimN > 0:
-            raise SpuriousModeError(
-                f"{self.dimN} spurious pressure modes (dim N_h at threshold "
-                f"{self.threshold:g}) make the saddle-point problem singular; "
-                f"project them out and solve the reduced problem instead")
+        """ErrorNorms of the source problem on (V_h, div V_h) with the
+        closed-form load of ``poisson.manufactured_solution``, projected
+        onto div V_h by ``solve_mixed``."""
         p_exact, u_exact, g_exact = manufactured_solution()
         u_h, p_h = solve_mixed(self.forms, load_vector(g_exact, self.forms.Q_h))
         return error_norms(u_h, p_h, u_exact, p_exact, g_exact)

@@ -13,6 +13,9 @@ that LAPACK and ``jacobi_generalized_eig`` both solve.
 ``dense_schur`` forms the Schur complement B A^{-1} B^T that the library
 never forms; ``schur_pencil_eigenvalues`` gives every eigenvalue of it
 against M_Q, and ``dense_schur_solve`` solves the source problem by it.
+``dense_reduced_solve`` solves it on (V_h, div V_h) from an SVD basis of
+the divergence, with spurious modes or without, and
+``singular_vertex_sums`` evaluates the functionals that vanish on div V_h.
 ``reference_assemble`` assembles the six forms the straightforward way,
 one COO->CSR conversion and one symmetrization per form, against which
 the library's shared-pattern assembly is compared bit for bit.
@@ -26,6 +29,7 @@ from mixedstab.assembly import AssembledForms, cell_geometry
 from mixedstab.element import quadrature
 from mixedstab.errors import (EigensolveError, NotPositiveDefiniteError,
                               NumericalError)
+from mixedstab.mesh import singular_vertices
 
 
 def _dense(mat):
@@ -213,6 +217,53 @@ def dense_schur_solve(forms, rhs):
     x = np.linalg.solve(forms.M_V.toarray(), b.T)    # M_V^{-1} B^T
     p = sla.cho_solve(sla.cho_factor(b @ x), -rhs)
     return -(x @ p), p
+
+
+def dense_reduced_solve(forms, rhs, rank_tol=1e-8):
+    """Source problem on the pair (V_h, div V_h), solved densely.
+
+    With M_Q = L L^T (Cholesky) and C = L^{-1}, the columns Z of the left
+    singular vectors of C B whose singular values exceed ``rank_tol``
+    times the largest are an orthonormal basis of div V_h in
+    M_Q-orthonormal coordinates.  Solves M_V u + (C B)^T Z a = 0,
+    Z^T (C B) u = Z^T C rhs with ``np.linalg.solve`` and returns (u, p),
+    p = C^T Z a, as coefficient arrays.
+    """
+    lower = np.linalg.cholesky(forms.M_Q.toarray())
+    cb = sla.solve_triangular(lower, forms.B.toarray(), lower=True)
+    left, svals, _ = np.linalg.svd(cb, full_matrices=False)
+    z = left[:, svals > rank_tol * svals[0]]
+    cbz = cb.T @ z
+    n_v, rank = cbz.shape
+    lhs = np.zeros((n_v + rank, n_v + rank))
+    lhs[:n_v, :n_v] = forms.M_V.toarray()
+    lhs[:n_v, n_v:] = cbz
+    lhs[n_v:, :n_v] = cbz.T
+    load = z.T @ sla.solve_triangular(lower, rhs, lower=True)
+    x = np.linalg.solve(lhs, np.concatenate([np.zeros(n_v), load]))
+    return x[:n_v], sla.solve_triangular(lower.T, z @ x[n_v:], lower=False)
+
+
+def singular_vertex_sums(p_field):
+    """At each singular vertex, the alternating sum of the four values
+    that the pressure field takes there, one per cell, taken around the
+    vertex.  It vanishes on the divergence of every continuous piecewise
+    polynomial velocity (Scott & Vogelius), so it is zero for a pressure
+    in div V_h.  Returns one sum per singular vertex, in their order."""
+    space = p_field.space
+    mesh = space.mesh
+    corners = space.element.tabulate(np.array([[0.0, 0.0], [1.0, 0.0],
+                                               [0.0, 1.0]]))
+    sums = []
+    for v in singular_vertices(mesh):
+        cells, local = np.nonzero(mesh.cells == v)
+        offset = (mesh.vertices[mesh.cells[cells]].mean(axis=1)
+                  - mesh.vertices[v])
+        order = np.argsort(np.arctan2(offset[:, 1], offset[:, 0]))
+        values = np.einsum("ck,ck->c", corners[local],
+                           p_field.values[space.cell_dofs[cells]])[order]
+        sums.append(values @ np.array([1.0, -1.0, 1.0, -1.0]))
+    return np.array(sums)
 
 
 def divdiv_pencil_eigenvalues(forms):

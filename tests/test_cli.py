@@ -647,10 +647,26 @@ def test_bad_n_exits_two(argv, capsys, monkeypatch):
     assert captured.err.startswith("mixed-stab: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [["--family", "zigzag", "--n", "6"],
+                                   ["--family", "zigzag"], ["--n", "6"]])
+def test_mesh_with_family_or_n_exits_two(extra, tmp_path, capsys):
+    # the mesh file fixes the grid; an ignored --family would still enter
+    # the provenance hash
+    mesh_file = tmp_path / "d4.mesh"
+    assert run_cli("mesh", "--family", "diagonal", "--n", "4",
+                   "--out", str(mesh_file)) == 0
+    assert run_cli("infsup", "--mesh", str(mesh_file), *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--mesh" in captured.err
+
+
 def test_numerical_failure_exits_one(capsys):
-    assert run_cli("converge", "--family", "crisscross", "--r", "1",
-                   "--n", "4,8") == 1
-    assert "SpuriousModeError" in capsys.readouterr().err
+    # at 1e-14 the shift lies within rounding of crisscross's spurious
+    # zeros: K - s M_V is singular in its factorization, and no count is made
+    assert run_cli("laplace-eig", "--family", "crisscross", "--n", "4",
+                   "--r", "2", "--threshold", "1e-14") == 1
+    assert "EigensolveError" in capsys.readouterr().err
 
 
 def test_count_only_table_refuses_a_threshold_above_every_eigenvalue(capsys):

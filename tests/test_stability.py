@@ -8,8 +8,7 @@ import scipy.linalg as sla
 
 import mixedstab.eigensolve as eigensolve
 from mixedstab.eigensolve import InertiaSlicer
-from mixedstab.errors import (NotPositiveDefiniteError, NumericalError,
-                              SpuriousModeError)
+from mixedstab.errors import NotPositiveDefiniteError, NumericalError
 from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh,
                             singular_vertices)
@@ -239,10 +238,12 @@ def test_spurious_modes_is_the_count_brezzi_infsup_starts_from(forms_for):
     dim = case.dimN
     assert case.kernel == forms.V_h.ndofs - forms.Q_h.ndofs
     assert case.pencil.factorizations == 1
-    # the source solve is refused by that count, with no factorization more
-    with pytest.raises(SpuriousModeError, match=f"^{dim} spurious"):
-        case.errors
+    # the source solve reads no count: it solves on (V_h, div V_h), and the
+    # pencil makes no factorization more, nor does a fresh Case build one
+    assert math.isfinite(case.p_l2)
     assert case.pencil.factorizations == 1 and dim == 4
+    fresh = Case(forms)
+    assert math.isfinite(fresh.u_l2) and "pencil" not in fresh.__dict__
 
 
 # symmetries of the unit square, each a map of (x, y) and whether it
@@ -295,8 +296,7 @@ def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
                 assert np.allclose(got[2:], want[2:], rtol=0.0, atol=1e-12), tag
 
 
-@pytest.mark.parametrize("family", [Family.DIAGONAL, Family.ZIGZAG],
-                         ids=lambda f: f.value)
+@pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
 def test_source_errors_are_invariant_under_the_symmetries_of_the_square(
         forms_for, family):
     # p = sin(2 pi x) sin(2 pi y) maps to +-p under every symmetry of the
