@@ -51,9 +51,13 @@ REPEATS = 3
 
 CHILD = """
 import json, resource, sys, time
-from mixedstab.stability import Case, case_forms
+from mixedstab.assembly import assemble, build_spaces
+from mixedstab.mesh import generate
+from mixedstab.stability import Case
 family, r, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-forms = case_forms(family, n, r)
+# assemble and build_spaces, which every source tree has, so that one
+# script times the trees before and after a change
+forms = assemble(*build_spaces(generate(family, n), r))
 case = Case(forms)
 t0 = time.perf_counter()
 beta_reduced = case.beta_div_reduced

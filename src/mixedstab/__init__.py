@@ -10,6 +10,7 @@ from .assembly import (
     FunctionSpace,
     assemble,
     build_spaces,
+    case_forms,
     discontinuous_space,
     scalar_lagrange_space,
     vector_lagrange_space,
@@ -41,19 +42,19 @@ from .mesh import (
     write_mesh,
 )
 from .poisson import (
+    SINE,
     ErrorNorms,
     FieldCoefficients,
+    Solution,
+    convergence_study,
     error_norms,
     interpolate,
-    manufactured_solution,
     solve_mixed,
+    source_errors,
 )
 from .stability import (
     DEFAULT_THRESHOLD,
     Case,
-    TableReport,
-    case_forms,
-    convergence_study,
     reproduce_table,
 )
 

@@ -340,6 +340,11 @@ def assemble(V_h, Q_h):
                           A_div=A_div, B=B, M_Q=M_Q, A_1=shared(a_1))
 
 
+def case_forms(mesh, r):
+    """The pair of degree r on ``mesh`` and its assembled forms."""
+    return assemble(*build_spaces(mesh, r))
+
+
 def orthonormal_divergence(forms):
     """The divergence form in M_Q-orthonormal pressure coordinates.
 

@@ -14,8 +14,10 @@ tables          recompute the golden stability tables (T1..T4)
 infsup, coercivity, laplace-eig and stokes-infsup are one command,
 ``cmd_case``: it prints the COLUMNS of its command, fields of one
 ``stability.Case`` that are computed on their first read, so a command
-computes what it prints and nothing else.  Every command but mesh writes
-through one emitter.  CSV artifacts start with a provenance
+computes what it prints and nothing else.  converge generates its meshes
+from --family and --n and measures ``poisson.SINE`` on them
+(``poisson.convergence_study``).  Every command but mesh writes through
+one emitter.  CSV artifacts start with a provenance
 line ``# mixed-stab <version> <config-hash>`` so golden files detect
 configuration drift; JSON output carries the same data under a
 "provenance" key.  Exit codes: 0 success, 1 numerical failure or a
@@ -24,7 +26,8 @@ written.  Each argument parses and checks its own value (an r outside
 1..MAX_SPACE_DEGREE, an n that is not an even integer >= 4, a threshold
 that is not finite and positive, --jobs below 1); ``config_from_args``
 checks the two rules that tie arguments together, and ``check_outputs``
-the output paths, before any case is built.
+every output path (--out, --plot-data, --dump-matrices), before any case
+is built.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .assembly import MAX_SPACE_DEGREE, write_matrix_market
+from .assembly import MAX_SPACE_DEGREE, case_forms, write_matrix_market
 from .errors import MixedStabError
-from .mesh import (Family, GENERATED_FAMILIES, check_grid_size, export_mesh,
-                   generate, read_mesh)
-from .poisson import NORM_KEYS
+from .mesh import (GENERATED_FAMILIES, check_grid_size, export_mesh, generate,
+                   read_mesh)
+from .poisson import NORM_KEYS, SINE, convergence_study
 from .stability import (DEFAULT_THRESHOLD, PENCILS, SWEEP_THRESHOLDS, TABLES,
-                        Case, case_forms, convergence_study, reproduce_table)
+                        Case, reproduce_table)
 
 PROG = "mixed-stab"
 
@@ -314,9 +317,9 @@ def config_from_args(args):
 
 def check_outputs(cfg):
     """Refuse an --out that is a directory or whose directory is missing or
-    not writable, and a --plot-data whose nearest existing path is not a
-    writable directory.  Opens and creates nothing, so a refused or failed
-    run leaves an existing --out as it was."""
+    not writable, and a --plot-data or --dump-matrices whose nearest
+    existing path is not a writable directory.  Opens and creates nothing,
+    so a refused or failed run leaves an existing --out as it was."""
     def writable_dir(path):
         return path.is_dir() and os.access(path, os.W_OK | os.X_OK)
 
@@ -325,10 +328,13 @@ def check_outputs(cfg):
         if out.is_dir() or not writable_dir(out.parent):
             raise UsageError(f"--out: cannot write {out}: a directory, or its "
                              f"directory is missing or not writable")
-    if cfg.plot_data:
-        plot = Path(cfg.plot_data)
-        if not writable_dir(next(p for p in (plot, *plot.parents) if p.exists())):
-            raise UsageError(f"--plot-data: {plot} cannot be a writable directory")
+    for flag, directory in (("--plot-data", cfg.plot_data),
+                            ("--dump-matrices", cfg.dump_matrices)):
+        if directory:
+            path = Path(directory)
+            if not writable_dir(next(p for p in (path, *path.parents)
+                                     if p.exists())):
+                raise UsageError(f"{flag}: {path} cannot be a writable directory")
 
 
 def _write(cfg, text):
@@ -351,15 +357,16 @@ def _emit(cfg, payload, csv_lines):
 def _case_forms(cfg):
     """Assembled forms of a single case, on the mesh file or the generated
     family and n; the matrices are written out when the config asks."""
-    mesh = None if cfg.mesh is None else read_mesh(cfg.mesh)
-    forms = case_forms(cfg.family, cfg.n, cfg.r, mesh=mesh)
+    mesh = (generate(cfg.family, cfg.n) if cfg.mesh is None
+            else read_mesh(cfg.mesh))
+    forms = case_forms(mesh, cfg.r)
     if cfg.dump_matrices:
         write_matrix_market(forms, cfg.dump_matrices)
     return forms
 
 
 def cmd_mesh(cfg):
-    _write(cfg, export_mesh(generate(Family.parse(cfg.family), cfg.n)))
+    _write(cfg, export_mesh(generate(cfg.family, cfg.n)))
     return 0
 
 
@@ -436,21 +443,36 @@ def _converge_csv(studies):
     return lines
 
 
+def converge_n_values(r):
+    """The n of a converge study at degree r when --n is not given."""
+    return [4, 8, 16, 32] if r <= 2 else [4, 8, 16]
+
+
 def cmd_converge(cfg):
-    family = Family.parse(cfg.family)
-    studies = [convergence_study(r, n_values=cfg.n_values, family=family)
-               for r in cfg.r_values]
+    studies = []
+    for r in cfg.r_values:
+        n_values = cfg.n_values or converge_n_values(r)
+        meshes = [generate(cfg.family, n) for n in n_values]
+        studies.append({"r": r, "family": cfg.family, "n_values": n_values,
+                        **convergence_study(meshes, r, SINE)})
     if cfg.plot_data:
         _write_plot_data(cfg, studies)
     _emit(cfg, {"studies": studies}, _converge_csv(studies))
     return 0
 
 
+def _table_csv(table):
+    """CSV lines of a table, header first: floats to 6 decimals."""
+    return [",".join(table["header"])] + [
+        ",".join(f"{x:.6f}" if isinstance(x, float) else str(x) for x in row)
+        for row in table["rows"]]
+
+
 def cmd_tables(cfg):
     table = reproduce_table(cfg.which, n_values=cfg.n_values,
                             r_values=cfg.r_values, threshold=cfg.threshold,
                             jobs=cfg.jobs)
-    _emit(cfg, asdict(table), table.to_csv().splitlines())
+    _emit(cfg, table, _table_csv(table))
     return 0
 
 

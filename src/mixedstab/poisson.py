@@ -1,4 +1,4 @@
-"""Mixed source problem: the solve and the error norms.
+"""Mixed source problem: the solve, the error norms and convergence rates.
 
 Solves M_V u + B^T p = 0, B u = G on the pair (V_h, div V_h), the same
 path at every size, with spurious pressure modes or without: the load is
@@ -6,22 +6,21 @@ projected onto div V_h, and p is orthogonal to the spurious modes.  One
 sparse LDL^T of A_div serves two conjugate-gradient runs on the inf-sup
 operator, and every returned solution has passed a 1e-10 relative
 residual check (``solve_mixed``).
-The load G and the errors of (u_h, p_h) come from the closed-form solution
+The load G and the errors of (u_h, p_h) (``source_errors``) come from a
+closed-form ``Solution``, evaluated at the points of the degree-14
+quadrature rule that computes every integral here.  Every command uses
 
-    p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u,
-
-evaluated at the points of the degree-14 quadrature rule that computes
-every integral here.
+    SINE:  p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .assembly import cell_geometry, orthonormal_divergence
+from .assembly import case_forms, cell_geometry, orthonormal_divergence
 from .eigensolve import positive_definite_lu
 from .element import quadrature
 from .errors import NumericalError
@@ -64,22 +63,32 @@ def interpolate(f, space):
     return FieldCoefficients(space, coeffs)
 
 
-def manufactured_solution():
-    """Closed-form pressure, velocity and source on the unit square."""
-    two_pi = 2.0 * np.pi
+@dataclass(frozen=True)
+class Solution:
+    """A closed-form solution on the unit square: callables ``p``, ``u`` =
+    grad p and ``g`` = div u of an (npts, 2) array of points."""
 
-    def p(pts):
-        return np.sin(two_pi * pts[:, 0]) * np.sin(two_pi * pts[:, 1])
+    name: str
+    p: object
+    u: object
+    g: object
 
-    def u(pts):
-        sx, cx = np.sin(two_pi * pts[:, 0]), np.cos(two_pi * pts[:, 0])
-        sy, cy = np.sin(two_pi * pts[:, 1]), np.cos(two_pi * pts[:, 1])
-        return two_pi * np.stack([cx * sy, sx * cy], axis=-1)
 
-    def g(pts):
-        return -2.0 * two_pi ** 2 * p(pts)
+_TWO_PI = 2.0 * np.pi
 
-    return p, u, g
+
+def _sine_p(pts):
+    return np.sin(_TWO_PI * pts[:, 0]) * np.sin(_TWO_PI * pts[:, 1])
+
+
+def _sine_u(pts):
+    sx, cx = np.sin(_TWO_PI * pts[:, 0]), np.cos(_TWO_PI * pts[:, 0])
+    sy, cy = np.sin(_TWO_PI * pts[:, 1]), np.cos(_TWO_PI * pts[:, 1])
+    return _TWO_PI * np.stack([cx * sy, sx * cy], axis=-1)
+
+
+SINE = Solution("sine", _sine_p, _sine_u,
+                lambda pts: -2.0 * _TWO_PI ** 2 * _sine_p(pts))
 
 
 def _cell_coefficients(field):
@@ -211,10 +220,9 @@ class ErrorNorms:
     u_hdiv: float
 
 
-def error_norms(u_h, p_h, u_exact, p_exact, div_exact):
+def error_norms(u_h, p_h, solution):
     """Errors of (u_h, p_h), fields on one mesh, against the closed-form
-    velocity ``u_exact``, pressure ``p_exact`` and divergence ``div_exact``
-    (callables as returned by ``manufactured_solution``)."""
+    velocity, pressure and divergence of ``solution``."""
     mesh = u_h.space.mesh
     if p_h.space.mesh is not mesh:
         raise ValueError("error_norms requires fields on one mesh")
@@ -225,9 +233,9 @@ def error_norms(u_h, p_h, u_exact, p_exact, div_exact):
         return float(np.einsum("cq,q,c->", cellwise_sq, rule.weights, det))
 
     pts = _physical_points(mesh, rule.points)
-    dp = eval_scalar(p_h, rule.points) - _closed_form(p_exact, pts)
-    du = eval_vector(u_h, rule.points) - _closed_form(u_exact, pts)
-    ddiv = eval_divergence(u_h, rule.points) - _closed_form(div_exact, pts)
+    dp = eval_scalar(p_h, rule.points) - _closed_form(solution.p, pts)
+    du = eval_vector(u_h, rule.points) - _closed_form(solution.u, pts)
+    ddiv = eval_divergence(u_h, rule.points) - _closed_form(solution.g, pts)
     p_sq = integral(dp ** 2)
     u_sq = integral(np.sum(du ** 2, axis=-1))
     div_sq = integral(ddiv ** 2)
@@ -239,5 +247,30 @@ def error_norms(u_h, p_h, u_exact, p_exact, div_exact):
     )
 
 
+def source_errors(forms, solution):
+    """ErrorNorms of the source problem on (V_h, div V_h) of ``forms``,
+    with the closed-form load of ``solution``, projected onto div V_h by
+    ``solve_mixed``."""
+    u_h, p_h = solve_mixed(forms, load_vector(solution.g, forms.Q_h))
+    return error_norms(u_h, p_h, solution)
+
+
 NORM_KEYS = ("p_l2", "u_div", "u_l2", "u_hdiv")
 
+
+def convergence_study(meshes, r, solution):
+    """Errors, rates and normalized (over the first) errors of ``solution``
+    at degree r on a sequence of meshes, each NORM_KEYS to a list in order.
+    The forms of a mesh are dropped before the next is assembled.  A rate is
+    a log2 ratio of consecutive errors, None unless the largest edge halves
+    (to 1e-9 relative) or an error is zero."""
+    h = [np.max(np.linalg.norm(np.diff(m.vertices[m.edges], axis=1), axis=-1))
+         for m in meshes]   # the largest edge
+    rows = [astuple(source_errors(case_forms(mesh, r), solution))
+            for mesh in meshes]
+    errors = dict(zip(NORM_KEYS, map(list, zip(*rows))))
+    halved = [abs(a - 2.0 * b) <= 1e-9 * a for a, b in zip(h, h[1:])]
+    rates = {k: [float(np.log2(e[i] / e[i + 1])) if d and e[i + 1] > 0 else None
+                 for i, d in enumerate(halved)] for k, e in errors.items()}
+    normalized = {k: [x / e[0] for x in e] for k, e in errors.items()}
+    return {"errors": errors, "rates": rates, "normalized": normalized}

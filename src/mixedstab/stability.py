@@ -6,7 +6,8 @@ eigenvalues mu, and these map one to one onto the Brezzi inf-sup pencil
 B A_div^{-1} B^T p = lambda M_Q p by mu = lambda / (1 - lambda).  Every
 reported constant is read off a spectrum slice of that pencil
 (``eigensolve.InertiaSlicer``), with no dense nQ x nQ matrix.  ``Case``
-holds every number of one case, each computed on its first read and kept:
+holds every stability constant of one case, each computed on its first
+read and kept:
 
 * dimN, the spurious pressure modes: the eigenvalues lambda below the
   zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
@@ -23,10 +24,7 @@ holds every number of one case, each computed on its first read and kept:
   otherwise), so a stable case takes three factorizations: the count at
   tau, A_div and the bound;
 * gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
-  nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN;
-* p_l2, u_div, u_l2 and u_hdiv, the source-problem errors (``errors``) on
-  the pair (V_h, div V_h), from ``poisson.solve_mixed``, whose LDL^T of
-  A_div is their only factorization, with spurious modes or without.
+  nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN.
 
 The Stokes constant beta_h1 slices (K, A_1) the same way, below the top 2
 that bounds its whole spectrum (``Case.stokes_pencil``); its eigenvalues
@@ -41,27 +39,24 @@ the warning is read, so the tables, which print none, do not pay for them.
 ``Case.spectrum`` reads every eigenvalue past the spurious cluster off the
 same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and Babuska
 spectra are closed-form functions of the mu.  A table is a list of cases
-and the fields it prints of each (``TABLES``), a convergence study the
-error fields of one case per n (``convergence_study``), and the
-single-case commands in ``cli`` print fields of one Case by name.
+and the fields it prints of each (``TABLES``), and the single-case
+commands in ``cli`` print fields of one Case by name.  The source-problem
+errors are not Case fields: ``poisson`` solves on the forms alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .assembly import assemble, build_spaces, orthonormal_divergence
+from .assembly import case_forms, orthonormal_divergence
 from .eigensolve import InertiaSlicer, positive_definite_lu
 from .errors import NumericalError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
-from .poisson import (NORM_KEYS, error_norms, load_vector,
-                      manufactured_solution, solve_mixed)
 
 DEFAULT_THRESHOLD = 1e-4
 SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
@@ -107,14 +102,14 @@ def _quotient(forms, norm, p):
 
 
 class Case:
-    """Every reported number of one case, under the name the outputs print.
+    """Every stability constant of one case, under the name the outputs
+    print.
 
     Each field that costs work is computed on its first read and kept.  A
     field reads the fields it builds on first.  The div-div pencil
     (``pencil``, counted at tau by ``dimN``) needs no check of A_div: only
-    ``mu_bound`` factors it, for ``mu``, and ``errors``, which reads no
-    count, for its own solve.  The A_1 check (``constant_mode``) comes
-    before the Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A
+    ``mu_bound`` factors it, for ``mu``.  The A_1 check (``constant_mode``)
+    comes before the Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A
     read of a pencil's values depends on the counts made before it, so the
     commands read in a fixed order.  ``factorizations`` and
     ``stokes_factorizations`` count the factorizations made so far.
@@ -240,21 +235,6 @@ class Case:
         return ("mu_bound" in self.__dict__) + self.pencil.factorizations
 
     @cached_property
-    def errors(self):
-        """ErrorNorms of the source problem on (V_h, div V_h) with the
-        closed-form load of ``poisson.manufactured_solution``, projected
-        onto div V_h by ``solve_mixed``."""
-        p_exact, u_exact, g_exact = manufactured_solution()
-        u_h, p_h = solve_mixed(self.forms, load_vector(g_exact, self.forms.Q_h))
-        return error_norms(u_h, p_h, u_exact, p_exact, g_exact)
-
-    # the source errors under the names converge prints
-    p_l2 = property(lambda self: self.errors.p_l2)
-    u_div = property(lambda self: self.errors.u_div)
-    u_l2 = property(lambda self: self.errors.u_l2)
-    u_hdiv = property(lambda self: self.errors.u_hdiv)
-
-    @cached_property
     def constant_mode(self):
         """Rayleigh quotient of the constant pressure in the Stokes pencil,
         from the factor that certifies A_1.  No zero-mean pressure
@@ -357,14 +337,6 @@ class Case:
         return self.dimN, np.concatenate([-lam, np.ones(self.forms.V_h.ndofs)])
 
 
-def case_forms(family, n, r, mesh=None):
-    """Mesh + spaces + assembled forms for one case."""
-    if mesh is None:
-        mesh = generate(family, n)
-    v_h, q_h = build_spaces(mesh, r)
-    return assemble(v_h, q_h)
-
-
 # the degrees of T1 unless given
 T1_DEGREES = (1, 2, 3)
 # which -> (r, default n, columns).  T1 (r None) has one row per case, of
@@ -389,26 +361,11 @@ TABLES = {
 }
 
 
-@dataclass
-class TableReport:
-    which: str
-    r: int | None
-    threshold: float
-    header: list
-    rows: list
-
-    def to_csv(self):
-        lines = [",".join(self.header)]
-        lines += [",".join(f"{x:.6f}" if isinstance(x, float) else str(x)
-                           for x in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
-
-
 def _table_case(args):
     """The values of the named fields of one case, in order.  Plain values
     go back to the pool, not the Case, which holds its pencils."""
     family, n, r, threshold, fields = args
-    case = Case(case_forms(family, n, r), threshold)
+    case = Case(case_forms(generate(family, n), r), threshold)
     return [getattr(case, field) for field in fields]
 
 
@@ -423,7 +380,7 @@ def reproduce_table(which, n_values=None, r_values=None,
 
     Returns
     -------
-    TableReport
+    dict of which, r (None for T1), threshold, header and rows
     """
     which = which.upper()
     if which not in TABLES:
@@ -434,8 +391,8 @@ def reproduce_table(which, n_values=None, r_values=None,
         degrees = T1_DEGREES if r_values is None else r_values
         cases = [(fam, n, deg, threshold, columns)
                  for fam in GENERATED_FAMILIES for n in n_values for deg in degrees]
-        return TableReport(which, None, threshold, list(columns),
-                           _run_cases(cases, jobs))
+        return {"which": which, "r": None, "threshold": threshold,
+                "header": list(columns), "rows": _run_cases(cases, jobs)}
 
     families = dict.fromkeys(fam for _, fam, _ in columns)
     cases = [(fam, n, r, threshold,
@@ -446,8 +403,8 @@ def reproduce_table(which, n_values=None, r_values=None,
         values.update(((fam, n, field), v) for field, v in zip(fields, got))
     rows = [[n, *(values[fam, n, field] for _, fam, field in columns)]
             for n in n_values]
-    return TableReport(which, r, threshold, ["n", *(h for h, _, _ in columns)],
-                       rows)
+    return {"which": which, "r": r, "threshold": threshold,
+            "header": ["n", *(h for h, _, _ in columns)], "rows": rows}
 
 
 def _run_cases(cases, jobs):
@@ -459,22 +416,3 @@ def _run_cases(cases, jobs):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_table_case, cases))
     return [_table_case(c) for c in cases]
-
-
-def convergence_study(r, n_values=None, family=Family.DIAGONAL):
-    """The dict ``converge`` prints of one degree: r, family, n_values, and
-    errors, rates and normalized, each NORM_KEYS to one list.  The errors
-    are the fields of one Case per n, run in order; rates are log2 ratios
-    of consecutive errors, None unless n doubles; normalized errors divide
-    by the first-mesh error."""
-    if n_values is None:
-        n_values = [4, 8, 16, 32] if r <= 2 else [4, 8, 16]
-    n_values = list(n_values)
-    cases = [(family, n, r, DEFAULT_THRESHOLD, NORM_KEYS) for n in n_values]
-    errors = dict(zip(NORM_KEYS, map(list, zip(*_run_cases(cases, 1)))))
-    doubled = [b == 2 * a for a, b in zip(n_values, n_values[1:])]
-    rates = {k: [float(np.log2(e[i] / e[i + 1])) if d and e[i + 1] > 0 else None
-                 for i, d in enumerate(doubled)] for k, e in errors.items()}
-    normalized = {k: [x / e[0] for x in e] for k, e in errors.items()}
-    return {"r": r, "family": family.value, "n_values": n_values,
-            "errors": errors, "rates": rates, "normalized": normalized}

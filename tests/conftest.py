@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixedstab.mesh import Triangulation
-from mixedstab.stability import case_forms
+from mixedstab.assembly import case_forms
+from mixedstab.mesh import Triangulation, generate
 
 from oracles import schur_pencil_eigenvalues
 
@@ -19,7 +19,7 @@ def forms_for(request):
     def get(family, n, r):
         key = (family, n, r)
         if key not in cache:
-            cache[key] = case_forms(family, n, r)
+            cache[key] = case_forms(generate(family, n), r)
         return cache[key]
 
     return get

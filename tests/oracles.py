@@ -16,6 +16,8 @@ against M_Q, and ``dense_schur_solve`` solves the source problem by it.
 ``dense_reduced_solve`` solves it on (V_h, div V_h) from an SVD basis of
 the divergence, with spurious modes or without, and
 ``singular_vertex_sums`` evaluates the functionals that vanish on div V_h.
+``EXP`` is a second closed-form solution, with none of the symmetries of
+the square that the library's ``SINE`` has.
 ``reference_assemble`` assembles the six forms the straightforward way,
 one COO->CSR conversion and one symmetrization per form, against which
 the library's shared-pattern assembly is compared bit for bit.
@@ -30,6 +32,7 @@ from mixedstab.element import quadrature
 from mixedstab.errors import (EigensolveError, NotPositiveDefiniteError,
                               NumericalError)
 from mixedstab.mesh import singular_vertices
+from mixedstab.poisson import Solution
 
 
 def _dense(mat):
@@ -264,6 +267,35 @@ def singular_vertex_sums(p_field):
                            p_field.values[space.cell_dofs[cells]])[order]
         sums.append(values @ np.array([1.0, -1.0, 1.0, -1.0]))
     return np.array(sums)
+
+
+def _exp_factors(pts):
+    """p = f(x) k(y) of EXP with f = x (1 - x) e^x and k = y (1 - y) e^{2y}:
+    (f, f', f'') and (k, k', k'') at the points."""
+    x, y = pts[:, 0], pts[:, 1]
+    ex, ey = np.exp(x), np.exp(2.0 * y)
+    return ((x * (1.0 - x) * ex, (1.0 - x - x * x) * ex, -x * (x + 3.0) * ex),
+            (y * (1.0 - y) * ey, (1.0 - 2.0 * y * y) * ey,
+             (2.0 - 4.0 * y - 4.0 * y * y) * ey))
+
+
+def _exp_p(pts):
+    (f, _, _), (k, _, _) = _exp_factors(pts)
+    return f * k
+
+
+def _exp_u(pts):
+    (f, df, _), (k, dk, _) = _exp_factors(pts)
+    return np.stack([df * k, f * dk], axis=-1)
+
+
+def _exp_g(pts):
+    (f, _, d2f), (k, _, d2k) = _exp_factors(pts)
+    return d2f * k + f * d2k
+
+
+# p = x (1 - x) y (1 - y) e^{x + 2y}, u = grad p, g = div u
+EXP = Solution("exp", _exp_p, _exp_u, _exp_g)
 
 
 def divdiv_pencil_eigenvalues(forms):

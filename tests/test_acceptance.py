@@ -17,8 +17,10 @@ import pytest
 import scipy.linalg as sla
 
 from mixedstab.element import monomial_exponents, monomial_integral, quadrature
+from mixedstab.cli import converge_n_values
 from mixedstab.mesh import Family, generate, singular_vertices
-from mixedstab.stability import DEFAULT_THRESHOLD, Case, convergence_study
+from mixedstab.poisson import SINE, convergence_study
+from mixedstab.stability import DEFAULT_THRESHOLD, Case
 
 from oracles import (cholesky_reduced, classify_spectrum,
                      divdiv_pencil_eigenvalues,
@@ -98,7 +100,10 @@ def study_for():
 
     def get(r):
         if r not in cache:
-            cache[r] = convergence_study(r)
+            # the converge command's default meshes
+            cache[r] = convergence_study(
+                [generate(Family.DIAGONAL, n) for n in converge_n_values(r)],
+                r, SINE)
         return cache[r]
 
     return get

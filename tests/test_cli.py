@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from mixedstab import __version__
+from mixedstab.assembly import case_forms
 from mixedstab.cli import RunConfig, build_parser, main, parse_n_values
-from mixedstab.mesh import Family
-from mixedstab.stability import Case, _divdiv_shift, case_forms
+from mixedstab.mesh import generate
+from mixedstab.stability import Case, _divdiv_shift
 
 from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
                      laplace_pencil_eigenvalues, schur_pencil_eigenvalues)
@@ -214,7 +215,7 @@ def test_spectrum_derived_pencils_match_oracles(tmp_path, family):
     # every pencil is printed past its zero cluster, each value with its
     # index in the oracle's full spectrum; the Babuska pencil is ordered by
     # modulus
-    forms = case_forms(Family.parse(family), 4, 2)
+    forms = case_forms(generate(family, 4), 2)
     n_v, n_q = forms.V_h.ndofs, forms.Q_h.ndofs
     dim = {"diagonal": 0, "unionjack": 4}[family]
     cases = {
@@ -634,6 +635,8 @@ def test_tables_with_fixed_degree_refuse_r(which, capsys):
     ["tables", "--which", "T1", "--n", "4", "--out", str(ROOT / "tests")],
     ["converge", "--r", "1", "--n", "4",
      "--plot-data", str(ROOT / "pyproject.toml")],
+    ["infsup", "--family", "diagonal", "--n", "4",
+     "--dump-matrices", str(ROOT / "pyproject.toml")],
 ])
 def test_bad_n_exits_two(argv, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
@@ -641,6 +644,7 @@ def test_bad_n_exits_two(argv, capsys, monkeypatch):
 
     monkeypatch.setattr("mixedstab.stability.case_forms", unreachable)
     monkeypatch.setattr("mixedstab.cli.case_forms", unreachable)
+    monkeypatch.setattr("mixedstab.poisson.case_forms", unreachable)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -5,10 +5,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import mixedstab.eigensolve as eigensolve
+from mixedstab.assembly import case_forms
 from mixedstab.eigensolve import WINDOW, InertiaSlicer, positive_definite_lu
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family, Triangulation, generate
-from mixedstab.stability import DEFAULT_THRESHOLD, Case, case_forms
+from mixedstab.stability import DEFAULT_THRESHOLD, Case
 from oracles import (cholesky_reduced, full_saddle_eigenvalues,
                      jacobi_generalized_eig, schur_pencil_eigenvalues)
 
@@ -260,7 +261,7 @@ def test_near_singular_vertices_match_the_dense_route(r):
     mesh = generate(Family.CRISSCROSS, 4)
     vertices = mesh.vertices.copy()
     vertices[25:, 0] += 3e-4 / 4
-    forms = case_forms(None, None, r, mesh=Triangulation(vertices, mesh.cells))
+    forms = case_forms(Triangulation(vertices, mesh.cells), r)
     case = Case(forms)
     lam = schur_pencil_eigenvalues(forms, forms.A_div)
     dim = int(np.count_nonzero(lam < DEFAULT_THRESHOLD))

@@ -9,16 +9,19 @@ import mixedstab.eigensolve as eigensolve
 import mixedstab.poisson as po
 from mixedstab.assembly import scalar_lagrange_space, vector_lagrange_space
 from mixedstab.errors import NumericalError
-from mixedstab.mesh import (GENERATED_FAMILIES, Family, generate,
+from mixedstab.assembly import case_forms
+from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
+                            export_mesh, generate, import_mesh,
                             singular_vertices)
 from mixedstab.cli import _converge_csv
-from mixedstab.poisson import (FieldCoefficients, error_norms,
+from mixedstab.poisson import (SINE, FieldCoefficients, Solution,
+                               convergence_study, error_norms,
                                eval_divergence, eval_scalar, eval_vector,
-                               interpolate, load_vector,
-                               manufactured_solution, solve_mixed)
-from mixedstab.stability import Case, case_forms, convergence_study
+                               interpolate, load_vector, solve_mixed,
+                               source_errors)
+from mixedstab.stability import Case
 
-from oracles import (dense_reduced_solve, dense_schur_solve,
+from oracles import (EXP, dense_reduced_solve, dense_schur_solve,
                      singular_vertex_sums)
 
 TWO_PI_SQ = 2 * np.pi ** 2
@@ -48,7 +51,7 @@ def test_interpolate_reproduces_degree_six_polynomial(rng):
 
 
 def test_interpolation_error_scales_like_h7(rng):
-    p_exact, _, _ = manufactured_solution()
+    p_exact = SINE.p
     worst = {}
     ref = random_ref_points(rng, 40)
     for n in (4, 8):
@@ -62,8 +65,9 @@ def test_interpolation_error_scales_like_h7(rng):
     assert worst[4] / worst[8] > 60
 
 
-def test_manufactured_fields_are_consistent(rng):
-    p_exact, u_exact, g_exact = manufactured_solution()
+@pytest.mark.parametrize("solution", [SINE, EXP], ids=lambda s: s.name)
+def test_manufactured_fields_are_consistent(rng, solution):
+    p_exact, u_exact, g_exact = solution.p, solution.u, solution.g
     pts = rng.random((60, 2))
     h = 1e-6
     dx = np.array([[h, 0.0]])
@@ -102,16 +106,15 @@ def test_constraint_equation_oracle(forms_for, rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
-def test_case_errors_solve_on_spurious_meshes(forms_for):
+@pytest.mark.parametrize("solution", [SINE, EXP], ids=lambda s: s.name)
+def test_source_errors_solve_on_spurious_meshes(forms_for, solution):
     # crisscross n=4 r=1 has 16 spurious modes; its errors are those of the
     # dense solution on (V_h, div V_h)
     forms = forms_for(Family.CRISSCROSS, 4, 1)
-    p_exact, u_exact, g_exact = manufactured_solution()
-    u_ref, p_ref = dense_reduced_solve(forms, load_vector(g_exact, forms.Q_h))
+    u_ref, p_ref = dense_reduced_solve(forms, load_vector(solution.g, forms.Q_h))
     want = error_norms(FieldCoefficients(forms.V_h, u_ref),
-                       FieldCoefficients(forms.Q_h, p_ref),
-                       u_exact, p_exact, g_exact)
-    assert np.allclose(dataclasses.astuple(Case(forms).errors),
+                       FieldCoefficients(forms.Q_h, p_ref), solution)
+    assert np.allclose(dataclasses.astuple(source_errors(forms, solution)),
                        dataclasses.astuple(want), rtol=1e-9, atol=0.0)
 
 
@@ -125,8 +128,7 @@ def test_solve_refuses_wrong_shape_load(forms_for):
 
 def test_solve_residuals_small(forms_for):
     forms = forms_for(Family.DIAGONAL, 8, 2)
-    _, _, g_exact = manufactured_solution()
-    rhs = load_vector(g_exact, forms.Q_h)
+    rhs = load_vector(SINE.g, forms.Q_h)
     u_h, p_h = solve_mixed(forms, rhs)
     res = np.linalg.norm(forms.B @ u_h.values - rhs)
     assert res < 1e-10 * np.linalg.norm(rhs)
@@ -143,7 +145,7 @@ def test_solve_refuses_spurious_modes(family, n, r, rng):
     # the solve keeps the spurious modes out of its pressure: p_h lies in
     # div V_h, so its alternating sum around every singular vertex vanishes.
     # nQ runs from 320 to 5760, and a random load has a part on every mode
-    forms = case_forms(Family(family), n, r)
+    forms = case_forms(generate(family, n), r)
     _, p_h = solve_mixed(forms, rng.standard_normal(forms.Q_h.ndofs))
     sums = singular_vertex_sums(p_h)
     assert len(sums) == len(singular_vertices(forms.mesh)) > 0
@@ -173,7 +175,7 @@ def test_source_solve_makes_one_symmetric_factorization(forms_for, splu_log,
                                                         family, r):
     # the LDL^T of A_div that both CG runs solve with, with spurious modes
     # (crisscross) or without, and no spurious-mode count
-    Case(forms_for(family, 4, r)).errors
+    source_errors(forms_for(family, 4, r), SINE)
     assert splu_log == [True]
 
 
@@ -185,7 +187,7 @@ def test_solve_refuses_exactly_the_spurious_cases(family, rng):
     spurious = []
     for n in (4, 6):
         for r in (1, 2, 3, 4):
-            forms = case_forms(family, n, r)
+            forms = case_forms(generate(family, n), r)
             load = rng.standard_normal(forms.Q_h.ndofs)
             u_h, _ = solve_mixed(forms, load)
             dropped = load - forms.B @ u_h.values
@@ -234,7 +236,7 @@ def test_solve_matches_dense_reduced_oracle(forms_for, rng, family, r, n,
     if load == "random":
         rhs = rng.standard_normal(forms.Q_h.ndofs)
     else:
-        rhs = load_vector(manufactured_solution()[2], forms.Q_h)
+        rhs = load_vector(SINE.g, forms.Q_h)
     u_h, p_h = solve_mixed(forms, rhs)
     u_ref, p_ref = dense_reduced_solve(forms, rhs)
     assert np.max(np.abs(u_h.values - u_ref)) < 1e-8 * np.max(np.abs(u_ref))
@@ -244,8 +246,7 @@ def test_solve_matches_dense_reduced_oracle(forms_for, rng, family, r, n,
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_solve_matches_dense_schur_oracle(forms_for, r):
     forms = forms_for(Family.DIAGONAL, 8, r)
-    _, _, g_exact = manufactured_solution()
-    rhs = load_vector(g_exact, forms.Q_h)
+    rhs = load_vector(SINE.g, forms.Q_h)
     u_h, p_h = solve_mixed(forms, rhs)
     u_ref, p_ref = dense_schur_solve(forms, rhs)
     assert np.max(np.abs(u_h.values - u_ref)) < 1e-8
@@ -254,11 +255,10 @@ def test_solve_matches_dense_schur_oracle(forms_for, r):
 
 def test_error_norms_value_checks(forms_for):
     forms = forms_for(Family.DIAGONAL, 8, 1)
-    p_exact, u_exact, g_exact = manufactured_solution()
 
     zero_u = FieldCoefficients(forms.V_h, np.zeros(forms.V_h.ndofs))
     zero_p = FieldCoefficients(forms.Q_h, np.zeros(forms.Q_h.ndofs))
-    norms = error_norms(zero_u, zero_p, u_exact, p_exact, g_exact)
+    norms = error_norms(zero_u, zero_p, SINE)
     # |p|_0 = 1/2, |u|_0^2 = 2 pi^2 and |div u|_0^2 = 16 pi^4 for the
     # closed-form solution, integrated to rounding by the degree-14 rule
     assert abs(norms.p_l2 - 0.5) < 1e-12
@@ -279,7 +279,7 @@ def test_error_norms_value_checks(forms_for):
 
     same = error_norms(interpolate(u_linear, forms.V_h),
                        interpolate(p_constant, forms.Q_h),
-                       u_linear, p_constant, div_u_linear)
+                       Solution("linear", p_constant, u_linear, div_u_linear))
     assert same.u_l2 < 1e-12 and same.u_div < 1e-10 and same.p_l2 < 1e-12
 
 
@@ -288,9 +288,8 @@ def test_error_norms_rejects_mixed_meshes(forms_for):
     forms8 = forms_for(Family.DIAGONAL, 8, 1)
     zero4u = FieldCoefficients(forms4.V_h, np.zeros(forms4.V_h.ndofs))
     zero8p = FieldCoefficients(forms8.Q_h, np.zeros(forms8.Q_h.ndofs))
-    p_exact, u_exact, g_exact = manufactured_solution()
     with pytest.raises(ValueError):
-        error_norms(zero4u, zero8p, u_exact, p_exact, g_exact)
+        error_norms(zero4u, zero8p, SINE)
 
 
 def test_eval_vector_and_divergence_consistent(rng):
@@ -308,9 +307,14 @@ def test_eval_vector_and_divergence_consistent(rng):
     assert np.max(np.abs(div - 3 * phys[..., 0])) < 1e-11
 
 
+def diagonal_study(r, n_values, solution=SINE):
+    return convergence_study([generate(Family.DIAGONAL, n) for n in n_values],
+                             r, solution)
+
+
 def test_convergence_study_rates_r2():
-    rep = convergence_study(2, n_values=[4, 8, 16])
-    assert rep["n_values"] == [4, 8, 16]
+    rep = {"r": 2, "n_values": [4, 8, 16], **diagonal_study(2, [4, 8, 16])}
+    assert all(len(e) == 3 for e in rep["errors"].values())
     assert all(v[0] == 1.0 for v in rep["normalized"].values())
     assert abs(rep["rates"]["p_l2"][-1] - 2.0) < 0.1
     assert abs(rep["rates"]["u_hdiv"][-1] - 2.0) < 0.1
@@ -320,15 +324,48 @@ def test_convergence_study_rates_r2():
 
 
 def test_convergence_rates_only_for_doublings():
-    rep = convergence_study(1, n_values=[4, 12])
+    rep = {"r": 1, "n_values": [4, 12], **diagonal_study(1, [4, 12])}
     assert rep["rates"]["p_l2"] == [None]
     assert ",," in _converge_csv([rep])[2]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_convergence_study_on_imported_meshes_equals_generated(r):
+    # the study reads the meshes alone: export then import round-trips every
+    # coordinate, and the errors and rates are the same floats
+    generated = [generate(Family.DIAGONAL, n) for n in (4, 8)]
+    imported = [import_mesh(export_mesh(mesh)) for mesh in generated]
+    for mesh, back in zip(generated, imported):
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.cells, mesh.cells)
+    assert (convergence_study(imported, r, SINE)
+            == convergence_study(generated, r, SINE))
+
+
+def test_rates_only_where_the_largest_edge_halves():
+    # diagonal n=8 with its interior vertices moved by 0.1 h along x, then
+    # diagonal n=16: the largest edge shrinks by 2.10, not 2
+    mesh = generate(Family.DIAGONAL, 8)
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[interior, 0] += 0.1 / 8
+    meshes = [Triangulation(vertices, mesh.cells), generate(Family.DIAGONAL, 16)]
+    rep = convergence_study(meshes, 1, SINE)
+    assert all(rates == [None] for rates in rep["rates"].values())
+
+
+def test_exp_rates_on_diagonal_r2():
+    # a solution with none of the square's symmetries converges as SINE
+    # does: p L2 at order 2 and u L2 at 2.06 from n = 16 to 32
+    rep = diagonal_study(2, [16, 32], EXP)
+    assert abs(rep["rates"]["p_l2"][0] - 2.00) < 0.05
+    assert abs(rep["rates"]["u_l2"][0] - 2.06) < 0.05
 
 
 def test_r3_asymptotic_velocity_rate():
     # the L2 velocity rate at r=3 settles to ~r one doubling after the
     # default desk scale; n=32 is also the largest source solve in the suite
-    rep = convergence_study(3, n_values=[16, 32])
+    rep = diagonal_study(3, [16, 32])
     rate = rep["rates"]["u_l2"][0]
     assert 2.8 < rate < 3.2
     assert abs(rep["rates"]["p_l2"][0] - 3.0) < 0.1
@@ -338,6 +375,6 @@ def test_r3_asymptotic_velocity_rate():
 def test_high_degree_rates_are_optimal(r):
     # past r = 3 the pair is stable on diagonal meshes (Scott & Vogelius)
     # and u converges with the optimal L2 order r + 1 already at n = 4 -> 8
-    rep = convergence_study(r, n_values=[4, 8])
+    rep = diagonal_study(r, [4, 8])
     assert abs(rep["rates"]["p_l2"][0] - r) < 0.2
     assert abs(rep["rates"]["u_l2"][0] - (r + 1)) < 0.2

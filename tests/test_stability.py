@@ -7,14 +7,17 @@ import pytest
 import scipy.linalg as sla
 
 import mixedstab.eigensolve as eigensolve
+from mixedstab.assembly import case_forms
+from mixedstab.cli import _table_csv
 from mixedstab.eigensolve import InertiaSlicer
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
 from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh,
                             singular_vertices)
+from mixedstab.poisson import SINE, source_errors
 from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN, Case,
-                                 _divdiv_shift, case_forms,
-                                 orthonormal_divergence, reproduce_table)
+                                 _divdiv_shift, orthonormal_divergence,
+                                 reproduce_table)
 
 from oracles import (babuska_pencil_eigenvalues, classify_spectrum,
                      dense_schur, divdiv_pencil_eigenvalues,
@@ -189,19 +192,18 @@ def test_threshold_sweep_monotone(forms_for):
 
 def test_reproduce_table_t2_small():
     table = reproduce_table("T2", n_values=[4, 6])
-    assert table.header[0] == "n"
-    got = {row[0]: row for row in table.rows}
+    assert table["header"][0] == "n"
+    got = {row[0]: row for row in table["rows"]}
     assert abs(got[4][1] - 0.847171) < 5e-5
     assert abs(got[6][2] - 0.626865) < 5e-5
     assert got[4][4] == 1 and got[6][6] == 12
-    text = table.to_csv()
-    assert text.splitlines()[1].startswith("4,0.847171")
+    assert _table_csv(table)[1].startswith("4,0.847171")
 
 
 def test_reproduce_table_t1_structure():
     table = reproduce_table("T1", n_values=[4], r_values=[1])
-    assert table.header == ["family", "n", "r", "sigma", "dimN"]
-    by_family = {row[0]: row for row in table.rows}
+    assert table["header"] == ["family", "n", "r", "sigma", "dimN"]
+    by_family = {row[0]: row for row in table["rows"]}
     assert by_family["crisscross"][3] == 16
     assert by_family["crisscross"][4] == 16
     assert by_family["diagonal"][3] == 0
@@ -210,23 +212,23 @@ def test_reproduce_table_t1_structure():
 def test_reproduce_table_parallel_matches_serial():
     serial = reproduce_table("T2", n_values=[4, 6], jobs=1)
     parallel = reproduce_table("T2", n_values=[4, 6], jobs=2)
-    assert serial.to_csv() == parallel.to_csv()
+    assert serial == parallel
     # T1 rows come from the count-only branch of the table case
     serial = reproduce_table("T1", n_values=[4], r_values=[1, 2], jobs=1)
     parallel = reproduce_table("T1", n_values=[4], r_values=[1, 2], jobs=2)
-    assert serial.to_csv() == parallel.to_csv()
+    assert serial == parallel
 
 
 def test_table_rows_equal_run_case_reports():
     # each table row against the singular-vertex count and the Brezzi
     # constant of its case, computed on their own
     for family, n, r, sigma, dim in reproduce_table(
-            "T1", n_values=[4], r_values=[1, 2]).rows:
-        forms = case_forms(Family(family), n, r)
+            "T1", n_values=[4], r_values=[1, 2])["rows"]:
+        forms = case_forms(generate(family, n), r)
         assert (sigma, dim) == (singular_vertices(forms.mesh).size,
                                 Case(forms).dimN), (family, r)
-    for n, *cells in reproduce_table("T2", n_values=[4, 6]).rows:
-        diag, zig, flip, uj = (Case(case_forms(family, n, 1))
+    for n, *cells in reproduce_table("T2", n_values=[4, 6])["rows"]:
+        diag, zig, flip, uj = (Case(case_forms(generate(family, n), 1))
                                for family in TABLE_FAMILIES)
         assert cells == [diag.beta_div, zig.beta_div, flip.beta_div_reduced,
                          flip.dimN, uj.beta_div_reduced, uj.dimN], n
@@ -240,10 +242,11 @@ def test_spurious_modes_is_the_count_brezzi_infsup_starts_from(forms_for):
     assert case.pencil.factorizations == 1
     # the source solve reads no count: it solves on (V_h, div V_h), and the
     # pencil makes no factorization more, nor does a fresh Case build one
-    assert math.isfinite(case.p_l2)
+    assert math.isfinite(source_errors(case.forms, SINE).p_l2)
     assert case.pencil.factorizations == 1 and dim == 4
     fresh = Case(forms)
-    assert math.isfinite(fresh.u_l2) and "pencil" not in fresh.__dict__
+    assert (math.isfinite(source_errors(fresh.forms, SINE).u_l2)
+            and "pencil" not in fresh.__dict__)
 
 
 # symmetries of the unit square, each a map of (x, y) and whether it
@@ -287,7 +290,7 @@ def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
         for r in (1, 2):
             want, got = ((c.sigma, c.dimN, c.beta_div_reduced, c.beta_h1_reduced)
                          for c in (Case(forms_for(family, 4, r)),
-                                   Case(case_forms(None, None, r, mesh=image))))
+                                   Case(case_forms(image, r))))
             tag = (name, r)
             if name == "identity":   # the same floats: the same numbers
                 assert got == want, tag
@@ -305,10 +308,10 @@ def test_source_errors_are_invariant_under_the_symmetries_of_the_square(
     # out: it rotates the vertex triples, the collapsed Gauss rule is not
     # symmetric under a rotation, and its quadrature of the closed-form
     # integrands moves the errors by up to 4e-9 relative at r=3
-    want = {r: Case(forms_for(family, 4, r)).errors for r in (1, 2, 3)}
+    want = {r: source_errors(forms_for(family, 4, r), SINE) for r in (1, 2, 3)}
     for name, image in square_images(family).items():
         for r in (1, 2, 3):
-            got = Case(case_forms(None, None, r, mesh=image)).errors
+            got = source_errors(case_forms(image, r), SINE)
             tag = (name, r)
             if name == "identity":   # the same floats: the same numbers
                 assert got == want[r], tag
