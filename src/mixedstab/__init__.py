@@ -43,12 +43,9 @@ from .mesh import (
 )
 from .poisson import (
     SINE,
-    ErrorNorms,
-    FieldCoefficients,
     Solution,
     convergence_study,
     error_norms,
-    interpolate,
     solve_mixed,
     source_errors,
 )

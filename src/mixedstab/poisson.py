@@ -5,17 +5,19 @@ path at every size, with spurious pressure modes or without: the load is
 projected onto div V_h, and p is orthogonal to the spurious modes.  One
 sparse LDL^T of A_div serves two conjugate-gradient runs on the inf-sup
 operator, and every returned solution has passed a 1e-10 relative
-residual check (``solve_mixed``).
-The load G and the errors of (u_h, p_h) (``source_errors``) come from a
-closed-form ``Solution``, evaluated at the points of the degree-14
-quadrature rule that computes every integral here.  Every command uses
+residual check (``solve_mixed``).  A solution is the pair of coefficient
+arrays (u, p) of V_h and Q_h, and the forms say which spaces they belong to.
+The load G and the errors of (u, p) (``source_errors``, a dict keyed by
+``NORM_KEYS``) come from a closed-form ``Solution``, evaluated at the
+points of the degree-14 quadrature rule that computes every integral here.
+Every command uses
 
     SINE:  p(x, y) = sin(2 pi x) sin(2 pi y),   u = grad p,   g = div u.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -26,41 +28,6 @@ from .element import quadrature
 from .errors import NumericalError
 
 ERROR_QUAD_DEGREE = 14
-
-
-@dataclass
-class FieldCoefficients:
-    """Coefficients of a finite element field, one real per DOF."""
-
-    space: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.space.ndofs,):
-            raise ValueError(
-                f"coefficient vector has length {self.values.shape}, "
-                f"space has {self.space.ndofs} dofs")
-
-
-def interpolate(f, space):
-    """Nodal interpolant of a callable field.
-
-    ``f`` maps an (npts, 2) array of coordinates to values: shape (npts,)
-    for a scalar space, (npts, 2) for a vector one.  Vector components
-    interleave in the coefficient vector, matching the DOF layout.
-    """
-    pts = space.interpolation_points
-    vals = np.asarray(f(pts), dtype=float)
-    if space.is_vector:
-        if vals.shape != (len(pts), 2):
-            raise ValueError(f"vector field returned shape {vals.shape}")
-        coeffs = vals.reshape(-1)
-    else:
-        if vals.shape != (len(pts),):
-            raise ValueError(f"scalar field returned shape {vals.shape}")
-        coeffs = vals
-    return FieldCoefficients(space, coeffs)
 
 
 @dataclass(frozen=True)
@@ -91,11 +58,6 @@ SINE = Solution("sine", _sine_p, _sine_u,
                 lambda pts: -2.0 * _TWO_PI ** 2 * _sine_p(pts))
 
 
-def _cell_coefficients(field):
-    """Per-cell coefficient table, shape (ncells, local dofs)."""
-    return field.values[field.space.cell_dofs]
-
-
 def _physical_points(mesh, ref_points):
     """Map reference points into every cell: (ncells, npts, 2)."""
     a = mesh.vertices[mesh.cells[:, 0]]
@@ -114,33 +76,6 @@ def _closed_form(f, pts):
     return vals.reshape(pts.shape[:2] + vals.shape[1:])
 
 
-def eval_scalar(field, ref_points):
-    """Field values at reference points in every cell: (ncells, npts)."""
-    tab = field.space.element.tabulate(ref_points)
-    return np.einsum("qk,ck->cq", tab, _cell_coefficients(field))
-
-
-def eval_vector(field, ref_points):
-    """Vector field values at reference points: (ncells, npts, 2)."""
-    tab = field.space.element.tabulate(ref_points)  # scalar basis
-    coef = _cell_coefficients(field)
-    ncells, nloc = coef.shape
-    comp = coef.reshape(ncells, nloc // 2, 2)
-    return np.einsum("qk,ckd->cqd", tab, comp)
-
-
-def eval_divergence(field, ref_points):
-    """Divergence of a vector field at reference points: (ncells, npts)."""
-    dtab = field.space.element.tabulate_gradients(ref_points)  # (nq, nb, 2)
-    _, inv_jac_t, _ = cell_geometry(field.space.mesh)
-    coef = _cell_coefficients(field)
-    comp = coef.reshape(len(coef), -1, 2)
-    # reference Jacobian of the field, ref[c, q, d, e] = d(u_d)/d(xi_e),
-    # then div = sum_d d(u_d)/dx_d = sum_{d,e} inv_jac_t[c, d, e] ref[c, q, d, e]
-    ref = np.einsum("qke,ckd->cqde", dtab, comp, optimize=True)
-    return np.einsum("cde,cqde->cq", inv_jac_t, ref)
-
-
 def load_vector(g, q_space):
     """Right-hand side G = <g, psi> of the closed-form source ``g`` against
     the pressure basis."""
@@ -155,8 +90,9 @@ def load_vector(g, q_space):
 
 
 def solve_mixed(forms, rhs):
-    """Solve the mixed source problem on (V_h, div V_h) for (u_h, p_h),
-    with load vector ``rhs`` = G, one entry per pressure DOF.
+    """Solve the mixed source problem on (V_h, div V_h) for the coefficient
+    arrays (u, p) of V_h and Q_h, with load vector ``rhs`` = G, one entry
+    per pressure DOF.
 
     In M_Q-orthonormal pressure coordinates, with C B from
     ``orthonormal_divergence``, g_hat = C G and p = C^T p_hat, the system
@@ -209,53 +145,55 @@ def solve_mixed(forms, rhs):
         raise NumericalError(
             f"mixed solve residual too large: |M_V u + B^T p| = {res_u:.2e}, "
             f"|B u - G_r| = {res_p:.2e} against scale {scale:.2e}")
-    return (FieldCoefficients(forms.V_h, u), FieldCoefficients(forms.Q_h, p))
+    return u, p
 
 
-@dataclass
-class ErrorNorms:
-    p_l2: float
-    u_div: float    # divergence seminorm
-    u_l2: float
-    u_hdiv: float
+NORM_KEYS = ("p_l2", "u_div", "u_l2", "u_hdiv")
 
 
-def error_norms(u_h, p_h, solution):
-    """Errors of (u_h, p_h), fields on one mesh, against the closed-form
-    velocity, pressure and divergence of ``solution``."""
-    mesh = u_h.space.mesh
-    if p_h.space.mesh is not mesh:
-        raise ValueError("error_norms requires fields on one mesh")
+def error_norms(forms, u, p, solution):
+    """Errors of the solution with coefficients ``u`` (V_h) and ``p`` (Q_h)
+    of ``forms`` against the closed-form velocity, pressure and divergence
+    of ``solution``: NORM_KEYS to the p L2 error, the divergence seminorm,
+    the u L2 and the u H(div) error.  Raises ValueError unless u has nV
+    entries and p has nQ."""
+    u, p = np.asarray(u, dtype=float), np.asarray(p, dtype=float)
+    for name, values, space in (("u", u, forms.V_h), ("p", p, forms.Q_h)):
+        if values.shape != (space.ndofs,):
+            raise ValueError(f"{name} has shape {values.shape}, its space "
+                             f"has {space.ndofs} dofs")
+    mesh = forms.mesh
     rule = quadrature(ERROR_QUAD_DEGREE)
-    _, _, det = cell_geometry(mesh)
+    _, inv_jac_t, det = cell_geometry(mesh)
 
     def integral(cellwise_sq):
         return float(np.einsum("cq,q,c->", cellwise_sq, rule.weights, det))
 
     pts = _physical_points(mesh, rule.points)
-    dp = eval_scalar(p_h, rule.points) - _closed_form(solution.p, pts)
-    du = eval_vector(u_h, rule.points) - _closed_form(solution.u, pts)
-    ddiv = eval_divergence(u_h, rule.points) - _closed_form(solution.g, pts)
-    p_sq = integral(dp ** 2)
-    u_sq = integral(np.sum(du ** 2, axis=-1))
-    div_sq = integral(ddiv ** 2)
-    return ErrorNorms(
-        p_l2=np.sqrt(p_sq),
-        u_div=np.sqrt(div_sq),
-        u_l2=np.sqrt(u_sq),
-        u_hdiv=np.sqrt(u_sq + div_sq),
-    )
+    element = forms.V_h.element   # the scalar basis of each component
+    comp = u[forms.V_h.cell_dofs].reshape(len(mesh.cells), -1, 2)
+    p_vals = np.einsum("qk,ck->cq", forms.Q_h.element.tabulate(rule.points),
+                       p[forms.Q_h.cell_dofs])
+    u_vals = np.einsum("qk,ckd->cqd", element.tabulate(rule.points), comp)
+    # reference Jacobian of u, ref[c, q, d, e] = d(u_d)/d(xi_e), then
+    # div u = sum_{d,e} inv_jac_t[c, d, e] ref[c, q, d, e]
+    ref = np.einsum("qke,ckd->cqde", element.tabulate_gradients(rule.points),
+                    comp, optimize=True)
+    div_vals = np.einsum("cde,cqde->cq", inv_jac_t, ref)
+    p_sq = integral((p_vals - _closed_form(solution.p, pts)) ** 2)
+    u_sq = integral(np.sum((u_vals - _closed_form(solution.u, pts)) ** 2,
+                           axis=-1))
+    div_sq = integral((div_vals - _closed_form(solution.g, pts)) ** 2)
+    return {"p_l2": np.sqrt(p_sq), "u_div": np.sqrt(div_sq),
+            "u_l2": np.sqrt(u_sq), "u_hdiv": np.sqrt(u_sq + div_sq)}
 
 
 def source_errors(forms, solution):
-    """ErrorNorms of the source problem on (V_h, div V_h) of ``forms``,
-    with the closed-form load of ``solution``, projected onto div V_h by
-    ``solve_mixed``."""
-    u_h, p_h = solve_mixed(forms, load_vector(solution.g, forms.Q_h))
-    return error_norms(u_h, p_h, solution)
-
-
-NORM_KEYS = ("p_l2", "u_div", "u_l2", "u_hdiv")
+    """``error_norms`` of the source problem on (V_h, div V_h) of
+    ``forms``, with the closed-form load of ``solution``, projected onto
+    div V_h by ``solve_mixed``."""
+    u, p = solve_mixed(forms, load_vector(solution.g, forms.Q_h))
+    return error_norms(forms, u, p, solution)
 
 
 def convergence_study(meshes, r, solution):
@@ -266,9 +204,8 @@ def convergence_study(meshes, r, solution):
     (to 1e-9 relative) or an error is zero."""
     h = [np.max(np.linalg.norm(np.diff(m.vertices[m.edges], axis=1), axis=-1))
          for m in meshes]   # the largest edge
-    rows = [astuple(source_errors(case_forms(mesh, r), solution))
-            for mesh in meshes]
-    errors = dict(zip(NORM_KEYS, map(list, zip(*rows))))
+    rows = [source_errors(case_forms(mesh, r), solution) for mesh in meshes]
+    errors = {k: [row[k] for row in rows] for k in NORM_KEYS}
     halved = [abs(a - 2.0 * b) <= 1e-9 * a for a, b in zip(h, h[1:])]
     rates = {k: [float(np.log2(e[i] / e[i + 1])) if d and e[i + 1] > 0 else None
                  for i, d in enumerate(halved)] for k, e in errors.items()}

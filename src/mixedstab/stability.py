@@ -95,10 +95,12 @@ def _quotient(forms, norm, p):
     """Rayleigh quotient g^T norm^{-1} g / p^T M_Q p, g = B^T p, of the
     pressure p in the pencil B norm^{-1} B^T p = lambda M_Q p, from one
     solve with the factor that certifies ``norm`` positive definite; the
-    factor is released on return."""
+    factor is released on return.  None when p^T M_Q p = 0, after the
+    factor is made and certified all the same."""
     g = forms.B.T @ p
-    return (float(g @ positive_definite_lu(norm).solve(g))
-            / float(p @ (forms.M_Q @ p)))
+    num = float(g @ positive_definite_lu(norm).solve(g))
+    den = float(p @ (forms.M_Q @ p))
+    return num / den if den > 0.0 else None
 
 
 class Case:
@@ -132,11 +134,14 @@ class Case:
         """Certifies A_div with the ``_quotient`` of the Q_h interpolant of
         sin(pi x) sin(pi y), the first Dirichlet eigenfunction: mu^ =
         lambda^ / (1 - lambda^) raised by MU_BOUND_MARGIN, or None unless
-        0 < lambda^ < 1."""
+        0 < lambda^ < 1 (None too when the interpolant is zero, as on one
+        triangle at r = 2, whose Q_h nodes are its corners)."""
         pts = self.forms.Q_h.interpolation_points
         lam = _quotient(self.forms, self.forms.A_div,
                         np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
-        return MU_BOUND_MARGIN * lam / (1.0 - lam) if 0.0 < lam < 1.0 else None
+        if lam is None or not 0.0 < lam < 1.0:
+            return None
+        return MU_BOUND_MARGIN * lam / (1.0 - lam)
 
     @cached_property
     def pencil(self):

@@ -16,6 +16,8 @@ against M_Q, and ``dense_schur_solve`` solves the source problem by it.
 ``dense_reduced_solve`` solves it on (V_h, div V_h) from an SVD basis of
 the divergence, with spurious modes or without, and
 ``singular_vertex_sums`` evaluates the functionals that vanish on div V_h.
+``interpolate`` and the ``eval_*`` helpers take a field as its space and
+its coefficient array, for the tests of the spaces and the error norms.
 ``EXP`` is a second closed-form solution, with none of the symmetries of
 the square that the library's ``SINE`` has.
 ``reference_assemble`` assembles the six forms the straightforward way,
@@ -247,13 +249,13 @@ def dense_reduced_solve(forms, rhs, rank_tol=1e-8):
     return x[:n_v], sla.solve_triangular(lower.T, z @ x[n_v:], lower=False)
 
 
-def singular_vertex_sums(p_field):
+def singular_vertex_sums(space, p):
     """At each singular vertex, the alternating sum of the four values
-    that the pressure field takes there, one per cell, taken around the
-    vertex.  It vanishes on the divergence of every continuous piecewise
-    polynomial velocity (Scott & Vogelius), so it is zero for a pressure
-    in div V_h.  Returns one sum per singular vertex, in their order."""
-    space = p_field.space
+    that the pressure field with coefficients ``p`` in ``space`` takes
+    there, one per cell, taken around the vertex.  It vanishes on the
+    divergence of every continuous piecewise polynomial velocity (Scott &
+    Vogelius), so it is zero for a pressure in div V_h.  Returns one sum
+    per singular vertex, in their order."""
     mesh = space.mesh
     corners = space.element.tabulate(np.array([[0.0, 0.0], [1.0, 0.0],
                                                [0.0, 1.0]]))
@@ -264,9 +266,43 @@ def singular_vertex_sums(p_field):
                   - mesh.vertices[v])
         order = np.argsort(np.arctan2(offset[:, 1], offset[:, 0]))
         values = np.einsum("ck,ck->c", corners[local],
-                           p_field.values[space.cell_dofs[cells]])[order]
+                           p[space.cell_dofs[cells]])[order]
         sums.append(values @ np.array([1.0, -1.0, 1.0, -1.0]))
     return np.array(sums)
+
+
+def interpolate(f, space):
+    """Coefficients of the nodal interpolant of a callable field on
+    ``space``: ``f`` maps an (npts, 2) array of points to (npts,) values,
+    or (npts, 2) on a vector space, whose components interleave as its
+    DOFs do."""
+    return np.asarray(f(space.interpolation_points), dtype=float).reshape(-1)
+
+
+def eval_scalar(space, values, ref_points):
+    """The scalar field with coefficients ``values`` at reference points in
+    every cell: (ncells, npts)."""
+    tab = space.element.tabulate(ref_points)
+    return np.einsum("qk,ck->cq", tab, values[space.cell_dofs])
+
+
+def eval_vector(space, values, ref_points):
+    """The vector field with coefficients ``values`` at reference points in
+    every cell: (ncells, npts, 2)."""
+    tab = space.element.tabulate(ref_points)   # the scalar basis
+    comp = values[space.cell_dofs].reshape(len(space.cell_dofs), -1, 2)
+    return np.einsum("qk,ckd->cqd", tab, comp)
+
+
+def eval_divergence(space, values, ref_points):
+    """Divergence of the vector field with coefficients ``values`` at
+    reference points in every cell: (ncells, npts), from the reference
+    gradients pushed forward by the inverse transposed Jacobian."""
+    dtab = space.element.tabulate_gradients(ref_points)   # (nq, nb, 2)
+    _, inv_jac_t, _ = cell_geometry(space.mesh)
+    comp = values[space.cell_dofs].reshape(len(space.cell_dofs), -1, 2)
+    ref = np.einsum("qke,ckd->cqde", dtab, comp)
+    return np.einsum("cde,cqde->cq", inv_jac_t, ref)
 
 
 def _exp_factors(pts):

@@ -13,7 +13,7 @@ import pytest
 from mixedstab import __version__
 from mixedstab.assembly import case_forms
 from mixedstab.cli import RunConfig, build_parser, main, parse_n_values
-from mixedstab.mesh import generate
+from mixedstab.mesh import generate, read_mesh
 from mixedstab.stability import Case, _divdiv_shift
 
 from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
@@ -733,6 +733,26 @@ def test_bad_vertex_count_in_mesh_file_exits_one(tmp_path, capsys, count):
     err = capsys.readouterr().err
     assert "MeshFormatError: line 2: vertex count" in err
     assert "Traceback" not in err
+
+
+def test_one_triangle_r2_slices_without_a_bound(tmp_path):
+    # sin(pi x) sin(pi y) is zero at the three Q_h nodes, the corners, so
+    # its Rayleigh quotient gives no bound and the slice grows from the count
+    mesh_file = tmp_path / "triangle.txt"
+    mesh_file.write_text("mesh 2 triangle\nvertices 3\n0.0 0.0\n1.0 0.0\n"
+                         "0.0 1.0\ncells 1\n0 1 2\n")
+    outs = {}
+    for command in ("infsup", "laplace-eig"):
+        outs[command] = tmp_path / f"{command}.json"
+        assert run_cli(command, "--mesh", str(mesh_file), "--r", "2",
+                       "--out", str(outs[command])) == 0
+    infsup = json.loads(outs["infsup"].read_text())
+    assert infsup["dimN"] == 0 and infsup["diagnostics"]["mu_bound"] is None
+    forms = case_forms(read_mesh(mesh_file), 2)
+    lam = schur_pencil_eigenvalues(forms, forms.A_div)[0]
+    assert infsup["beta_div_reduced"] == pytest.approx(np.sqrt(lam), rel=1e-9)
+    mu = json.loads(outs["laplace-eig"].read_text())["mu"]
+    assert mu == pytest.approx(lam / (1.0 - lam), rel=1e-9)
 
 
 def run_python(*argv):
