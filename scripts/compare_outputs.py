@@ -4,14 +4,19 @@
 Usage: python scripts/compare_outputs.py --ref DIR
 
 DIR is the root of another checkout of the repository, such as a
-`git worktree` or an unpacked `git archive` of the parent commit.  Each command line of COMMANDS runs
-in a fresh process, first with PYTHONPATH set to this tree's src, then to
-DIR's src, each tree in its own scratch working directory.  Their stdout,
-stderr and exit code are compared.  One line is printed per command, and
-the exit code is 1 when any command differs, else 0.  Standard library
-only, so it runs against trees whose package no longer imports.
+`git worktree` or an unpacked `git archive` of the parent commit.  Each
+command line of COMMANDS runs in a fresh process, first with PYTHONPATH
+set to this tree's src, then to DIR's src, each tree in its own scratch
+working directory.  Their stdout, stderr and exit code are compared, and
+one line is printed per command.  After the last command the two working
+directories, which hold every file the commands wrote, are compared by
+file set and by bytes, with one DIFF line per file that differs or lies
+in one directory only.  The exit code is 1 when any command or file
+differs, else 0.  Standard library only, so it runs against trees whose
+package no longer imports.
 """
 import argparse
+import filecmp
 import os
 import subprocess
 import sys
@@ -50,6 +55,10 @@ COMMANDS = [
       for family in FAMILIES for r in (1, 2, 3)],
     *[["spectrum", "--family", "diagonal", "--n", "4", "--r", "1",
        "--pencil", pencil] for pencil in PENCILS],
+    # commands whose files are compared along with their output
+    *[["infsup", "--family", "crisscross", "--n", "4", "--r", str(r),
+       "--dump-matrices", f"mtx_r{r}"] for r in range(1, 7)],
+    ["converge", "--r", "1,2", "--n", "4,8", "--plot-data", "panels"],
 ]
 
 
@@ -59,6 +68,18 @@ def run(tree, workdir, argv):
     proc = subprocess.run([sys.executable, "-m", "mixedstab.cli", *argv],
                           cwd=workdir, env=env, capture_output=True)
     return proc.stdout, proc.stderr, proc.returncode
+
+
+def differing_files(here, there):
+    """Relative paths of the files under ``here`` and ``there`` that differ
+    in content or exist under one of them only, sorted."""
+    def files(root):
+        return {p.relative_to(root) for p in Path(root).rglob("*") if p.is_file()}
+
+    ours, theirs = files(here), files(there)
+    both = sorted(ours & theirs)
+    _, mismatch, errors = filecmp.cmpfiles(here, there, both, shallow=False)
+    return sorted({*map(Path, mismatch + errors), *(ours ^ theirs)})
 
 
 def main():
@@ -80,8 +101,12 @@ def main():
             differ += bool(parts)
             status = f"DIFF ({', '.join(parts)})" if parts else "same"
             print(f"{status:<12} {' '.join(argv)}", flush=True)
-    print(f"{differ} of {len(COMMANDS)} commands differ")
-    return 1 if differ else 0
+        files = differing_files(here, there)
+    for path in files:
+        print(f"DIFF (file)  {path}")
+    print(f"{differ} of {len(COMMANDS)} commands differ, "
+          f"{len(files)} written files differ")
+    return 1 if differ or files else 0
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .assembly import (
     write_matrix_market,
 )
 from .element import (
-    ElementKind,
     QuadratureRule,
     ReferenceElement,
     quadrature,

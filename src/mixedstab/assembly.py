@@ -2,8 +2,10 @@
 
 The velocity space is continuous vector Lagrange of degree r, the
 pressure space cellwise-discontinuous polynomials of degree r-1, on the
-same triangulation.  No boundary conditions are imposed on either space;
-the scalar boundary condition of the mixed formulation is natural.
+same triangulation.  Both use the nodal ``ReferenceElement`` of their
+degree; continuity lives in the DOF map alone.  No boundary conditions
+are imposed on either space; the scalar boundary condition of the mixed
+formulation is natural.
 Vector degrees of freedom interleave components per node (x0, y0, x1,
 y1, ...), and global scalar numbering runs vertices, then edge nodes,
 then cell-interior nodes.
@@ -25,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .element import ElementKind, ReferenceElement, quadrature
+from .element import MAX_SPACE_DEGREE, ReferenceElement, quadrature
 from .errors import NumericalError, UnsupportedDegreeError
-
-MAX_SPACE_DEGREE = 6
 
 
 class FunctionSpace:
@@ -56,10 +56,6 @@ class FunctionSpace:
         interpolation_points.setflags(write=False)
 
     @property
-    def is_vector(self):
-        return self.element.kind is ElementKind.VECTOR_LAGRANGE
-
-    @property
     def degree(self):
         return self.element.degree
 
@@ -84,8 +80,12 @@ def cell_geometry(mesh):
 
 
 def scalar_lagrange_space(mesh, degree):
-    """Continuous scalar Lagrange space of the given degree (1..6)."""
-    elem = ReferenceElement.scalar_lagrange(degree)
+    """Continuous scalar Lagrange space of the given degree
+    (1..MAX_SPACE_DEGREE)."""
+    if degree < 1:
+        raise UnsupportedDegreeError(
+            f"continuous Lagrange degree must be in 1..{MAX_SPACE_DEGREE}, got {degree}")
+    elem = ReferenceElement(degree)
     r = degree
     V, E, C = mesh.num_vertices, mesh.num_edges, mesh.num_cells
     nedge = r - 1
@@ -128,18 +128,18 @@ def scalar_lagrange_space(mesh, degree):
 def vector_lagrange_space(mesh, degree):
     """Continuous vector Lagrange space; dofs interleave (x, y) per node."""
     scalar = scalar_lagrange_space(mesh, degree)
-    elem = ReferenceElement.vector_lagrange(degree)
     nb = scalar.cell_dofs.shape[1]
     cell_dofs = np.empty((mesh.num_cells, 2 * nb), dtype=np.int64)
     cell_dofs[:, 0::2] = 2 * scalar.cell_dofs
     cell_dofs[:, 1::2] = 2 * scalar.cell_dofs + 1
-    return FunctionSpace(mesh, elem, cell_dofs, 2 * scalar.ndofs,
+    return FunctionSpace(mesh, scalar.element, cell_dofs, 2 * scalar.ndofs,
                          scalar.interpolation_points.copy())
 
 
 def discontinuous_space(mesh, degree):
-    """Cellwise-discontinuous nodal space of the given degree (0..5)."""
-    elem = ReferenceElement.discontinuous(degree)
+    """Cellwise-discontinuous nodal space of the given degree
+    (0..MAX_SPACE_DEGREE)."""
+    elem = ReferenceElement(degree)
     C = mesh.num_cells
     nb = elem.num_scalar_basis
     cell_dofs = np.arange(C * nb, dtype=np.int64).reshape(C, nb)
@@ -150,10 +150,8 @@ def discontinuous_space(mesh, degree):
 
 
 def build_spaces(mesh, degree):
-    """Velocity/pressure pair: vector Lagrange r and discontinuous r-1."""
-    if not 1 <= degree <= MAX_SPACE_DEGREE:
-        raise UnsupportedDegreeError(
-            f"pair degree must be in 1..{MAX_SPACE_DEGREE}, got {degree}")
+    """Velocity/pressure pair: vector Lagrange r and discontinuous r-1,
+    for r in 1..MAX_SPACE_DEGREE."""
     return vector_lagrange_space(mesh, degree), discontinuous_space(mesh, degree - 1)
 
 
@@ -261,10 +259,6 @@ def assemble(V_h, Q_h):
     """
     if V_h.mesh is not Q_h.mesh:
         raise ValueError("spaces must share one mesh")
-    if not V_h.is_vector:
-        raise ValueError("V_h must be a vector Lagrange space")
-    if Q_h.element.kind is not ElementKind.DISCONTINUOUS:
-        raise ValueError("Q_h must be a discontinuous space")
     mesh = V_h.mesh
     vd = V_h.cell_dofs
     qd = Q_h.cell_dofs

@@ -1,18 +1,18 @@
 """Polynomial bases and quadrature on the unit reference triangle.
 
-The reference triangle has vertices (0,0), (1,0), (0,1).  Nodal bases live
-on the equispaced lattice; their monomial coefficients are obtained by
-inverting the node/monomial Vandermonde matrix in exact rational
-arithmetic, so tabulated values carry only final rounding error.
+The reference triangle has vertices (0,0), (1,0), (0,1).  One nodal basis
+per degree, on the equispaced lattice, serves both spaces of the pair:
+continuity is a property of the global DOF map, not of the element.  The
+monomial coefficients are obtained by inverting the node/monomial
+Vandermonde matrix in exact rational arithmetic, so tabulated values
+carry only final rounding error.
 Quadrature rules are Gauss-Legendre tensor rules collapsed onto the
 triangle; all weights are positive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,15 +20,8 @@ import numpy as np
 
 from .errors import UnsupportedDegreeError
 
-MAX_LAGRANGE_DEGREE = 6
-MAX_DG_DEGREE = 5
+MAX_SPACE_DEGREE = 6
 MAX_QUADRATURE_DEGREE = 14
-
-
-class ElementKind(Enum):
-    SCALAR_LAGRANGE = "scalar-lagrange"
-    VECTOR_LAGRANGE = "vector-lagrange"
-    DISCONTINUOUS = "discontinuous"
 
 
 def lattice_nodes(degree):
@@ -135,38 +128,15 @@ def _gradients_at(degree, pts):
 
 @dataclass(frozen=True, eq=False)
 class ReferenceElement:
-    """Basis descriptor for one element type on the reference triangle.
+    """Nodal basis of one degree (0..MAX_SPACE_DEGREE) on the reference
+    triangle, the same for the velocity components and the pressure."""
 
-    Attributes
-    ----------
-    kind : ElementKind
-    degree : int
-        Polynomial degree of the scalar basis.
-    """
-
-    kind: ElementKind
     degree: int
 
-    @classmethod
-    def scalar_lagrange(cls, degree):
-        if not 1 <= degree <= MAX_LAGRANGE_DEGREE:
+    def __post_init__(self):
+        if not 0 <= self.degree <= MAX_SPACE_DEGREE:
             raise UnsupportedDegreeError(
-                f"continuous Lagrange degree must be in 1..{MAX_LAGRANGE_DEGREE}, got {degree}")
-        return cls(ElementKind.SCALAR_LAGRANGE, degree)
-
-    @classmethod
-    def vector_lagrange(cls, degree):
-        if not 1 <= degree <= MAX_LAGRANGE_DEGREE:
-            raise UnsupportedDegreeError(
-                f"vector Lagrange degree must be in 1..{MAX_LAGRANGE_DEGREE}, got {degree}")
-        return cls(ElementKind.VECTOR_LAGRANGE, degree)
-
-    @classmethod
-    def discontinuous(cls, degree):
-        if not 0 <= degree <= MAX_DG_DEGREE:
-            raise UnsupportedDegreeError(
-                f"discontinuous degree must be in 0..{MAX_DG_DEGREE}, got {degree}")
-        return cls(ElementKind.DISCONTINUOUS, degree)
+                f"element degree must be in 0..{MAX_SPACE_DEGREE}, got {self.degree}")
 
     @property
     def nodes(self):
@@ -176,12 +146,6 @@ class ReferenceElement:
     @property
     def num_scalar_basis(self):
         return (self.degree + 1) * (self.degree + 2) // 2
-
-    @property
-    def ndof(self):
-        """Local dimension; vector elements interleave (x, y) per node."""
-        n = self.num_scalar_basis
-        return 2 * n if self.kind is ElementKind.VECTOR_LAGRANGE else n
 
     def tabulate(self, points):
         """Scalar basis values at reference points, shape (npts, nb)."""
@@ -201,7 +165,6 @@ class QuadratureRule:
 
     points: np.ndarray   # (nq, 2) reference coordinates
     weights: np.ndarray  # (nq,)
-    degree: int          # polynomial degree integrated exactly
 
 
 @lru_cache(maxsize=None)
@@ -236,10 +199,4 @@ def quadrature(degree):
     pts = np.column_stack([x, y])
     pts.setflags(write=False)
     wt.setflags(write=False)
-    return QuadratureRule(points=pts, weights=wt, degree=degree)
-
-
-def monomial_integral(i, j):
-    """Exact integral of x**i y**j over the reference triangle."""
-    return float(Fraction(math.factorial(i) * math.factorial(j),
-                          math.factorial(i + j + 2)))
+    return QuadratureRule(points=pts, weights=wt)

@@ -18,12 +18,17 @@ the divergence, with spurious modes or without, and
 ``singular_vertex_sums`` evaluates the functionals that vanish on div V_h.
 ``interpolate`` and the ``eval_*`` helpers take a field as its space and
 its coefficient array, for the tests of the spaces and the error norms.
+``monomial_integral`` is the closed form against which the quadrature
+rules are checked.
 ``EXP`` is a second closed-form solution, with none of the symmetries of
 the square that the library's ``SINE`` has.
 ``reference_assemble`` assembles the six forms the straightforward way,
 one COO->CSR conversion and one symmetrization per form, against which
 the library's shared-pattern assembly is compared bit for bit.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -303,6 +308,12 @@ def eval_divergence(space, values, ref_points):
     comp = values[space.cell_dofs].reshape(len(space.cell_dofs), -1, 2)
     ref = np.einsum("qke,ckd->cqde", dtab, comp)
     return np.einsum("cde,cqde->cq", inv_jac_t, ref)
+
+
+def monomial_integral(i, j):
+    """Exact integral of x**i y**j over the reference triangle."""
+    return float(Fraction(math.factorial(i) * math.factorial(j),
+                          math.factorial(i + j + 2)))
 
 
 def _exp_factors(pts):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mixedstab.element import monomial_exponents, monomial_integral, quadrature
+from mixedstab.element import monomial_exponents, quadrature
 from mixedstab.cli import converge_n_values
 from mixedstab.mesh import Family, generate, singular_vertices
 from mixedstab.poisson import SINE, convergence_study
@@ -25,7 +25,8 @@ from mixedstab.stability import DEFAULT_THRESHOLD, Case
 from oracles import (cholesky_reduced, classify_spectrum,
                      divdiv_pencil_eigenvalues,
                      full_saddle_eigenvalues, jacobi_generalized_eig,
-                     laplace_pencil_eigenvalues, svd_coercivity)
+                     laplace_pencil_eigenvalues, monomial_integral,
+                     svd_coercivity)
 
 BETA_TOL = 5e-5          # printed reference values carry 6 decimals
 BETA_EXACT = math.sqrt(2 * math.pi**2 / (1 + 2 * math.pi**2))  # 0.975593...

@@ -3,9 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mixedstab.element import (MAX_QUADRATURE_DEGREE, ReferenceElement,
-                               lattice_nodes, monomial_integral, quadrature)
+from mixedstab.element import (MAX_QUADRATURE_DEGREE, MAX_SPACE_DEGREE,
+                               ReferenceElement, lattice_nodes, quadrature)
 from mixedstab.errors import UnsupportedDegreeError
+
+from oracles import monomial_integral
+
+# every degree a space of the pair uses: 0..r-1 for Q_h, 1..r for V_h
+ELEMENT_DEGREES = range(MAX_SPACE_DEGREE + 1)
 
 
 def random_points(rng, count=40):
@@ -25,17 +30,17 @@ def test_lattice_node_count(degree):
     assert nodes[0] == (0, 0) and nodes[1] == (1, 0) and nodes[2] == (0, 1)
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", ELEMENT_DEGREES)
 def test_nodal_basis_is_interpolatory(degree):
-    elem = ReferenceElement.scalar_lagrange(degree)
+    elem = ReferenceElement(degree)
     nodes = np.array([[float(x), float(y)] for x, y in elem.nodes])
     table = elem.tabulate(nodes)
     assert np.max(np.abs(table - np.eye(len(nodes)))) < 1e-12
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", ELEMENT_DEGREES)
 def test_partition_of_unity(degree, rng):
-    elem = ReferenceElement.scalar_lagrange(degree)
+    elem = ReferenceElement(degree)
     pts = random_points(rng)
     vals = elem.tabulate(pts)
     assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
@@ -43,10 +48,10 @@ def test_partition_of_unity(degree, rng):
     assert np.max(np.abs(grads.sum(axis=1))) < 1e-11
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", ELEMENT_DEGREES)
 def test_polynomial_reproduction(degree, rng):
     # interpolating a polynomial of matching degree is exact
-    elem = ReferenceElement.scalar_lagrange(degree)
+    elem = ReferenceElement(degree)
     coeffs = rng.standard_normal((degree + 1, degree + 1))
 
     def poly(pts):
@@ -62,9 +67,9 @@ def test_polynomial_reproduction(degree, rng):
     assert np.max(np.abs(interp - poly(pts))) < 1e-11
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", ELEMENT_DEGREES)
 def test_gradients_match_finite_differences(degree, rng):
-    elem = ReferenceElement.scalar_lagrange(degree)
+    elem = ReferenceElement(degree)
     pts = 0.1 + 0.35 * rng.random((20, 2))  # interior, away from edges
     grads = elem.tabulate_gradients(pts)
     h = 1e-6
@@ -75,28 +80,19 @@ def test_gradients_match_finite_differences(degree, rng):
         assert np.max(np.abs(fd - grads[:, :, axis])) < 1e-6
 
 
-def test_vector_element_doubles_dofs():
-    scalar = ReferenceElement.scalar_lagrange(3)
-    vector = ReferenceElement.vector_lagrange(3)
-    assert vector.ndof == 2 * scalar.ndof
-    assert vector.num_scalar_basis == scalar.num_scalar_basis
-
-
 def test_discontinuous_degree_zero_is_constant(rng):
-    elem = ReferenceElement.discontinuous(0)
+    elem = ReferenceElement(0)
     pts = random_points(rng)
     assert np.max(np.abs(elem.tabulate(pts) - 1.0)) < 1e-15
 
 
-@pytest.mark.parametrize("degree", [0, 7, -1])
+@pytest.mark.parametrize("degree", [7, -1])
 def test_unsupported_lagrange_degrees(degree):
     with pytest.raises(UnsupportedDegreeError):
-        ReferenceElement.scalar_lagrange(degree)
+        ReferenceElement(degree)
 
 
-def test_unsupported_dg_degree():
-    with pytest.raises(UnsupportedDegreeError):
-        ReferenceElement.discontinuous(6)
+def test_unsupported_quadrature_degree():
     with pytest.raises(UnsupportedDegreeError):
         quadrature(MAX_QUADRATURE_DEGREE + 1)
 

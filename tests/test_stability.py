@@ -160,6 +160,20 @@ def test_stokes_below_divergence_norm_constant(forms_for):
     assert case.dimN == 0
 
 
+@pytest.mark.parametrize("family, ratio_band", [
+    (Family.DIAGONAL, (0.4, 0.6)),    # 0.06219 -> 0.03043: beta_h1 ~ h
+    (Family.ZIGZAG, (0.85, math.inf)),  # 0.11942 -> 0.10997: bounded
+], ids=["diagonal", "zigzag"])
+def test_stokes_contrast_at_r3(forms_for, family, ratio_band):
+    # the abstract's contrast at r = 3: the H(div) inf-sup constant stays
+    # bounded on both families, the H1 (Stokes) one halves with h on the
+    # diagonal mesh and stays bounded on the zigzag one
+    coarse, fine = (Case(forms_for(family, n, 3)) for n in (8, 16))
+    low, high = ratio_band
+    assert low <= fine.beta_h1 / coarse.beta_h1 <= high
+    assert min(coarse.beta_div, fine.beta_div) > 0.96
+
+
 def test_laplace_eigenvalue_stable_pair(forms_for):
     res = Case(forms_for(Family.DIAGONAL, 8, 2))
     assert abs(res.mu - TWO_PI_SQ) < 5e-3
