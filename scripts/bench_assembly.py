@@ -6,14 +6,20 @@
 The cases are the 117 of ``tables`` T1-T4 at their default n and the 14
 meshes of ``converge --r 1,2,3,4`` (diagonal).  One fresh Python process,
 with --src first on its path, runs every case: it generates the mesh
-(timed), builds the spaces, times REPEATS calls of ``assemble`` and then
-one more under tracemalloc.  Each entry keeps nV, nQ, nnz (A_div plus
-twice B, as the benchmark tracer counts it), the local entry count C*m^2
-of the velocity forms (m = 2 * scalar basis size), the median assembly
-and generation times and the tracemalloc peak of ``assemble``.  The run,
-with per-workload totals, the source's git commit, the BLAS library and
-the core count, is appended to the "runs" list of --out, so one file
-holds the before and after runs of a change.
+(timed), times REPEATS calls of ``assemble`` and then one more under
+tracemalloc.  Each entry keeps nV, nQ, nnz (A_div plus twice B, as the
+benchmark tracer counts it), the local entry count C*m^2 of the velocity
+forms (m = 2 * scalar basis size), the median assembly and generation
+times and the tracemalloc peak of ``assemble``.  The run, with
+per-workload totals, the source's git commit, the BLAS library and the
+core count, is appended to the "runs" list of --out, so one file holds
+the before and after runs of a change.
+
+Every timed call builds the spaces as well: ``assemble(mesh, r)`` builds
+its own, and an older tree, whose ``assemble`` takes the pair, is timed on
+building the pair and assembling it.  So ``assemble_s`` includes the space
+build on both sides of a comparison, and is not comparable with
+BENCH_18.json, which timed ``assemble`` on spaces built beforehand.
 """
 import argparse
 import json
@@ -36,8 +42,13 @@ REPEATS = 7
 
 CHILD = """
 import json, statistics, sys, time, tracemalloc
-from mixedstab.assembly import assemble, build_spaces
+from mixedstab import assembly
 from mixedstab.mesh import generate
+if hasattr(assembly, "build_spaces"):
+    def assemble(mesh, r):
+        return assembly.assemble(*assembly.build_spaces(mesh, r))
+else:
+    assemble = assembly.assemble
 out = []
 for family, n, r in json.loads(sys.argv[1]):
     gen = []
@@ -45,20 +56,19 @@ for family, n, r in json.loads(sys.argv[1]):
         t0 = time.perf_counter()
         mesh = generate(family, n)
         gen.append(time.perf_counter() - t0)
-    v_h, q_h = build_spaces(mesh, r)
     walls = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        forms = assemble(v_h, q_h)
+        forms = assemble(mesh, r)
         walls.append(time.perf_counter() - t0)
         del forms
     tracemalloc.start()
-    forms = assemble(v_h, q_h)
+    forms = assemble(mesh, r)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    C, m = v_h.cell_dofs.shape
+    C, m = forms.V_h.cell_dofs.shape
     out.append({"family": family, "n": n, "r": r,
-                "nV": v_h.ndofs, "nQ": q_h.ndofs,
+                "nV": forms.V_h.ndofs, "nQ": forms.Q_h.ndofs,
                 "nnz": int(forms.A_div.nnz + 2 * forms.B.nnz),
                 "local_entries": C * m * m,
                 "assemble_s": statistics.median(walls),

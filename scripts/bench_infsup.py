@@ -51,13 +51,15 @@ REPEATS = 3
 
 CHILD = """
 import json, resource, sys, time
-from mixedstab.assembly import assemble, build_spaces
+from mixedstab import assembly
 from mixedstab.mesh import generate
 from mixedstab.stability import Case
 family, r, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-# assemble and build_spaces, which every source tree has, so that one
-# script times the trees before and after a change
-forms = assemble(*build_spaces(generate(family, n), r))
+# assemble(mesh, r) builds its own spaces, and an older tree's assemble takes
+# the pair, so that one script times the trees before and after a change
+mesh = generate(family, n)
+forms = (assembly.assemble(*assembly.build_spaces(mesh, r))
+         if hasattr(assembly, "build_spaces") else assembly.assemble(mesh, r))
 case = Case(forms)
 t0 = time.perf_counter()
 beta_reduced = case.beta_div_reduced

@@ -8,12 +8,15 @@ DIR is the root of another checkout of the repository, such as a
 command line of COMMANDS runs in a fresh process, first with PYTHONPATH
 set to this tree's src, then to DIR's src, each tree in its own scratch
 working directory.  Their stdout, stderr and exit code are compared, and
-one line is printed per command.  After the last command the two working
-directories, which hold every file the commands wrote, are compared by
-file set and by bytes, with one DIFF line per file that differs or lies
-in one directory only.  The exit code is 1 when any command or file
-differs, else 0.  Standard library only, so it runs against trees whose
-package no longer imports.
+one line is printed per command.  Right after the ``mesh`` command, each
+working directory gets two variants of the mesh it wrote
+(``write_variants``): one with every cell triple rotated and one with its
+first cell clockwise; the commands after it read them.  After the last
+command the two working directories, which hold every file the commands
+wrote, are compared by file set and by bytes, with one DIFF line per file
+that differs or lies in one directory only.  The exit code is 1 when any
+command or file differs, else 0.  Standard library only, so it runs
+against trees whose package no longer imports.
 """
 import argparse
 import filecmp
@@ -59,7 +62,30 @@ COMMANDS = [
     *[["infsup", "--family", "crisscross", "--n", "4", "--r", str(r),
        "--dump-matrices", f"mtx_r{r}"] for r in range(1, 7)],
     ["converge", "--r", "1,2", "--n", "4,8", "--plot-data", "panels"],
+    # the Q_h nodes of the mu bound on cells that list their vertices in
+    # another order
+    *[[*command, "--mesh", "cc4_rotated.mesh", "--r", str(r)]
+      for command in (FULL_INFSUP, ["laplace-eig"]) for r in (2, 3)],
+    # refusals: a degree past the largest (exit 2), a threshold above every
+    # eigenvalue and a clockwise cell (exit 1)
+    ["infsup", "--family", "diagonal", "--n", "4", "--r", "7"],
+    [*FULL_INFSUP, "--family", "diagonal", "--n", "4", "--threshold", "1.5"],
+    ["infsup", "--mesh", "cc4_clockwise.mesh", "--r", "1"],
 ]
+
+
+def write_variants(workdir):
+    """Write cc4_rotated.mesh, with every cell triple of crisscross_n4.mesh
+    rotated (a b c -> b c a), and cc4_clockwise.mesh, with its first cell
+    reversed, into ``workdir``."""
+    lines = (Path(workdir) / "crisscross_n4.mesh").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("cells")) + 1
+    cells = [line.split() for line in lines[start:]]
+    variants = {"cc4_rotated.mesh": [c[1:] + c[:1] for c in cells],
+                "cc4_clockwise.mesh": [cells[0][::-1], *cells[1:]]}
+    for name, body in variants.items():
+        text = "\n".join(lines[:start] + [" ".join(c) for c in body]) + "\n"
+        (Path(workdir) / name).write_text(text)
 
 
 def run(tree, workdir, argv):
@@ -101,6 +127,9 @@ def main():
             differ += bool(parts)
             status = f"DIFF ({', '.join(parts)})" if parts else "same"
             print(f"{status:<12} {' '.join(argv)}", flush=True)
+            if argv[0] == "mesh":
+                write_variants(here)
+                write_variants(there)
         files = differing_files(here, there)
     for path in files:
         print(f"DIFF (file)  {path}")

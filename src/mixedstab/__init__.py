@@ -9,8 +9,6 @@ from .assembly import (
     AssembledForms,
     FunctionSpace,
     assemble,
-    build_spaces,
-    case_forms,
     discontinuous_space,
     scalar_lagrange_space,
     vector_lagrange_space,

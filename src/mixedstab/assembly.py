@@ -2,10 +2,10 @@
 
 The velocity space is continuous vector Lagrange of degree r, the
 pressure space cellwise-discontinuous polynomials of degree r-1, on the
-same triangulation.  Both use the nodal ``ReferenceElement`` of their
-degree; continuity lives in the DOF map alone.  No boundary conditions
-are imposed on either space; the scalar boundary condition of the mixed
-formulation is natural.
+same triangulation; ``assemble(mesh, r)`` builds that pair and no other.
+Both use the nodal ``ReferenceElement`` of their degree; a ``FunctionSpace``
+is its DOF map alone, where continuity lives.  Neither space imposes a
+boundary condition; the scalar one of the mixed formulation is natural.
 Vector degrees of freedom interleave components per node (x0, y0, x1,
 y1, ...), and global scalar numbering runs vertices, then edge nodes,
 then cell-interior nodes.
@@ -31,6 +31,7 @@ from .element import MAX_SPACE_DEGREE, ReferenceElement, quadrature
 from .errors import NumericalError, UnsupportedDegreeError
 
 
+@dataclass(frozen=True, eq=False)
 class FunctionSpace:
     """Global DOF map tying a reference element to a mesh.
 
@@ -38,22 +39,19 @@ class FunctionSpace:
     ----------
     mesh : Triangulation
     element : ReferenceElement
-    cell_dofs : ndarray, shape (C, local_dim)
-        Global dof per local basis function (interleaved for vector).
+    cell_dofs : ndarray, shape (C, local_dim), read-only
+        Global dof per local basis function, at the cell image of its node
+        in ``element.nodes`` (interleaved (x, y) per node for vector).
     ndofs : int
-    interpolation_points : ndarray, shape (npoints, 2)
-        One physical point per scalar node; npoints = ndofs for scalar
-        spaces and ndofs // 2 for vector spaces.
     """
 
-    def __init__(self, mesh, element, cell_dofs, ndofs, interpolation_points):
-        self.mesh = mesh
-        self.element = element
-        self.cell_dofs = cell_dofs
-        self.ndofs = int(ndofs)
-        self.interpolation_points = interpolation_points
-        cell_dofs.setflags(write=False)
-        interpolation_points.setflags(write=False)
+    mesh: object
+    element: ReferenceElement
+    cell_dofs: np.ndarray
+    ndofs: int
+
+    def __post_init__(self):
+        self.cell_dofs.setflags(write=False)
 
     @property
     def degree(self):
@@ -86,10 +84,9 @@ def scalar_lagrange_space(mesh, degree):
         raise UnsupportedDegreeError(
             f"continuous Lagrange degree must be in 1..{MAX_SPACE_DEGREE}, got {degree}")
     elem = ReferenceElement(degree)
-    r = degree
     V, E, C = mesh.num_vertices, mesh.num_edges, mesh.num_cells
-    nedge = r - 1
-    nint = (r - 1) * (r - 2) // 2
+    nedge = degree - 1
+    nint = nedge * (nedge - 1) // 2
     ndofs = V + E * nedge + C * nint
     nb = elem.num_scalar_basis
     cell_dofs = np.empty((C, nb), dtype=np.int64)
@@ -107,22 +104,7 @@ def scalar_lagrange_space(mesh, degree):
         start = V + E * nedge
         cell_dofs[:, 3 + 3 * nedge:] = (start + nint * np.arange(C)[:, None]
                                         + np.arange(nint)[None, :])
-
-    pts = np.empty((ndofs, 2))
-    pts[:V] = mesh.vertices
-    if nedge:
-        lo = mesh.vertices[mesh.edges[:, 0]]
-        hi = mesh.vertices[mesh.edges[:, 1]]
-        for k in range(nedge):
-            t = (k + 1) / r
-            pts[V + k:V + E * nedge:nedge] = lo + t * (hi - lo)
-    if nint:
-        jac, _, _ = cell_geometry(mesh)
-        ref = elem.nodes[3 + 3 * nedge:]
-        origin = mesh.vertices[mesh.cells[:, 0]]
-        phys = origin[:, None, :] + np.einsum("cde,me->cmd", jac, ref)
-        pts[V + E * nedge:] = phys.reshape(C * nint, 2)
-    return FunctionSpace(mesh, elem, cell_dofs, ndofs, pts)
+    return FunctionSpace(mesh, elem, cell_dofs, ndofs)
 
 
 def vector_lagrange_space(mesh, degree):
@@ -132,8 +114,7 @@ def vector_lagrange_space(mesh, degree):
     cell_dofs = np.empty((mesh.num_cells, 2 * nb), dtype=np.int64)
     cell_dofs[:, 0::2] = 2 * scalar.cell_dofs
     cell_dofs[:, 1::2] = 2 * scalar.cell_dofs + 1
-    return FunctionSpace(mesh, scalar.element, cell_dofs, 2 * scalar.ndofs,
-                         scalar.interpolation_points.copy())
+    return FunctionSpace(mesh, scalar.element, cell_dofs, 2 * scalar.ndofs)
 
 
 def discontinuous_space(mesh, degree):
@@ -143,16 +124,7 @@ def discontinuous_space(mesh, degree):
     C = mesh.num_cells
     nb = elem.num_scalar_basis
     cell_dofs = np.arange(C * nb, dtype=np.int64).reshape(C, nb)
-    jac, _, _ = cell_geometry(mesh)
-    origin = mesh.vertices[mesh.cells[:, 0]]
-    phys = origin[:, None, :] + np.einsum("cde,me->cmd", jac, elem.nodes)
-    return FunctionSpace(mesh, elem, cell_dofs, C * nb, phys.reshape(C * nb, 2))
-
-
-def build_spaces(mesh, degree):
-    """Velocity/pressure pair: vector Lagrange r and discontinuous r-1,
-    for r in 1..MAX_SPACE_DEGREE."""
-    return vector_lagrange_space(mesh, degree), discontinuous_space(mesh, degree - 1)
+    return FunctionSpace(mesh, elem, cell_dofs, C * nb)
 
 
 @dataclass
@@ -241,25 +213,22 @@ def _nonzero_csr(data, indptr, indices, shape):
                          shape=shape)
 
 
-def assemble(V_h, Q_h):
-    """Assemble all forms for a velocity/pressure pair on one mesh.
+def assemble(mesh, r):
+    """The AssembledForms of the pair of degree r on ``mesh``: vector
+    Lagrange r for u and discontinuous r - 1 for p, r in 1..MAX_SPACE_DEGREE.
 
-    The quadrature degree is 2r + 2, which is exact for every assembled
-    integrand on affine cells.  M_V, K and the grad-grad form share one
-    pattern (``_pattern``); each of their (C, m, m) local arrays is summed
-    onto it and freed before the next is formed, and A_div and A_1 are
-    sums of the summed entries.  B and M_Q are cellwise and written
-    directly.  Every square matrix is symmetrized as (S + S^T) / 2, and
-    all are stored without explicit zeros, with sorted indices: the same
-    bits as one COO->CSR conversion per form.
-
-    Returns
-    -------
-    AssembledForms
+    The forms rely on that pair: B and M_Q are cellwise and written
+    directly on the discontinuous layout, and the quadrature degree 2r + 2
+    is exact for every assembled integrand on affine cells.  M_V, K and
+    the grad-grad form share one pattern (``_pattern``); each of their
+    (C, m, m) local arrays is summed onto it and freed before the next is
+    formed, and A_div and A_1 are sums of the summed entries.  Every
+    square matrix is symmetrized as (S + S^T) / 2, and all are stored
+    without explicit zeros, with sorted indices: the same bits as one
+    COO->CSR conversion per form.
     """
-    if V_h.mesh is not Q_h.mesh:
-        raise ValueError("spaces must share one mesh")
-    mesh = V_h.mesh
+    V_h = vector_lagrange_space(mesh, r)
+    Q_h = discontinuous_space(mesh, r - 1)
     vd = V_h.cell_dofs
     qd = Q_h.cell_dofs
     nV, nQ = V_h.ndofs, Q_h.ndofs
@@ -332,11 +301,6 @@ def assemble(V_h, Q_h):
     A_div = shared(k + m_v)   # first, so that the sum is gone before the rest
     return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=shared(m_v), K=shared(k),
                           A_div=A_div, B=B, M_Q=M_Q, A_1=shared(a_1))
-
-
-def case_forms(mesh, r):
-    """The pair of degree r on ``mesh`` and its assembled forms."""
-    return assemble(*build_spaces(mesh, r))
 
 
 def orthonormal_divergence(forms):

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .assembly import MAX_SPACE_DEGREE, case_forms, write_matrix_market
+from .assembly import MAX_SPACE_DEGREE, assemble, write_matrix_market
 from .errors import MixedStabError
 from .mesh import (GENERATED_FAMILIES, check_grid_size, export_mesh, generate,
                    read_mesh)
@@ -354,12 +354,12 @@ def _emit(cfg, payload, csv_lines):
         _write(cfg, "\n".join([cfg.provenance_line(), *csv_lines]) + "\n")
 
 
-def _case_forms(cfg):
+def _forms(cfg):
     """Assembled forms of a single case, on the mesh file or the generated
     family and n; the matrices are written out when the config asks."""
     mesh = (generate(cfg.family, cfg.n) if cfg.mesh is None
             else read_mesh(cfg.mesh))
-    forms = case_forms(mesh, cfg.r)
+    forms = assemble(mesh, cfg.r)
     if cfg.dump_matrices:
         write_matrix_market(forms, cfg.dump_matrices)
     return forms
@@ -374,7 +374,7 @@ def cmd_case(cfg):
     """infsup, coercivity, laplace-eig and stokes-infsup: the COLUMNS of the
     command, read off one Case in order; infsup then reads the cluster
     warning, the sweep and the DIAGNOSTICS, in that order."""
-    case = Case(_case_forms(cfg), cfg.threshold)
+    case = Case(_forms(cfg), cfg.threshold)
     payload, header, cells = {}, [], []
     for key, fmt, *flag in COLUMNS[cfg.command]:
         if flag and not getattr(cfg, flag[0]):
@@ -404,7 +404,7 @@ def cmd_case(cfg):
 
 
 def cmd_spectrum(cfg):
-    first, values = Case(_case_forms(cfg), cfg.threshold).spectrum(cfg.pencil)
+    first, values = Case(_forms(cfg), cfg.threshold).spectrum(cfg.pencil)
     indices = list(range(first, first + len(values)))
     values = [float(v) for v in values]
     _emit(cfg, {"pencil": cfg.pencil, "count": len(values),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .assembly import case_forms, cell_geometry, orthonormal_divergence
+from .assembly import assemble, cell_geometry, orthonormal_divergence
 from .eigensolve import positive_definite_lu
 from .element import quadrature
 from .errors import NumericalError
@@ -204,7 +204,7 @@ def convergence_study(meshes, r, solution):
     (to 1e-9 relative) or an error is zero."""
     h = [np.max(np.linalg.norm(np.diff(m.vertices[m.edges], axis=1), axis=-1))
          for m in meshes]   # the largest edge
-    rows = [source_errors(case_forms(mesh, r), solution) for mesh in meshes]
+    rows = [source_errors(assemble(mesh, r), solution) for mesh in meshes]
     errors = {k: [row[k] for row in rows] for k in NORM_KEYS}
     halved = [abs(a - 2.0 * b) <= 1e-9 * a for a, b in zip(h, h[1:])]
     rates = {k: [float(np.log2(e[i] / e[i + 1])) if d and e[i + 1] > 0 else None

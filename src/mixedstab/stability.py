@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .assembly import case_forms, orthonormal_divergence
+from .assembly import assemble, cell_geometry, orthonormal_divergence
 from .eigensolve import InertiaSlicer, positive_definite_lu
 from .errors import NumericalError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
@@ -136,9 +136,12 @@ class Case:
         lambda^ / (1 - lambda^) raised by MU_BOUND_MARGIN, or None unless
         0 < lambda^ < 1 (None too when the interpolant is zero, as on one
         triangle at r = 2, whose Q_h nodes are its corners)."""
-        pts = self.forms.Q_h.interpolation_points
-        lam = _quotient(self.forms, self.forms.A_div,
-                        np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
+        jac, _, _ = cell_geometry(self.forms.mesh)
+        origin = self.forms.mesh.vertices[self.forms.mesh.cells[:, 0]]
+        pts = origin[:, None, :] + np.einsum("cde,me->cmd", jac,
+                                             self.forms.Q_h.element.nodes)
+        p = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+        lam = _quotient(self.forms, self.forms.A_div, p.ravel())
         if lam is None or not 0.0 < lam < 1.0:
             return None
         return MU_BOUND_MARGIN * lam / (1.0 - lam)
@@ -370,7 +373,7 @@ def _table_case(args):
     """The values of the named fields of one case, in order.  Plain values
     go back to the pool, not the Case, which holds its pencils."""
     family, n, r, threshold, fields = args
-    case = Case(case_forms(generate(family, n), r), threshold)
+    case = Case(assemble(generate(family, n), r), threshold)
     return [getattr(case, field) for field in fields]
 
 

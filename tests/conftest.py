@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixedstab.assembly import case_forms
+from mixedstab.assembly import assemble
 from mixedstab.mesh import Triangulation, generate
 
 from oracles import schur_pencil_eigenvalues
@@ -19,7 +19,7 @@ def forms_for(request):
     def get(family, n, r):
         key = (family, n, r)
         if key not in cache:
-            cache[key] = case_forms(generate(family, n), r)
+            cache[key] = assemble(generate(family, n), r)
         return cache[key]
 
     return get

@@ -17,7 +17,8 @@ against M_Q, and ``dense_schur_solve`` solves the source problem by it.
 the divergence, with spurious modes or without, and
 ``singular_vertex_sums`` evaluates the functionals that vanish on div V_h.
 ``interpolate`` and the ``eval_*`` helpers take a field as its space and
-its coefficient array, for the tests of the spaces and the error norms.
+its coefficient array, for the tests of the spaces and the error norms;
+``cell_nodes`` gives the physical node of every local DOF.
 ``monomial_integral`` is the closed form against which the quadrature
 rules are checked.
 ``EXP`` is a second closed-form solution, with none of the symmetries of
@@ -276,12 +277,26 @@ def singular_vertex_sums(space, p):
     return np.array(sums)
 
 
+def cell_nodes(space):
+    """The physical nodes of every cell, (ncells, nnodes, 2): the cell
+    images of the reference nodes, in the order of ``space.element.nodes``."""
+    mesh = space.mesh
+    jac, _, _ = cell_geometry(mesh)
+    origin = mesh.vertices[mesh.cells[:, 0]]
+    return origin[:, None, :] + np.einsum("cde,me->cmd", jac, space.element.nodes)
+
+
 def interpolate(f, space):
     """Coefficients of the nodal interpolant of a callable field on
     ``space``: ``f`` maps an (npts, 2) array of points to (npts,) values,
     or (npts, 2) on a vector space, whose components interleave as its
-    DOFs do."""
-    return np.asarray(f(space.interpolation_points), dtype=float).reshape(-1)
+    DOFs do.  Every cell writes its values through ``cell_dofs``; on a
+    DOF that cells share, their nodes agree to rounding."""
+    nodes = cell_nodes(space)
+    values = np.asarray(f(nodes.reshape(-1, 2)), dtype=float)
+    coeffs = np.empty(space.ndofs)
+    coeffs[space.cell_dofs] = values.reshape(space.cell_dofs.shape)
+    return coeffs
 
 
 def eval_scalar(space, values, ref_points):

@@ -4,16 +4,15 @@ import scipy.io
 import scipy.sparse as sp
 
 from mixedstab import assembly
-from mixedstab.assembly import (assemble, build_spaces, cell_geometry,
-                                discontinuous_space, pressure_mass_solve,
-                                scalar_lagrange_space, vector_lagrange_space,
-                                write_matrix_market)
+from mixedstab.assembly import (assemble, cell_geometry, discontinuous_space,
+                                pressure_mass_solve, scalar_lagrange_space,
+                                vector_lagrange_space, write_matrix_market)
 from mixedstab.element import quadrature
 from mixedstab.errors import UnsupportedDegreeError
 from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh)
 
-from oracles import eval_scalar, interpolate, reference_assemble
+from oracles import cell_nodes, eval_scalar, interpolate, reference_assemble
 
 FORM_NAMES = ("M_V", "K", "A_div", "B", "M_Q", "A_1")
 
@@ -25,7 +24,7 @@ def reference_triangle_mesh():
 
 def test_p1_mass_matrix_on_reference_triangle():
     mesh = reference_triangle_mesh()
-    forms = assemble(*build_spaces(mesh, 1))
+    forms = assemble(mesh, 1)
     # vector mass with interleaved components: x-x block is the scalar mass
     m = forms.M_V.toarray()
     scalar = m[0::2, 0::2]
@@ -37,15 +36,15 @@ def test_p1_mass_matrix_on_reference_triangle():
 
 def test_divergence_row_on_reference_triangle():
     mesh = reference_triangle_mesh()
-    v_h, q_h = build_spaces(mesh, 1)
-    forms = assemble(v_h, q_h)
-    field = interpolate(lambda pts: np.stack([pts[:, 0], 0 * pts[:, 1]], axis=-1), v_h)
+    forms = assemble(mesh, 1)
+    field = interpolate(lambda pts: np.stack([pts[:, 0], 0 * pts[:, 1]], axis=-1),
+                        forms.V_h)
     # div(x, 0) = 1 against the constant pressure: the cell area
     assert np.allclose(forms.B @ field, [0.5], atol=1e-14)
 
 
 def test_pressure_mass_diagonal_p0():
-    forms = assemble(*build_spaces(generate(Family.DIAGONAL, 4), 1))
+    forms = assemble(generate(Family.DIAGONAL, 4), 1)
     m_q = forms.M_Q.toarray()
     assert np.allclose(np.diag(m_q), 1 / 32)
     assert np.max(np.abs(m_q - np.diag(np.diag(m_q)))) == 0.0
@@ -54,7 +53,7 @@ def test_pressure_mass_diagonal_p0():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_frozen_space_dimensions(r):
     mesh = generate(Family.DIAGONAL, 4)
-    v_h, q_h = build_spaces(mesh, r)
+    v_h, q_h = vector_lagrange_space(mesh, r), discontinuous_space(mesh, r - 1)
     if r == 1:
         assert v_h.ndofs == 50 and q_h.ndofs == 32
     if r == 2:
@@ -66,7 +65,7 @@ def test_frozen_space_dimensions(r):
 
 
 def test_crisscross_vector_dimension():
-    v_h, _ = build_spaces(generate(Family.CRISSCROSS, 4), 1)
+    v_h = vector_lagrange_space(generate(Family.CRISSCROSS, 4), 1)
     assert v_h.ndofs == 82
 
 
@@ -100,27 +99,36 @@ def test_global_interpolation_is_continuous_and_exact(r, rng):
     assert np.max(np.abs(values - exact)) < 1e-10
 
 
-def test_interpolation_points_align_with_dofs():
-    mesh = generate(Family.ZIGZAG, 4)
-    for r in (1, 2, 3):
-        space = scalar_lagrange_space(mesh, r)
-        assert len(space.interpolation_points) == space.ndofs
-        vec = vector_lagrange_space(mesh, r)
-        assert vec.ndofs == 2 * space.ndofs
-        assert len(vec.interpolation_points) == space.ndofs
-        dg = discontinuous_space(mesh, r - 1)
-        assert dg.ndofs == r * (r + 1) // 2 * len(mesh.cells)
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("source", ["flipped", "relabelled-unionjack"])
+def test_each_lagrange_dof_has_one_node(source, r, relabel):
+    # every cell that holds a DOF maps its reference node to the same point;
+    # the flipped mesh and the relabelled import (rotated triples, permuted
+    # vertices) meet each edge from both directions
+    mesh = generate(Family.FLIPPED, 4)
+    if source == "relabelled-unionjack":
+        mesh = import_mesh(export_mesh(relabel(generate(Family.UNIONJACK, 6))[0]))
+    space = scalar_lagrange_space(mesh, r)
+    nodes = cell_nodes(space).reshape(-1, 2)
+    dofs = space.cell_dofs.ravel()
+    assert np.array_equal(np.unique(dofs), np.arange(space.ndofs))
+    last = np.empty((space.ndofs, 2))
+    last[dofs] = nodes
+    assert np.max(np.abs(nodes - last[dofs])) <= 1e-14
+    assert vector_lagrange_space(mesh, r).ndofs == 2 * space.ndofs
+    dg = discontinuous_space(mesh, r - 1)
+    assert dg.ndofs == r * (r + 1) // 2 * len(mesh.cells)
 
 
 def test_matrices_are_symmetric():
-    forms = assemble(*build_spaces(generate(Family.UNIONJACK, 4), 2))
+    forms = assemble(generate(Family.UNIONJACK, 4), 2)
     for mat in (forms.M_V, forms.K, forms.A_div, forms.M_Q, forms.A_1):
         diff = (mat - mat.T).tocoo()
         assert len(diff.data) == 0 or np.max(np.abs(diff.data)) == 0.0
 
 
 def test_a_div_is_mass_plus_divdiv():
-    forms = assemble(*build_spaces(generate(Family.DIAGONAL, 4), 2))
+    forms = assemble(generate(Family.DIAGONAL, 4), 2)
     diff = (forms.A_div - forms.M_V - forms.K).tocoo()
     worst = np.max(np.abs(diff.data)) if len(diff.data) else 0.0
     assert worst < 1e-15
@@ -142,10 +150,9 @@ def test_div_velocity_lies_in_pressure_space(forms_for, rng):
 
 def test_quadrature_degree_is_sufficient(monkeypatch):
     mesh = generate(Family.ZIGZAG, 4)
-    v_h, q_h = build_spaces(mesh, 2)
-    default = assemble(v_h, q_h)
+    default = assemble(mesh, 2)
     monkeypatch.setattr(assembly, "quadrature", lambda degree: quadrature(10))
-    boosted = assemble(v_h, q_h)
+    boosted = assemble(mesh, 2)
     for a, b in ((default.M_V, boosted.M_V), (default.B, boosted.B),
                  (default.A_1, boosted.A_1), (default.M_Q, boosted.M_Q)):
         assert abs(a - b).max() < 1e-13
@@ -182,13 +189,12 @@ def test_space_degree_validation():
         with pytest.raises(UnsupportedDegreeError):
             scalar_lagrange_space(mesh, degree)
         with pytest.raises(UnsupportedDegreeError):
-            build_spaces(mesh, degree)
+            assemble(mesh, degree)
 
 
 def assert_same_bits(mesh, r):
-    v_h, q_h = build_spaces(mesh, r)
-    got = assemble(v_h, q_h)
-    want = reference_assemble(v_h, q_h)
+    got = assemble(mesh, r)
+    want = reference_assemble(got.V_h, got.Q_h)
     for name in FORM_NAMES:
         a, b = getattr(got, name), getattr(want, name)
         assert sp.isspmatrix_csr(a) and a.shape == b.shape, name

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mixedstab import __version__
-from mixedstab.assembly import case_forms
+from mixedstab.assembly import assemble
 from mixedstab.cli import RunConfig, build_parser, main, parse_n_values
 from mixedstab.mesh import generate, read_mesh
 from mixedstab.stability import Case, _divdiv_shift
@@ -215,7 +215,7 @@ def test_spectrum_derived_pencils_match_oracles(tmp_path, family):
     # every pencil is printed past its zero cluster, each value with its
     # index in the oracle's full spectrum; the Babuska pencil is ordered by
     # modulus
-    forms = case_forms(generate(family, 4), 2)
+    forms = assemble(generate(family, 4), 2)
     n_v, n_q = forms.V_h.ndofs, forms.Q_h.ndofs
     dim = {"diagonal": 0, "unionjack": 4}[family]
     cases = {
@@ -642,9 +642,9 @@ def test_bad_n_exits_two(argv, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a case was built")
 
-    monkeypatch.setattr("mixedstab.stability.case_forms", unreachable)
-    monkeypatch.setattr("mixedstab.cli.case_forms", unreachable)
-    monkeypatch.setattr("mixedstab.poisson.case_forms", unreachable)
+    monkeypatch.setattr("mixedstab.stability.assemble", unreachable)
+    monkeypatch.setattr("mixedstab.cli.assemble", unreachable)
+    monkeypatch.setattr("mixedstab.poisson.assemble", unreachable)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -748,7 +748,7 @@ def test_one_triangle_r2_slices_without_a_bound(tmp_path):
                        "--out", str(outs[command])) == 0
     infsup = json.loads(outs["infsup"].read_text())
     assert infsup["dimN"] == 0 and infsup["diagnostics"]["mu_bound"] is None
-    forms = case_forms(read_mesh(mesh_file), 2)
+    forms = assemble(read_mesh(mesh_file), 2)
     lam = schur_pencil_eigenvalues(forms, forms.A_div)[0]
     assert infsup["beta_div_reduced"] == pytest.approx(np.sqrt(lam), rel=1e-9)
     mu = json.loads(outs["laplace-eig"].read_text())["mu"]
@@ -796,3 +796,11 @@ def test_convergence_script_matches_cli(tmp_path):
     script_csv = (tmp_path / "script" / "convergence.csv").read_bytes()
     assert script_csv == out.read_bytes()
     assert (tmp_path / "script" / "normalized_p_L2.dat").exists()
+
+
+def test_readme_programmatic_use_runs():
+    # the block names library functions; a rename must not leave it stale
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Programmatic use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

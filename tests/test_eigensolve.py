@@ -5,7 +5,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import mixedstab.eigensolve as eigensolve
-from mixedstab.assembly import case_forms
+from mixedstab.assembly import assemble
 from mixedstab.eigensolve import WINDOW, InertiaSlicer, positive_definite_lu
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family, Triangulation, generate
@@ -261,7 +261,7 @@ def test_near_singular_vertices_match_the_dense_route(r):
     mesh = generate(Family.CRISSCROSS, 4)
     vertices = mesh.vertices.copy()
     vertices[25:, 0] += 3e-4 / 4
-    forms = case_forms(Triangulation(vertices, mesh.cells), r)
+    forms = assemble(Triangulation(vertices, mesh.cells), r)
     case = Case(forms)
     lam = schur_pencil_eigenvalues(forms, forms.A_div)
     dim = int(np.count_nonzero(lam < DEFAULT_THRESHOLD))

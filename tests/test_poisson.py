@@ -7,7 +7,7 @@ import mixedstab.eigensolve as eigensolve
 import mixedstab.poisson as po
 from mixedstab.assembly import scalar_lagrange_space, vector_lagrange_space
 from mixedstab.errors import NumericalError
-from mixedstab.assembly import case_forms
+from mixedstab.assembly import assemble
 from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh,
                             singular_vertices)
@@ -145,7 +145,7 @@ def test_solve_refuses_spurious_modes(family, n, r, rng):
     # the solve keeps the spurious modes out of its pressure: p_h lies in
     # div V_h, so its alternating sum around every singular vertex vanishes.
     # nQ runs from 320 to 5760, and a random load has a part on every mode
-    forms = case_forms(generate(family, n), r)
+    forms = assemble(generate(family, n), r)
     _, p_h = solve_mixed(forms, rng.standard_normal(forms.Q_h.ndofs))
     sums = singular_vertex_sums(forms.Q_h, p_h)
     assert len(sums) == len(singular_vertices(forms.mesh)) > 0
@@ -187,7 +187,7 @@ def test_solve_refuses_exactly_the_spurious_cases(family, rng):
     spurious = []
     for n in (4, 6):
         for r in (1, 2, 3, 4):
-            forms = case_forms(generate(family, n), r)
+            forms = assemble(generate(family, n), r)
             load = rng.standard_normal(forms.Q_h.ndofs)
             u_h, _ = solve_mixed(forms, load)
             dropped = load - forms.B @ u_h

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import mixedstab.eigensolve as eigensolve
-from mixedstab.assembly import case_forms
+from mixedstab.assembly import assemble
 from mixedstab.cli import _table_csv
 from mixedstab.eigensolve import InertiaSlicer
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
@@ -238,11 +238,11 @@ def test_table_rows_equal_run_case_reports():
     # constant of its case, computed on their own
     for family, n, r, sigma, dim in reproduce_table(
             "T1", n_values=[4], r_values=[1, 2])["rows"]:
-        forms = case_forms(generate(family, n), r)
+        forms = assemble(generate(family, n), r)
         assert (sigma, dim) == (singular_vertices(forms.mesh).size,
                                 Case(forms).dimN), (family, r)
     for n, *cells in reproduce_table("T2", n_values=[4, 6])["rows"]:
-        diag, zig, flip, uj = (Case(case_forms(generate(family, n), 1))
+        diag, zig, flip, uj = (Case(assemble(generate(family, n), 1))
                                for family in TABLE_FAMILIES)
         assert cells == [diag.beta_div, zig.beta_div, flip.beta_div_reduced,
                          flip.dimN, uj.beta_div_reduced, uj.dimN], n
@@ -304,7 +304,7 @@ def test_constants_are_invariant_under_the_symmetries_of_the_square(forms_for,
         for r in (1, 2):
             want, got = ((c.sigma, c.dimN, c.beta_div_reduced, c.beta_h1_reduced)
                          for c in (Case(forms_for(family, 4, r)),
-                                   Case(case_forms(image, r))))
+                                   Case(assemble(image, r))))
             tag = (name, r)
             if name == "identity":   # the same floats: the same numbers
                 assert got == want, tag
@@ -325,7 +325,7 @@ def test_source_errors_are_invariant_under_the_symmetries_of_the_square(
     want = {r: source_errors(forms_for(family, 4, r), SINE) for r in (1, 2, 3)}
     for name, image in square_images(family).items():
         for r in (1, 2, 3):
-            got = source_errors(case_forms(image, r), SINE)
+            got = source_errors(assemble(image, r), SINE)
             tag = (name, r)
             if name == "identity":   # the same floats: the same numbers
                 assert got == want[r], tag
