@@ -15,11 +15,9 @@ per-workload totals, the source's git commit, the BLAS library and the
 core count, is appended to the "runs" list of --out, so one file holds
 the before and after runs of a change.
 
-Every timed call builds the spaces as well: ``assemble(mesh, r)`` builds
-its own, and an older tree, whose ``assemble`` takes the pair, is timed on
-building the pair and assembling it.  So ``assemble_s`` includes the space
-build on both sides of a comparison, and is not comparable with
-BENCH_18.json, which timed ``assemble`` on spaces built beforehand.
+Every timed call builds the spaces as well, as ``assemble(mesh, r)``
+builds its own, so ``assemble_s`` is not comparable with BENCH_18.json,
+which timed ``assemble`` on spaces built beforehand.
 """
 import argparse
 import json
@@ -42,13 +40,8 @@ REPEATS = 7
 
 CHILD = """
 import json, statistics, sys, time, tracemalloc
-from mixedstab import assembly
+from mixedstab.assembly import assemble
 from mixedstab.mesh import generate
-if hasattr(assembly, "build_spaces"):
-    def assemble(mesh, r):
-        return assembly.assemble(*assembly.build_spaces(mesh, r))
-else:
-    assemble = assembly.assemble
 out = []
 for family, n, r in json.loads(sys.argv[1]):
     gen = []

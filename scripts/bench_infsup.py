@@ -14,15 +14,11 @@ slice of (K, A_1)) and reports the peak RSS after it and its
 factorizations, as the ``stokes_`` fields; ``beta_h1`` would read 0.0
 with no slice on a case with spurious modes (unionjack).  The entry
 keeps the sizes, the median wall times and peak RSS and the single
-runs.  The child reads ``stability.Case``,
-so it times only sources that have it; the runs of older sources are
-kept in BENCH_13.json.  The run (with the
-source's git commit, the BLAS library and the core count) is appended to
-the "runs" list of --out, so one file holds the before and after runs of
-a change.  On a source that still forms the dense nQ x nQ Schur
-complement, the cases past the first seven (nQ 6,144 to 55,296) would
-need 0.3 GB to 24 GB for it alone; time such a source with its own copy
-of this script, which stops at the first seven.
+runs.  The run (with the source's git commit, the BLAS library and the
+core count) is appended to the "runs" list of --out, so one file holds
+the before and after runs of a change.  The child calls
+``assemble(mesh, r)`` and reads ``stability.Case``; the runs of older
+sources are kept in BENCH_13.json.
 """
 import argparse
 import json
@@ -51,15 +47,11 @@ REPEATS = 3
 
 CHILD = """
 import json, resource, sys, time
-from mixedstab import assembly
+from mixedstab.assembly import assemble
 from mixedstab.mesh import generate
 from mixedstab.stability import Case
 family, r, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-# assemble(mesh, r) builds its own spaces, and an older tree's assemble takes
-# the pair, so that one script times the trees before and after a change
-mesh = generate(family, n)
-forms = (assembly.assemble(*assembly.build_spaces(mesh, r))
-         if hasattr(assembly, "build_spaces") else assembly.assemble(mesh, r))
+forms = assemble(generate(family, n), r)
 case = Case(forms)
 t0 = time.perf_counter()
 beta_reduced = case.beta_div_reduced

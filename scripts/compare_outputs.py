@@ -38,11 +38,22 @@ COMMANDS = [
      "--out", "crisscross_n4.mesh"],
     *[["tables", "--which", f"T{t}", "--format", fmt]
       for t in (1, 2, 3, 4) for fmt in ("csv", "json")],
+    # tables off their defaults: repeated and unsorted n and r, degrees past
+    # T1's, another threshold, workers, a lower-case name
+    ["tables", "--which", "T1", "--n", "4", "--r", "1,1", "--format", "csv"],
+    ["tables", "--which", "T1", "--n", "4", "--r", "4,5,6", "--format", "json"],
+    ["tables", "--which", "T2", "--n", "6,4", "--format", "csv"],
+    ["tables", "--which", "T2", "--n", "4,4", "--jobs", "2", "--format", "json"],
+    ["tables", "--which", "T3", "--n", "4..8", "--threshold", "1e-6",
+     "--format", "csv"],
+    ["tables", "--which", "t4", "--n", "4,6", "--jobs", "2", "--format", "json"],
     ["converge", "--r", "1,2,3,4", "--format", "csv"],
     ["converge", "--r", "1,2,3,4", "--format", "json"],
     ["converge", "--r", "5,6", "--n", "4,8"],
     ["converge", "--family", "crisscross", "--r", "1,2", "--n", "4,8"],
     ["converge", "--family", "unionjack", "--r", "2,3", "--n", "4,8"],
+    # no halving of the largest edge, so every rate is empty
+    ["converge", "--r", "1", "--n", "8,4"],
     # the golden cases of tests/test_cli.py
     [*FULL_INFSUP, "--family", "unionjack", "--n", "4", "--r", "1",
      "--format", "csv"],
@@ -66,9 +77,11 @@ COMMANDS = [
     # another order
     *[[*command, "--mesh", "cc4_rotated.mesh", "--r", str(r)]
       for command in (FULL_INFSUP, ["laplace-eig"]) for r in (2, 3)],
-    # refusals: a degree past the largest (exit 2), a threshold above every
-    # eigenvalue and a clockwise cell (exit 1)
+    # refusals: a degree past the largest and a degree on a table that fixes
+    # it (exit 2), a threshold above every eigenvalue and a clockwise cell
+    # (exit 1)
     ["infsup", "--family", "diagonal", "--n", "4", "--r", "7"],
+    ["tables", "--which", "T2", "--r", "2"],
     [*FULL_INFSUP, "--family", "diagonal", "--n", "4", "--threshold", "1.5"],
     ["infsup", "--mesh", "cc4_clockwise.mesh", "--r", "1"],
 ]

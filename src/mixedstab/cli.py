@@ -309,9 +309,9 @@ def config_from_args(args):
                                  f"give no --family or --n with it")
         elif cfg.family is None or cfg.n is None:
             raise UsageError(f"{cfg.command}: need --family and --n, or --mesh")
-    if cfg.r_values is not None and cfg.which not in (None, "T1"):
+    if cfg.r_values is not None and cfg.which and len(TABLES[cfg.which][2]) == 1:
         raise UsageError(f"tables: --r applies to T1 only; {cfg.which} "
-                         f"fixes r = {TABLES[cfg.which][0]}")
+                         f"fixes r = {TABLES[cfg.which][2][0]}")
     return cfg
 
 

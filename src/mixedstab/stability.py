@@ -38,10 +38,11 @@ the warning is read, so the tables, which print none, do not pay for them.
 
 ``Case.spectrum`` reads every eigenvalue past the spurious cluster off the
 same slices, for ``mixed-stab spectrum``; the inf-sup, div-div and Babuska
-spectra are closed-form functions of the mu.  A table is a list of cases
-and the fields it prints of each (``TABLES``), and the single-case
-commands in ``cli`` print fields of one Case by name.  The source-problem
-errors are not Case fields: ``poisson`` solves on the forms alone.
+spectra are closed-form functions of the mu.  A table is data
+(``TABLES``), each of its cells one field of a case; ``reproduce_table``
+runs each case once.  The single-case commands in ``cli`` print fields
+of one Case by name.  The source-problem errors are not Case fields:
+``poisson`` solves on the forms alone.
 """
 
 from __future__ import annotations
@@ -345,27 +346,27 @@ class Case:
         return self.dimN, np.concatenate([-lam, np.ones(self.forms.V_h.ndofs)])
 
 
-# the degrees of T1 unless given
-T1_DEGREES = (1, 2, 3)
-# which -> (r, default n, columns).  T1 (r None) has one row per case, of
-# the Case fields its columns name; T2-T4 have one row per n, each cell
-# (header, family, field) one field of that family's case at n and r
-_T3_T4 = (("beta_diagonal", Family.DIAGONAL, "beta_div"),
+# which -> (row families, default n, degrees, columns): one row per (family,
+# n, r), each column (header, family, field) one field of the case at that
+# family (None: the row's own), n and r
+_N_COLUMN = ("n", Family.DIAGONAL, "n")
+_T3_T4 = (_N_COLUMN, ("beta_diagonal", Family.DIAGONAL, "beta_div"),
           ("beta_zigzag", Family.ZIGZAG, "beta_div"),
           ("beta_flipped", Family.FLIPPED, "beta_div"),
           ("beta_unionjack_reduced", Family.UNIONJACK, "beta_div_reduced"),
           ("dimN_unionjack", Family.UNIONJACK, "dimN"))
 TABLES = {
-    "T1": (None, (4, 6, 8), ("family", "n", "r", "sigma", "dimN")),
-    "T2": (1, tuple(range(4, 17, 2)), (
-        ("beta_diagonal", Family.DIAGONAL, "beta_div"),
+    "T1": (GENERATED_FAMILIES, (4, 6, 8), (1, 2, 3),
+           tuple((f, None, f) for f in ("family", "n", "r", "sigma", "dimN"))),
+    "T2": ((Family.DIAGONAL,), tuple(range(4, 17, 2)), (1,), (
+        _N_COLUMN, ("beta_diagonal", Family.DIAGONAL, "beta_div"),
         ("beta_zigzag", Family.ZIGZAG, "beta_div"),
         ("beta_flipped_reduced", Family.FLIPPED, "beta_div_reduced"),
         ("dimN_flipped", Family.FLIPPED, "dimN"),
         ("beta_unionjack_reduced", Family.UNIONJACK, "beta_div_reduced"),
         ("dimN_unionjack", Family.UNIONJACK, "dimN"))),
-    "T3": (2, tuple(range(4, 15, 2)), _T3_T4),
-    "T4": (3, tuple(range(4, 13, 2)), _T3_T4),
+    "T3": ((Family.DIAGONAL,), tuple(range(4, 15, 2)), (2,), _T3_T4),
+    "T4": ((Family.DIAGONAL,), tuple(range(4, 13, 2)), (3,), _T3_T4),
 }
 
 
@@ -384,35 +385,34 @@ def reproduce_table(which, n_values=None, r_values=None,
     T1 lists sigma and dimN per (family, n, r), with no eigenvalue; T2, T3
     and T4 list the inf-sup constants of the four diagonal-pattern
     families at r = 1, 2, 3 (reduced constants and mode counts where the
-    family has spurious modes).  ``r_values`` applies to T1 only.
+    family has spurious modes).  Each case runs once, in the order its
+    cells first read it.  ``r_values`` applies to T1 only: a table of one
+    degree fixes r, and raises ValueError on it.
 
     Returns
     -------
-    dict of which, r (None for T1), threshold, header and rows
+    dict of which, r (the fixed degree, or None), threshold, header and rows
     """
     which = which.upper()
     if which not in TABLES:
         raise ValueError(f"unknown table {which!r} (expected T1..T4)")
-    r, n_default, columns = TABLES[which]
+    families, n_default, degrees, columns = TABLES[which]
+    if len(degrees) == 1 and r_values is not None:
+        raise ValueError(f"{which} fixes r = {degrees[0]}; it takes no r_values")
     n_values = list(n_default if n_values is None else n_values)
-    if r is None:
-        degrees = T1_DEGREES if r_values is None else r_values
-        cases = [(fam, n, deg, threshold, columns)
-                 for fam in GENERATED_FAMILIES for n in n_values for deg in degrees]
-        return {"which": which, "r": None, "threshold": threshold,
-                "header": list(columns), "rows": _run_cases(cases, jobs)}
-
-    families = dict.fromkeys(fam for _, fam, _ in columns)
-    cases = [(fam, n, r, threshold,
-              tuple(field for _, col_fam, field in columns if col_fam is fam))
-             for n in n_values for fam in families]
-    values = {}   # (family, n, field) -> value
-    for (fam, n, _, _, fields), got in zip(cases, _run_cases(cases, jobs)):
-        values.update(((fam, n, field), v) for field, v in zip(fields, got))
-    rows = [[n, *(values[fam, n, field] for _, fam, field in columns)]
-            for n in n_values]
-    return {"which": which, "r": r, "threshold": threshold,
-            "header": ["n", *(h for h, _, _ in columns)], "rows": rows}
+    rows = [[(col_fam or fam, n, r, field) for _, col_fam, field in columns]
+            for fam in families for n in n_values
+            for r in (degrees if r_values is None else r_values)]
+    fields = {}   # (family, n, r) -> its fields, in first-use order
+    for *case, field in (cell for row in rows for cell in row):
+        fields.setdefault(tuple(case), {})[field] = None
+    cases = [(*case, threshold, tuple(names)) for case, names in fields.items()]
+    values = {}   # (family, n, r, field) -> value
+    for (*case, _, names), got in zip(cases, _run_cases(cases, jobs)):
+        values.update(((*case, name), v) for name, v in zip(names, got))
+    return {"which": which, "r": degrees[0] if len(degrees) == 1 else None,
+            "threshold": threshold, "header": [h for h, _, _ in columns],
+            "rows": [[values[cell] for cell in row] for row in rows]}
 
 
 def _run_cases(cases, jobs):

@@ -770,10 +770,6 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "mixed-stab 0.1.0"
 
 
-def run_script(name, *argv):
-    return run_python(str(ROOT / "scripts" / name), *argv)
-
-
 def test_bench_infsup_script_one_case():
     spec = importlib.util.spec_from_file_location(
         "bench_infsup", ROOT / "scripts" / "bench_infsup.py")
@@ -784,18 +780,6 @@ def test_bench_infsup_script_one_case():
     assert entry["nnz"] > 0 and entry["peak_rss_mb"] > 0
     assert entry["wall_s"] == entry["wall_s_runs"][0] > 0
     assert bench.blas_library()
-
-
-def test_convergence_script_matches_cli(tmp_path):
-    proc = run_script("run_convergence.py", "--r", "1",
-                      "--outdir", str(tmp_path / "script"))
-    assert proc.returncode == 0, proc.stderr
-    out = tmp_path / "cli.csv"
-    assert run_cli("converge", "--r", "1", "--format", "csv",
-                   "--out", str(out)) == 0
-    script_csv = (tmp_path / "script" / "convergence.csv").read_bytes()
-    assert script_csv == out.read_bytes()
-    assert (tmp_path / "script" / "normalized_p_L2.dat").exists()
 
 
 def test_readme_programmatic_use_runs():

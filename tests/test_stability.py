@@ -227,10 +227,33 @@ def test_reproduce_table_parallel_matches_serial():
     serial = reproduce_table("T2", n_values=[4, 6], jobs=1)
     parallel = reproduce_table("T2", n_values=[4, 6], jobs=2)
     assert serial == parallel
-    # T1 rows come from the count-only branch of the table case
     serial = reproduce_table("T1", n_values=[4], r_values=[1, 2], jobs=1)
     parallel = reproduce_table("T1", n_values=[4], r_values=[1, 2], jobs=2)
     assert serial == parallel
+    for which in ("T3", "T4"):
+        assert (reproduce_table(which, n_values=[4], jobs=1)
+                == reproduce_table(which, n_values=[4], jobs=2)), which
+
+
+def test_reproduce_table_runs_each_case_once(monkeypatch):
+    import mixedstab.stability as stability
+
+    calls = []
+    table_case = stability._table_case
+
+    def counted(args):
+        calls.append(args[:3])
+        return table_case(args)
+
+    monkeypatch.setattr(stability, "_table_case", counted)
+    # a repeated degree or n repeats the rows, not the cases
+    for which, n_values, r_values, cases, rows in (
+            ("T1", [4], [1, 1], 5, 10), ("T2", [4, 4], None, 4, 2)):
+        calls.clear()
+        table = reproduce_table(which, n_values=n_values, r_values=r_values)
+        assert len(calls) == len(set(calls)) == cases, which
+        assert len(table["rows"]) == rows, which
+        assert table["rows"][::2] == table["rows"][1::2], which
 
 
 def test_table_rows_equal_run_case_reports():
@@ -384,6 +407,9 @@ def test_reproduce_table_clamps_jobs(monkeypatch):
 def test_reproduce_table_rejects_unknown():
     with pytest.raises(ValueError):
         reproduce_table("T9")
+    # T2 fixes r = 1: another degree is refused, not ignored
+    with pytest.raises(ValueError, match="T2 fixes r = 1"):
+        reproduce_table("T2", n_values=[4], r_values=[2])
 
 
 def test_default_threshold_value():
