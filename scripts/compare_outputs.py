@@ -78,11 +78,13 @@ COMMANDS = [
     *[[*command, "--mesh", "cc4_rotated.mesh", "--r", str(r)]
       for command in (FULL_INFSUP, ["laplace-eig"]) for r in (2, 3)],
     # refusals: a degree past the largest and a degree on a table that fixes
-    # it (exit 2), a threshold above every eigenvalue and a clockwise cell
-    # (exit 1)
+    # it (exit 2), a threshold above every eigenvalue, also in a worker, and
+    # a clockwise cell (exit 1)
     ["infsup", "--family", "diagonal", "--n", "4", "--r", "7"],
     ["tables", "--which", "T2", "--r", "2"],
     [*FULL_INFSUP, "--family", "diagonal", "--n", "4", "--threshold", "1.5"],
+    ["tables", "--which", "T1", "--n", "4", "--r", "1", "--threshold",
+     "0.999999", "--jobs", "2"],
     ["infsup", "--mesh", "cc4_clockwise.mesh", "--r", "1"],
 ]
 

@@ -24,6 +24,11 @@ class NotPositiveDefiniteError(MixedStabError):
         self.pivot = pivot
         super().__init__(message or f"matrix is not positive definite (pivot {pivot})")
 
+    def __reduce__(self):
+        # unpickling (a process pool's result) calls the class with these,
+        # not with self.args, which hold the message alone
+        return type(self), (self.pivot, str(self))
+
 
 class EigensolveError(MixedStabError):
     """The inertia slicer failed or received bad input: a refused or

@@ -770,15 +770,45 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "mixed-stab 0.1.0"
 
 
-def test_bench_infsup_script_one_case():
-    spec = importlib.util.spec_from_file_location(
-        "bench_infsup", ROOT / "scripts" / "bench_infsup.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    entry = bench.measure(ROOT / "src", "diagonal", 1, 4, repeats=1)
+def load_script(monkeypatch, path):
+    # registered, as dataclasses look their module up by name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, path.stem, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_cases_grid_is_the_programs(monkeypatch, tmp_path):
+    import mixedstab.stability as stability
+
+    bench = load_script(monkeypatch, ROOT / "scripts" / "bench_cases.py")
+    seen = []
+
+    def record(args):
+        seen.append((args[0].value, *args[1:3]))
+        return [0] * len(args[4])
+
+    monkeypatch.setattr(stability, "_table_case", record)
+    tables = []   # a case recurs across tables, once within one
+    for which in stability.TABLES:
+        seen.clear()
+        stability.reproduce_table(which, jobs=1)
+        tables += dict.fromkeys(seen)
+    assert bench.GRID["tables"] == tables
+    workloads = load_script(monkeypatch, ROOT / "bench" / "workloads.py")
+    for group in ("tables", "converge"):
+        assert len(bench.GRID[group]) == workloads.commands(group, tmp_path)[1]
+
+
+def test_bench_cases_script_one_case(monkeypatch):
+    bench = load_script(monkeypatch, ROOT / "scripts" / "bench_cases.py")
+    entry = bench.measure(ROOT / "src", "diagonal", 4, 1, repeats=1)
     assert (entry["nV"], entry["nQ"]) == (50, 32)
-    assert entry["nnz"] > 0 and entry["peak_rss_mb"] > 0
-    assert entry["wall_s"] == entry["wall_s_runs"][0] > 0
+    assert entry["local_entries"] == 32 * 6**2 and entry["nnz"] > 0
+    for key in bench.MEASURED:
+        assert entry[key] == entry[key + "_runs"][0] > 0, key
+        assert len(entry[key + "_runs"]) == 1
     assert bench.blas_library()
 
 

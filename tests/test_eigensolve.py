@@ -1,3 +1,6 @@
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,24 @@ def test_schur_refuses_non_spd():
         positive_definite_lu(sp.diags([1.0, 0.0, 1.0]))
     with pytest.raises(NotPositiveDefiniteError, match="off-diagonal pivot"):
         positive_definite_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_not_positive_definite_error_survives_a_process_pool():
+    # a table's cases run in a process pool, which pickles a worker's error
+    error = NotPositiveDefiniteError(3)
+    copy = pickle.loads(pickle.dumps(error))
+    assert (str(copy), copy.pivot) == (str(error), 3)
+    matrices = [sp.diags([1.0, -1.0, 1.0]).tocsc(),
+                sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]])]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(positive_definite_lu, a) for a in matrices]
+        for a, future in zip(matrices, futures):
+            with pytest.raises(NotPositiveDefiniteError) as serial:
+                positive_definite_lu(a)
+            pooled = future.exception(timeout=60)
+            assert type(pooled) is NotPositiveDefiniteError
+            assert (str(pooled), pooled.pivot) == (str(serial.value),
+                                                   serial.value.pivot)
 
 
 def test_schur_pencil_matches_full_saddle_pencil(forms_for):
