@@ -15,8 +15,11 @@ A process generates and assembles once, times the first read of
 ``Case.beta_div_reduced`` and then of ``Case.beta_h1_reduced`` (the
 ``stokes_`` fields), each with its factorizations and the peak RSS after
 it.  Only then, to keep them out of the RSS, it takes the median of
-TIMINGS calls of ``generate`` and of ``assemble`` and the tracemalloc peak
-of one more ``assemble``.  nnz counts A_div plus twice B, local_entries
+TIMINGS calls of ``generate`` and of ``assemble``, the tracemalloc peak of
+one more ``assemble``, and the same two of the first read of
+``forms.A_1`` on forms assembled untraced and untimed (``h1_s`` and
+``h1_tracemalloc_peak_mb``: the H1 norm that only the Stokes fields read
+is built on that read).  nnz counts A_div plus twice B, local_entries
 the C*m^2 entries of a velocity form.  An entry keeps the first process's
 sizes and values, the median of each measured field and its single runs
 (``<field>_runs``).  The run (git commit, BLAS, cores, repeat counts,
@@ -65,7 +68,8 @@ TIMINGS = 7   # generate and assemble calls per process
 EXACT = ("nV", "nQ", "nnz", "local_entries", "dimN", "beta_reduced",
          "factorizations", "beta_h1_reduced", "stokes_factorizations")
 MEASURED = ("wall_s", "peak_rss_mb", "stokes_wall_s", "stokes_peak_rss_mb",
-            "assemble_s", "generate_s", "tracemalloc_peak_mb")
+            "assemble_s", "generate_s", "tracemalloc_peak_mb", "h1_s",
+            "h1_tracemalloc_peak_mb")
 
 CHILD = """
 import json, resource, statistics, sys, time, tracemalloc
@@ -102,6 +106,17 @@ out["assemble_s"] = statistics.median(
 tracemalloc.start()
 assemble(mesh, r)
 out["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
+
+def first_h1_read(traced=False):
+    forms = assemble(mesh, r)
+    if traced:
+        tracemalloc.start()
+    return timed(lambda: forms.A_1)[1]
+
+out["h1_s"] = statistics.median(first_h1_read() for _ in range(timings))
+first_h1_read(traced=True)
+out["h1_tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
 print(json.dumps(out))
 """
 
@@ -157,12 +172,14 @@ def main():
                   f"stokes {e['stokes_wall_s']:.3f} s "
                   f"({e['stokes_factorizations']} LU)  "
                   f"rss {e['stokes_peak_rss_mb']:.0f} MB  "
-                  f"assemble {e['assemble_s']:.4f} s", flush=True)
+                  f"assemble {e['assemble_s']:.4f} s  "
+                  f"A_1 {e['h1_s']:.4f} s", flush=True)
             entries.append(e)
         totals = {key: sum(e[key] for e in entries) for key in
-                  ("wall_s", "stokes_wall_s", "assemble_s", "generate_s")}
+                  ("wall_s", "stokes_wall_s", "assemble_s", "generate_s", "h1_s")}
         totals.update((f"max_{key}", max(e[key] for e in entries)) for key in
-                      ("peak_rss_mb", "stokes_peak_rss_mb", "tracemalloc_peak_mb"))
+                      ("peak_rss_mb", "stokes_peak_rss_mb", "tracemalloc_peak_mb",
+                       "h1_tracemalloc_peak_mb"))
         record[group] = {"totals": totals, "cases": entries}
 
     out = Path(args.out)

@@ -12,17 +12,20 @@ then cell-interior nodes.
 
 Assembly computes the sparsity pattern once and reuses it for every form
 that scatters over the same blocks (as in MILAMIN, Dabrowski, Krotkiewski
-& Schmid 2008, and Cuvelier, Japhet & Scarella 2016): M_V, K and the
-grad-grad form all live on the ``cell_dofs x cell_dofs`` blocks of V_h,
-so one pattern and one summation map serve all three, and each form is
-one gather and one ``np.bincount``.  The summation order is the one of
-scipy's COO->CSR conversion, so the matrices are bit for bit those of
-converting each form on its own.
+& Schmid 2008, and Cuvelier, Japhet & Scarella 2016): M_V and K both live
+on the ``cell_dofs x cell_dofs`` blocks of V_h, so one pattern and one
+summation map serve both, and each form is one gather and one
+``np.bincount``.  The summation order is the one of scipy's COO->CSR
+conversion, so the matrices are bit for bit those of converting each form
+on its own.  The H1 inner product A_1, which only the Stokes constant and
+the matrix dump read, is assembled on its first read, on a pattern of its
+own, with the same expressions and so the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,11 +149,16 @@ class AssembledForms:
     A_div: sp.csr_matrix
     B: sp.csr_matrix
     M_Q: sp.csr_matrix
-    A_1: sp.csr_matrix
 
     @property
     def mesh(self):
         return self.V_h.mesh
+
+    @cached_property
+    def A_1(self):
+        """Assembled on the first read (``_h1_form``) and kept: only the
+        Stokes fields and the matrix dump read it."""
+        return _h1_form(self.V_h)
 
 
 def _pattern(cell_dofs, n):
@@ -213,16 +221,72 @@ def _nonzero_csr(data, indptr, indices, shape):
                          shape=shape)
 
 
+def _summed(local, pattern):
+    """Symmetrized entries of a (C, m, m) local array on a ``_pattern``;
+    the array is freed as soon as it is gathered."""
+    _, indices, order, slot, transpose = pattern
+    weights = local.ravel()[order]
+    del local
+    summed = np.bincount(slot, weights=weights, minlength=len(indices))
+    del weights
+    summed += summed[transpose]
+    summed *= 0.5
+    return summed
+
+
+def _velocity_tables(V_h):
+    """(rule, phi, g, scale) of V_h: the quadrature of degree 2r + 2, exact
+    for every assembled integrand on affine cells; the basis values phi
+    (nq, nb); the physical gradients g[c, q, i, d] = sum_e inv_jac_t[c, d, e]
+    dphi[q, i, e]; and the cell determinants, shaped (C, 1, 1)."""
+    rule = quadrature(2 * V_h.degree + 2)
+    phi = V_h.element.tabulate(rule.points)             # (nq, nb)
+    dphi = V_h.element.tabulate_gradients(rule.points)  # (nq, nb, 2)
+    _, inv_jac_t, det = cell_geometry(V_h.mesh)
+    jt = inv_jac_t[:, None, None, :, :]
+    g = jt[..., 0] * dphi[None, :, :, None, 0] + jt[..., 1] * dphi[None, :, :, None, 1]
+    return rule, phi, g, det[:, None, None]
+
+
+def _mass_entries(rule, phi, scale, pattern):
+    """The summed entries of the vector mass M_V on V_h's ``_pattern``."""
+    return _summed(_componentwise(
+        scale * np.einsum("q,qi,qj->ij", rule.weights, phi, phi)), pattern)
+
+
+def _h1_form(V_h):
+    """A_1 = M_V + G, G the grad-grad form, on V_h's pattern.
+
+    It rebuilds the pattern and the mass blocks rather than keep those of
+    ``assemble``, which the cases that never read A_1 would hold for
+    nothing; the expressions are those ``assemble`` sums M_V with, so A_1
+    has the bits of one COO->CSR conversion of each form, symmetrized and
+    added.
+    """
+    rule, phi, g, scale = _velocity_tables(V_h)
+    # the scalar grad-grad blocks come before the pattern, since this
+    # einsum's temporaries are the largest of the call
+    grad = np.einsum("q,cqid,cqjd->cij", rule.weights, g, g, optimize=True)
+    grad *= scale
+    del g
+    pattern = _pattern(V_h.cell_dofs, V_h.ndofs)
+    a_1 = _summed(_componentwise(grad), pattern)
+    del grad
+    a_1 += _mass_entries(rule, phi, scale, pattern)
+    indptr, indices = pattern[:2]
+    return _nonzero_csr(a_1, indptr, indices, (V_h.ndofs, V_h.ndofs))
+
+
 def assemble(mesh, r):
     """The AssembledForms of the pair of degree r on ``mesh``: vector
     Lagrange r for u and discontinuous r - 1 for p, r in 1..MAX_SPACE_DEGREE.
 
     The forms rely on that pair: B and M_Q are cellwise and written
-    directly on the discontinuous layout, and the quadrature degree 2r + 2
-    is exact for every assembled integrand on affine cells.  M_V, K and
-    the grad-grad form share one pattern (``_pattern``); each of their
-    (C, m, m) local arrays is summed onto it and freed before the next is
-    formed, and A_div and A_1 are sums of the summed entries.  Every
+    directly on the discontinuous layout, and the quadrature of
+    ``_velocity_tables`` serves every form.  M_V and K share one pattern
+    (``_pattern``); each of their (C, m, m) local arrays is summed onto it
+    and freed before the next is formed, and A_div is the sum of the
+    summed entries.  A_1 is left to its first read (``_h1_form``).  Every
     square matrix is symmetrized as (S + S^T) / 2, and all are stored
     without explicit zeros, with sorted indices: the same bits as one
     COO->CSR conversion per form.
@@ -232,23 +296,14 @@ def assemble(mesh, r):
     vd = V_h.cell_dofs
     qd = Q_h.cell_dofs
     nV, nQ = V_h.ndofs, Q_h.ndofs
-    rule = quadrature(2 * V_h.degree + 2)
+    rule, phi, g, scale = _velocity_tables(V_h)
     w = rule.weights
-    phi = V_h.element.tabulate(rule.points)            # (nq, nb)
-    dphi = V_h.element.tabulate_gradients(rule.points)  # (nq, nb, 2)
     psi = Q_h.element.tabulate(rule.points)            # (nq, nbq)
-    _, inv_jac_t, det = cell_geometry(mesh)
-    C = mesh.num_cells
-    nb = phi.shape[1]
+    C, m = vd.shape
     nbq = psi.shape[1]
-    m = 2 * nb
-    scale = det[:, None, None]
 
-    # physical gradients g[c, q, i, d] = sum_e inv_jac_t[c, d, e] dphi[q, i, e]
-    # and the flattened divergence table D[c, q, 2i+d] = d_d phi_i, matching
+    # the flattened divergence table D[c, q, 2i+d] = d_d phi_i, matching
     # the interleaved vector layout
-    jt = inv_jac_t[:, None, None, :, :]
-    g = jt[..., 0] * dphi[None, :, :, None, 0] + jt[..., 1] * dphi[None, :, :, None, 1]
     D = g.reshape(C, len(w), m)
 
     # the cellwise forms have no duplicates: pressure dof c*nbq + i is local
@@ -267,29 +322,12 @@ def assemble(mesh, r):
                                        mqloc.shape).ravel(), (nQ, nQ))
     del bloc, sort, b_indices, mqloc
 
-    # the scalar grad-grad blocks come before the pattern, since this
-    # einsum's temporaries are the largest of the call
-    grad_scalar = np.einsum("q,cqid,cqjd->cij", w, g, g, optimize=True)
-    grad_scalar *= scale
-
-    indptr, indices, order, slot, transpose = _pattern(vd, nV)
-
-    def reduced(local):
-        """Symmetrized entries of a (C, m, m) local array on the pattern;
-        the array is freed as soon as it is gathered."""
-        weights = local.ravel()[order]
-        del local
-        summed = np.bincount(slot, weights=weights, minlength=len(indices))
-        del weights
-        summed += summed[transpose]
-        summed *= 0.5
-        return summed
-
-    m_v = reduced(_componentwise(scale * np.einsum("q,qi,qj->ij", w, phi, phi)))
-    k = reduced(np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * scale)
+    pattern = _pattern(vd, nV)
+    m_v = _mass_entries(rule, phi, scale, pattern)
+    k = _summed(np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * scale, pattern)
     del g, D
-    a_1 = reduced(_componentwise(grad_scalar))
-    a_1 += m_v
+
+    indptr, indices = pattern[:2]
 
     # the matrices take new arrays while the pattern and the summed entries
     # are still alive, so they lie above them and the freed temporaries
@@ -300,7 +338,7 @@ def assemble(mesh, r):
 
     A_div = shared(k + m_v)   # first, so that the sum is gone before the rest
     return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=shared(m_v), K=shared(k),
-                          A_div=A_div, B=B, M_Q=M_Q, A_1=shared(a_1))
+                          A_div=A_div, B=B, M_Q=M_Q)
 
 
 def orthonormal_divergence(forms):

@@ -419,6 +419,7 @@ def reference_assemble(V_h, Q_h):
     G = _symmetrized(_scatter(gloc, vd, vd, (nV, nV)))
     B = _scatter(bloc, qd, vd, (nQ, nV))
     M_Q = _symmetrized(_scatter(mqloc, qd, qd, (nQ, nQ)))
-    return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=M_V.tocsr(), K=K.tocsr(),
-                          A_div=(M_V + K).tocsr(), B=B.tocsr(),
-                          M_Q=M_Q.tocsr(), A_1=(M_V + G).tocsr())
+    forms = AssembledForms(V_h=V_h, Q_h=Q_h, M_V=M_V.tocsr(), K=K.tocsr(),
+                           A_div=(M_V + K).tocsr(), B=B.tocsr(), M_Q=M_Q.tocsr())
+    forms.A_1 = (M_V + G).tocsr()   # set, so that it is not assembled lazily
+    return forms

@@ -809,6 +809,11 @@ def test_bench_cases_script_one_case(monkeypatch):
     for key in bench.MEASURED:
         assert entry[key] == entry[key + "_runs"][0] > 0, key
         assert len(entry[key + "_runs"]) == 1
+    # the first read of A_1 assembles it, so it allocates at least A_1
+    assert {"h1_s", "h1_tracemalloc_peak_mb"} <= set(bench.MEASURED)
+    a_1 = assemble(generate("diagonal", 4), 1).A_1
+    csr_bytes = a_1.data.nbytes + a_1.indices.nbytes + a_1.indptr.nbytes
+    assert entry["h1_tracemalloc_peak_mb"] * 2**20 > csr_bytes
     assert bench.blas_library()
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import mixedstab.assembly as assembly
 import mixedstab.eigensolve as eigensolve
-from mixedstab.assembly import assemble
+import mixedstab.stability as stability
+from mixedstab.assembly import assemble, write_matrix_market
 from mixedstab.cli import _table_csv
 from mixedstab.eigensolve import InertiaSlicer
 from mixedstab.errors import NotPositiveDefiniteError, NumericalError
@@ -15,9 +17,9 @@ from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh,
                             singular_vertices)
 from mixedstab.poisson import NORM_KEYS, SINE, source_errors
-from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN, Case,
-                                 _divdiv_shift, orthonormal_divergence,
-                                 reproduce_table)
+from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN,
+                                 SWEEP_THRESHOLDS, Case, _divdiv_shift,
+                                 orthonormal_divergence, reproduce_table)
 
 from oracles import (babuska_pencil_eigenvalues, classify_spectrum,
                      dense_schur, divdiv_pencil_eigenvalues,
@@ -502,7 +504,9 @@ def test_cluster_warning_is_an_inertia_test(forms_for):
 @pytest.mark.parametrize("form", ["A_div", "A_1"])
 def test_sliced_constants_refuse_an_indefinite_norm(forms_for, form):
     forms = forms_for(Family.DIAGONAL, 4, 1)
-    broken = dataclasses.replace(forms, **{form: -getattr(forms, form)})
+    # A_1 is no field, so the copy takes it by assignment
+    broken = dataclasses.replace(forms)
+    setattr(broken, form, -getattr(forms, form))
     with pytest.raises(NotPositiveDefiniteError):
         if form == "A_div":
             Case(broken).beta_div
@@ -581,3 +585,39 @@ def test_stokes_refuses_a_count_its_pencil_does_not_show(forms_for):
 def test_threshold_at_or_above_one_counts_every_eigenvalue(forms_for):
     with pytest.raises(NumericalError, match="all 32 eigenvalues"):
         Case(forms_for(Family.DIAGONAL, 4, 1), threshold=1.0).dimN
+
+
+def test_only_the_stokes_reads_build_a_1(monkeypatch, tmp_path):
+    # A_1 is assembled on its first read: the H(div) fields, the source
+    # problem and the tables never read it; the Stokes fields and the
+    # matrix dump build it, once
+    built = []
+    h1_form = assembly._h1_form
+    monkeypatch.setattr(assembly, "_h1_form",
+                        lambda V_h: built.append(V_h) or h1_form(V_h))
+    forms = assemble(generate(Family.DIAGONAL, 4), 2)
+    case = Case(forms)
+    for read in (lambda: case.dimN, lambda: case.beta_div, lambda: case.mu,
+                 lambda: case.smallest_eigenvalues, lambda: case.alpha,
+                 lambda: case.warning, lambda: case.sweep(SWEEP_THRESHOLDS),
+                 lambda: source_errors(forms, SINE)):
+        read()
+        assert "A_1" not in vars(forms)
+
+    kept = []
+    monkeypatch.setattr(stability, "assemble",
+                        lambda mesh, r: kept.append(assemble(mesh, r)) or kept[-1])
+    for which in stability.TABLES:
+        reproduce_table(which, n_values=[4])
+    assert len(kept) == 27
+    assert not any("A_1" in vars(f) for f in kept) and not built
+
+    for read in (lambda c: c.constant_mode, lambda c: c.beta_h1,
+                 lambda c: c.spectrum("stokes"),
+                 lambda c: write_matrix_market(c.forms, tmp_path)):
+        case = Case(assemble(generate(Family.DIAGONAL, 4), 2))
+        read(case)
+        assert "A_1" in vars(case.forms)
+        case.forms.A_1
+        assert built == [case.forms.V_h]
+        built.clear()
