@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the inf-sup constants, the assembly and the mesh generation of a
-source tree, one record per case.
+"""Time the inf-sup constants, the assembly and the mesh generation of one
+or more source trees, one record per case and tree.
 
-    python scripts/bench_cases.py --src src --out BENCH.json
+    python scripts/bench_cases.py --src PARENT/src src --out BENCH.json
 
 The cases are read from this script's own tree (``ROOT/src``), so every
 source tree runs the same grid: ``tables``, the distinct (family, n, r) of
@@ -10,11 +10,13 @@ each of T1-T4 at default n in the order ``reproduce_table`` runs them;
 ``converge``, diagonal at ``cli.converge_n_values(r)`` for r = 1..4; and
 ``large``, eight cases that no workload runs, up to nQ 55,296.
 
-Each case runs in REPEATS fresh processes with --src first on the path.
-A process generates and assembles once, times the first read of
-``Case.beta_div_reduced`` and then of ``Case.beta_h1_reduced`` (the
-``stokes_`` fields), each with its factorizations and the peak RSS after
-it.  Only then, to keep them out of the RSS, it takes the median of
+Each case runs in REPEATS fresh processes per tree, with that tree first
+on the path.  The processes of one case alternate between the trees, the
+first tree turning each repeat, so that the trees of a pair are timed
+under the same machine load.  A process generates and assembles once,
+times the first read of ``Case.beta_div_reduced`` and then of
+``Case.beta_h1_reduced`` (the ``stokes_`` fields), each with its
+factorizations and the peak RSS after it.  Only then, to keep them out of the RSS, it takes the median of
 TIMINGS calls of ``generate`` and of ``assemble``, the tracemalloc peak of
 one more ``assemble``, and the same two of the first read of
 ``forms.A_1`` on forms assembled untraced and untimed (``h1_s`` and
@@ -22,8 +24,9 @@ one more ``assemble``, and the same two of the first read of
 is built on that read).  nnz counts A_div plus twice B, local_entries
 the C*m^2 entries of a velocity form.  An entry keeps the first process's
 sizes and values, the median of each measured field and its single runs
-(``<field>_runs``).  The run (git commit, BLAS, cores, repeat counts,
-per-group totals) is appended to the "runs" list of --out.
+(``<field>_runs``).  One run per tree (its git commit, BLAS, cores, repeat
+counts, per-group totals) is appended, in --src order, to the "runs" list
+of --out.
 """
 import argparse
 import itertools
@@ -130,15 +133,36 @@ def run_once(src, family, n, r):
     return json.loads(proc.stdout)
 
 
-def measure(src, family, n, r, repeats=REPEATS):
-    """One case's entry over ``repeats`` fresh processes."""
-    runs = [run_once(src, family, n, r) for _ in range(repeats)]
-    entry = {"family": family, "n": n, "r": r}
-    entry.update((key, runs[0][key]) for key in EXACT)
+def measure(srcs, family, n, r, repeats=REPEATS):
+    """One case's entry per tree of ``srcs``, each over ``repeats`` fresh
+    processes; repeat j runs the trees in turn from tree j (mod their
+    number)."""
+    runs = [[] for _ in srcs]
+    for j in range(repeats):
+        for t in range(len(srcs)):
+            k = (j + t) % len(srcs)
+            runs[k].append(run_once(srcs[k], family, n, r))
+    return [entry(family, n, r, tree_runs) for tree_runs in runs]
+
+
+def entry(family, n, r, runs):
+    """The entry of one case on one tree from its processes' fields."""
+    out = {"family": family, "n": n, "r": r}
+    out.update((key, runs[0][key]) for key in EXACT)
     for key in MEASURED:
-        entry[key + "_runs"] = [run[key] for run in runs]
-        entry[key] = statistics.median(entry[key + "_runs"])
-    return entry
+        out[key + "_runs"] = [run[key] for run in runs]
+        out[key] = statistics.median(out[key + "_runs"])
+    return out
+
+
+def totals(entries):
+    """Per-group sums of the timings and maxima of the memory fields."""
+    out = {key: sum(e[key] for e in entries) for key in
+           ("wall_s", "stokes_wall_s", "assemble_s", "generate_s", "h1_s")}
+    out.update((f"max_{key}", max(e[key] for e in entries)) for key in
+               ("peak_rss_mb", "stokes_peak_rss_mb", "tracemalloc_peak_mb",
+                "h1_tracemalloc_peak_mb"))
+    return out
 
 
 def blas_library():
@@ -155,36 +179,35 @@ def source_commit(src):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--src", required=True,
-                    help="directory holding the mixedstab package")
+    ap.add_argument("--src", required=True, nargs="+",
+                    help="directories holding the mixedstab package, one "
+                         "per tree")
     ap.add_argument("--out", required=True,
-                    help="JSON file; the run is appended to its 'runs' list")
+                    help="JSON file; the runs are appended to its 'runs' list")
     args = ap.parse_args()
 
-    record = {"commit": source_commit(args.src), "blas": blas_library(),
-              "nproc": os.cpu_count(), "repeats": REPEATS, "timings": TIMINGS}
+    records = [{"commit": source_commit(src), "blas": blas_library(),
+                "nproc": os.cpu_count(), "repeats": REPEATS, "timings": TIMINGS}
+               for src in args.src]
     for group, cases in GRID.items():
-        entries = []
+        per_tree = [[] for _ in args.src]
         for family, n, r in cases:
-            e = measure(args.src, family, n, r)
-            print(f"{group:8s} {family:10s} n={n:2d} r={r} nQ={e['nQ']:5d}  "
-                  f"beta {e['wall_s']:.3f} s ({e['factorizations']} LU)  "
-                  f"stokes {e['stokes_wall_s']:.3f} s "
-                  f"({e['stokes_factorizations']} LU)  "
-                  f"rss {e['stokes_peak_rss_mb']:.0f} MB  "
-                  f"assemble {e['assemble_s']:.4f} s  "
-                  f"A_1 {e['h1_s']:.4f} s", flush=True)
-            entries.append(e)
-        totals = {key: sum(e[key] for e in entries) for key in
-                  ("wall_s", "stokes_wall_s", "assemble_s", "generate_s", "h1_s")}
-        totals.update((f"max_{key}", max(e[key] for e in entries)) for key in
-                      ("peak_rss_mb", "stokes_peak_rss_mb", "tracemalloc_peak_mb",
-                       "h1_tracemalloc_peak_mb"))
-        record[group] = {"totals": totals, "cases": entries}
+            for t, e in enumerate(measure(args.src, family, n, r)):
+                print(f"{group:8s} {family:10s} n={n:2d} r={r} "
+                      f"nQ={e['nQ']:5d} tree {t}  "
+                      f"beta {e['wall_s']:.3f} s ({e['factorizations']} LU)  "
+                      f"stokes {e['stokes_wall_s']:.3f} s "
+                      f"({e['stokes_factorizations']} LU)  "
+                      f"rss {e['stokes_peak_rss_mb']:.0f} MB  "
+                      f"assemble {e['assemble_s']:.4f} s  "
+                      f"A_1 {e['h1_s']:.4f} s", flush=True)
+                per_tree[t].append(e)
+        for record, entries in zip(records, per_tree):
+            record[group] = {"totals": totals(entries), "cases": entries}
 
     out = Path(args.out)
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
-    out.write_text(json.dumps({"runs": runs + [record]}, indent=2) + "\n")
+    out.write_text(json.dumps({"runs": runs + records}, indent=2) + "\n")
     return 0
 
 

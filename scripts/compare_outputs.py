@@ -8,7 +8,10 @@ DIR is the root of another checkout of the repository, such as a
 command line of COMMANDS runs in a fresh process, first with PYTHONPATH
 set to this tree's src, then to DIR's src, each tree in its own scratch
 working directory.  Their stdout, stderr and exit code are compared, and
-one line is printed per command.  Right after the ``mesh`` command, each
+one line is printed per command.  When the two stdouts differ and both
+parse as JSON, the DIFF line also gives the largest relative difference
+of the floats at one path on both sides, and names each path that lies
+on one side only or holds different non-floats (``json_difference``).  Right after the ``mesh`` command, each
 working directory gets two variants of the mesh it wrote
 (``write_variants``): one with every cell triple rotated and one with its
 first cell clockwise; the commands after it read them.  After the last
@@ -20,6 +23,8 @@ against trees whose package no longer imports.
 """
 import argparse
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -73,8 +78,8 @@ COMMANDS = [
     *[["infsup", "--family", "crisscross", "--n", "4", "--r", str(r),
        "--dump-matrices", f"mtx_r{r}"] for r in range(1, 7)],
     ["converge", "--r", "1,2", "--n", "4,8", "--plot-data", "panels"],
-    # the Q_h nodes of the mu bound on cells that list their vertices in
-    # another order
+    # the same mesh relabelled: every cell lists its vertices in another
+    # order
     *[[*command, "--mesh", "cc4_rotated.mesh", "--r", str(r)]
       for command in (FULL_INFSUP, ["laplace-eig"]) for r in (2, 3)],
     # refusals: a degree past the largest and a degree on a table that fixes
@@ -111,6 +116,50 @@ def run(tree, workdir, argv):
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def leaves(value, path=""):
+    """(path, value) of every scalar of a parsed JSON document, with paths
+    such as ``rows[2][1]`` and ``diagnostics.factorizations``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def json_difference(ours, theirs):
+    """How two JSON texts differ, as one line: the largest relative
+    difference of the floats at one path on both sides (and its path),
+    then the paths on one side only and those that hold different
+    non-floats (or a non-finite float), five of each at most.  None unless
+    both texts parse as JSON."""
+    try:
+        ours, theirs = dict(leaves(json.loads(ours))), dict(leaves(json.loads(theirs)))
+    except ValueError:
+        return None
+    worst, where, changed = 0.0, None, []
+    for path in ours.keys() & theirs.keys():
+        a, b = ours[path], theirs[path]
+        if (type(a) is float and type(b) is float and math.isfinite(a)
+                and math.isfinite(b)):
+            rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+            if rel > worst:
+                worst, where = rel, path
+        elif a != b and not (a != a and b != b):   # NaN matches NaN
+            changed.append(path)
+    parts = [f"floats within {worst:.1e}" + (f" ({where})" if where else "")]
+    for name, paths in (("here only", ours.keys() - theirs.keys()),
+                        ("ref only", theirs.keys() - ours.keys()),
+                        ("changed", changed)):
+        if paths:
+            paths = sorted(paths)
+            more = f" and {len(paths) - 5} more" if len(paths) > 5 else ""
+            parts.append(f"{name}: {', '.join(paths[:5])}{more}")
+    return "; ".join(parts)
+
+
 def differing_files(here, there):
     """Relative paths of the files under ``here`` and ``there`` that differ
     in content or exist under one of them only, sorted."""
@@ -141,7 +190,11 @@ def main():
                                                 ours, theirs) if a != b]
             differ += bool(parts)
             status = f"DIFF ({', '.join(parts)})" if parts else "same"
-            print(f"{status:<12} {' '.join(argv)}", flush=True)
+            line = f"{status:<12} {' '.join(argv)}"
+            if "stdout" in parts:
+                detail = json_difference(ours[0], theirs[0])
+                line += f"  [json: {detail}]" if detail else ""
+            print(line, flush=True)
             if argv[0] == "mesh":
                 write_variants(here)
                 write_variants(there)

@@ -74,7 +74,7 @@ COLUMNS = {
 FIELDS = {"stokes_constant_mode": "constant_mode"}
 # how infsup computed its numbers, in the JSON's "diagnostics" block only,
 # (field[, flag]); factorizations comes last, to count every read before it
-DIAGNOSTICS = (("mu_bound",), ("alpha_residual", "with_alpha"),
+DIAGNOSTICS = (("alpha_residual", "with_alpha"),
                ("stokes_factorizations", "with_stokes"), ("factorizations",))
 
 # fields that locate outputs or control scheduling; they never change the

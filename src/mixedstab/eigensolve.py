@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, norm, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import EigensolveError, NotPositiveDefiniteError
 
@@ -74,6 +74,13 @@ def _ldl(A, refuse):
     if off_diagonal.size:
         raise refuse(int(off_diagonal[0]) + 1, "off-diagonal pivot")
     return lu
+
+
+def _norm_1(A):
+    """||A||_1 of a CSC matrix: the largest column sum of |A|, summed on
+    its arrays with no copy of the matrix."""
+    columns = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    return float(np.bincount(columns, np.abs(A.data), A.shape[1]).max())
 
 
 def positive_definite_lu(A):
@@ -111,8 +118,8 @@ class InertiaSlicer:
         self.N = sp.csr_matrix(N).T
         self.size = K.shape[0]
         # the scale of the Ritz backward errors, taken before any factor
-        # exists, so that the copy |K| does not add to the peak memory
-        self._norms = (norm(self.K, 1), norm(self.N, 1))
+        # exists, so that its temporaries do not add to the peak memory
+        self._norms = (_norm_1(self.K), _norm_1(self.N))
         self.factorizations = 0
         self._counts = {upper: self.size}   # shift -> #{nu < shift}
         self._values = {}   # index -> nu_index

@@ -11,18 +11,19 @@ read and kept:
 
 * dimN, the spurious pressure modes: the eigenvalues lambda below the
   zero threshold tau, counted as neg(K - s M_V) - (nV - nQ) with
-  s = tau / (1 - tau), from one sparse LDL^T, with no factor of A_div
-  (all that table T1 reads): it needs M_V positive definite only, as
-  every mesh ``Triangulation`` accepts makes it;
+  s = tau / (1 - tau), from one sparse LDL^T (all that table T1 reads):
+  it needs M_V positive definite only, as every mesh ``Triangulation``
+  accepts makes it;
 * mu, the first eigenvalue past the spurious ones, by shift-invert
   Lanczos in a window bracketed by counts; beta_div_reduced =
   sqrt(mu / (1 + mu)), and beta_div = beta_div_reduced, or 0.0 when
-  dimN > 0.  The factor that certifies A_div makes one solve, for the
-  Rayleigh quotient of the pressure sin(pi x) sin(pi y).  Raised by
-  MU_BOUND_MARGIN and mapped to mu, it tops the slice (mu_bound;
-  Courant-Fischer: an upper bound of mu when dimN = 0, only a guess
-  otherwise), so a stable case takes three factorizations: the count at
-  tau, A_div and the bound;
+  dimN > 0.  The slice is first counted at a closed-form shift, the first
+  Dirichlet eigenvalue pi^2 (1/w^2 + 1/h^2) of the mesh's w x h bounding
+  box raised by a quarter (``_first_shift``).  It is a guess, not a bound:
+  when its count closes a window, Lanczos reads mu on its factor, so a
+  stable case takes two factorizations, the count at tau and the shift;
+  otherwise the slice goes on from the counts, and the value is the same.
+  No Brezzi field reads A_div;
 * gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
   nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN.
 
@@ -54,7 +55,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .assembly import assemble, cell_geometry, orthonormal_divergence
+from .assembly import assemble, orthonormal_divergence
 from .eigensolve import InertiaSlicer, positive_definite_lu
 from .errors import NumericalError
 from .mesh import GENERATED_FAMILIES, Family, generate, singular_vertices
@@ -66,15 +67,21 @@ SWEEP_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6)
 LAPLACE_LISTED = 5
 # the pencils Case.spectrum reads
 PENCILS = ("infsup", "laplace", "divdiv", "babuska", "stokes")
-# the Rayleigh-quotient bound of mu is raised by this factor, so that it
-# lies above mu when the quotient equals it to rounding
-MU_BOUND_MARGIN = 1.01
 
 
 def _divdiv_shift(threshold):
     """Shift of the div-div pencil at an inf-sup threshold tau: lambda < tau
     exactly when mu < tau / (1 - tau), and every lambda lies below 1."""
     return threshold / (1.0 - threshold) if threshold < 1.0 else math.inf
+
+
+def _first_shift(mesh):
+    """The first shift of the mu slice: 1.25 pi^2 (1/w^2 + 1/h^2), w x h
+    the mesh's bounding box, 1.25 * 2 pi^2 on the unit square.  On every
+    T2-T4 case mu lies below 1.07 * 2 pi^2, and where the next eigenvalue
+    lies near 5 pi^2 the count at the shift closes mu's window."""
+    w, h = np.ptp(mesh.vertices, axis=0)
+    return 1.25 * math.pi ** 2 * (1.0 / w ** 2 + 1.0 / h ** 2)
 
 
 def _count_below(pencil, kernel, shift, threshold):
@@ -110,11 +117,11 @@ class Case:
 
     Each field that costs work is computed on its first read and kept.  A
     field reads the fields it builds on first.  The div-div pencil
-    (``pencil``, counted at tau by ``dimN``) needs no check of A_div: only
-    ``mu_bound`` factors it, for ``mu``.  The A_1 check (``constant_mode``)
-    comes before the Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A
-    read of a pencil's values depends on the counts made before it, so the
-    commands read in a fixed order.  ``factorizations`` and
+    (``pencil``, counted at tau by ``dimN``) needs no check of A_div, and no
+    field reads A_div.  The A_1 check (``constant_mode``) comes before the
+    Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A read of a
+    pencil's values depends on the counts made before it, so the commands
+    read in a fixed order.  ``factorizations`` and
     ``stokes_factorizations`` count the factorizations made so far.
     """
 
@@ -129,23 +136,6 @@ class Case:
     @cached_property
     def sigma(self):
         return singular_vertices(self.forms.mesh).size
-
-    @cached_property
-    def mu_bound(self):
-        """Certifies A_div with the ``_quotient`` of the Q_h interpolant of
-        sin(pi x) sin(pi y), the first Dirichlet eigenfunction: mu^ =
-        lambda^ / (1 - lambda^) raised by MU_BOUND_MARGIN, or None unless
-        0 < lambda^ < 1 (None too when the interpolant is zero, as on one
-        triangle at r = 2, whose Q_h nodes are its corners)."""
-        jac, _, _ = cell_geometry(self.forms.mesh)
-        origin = self.forms.mesh.vertices[self.forms.mesh.cells[:, 0]]
-        pts = origin[:, None, :] + np.einsum("cde,me->cmd", jac,
-                                             self.forms.Q_h.element.nodes)
-        p = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
-        lam = _quotient(self.forms, self.forms.A_div, p.ravel())
-        if lam is None or not 0.0 < lam < 1.0:
-            return None
-        return MU_BOUND_MARGIN * lam / (1.0 - lam)
 
     @cached_property
     def pencil(self):
@@ -164,8 +154,10 @@ class Case:
     @cached_property
     def mu(self):
         """The first mixed Laplace eigenvalue past the spurious modes,
-        sliced below ``mu_bound``; its continuous value is 2 pi^2."""
-        return self.pencil.value(self.kernel + self.dimN, self.mu_bound)
+        sliced from the count at ``_first_shift``; its continuous value is
+        2 pi^2 on the unit square."""
+        return self.pencil.value(self.kernel + self.dimN,
+                                 _first_shift(self.forms.mesh))
 
     @property
     def beta_div_reduced(self):
@@ -239,9 +231,10 @@ class Case:
 
     @property
     def factorizations(self):
-        """Sparse factorizations made so far for the div-div fields: the
-        pencil's, and the A_div check once ``mu_bound`` has made it."""
-        return ("mu_bound" in self.__dict__) + self.pencil.factorizations
+        """Sparse factorizations made so far for the div-div fields, all of
+        them the pencil's: beta_div takes two, the counts at tau and at the
+        first shift, when that count closes mu's window."""
+        return self.pencil.factorizations
 
     @cached_property
     def constant_mode(self):
@@ -327,7 +320,7 @@ class Case:
         if pencil not in PENCILS:
             raise ValueError(f"unknown pencil {pencil!r} (expected one of "
                              f"{', '.join(PENCILS)})")
-        # the first value is sliced below its bound, the rest past it
+        # the first value is sliced from its first shift, the rest past it
         if pencil == "stokes":
             self.beta_h1_reduced
             slicer = self.stokes_pencil

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 import re
+import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from mixedstab import __version__
 from mixedstab.assembly import assemble
 from mixedstab.cli import RunConfig, build_parser, main, parse_n_values
 from mixedstab.mesh import generate, read_mesh
-from mixedstab.stability import Case, _divdiv_shift
+from mixedstab.stability import Case, _divdiv_shift, _first_shift
 
 from oracles import (babuska_pencil_eigenvalues, divdiv_pencil_eigenvalues,
                      laplace_pencil_eigenvalues, schur_pencil_eigenvalues)
@@ -282,11 +284,11 @@ INFSUP_KEYS = {"family", "n", "r", "sigma", "dimN", "beta_div",
 
 
 @pytest.mark.parametrize("argv, keys, diagnostics", [
-    (["infsup"], INFSUP_KEYS, {"mu_bound", "factorizations"}),
+    (["infsup"], INFSUP_KEYS, {"factorizations"}),
     (["infsup", "--with-alpha", "--with-gamma", "--with-stokes", "--sweep"],
      INFSUP_KEYS | {"alpha", "gamma", "beta_h1", "beta_h1_reduced",
                     "stokes_constant_mode", "sweep"},
-     {"mu_bound", "factorizations", "alpha_residual", "stokes_factorizations"}),
+     {"factorizations", "alpha_residual", "stokes_factorizations"}),
     (["coercivity"], {"alpha", "kernel_dim", "r", "provenance"}, None),
     (["laplace-eig"], {"mu", "threshold", "smallest_eigenvalues", "r",
                        "provenance"}, None),
@@ -369,38 +371,38 @@ def test_every_constant_comes_from_sparse_factorizations(tmp_path,
                        "--out", str(tmp_path / "o.json")) == 0
 
     # one slice per pencil, and every factorization is one of its own or
-    # the one that certifies its norm matrix
+    # the one that certifies A_1, the Stokes pencil's norm matrix
     for argv, slices in ((["infsup", "--with-alpha", "--with-gamma",
                            "--with-stokes", "--sweep"], 2),
                          (["laplace-eig"], 1)):
         run(*argv)
         assert len(pencils) == slices, argv
-        assert calls == ["splu"] * sum(1 + p.factorizations
-                                       for p in pencils), argv
+        assert calls == ["splu"] * (slices - 1 + sum(p.factorizations
+                                                     for p in pencils)), argv
         assert all(3 <= p.factorizations <= 15 for p in pencils), argv
     # stokes-infsup takes dim N_h from the Brezzi count (the count at tau,
-    # no A_div check, no value), then slices (K, A_1) after the A_1 check
+    # no value), then slices (K, A_1) after the A_1 check
     run("stokes-infsup")
     count, stokes = pencils
     assert calls == ["splu"] * (1 + 1 + stokes.factorizations)
     assert count.factorizations == 1 and not count._values
     assert 3 <= stokes.factorizations <= 15
     # coercivity prints alpha and the kernel dimension, which need dim N_h
-    # only: the count at tau, no A_div check and no eigenvalue
+    # only: the count at tau and no eigenvalue
     run("coercivity")
     assert calls == ["splu"]
     assert [p.factorizations for p in pencils] == [1]
     assert log.eigsh == 0
     # spectrum slices every eigenvalue past the 66 zeros and the 4
-    # spurious modes, and none of theirs, after the check of the sliced
-    # pencil's norm matrix; the stokes pencil after the Brezzi count
+    # spurious modes, and none of theirs; the stokes pencil after the
+    # Brezzi count and the check of A_1
     for pencil in ("infsup", "laplace", "divdiv", "babuska", "stokes"):
         run("spectrum", "--pencil", pencil)
         *counts, sliced = pencils
         assert [p.factorizations for p in counts] == (
             [1] if pencil == "stokes" else []), pencil
-        assert calls == ["splu"] * (1 + sum(p.factorizations
-                                            for p in pencils)), pencil
+        assert calls == ["splu"] * ((pencil == "stokes") + sum(
+            p.factorizations for p in pencils)), pencil
         assert sorted(sliced._values) == list(range(70, 162)), pencil
 
 
@@ -414,7 +416,7 @@ def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
         assert run_cli("tables", *argv, "--out", str(tmp_path / "t.csv")) == 0
         assert set(log.calls) == {"splu"}
         # case i makes the splu calls from its pencil's first count up to
-        # the next case's; the A_div check, if any, comes after that count
+        # the next case's
         starts = [p.splu_before for p in log.pencils] + [len(log.calls)]
         assert starts[0] == 0
         return [b - a for a, b in zip(starts, starts[1:])]
@@ -424,19 +426,19 @@ def test_table_rows_factor_only_what_they_print(tmp_path, factorization_log):
         probes = {_divdiv_shift(1e-4 / 10.0), _divdiv_shift(10.0 * 1e-4)}
         return all(probes.isdisjoint(p._counts) for p in log.pencils)
 
-    # T1: the count at tau, no A_div check and no eigenvalue
+    # T1: the count at tau and no eigenvalue
     assert run("--which", "T1", "--n", "4", "--r", "1") == [1] * 5
     assert [p.factorizations for p in log.pencils] == [1] * 5
     assert log.eigsh == 0 and no_cluster_probes()
-    # T2: the slice of the Brezzi constant and the A_div check that tops it
+    # T2: the slice of the Brezzi constant and nothing else
     per_case = run("--which", "T2", "--n", "4")
-    assert per_case == [1 + p.factorizations for p in log.pencils]
+    assert per_case == [p.factorizations for p in log.pencils]
     assert len(per_case) == 4 and log.eigsh >= 4 and no_cluster_probes()
-    # T3, T4: the count at tau, the A_div check (with its Rayleigh bound)
-    # and the count at the bound, whose factor gives mu in one Lanczos run;
-    # every case needs at least one, so four runs are one a case
+    # T3, T4: the count at tau and the count at the first shift, whose
+    # factor gives mu in one Lanczos run; every case needs at least one, so
+    # four runs are one a case
     for which in ("T3", "T4"):
-        assert run("--which", which, "--n", "4") == [3] * 4, which
+        assert run("--which", which, "--n", "4") == [2] * 4, which
         assert log.eigsh == 4 and no_cluster_probes(), which
 
 
@@ -446,9 +448,11 @@ def test_infsup_json_carries_diagnostics(tmp_path):
                    "--out", str(out)) == 0
     data = json.loads(out.read_text())
     mu = data["beta_div"] ** 2 / (1.0 - data["beta_div"] ** 2)
-    # A_div, tau and the bound, then tau / 10 and 10 tau for the warning
-    assert data["diagnostics"]["factorizations"] == 5
-    assert mu < data["diagnostics"]["mu_bound"] < 1.02 * 2 * np.pi ** 2
+    # tau and the first shift, above mu, then tau / 10 and 10 tau for the
+    # warning
+    assert data["diagnostics"]["factorizations"] == 4
+    assert mu < _first_shift(generate("diagonal", 4))
+    assert "mu_bound" not in data["diagnostics"]
     assert "alpha_residual" not in data["diagnostics"]
     assert "stokes_factorizations" not in data["diagnostics"]
     assert run_cli("infsup", "--family", "diagonal", "--n", "4", "--r", "2",
@@ -736,8 +740,8 @@ def test_bad_vertex_count_in_mesh_file_exits_one(tmp_path, capsys, count):
 
 
 def test_one_triangle_r2_slices_without_a_bound(tmp_path):
-    # sin(pi x) sin(pi y) is zero at the three Q_h nodes, the corners, so
-    # its Rayleigh quotient gives no bound and the slice grows from the count
+    # the first shift, 1.25 * 2 pi^2 on the unit bounding box, lies below
+    # the triangle's mu, so it bounds nothing and the slice grows past it
     mesh_file = tmp_path / "triangle.txt"
     mesh_file.write_text("mesh 2 triangle\nvertices 3\n0.0 0.0\n1.0 0.0\n"
                          "0.0 1.0\ncells 1\n0 1 2\n")
@@ -747,12 +751,13 @@ def test_one_triangle_r2_slices_without_a_bound(tmp_path):
         assert run_cli(command, "--mesh", str(mesh_file), "--r", "2",
                        "--out", str(outs[command])) == 0
     infsup = json.loads(outs["infsup"].read_text())
-    assert infsup["dimN"] == 0 and infsup["diagnostics"]["mu_bound"] is None
+    assert infsup["dimN"] == 0
     forms = assemble(read_mesh(mesh_file), 2)
     lam = schur_pencil_eigenvalues(forms, forms.A_div)[0]
     assert infsup["beta_div_reduced"] == pytest.approx(np.sqrt(lam), rel=1e-9)
     mu = json.loads(outs["laplace-eig"].read_text())["mu"]
     assert mu == pytest.approx(lam / (1.0 - lam), rel=1e-9)
+    assert mu > _first_shift(forms.mesh)
 
 
 def run_python(*argv):
@@ -801,20 +806,48 @@ def test_bench_cases_grid_is_the_programs(monkeypatch, tmp_path):
         assert len(bench.GRID[group]) == workloads.commands(group, tmp_path)[1]
 
 
-def test_bench_cases_script_one_case(monkeypatch):
+def test_bench_cases_script_one_case(monkeypatch, tmp_path):
     bench = load_script(monkeypatch, ROOT / "scripts" / "bench_cases.py")
-    entry = bench.measure(ROOT / "src", "diagonal", 4, 1, repeats=1)
+    # two trees, whose processes alternate: a copy of src and src itself
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    order = []
+    run_once = bench.run_once
+    monkeypatch.setattr(bench, "run_once",
+                        lambda src, *case: order.append(src) or run_once(src, *case))
+    entries = bench.measure([copy, ROOT / "src"], "diagonal", 4, 1, repeats=2)
+    assert order == [copy, ROOT / "src", ROOT / "src", copy]
+    assert len(entries) == 2
+    assert [entries[0][key] for key in bench.EXACT] == [
+        entries[1][key] for key in bench.EXACT]
+    entry = entries[1]
     assert (entry["nV"], entry["nQ"]) == (50, 32)
     assert entry["local_entries"] == 32 * 6**2 and entry["nnz"] > 0
+    assert entry["factorizations"] == 2
     for key in bench.MEASURED:
-        assert entry[key] == entry[key + "_runs"][0] > 0, key
-        assert len(entry[key + "_runs"]) == 1
+        runs = entry[key + "_runs"]
+        assert len(runs) == 2 and min(runs) > 0, key
+        assert entry[key] == statistics.median(runs), key
     # the first read of A_1 assembles it, so it allocates at least A_1
     assert {"h1_s", "h1_tracemalloc_peak_mb"} <= set(bench.MEASURED)
     a_1 = assemble(generate("diagonal", 4), 1).A_1
     csr_bytes = a_1.data.nbytes + a_1.indices.nbytes + a_1.indptr.nbytes
     assert entry["h1_tracemalloc_peak_mb"] * 2**20 > csr_bytes
     assert bench.blas_library()
+
+
+def test_compare_outputs_names_how_json_differs(monkeypatch):
+    compare = load_script(monkeypatch, ROOT / "scripts" / "compare_outputs.py")
+    here = {"rows": [[4, 0.5, 2.0]], "diagnostics": {"factorizations": 2},
+            "nan": float("nan"), "mode": "csv"}
+    ref = {"rows": [[4, 0.5, 2.0 * (1 + 3e-15)]],
+           "diagnostics": {"factorizations": 3, "mu_bound": 20.0},
+           "nan": float("nan"), "mode": "csv"}
+    assert compare.json_difference(json.dumps(here), json.dumps(ref)) == (
+        "floats within 3.1e-15 (rows[0][2]); ref only: diagnostics.mu_bound; "
+        "changed: diagnostics.factorizations")
+    assert compare.json_difference("n,r\n4,1\n", json.dumps(ref)) is None
 
 
 def test_readme_programmatic_use_runs():

@@ -12,7 +12,7 @@ from mixedstab.assembly import assemble
 from mixedstab.eigensolve import WINDOW, InertiaSlicer, positive_definite_lu
 from mixedstab.errors import EigensolveError, NotPositiveDefiniteError
 from mixedstab.mesh import Family, Triangulation, generate
-from mixedstab.stability import DEFAULT_THRESHOLD, Case
+from mixedstab.stability import DEFAULT_THRESHOLD, Case, _first_shift
 from oracles import (cholesky_reduced, full_saddle_eigenvalues,
                      jacobi_generalized_eig, schur_pencil_eigenvalues)
 
@@ -243,12 +243,12 @@ def test_bound_that_closes_no_window_falls_back(rng, where):
 
 
 def test_bound_guessed_past_spurious_modes_gives_the_slice_value(forms_for):
-    # unionjack n=6 r=2 has 12 spurious modes, so the quotient of the
-    # sine pressure need not lie above the first eigenvalue past them
+    # unionjack n=6 r=2 has 12 spurious modes past which the first shift
+    # of the Brezzi slice guesses mu's bound
     forms = forms_for(Family.UNIONJACK, 6, 2)
     kernel = forms.V_h.ndofs - forms.Q_h.ndofs
     got, _, want = bounded_and_sliced(forms.K, forms.M_V, 1e-4 / (1 - 1e-4),
-                                      kernel + 12, Case(forms).mu_bound)
+                                      kernel + 12, _first_shift(forms.mesh))
     assert abs(got - want) <= 1e-12 * want
 
 

@@ -17,9 +17,9 @@ from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh,
                             singular_vertices)
 from mixedstab.poisson import NORM_KEYS, SINE, source_errors
-from mixedstab.stability import (DEFAULT_THRESHOLD, MU_BOUND_MARGIN,
-                                 SWEEP_THRESHOLDS, Case, _divdiv_shift,
-                                 orthonormal_divergence, reproduce_table)
+from mixedstab.stability import (DEFAULT_THRESHOLD, SWEEP_THRESHOLDS, Case,
+                                 _divdiv_shift, orthonormal_divergence,
+                                 reproduce_table)
 
 from oracles import (babuska_pencil_eigenvalues, classify_spectrum,
                      dense_schur, divdiv_pencil_eigenvalues,
@@ -467,27 +467,6 @@ def test_beta_is_zero_with_spurious_modes(forms_for):
     assert case.beta_div_reduced > 0.9 and case.beta_h1_reduced > 0.1
 
 
-@pytest.mark.parametrize("family, r", [(Family.DIAGONAL, 1),
-                                       (Family.ZIGZAG, 2),
-                                       (Family.FLIPPED, 3)])
-def test_rayleigh_bound_tops_mu_without_spurious_modes(forms_for, family, r):
-    # Courant-Fischer: with dim N_h = 0 the quotient of any pressure lies
-    # at or above the smallest lambda, so the raised mu^ lies above mu
-    forms = forms_for(family, 4, r)
-    res = Case(forms)
-    assert res.dimN == 0
-    assert res.mu * MU_BOUND_MARGIN <= Case(forms).mu_bound == res.mu_bound
-
-
-def test_rayleigh_bound_needs_a_quotient_in_the_unit_interval(forms_for):
-    # a pressure in the kernel of B^T has quotient 0: no bound, and the
-    # slice runs without one (B enters the pencil only through K)
-    forms = forms_for(Family.DIAGONAL, 4, 2)
-    unbounded = Case(dataclasses.replace(forms, B=0.0 * forms.B))
-    assert unbounded.mu_bound is None
-    assert abs(unbounded.mu - Case(forms).mu) <= 1e-12 * unbounded.mu
-
-
 def test_cluster_warning_is_an_inertia_test(forms_for):
     forms = forms_for(Family.DIAGONAL, 4, 1)
     assert Case(forms).warning is None
@@ -501,39 +480,48 @@ def test_cluster_warning_is_an_inertia_test(forms_for):
     assert res.dimN == 0 and res.warning is None
 
 
-@pytest.mark.parametrize("form", ["A_div", "A_1"])
+@pytest.mark.parametrize("form", ["A_1"])
 def test_sliced_constants_refuse_an_indefinite_norm(forms_for, form):
-    forms = forms_for(Family.DIAGONAL, 4, 1)
-    # A_1 is no field, so the copy takes it by assignment
-    broken = dataclasses.replace(forms)
-    setattr(broken, form, -getattr(forms, form))
+    # A_1 is the one norm matrix a sliced constant factors; it is no field,
+    # so the copy takes it by assignment
+    broken = dataclasses.replace(forms_for(Family.DIAGONAL, 4, 1))
+    setattr(broken, form, -getattr(broken, form))
     with pytest.raises(NotPositiveDefiniteError):
-        if form == "A_div":
-            Case(broken).beta_div
-        else:
-            Case(broken).beta_h1
+        Case(broken).beta_h1
 
 
-def test_counts_need_no_check_of_a_div(forms_for, monkeypatch):
-    # dim N_h and the kernel dimension count on (K, M_V) alone: with A_div
-    # negated they are the counts of the intact forms, from one
-    # factorization, and only the slice that A_div's quotient tops refuses
+def test_counts_need_no_check_of_a_div(forms_for):
+    # every Brezzi field slices (K, M_V) alone: with A_div negated they
+    # are those of the intact forms, bit for bit, from as many
+    # factorizations, and none of them refuses
     forms = forms_for(Family.DIAGONAL, 4, 2)
-    intact = Case(forms)
-    want = (intact.dimN, intact.kernel_dim)
-    calls = []
-    splu = eigensolve.splu
+    cases = [Case(forms), Case(dataclasses.replace(forms, A_div=-forms.A_div))]
+    got = [(c.dimN, c.kernel_dim, c.beta_div, c.mu, c.gamma,
+            c.smallest_eigenvalues, c.sweep(SWEEP_THRESHOLDS),
+            c.factorizations) for c in cases]
+    assert got[0] == got[1]
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return splu(*args, **kwargs)
-    monkeypatch.setattr(eigensolve, "splu", counted)
-    case = Case(dataclasses.replace(forms, A_div=-forms.A_div))
-    assert (case.dimN, case.kernel_dim) == want
-    assert len(calls) == case.factorizations == 1
-    with pytest.raises(NotPositiveDefiniteError):
-        case.beta_div
-    assert len(calls) == 2 and case.factorizations == 1
+
+@pytest.mark.parametrize("family, stretch, ratio", [
+    (Family.DIAGONAL, (2.0, 2.0), 0.25), (Family.CRISSCROSS, (2.0, 1.0), 0.625)])
+def test_first_shift_follows_the_bounding_box(family, stretch, ratio):
+    # the first shift 1.25 pi^2 (1/w^2 + 1/h^2) scales with the box, so on
+    # a stretched mesh its count still closes mu's window: mu takes two
+    # factorizations, the counts at tau and at the shift.  Scaling by 2
+    # maps the pencil to itself over 4; the (2, 1) stretch is no similarity
+    # of the discrete pencil, so there mu is 0.625 of the unit value up to
+    # the discretization error, and the slice's value is checked against
+    # one grown from the count at tau
+    mesh = generate(family, 4)
+    unit = Case(assemble(mesh, 2)).mu
+    forms = assemble(Triangulation(mesh.vertices * stretch, mesh.cells), 2)
+    case = Case(forms)
+    assert case.mu and case.factorizations == 2
+    pencil = InertiaSlicer(forms.K, forms.M_V)
+    want = pencil.value(pencil.count(_divdiv_shift(DEFAULT_THRESHOLD)))
+    assert abs(case.mu - want) <= 1e-12 * want
+    tol = 1e-12 if stretch[0] == stretch[1] else 1e-5
+    assert abs(case.mu - ratio * unit) <= tol * ratio * unit
 
 
 def test_stokes_takes_dim_n_from_the_div_div_count(forms_for):
