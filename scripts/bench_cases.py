@@ -16,13 +16,16 @@ first tree turning each repeat, so that the trees of a pair are timed
 under the same machine load.  A process generates and assembles once,
 times the first read of ``Case.beta_div_reduced`` and then of
 ``Case.beta_h1_reduced`` (the ``stokes_`` fields), each with its
-factorizations and the peak RSS after it.  Only then, to keep them out of the RSS, it takes the median of
-TIMINGS calls of ``generate`` and of ``assemble``, the tracemalloc peak of
-one more ``assemble``, and the same two of the first read of
-``forms.A_1`` on forms assembled untraced and untimed (``h1_s`` and
-``h1_tracemalloc_peak_mb``: the H1 norm that only the Stokes fields read
-is built on that read).  nnz counts A_div plus twice B, local_entries
-the C*m^2 entries of a velocity form.  An entry keeps the first process's
+factorizations and the peak RSS after it.  Only then, to keep them out of
+the RSS, it takes the median of TIMINGS calls of ``generate`` and of
+``assemble``, the tracemalloc peak of one more ``assemble``, and the same
+two of the first read of ``forms.A_1`` on forms assembled untraced and
+untimed (``h1_s`` and ``h1_tracemalloc_peak_mb``: the H1 norm that only
+the Stokes fields read is built on that read).  ``assemble_s`` and
+``tracemalloc_peak_mb`` cover the four stored forms and not A_div, which
+is summed on its first read.  nnz counts A_div plus twice B; reading it
+forms A_div, after the measured constants.  local_entries is the C*m^2
+entries of a velocity form.  An entry keeps the first process's
 sizes and values, the median of each measured field and its single runs
 (``<field>_runs``).  One run per tree (its git commit, BLAS, cores, repeat
 counts, per-group totals) is appended, in --src order, to the "runs" list

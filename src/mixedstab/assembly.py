@@ -17,9 +17,10 @@ on the ``cell_dofs x cell_dofs`` blocks of V_h, so one pattern and one
 summation map serve both, and each form is one gather and one
 ``np.bincount``.  The summation order is the one of scipy's COO->CSR
 conversion, so the matrices are bit for bit those of converting each form
-on its own.  The H1 inner product A_1, which only the Stokes constant and
-the matrix dump read, is assembled on its first read, on a pattern of its
-own, with the same expressions and so the same bits.
+on its own.  ``AssembledForms`` holds the four forms ``assemble``
+scatters, M_V, K, B and M_Q; the norms derived from them are sums formed
+on their first read: A_div = M_V + K, and A_1 = M_V + G, whose grad-grad
+form G only the Stokes constant and the matrix dump read.
 """
 
 from __future__ import annotations
@@ -136,17 +137,19 @@ class AssembledForms:
 
     M_V   vector mass               <u, v>
     K     divergence stiffness      <div u, div v>
-    A_div H(div) inner product      M_V + K
     B     mixed divergence          B[q, v] = <div v, q>
     M_Q   pressure mass             <p, q>
-    A_1   H1 inner product          <u, v> + <grad u, grad v>
+
+    and, each formed on its first read and kept:
+
+    A_div H(div) inner product      M_V + K
+    A_1   H1 inner product          M_V + <grad u, grad v>
     """
 
     V_h: FunctionSpace
     Q_h: FunctionSpace
     M_V: sp.csr_matrix
     K: sp.csr_matrix
-    A_div: sp.csr_matrix
     B: sp.csr_matrix
     M_Q: sp.csr_matrix
 
@@ -155,10 +158,15 @@ class AssembledForms:
         return self.V_h.mesh
 
     @cached_property
+    def A_div(self):
+        """Read by the source solve and the matrix dump only."""
+        return self.M_V + self.K
+
+    @cached_property
     def A_1(self):
-        """Assembled on the first read (``_h1_form``) and kept: only the
-        Stokes fields and the matrix dump read it."""
-        return _h1_form(self.V_h)
+        """Read by the Stokes fields and the matrix dump only; its
+        grad-grad form is assembled then (``_grad_form``)."""
+        return self.M_V + _grad_form(self.V_h)
 
 
 def _pattern(cell_dofs, n):
@@ -248,33 +256,18 @@ def _velocity_tables(V_h):
     return rule, phi, g, det[:, None, None]
 
 
-def _mass_entries(rule, phi, scale, pattern):
-    """The summed entries of the vector mass M_V on V_h's ``_pattern``."""
-    return _summed(_componentwise(
-        scale * np.einsum("q,qi,qj->ij", rule.weights, phi, phi)), pattern)
-
-
-def _h1_form(V_h):
-    """A_1 = M_V + G, G the grad-grad form, on V_h's pattern.
-
-    It rebuilds the pattern and the mass blocks rather than keep those of
-    ``assemble``, which the cases that never read A_1 would hold for
-    nothing; the expressions are those ``assemble`` sums M_V with, so A_1
-    has the bits of one COO->CSR conversion of each form, symmetrized and
-    added.
-    """
-    rule, phi, g, scale = _velocity_tables(V_h)
+def _grad_form(V_h):
+    """The grad-grad form G = <grad u, grad v> on V_h's pattern."""
+    rule, _, g, scale = _velocity_tables(V_h)
     # the scalar grad-grad blocks come before the pattern, since this
     # einsum's temporaries are the largest of the call
     grad = np.einsum("q,cqid,cqjd->cij", rule.weights, g, g, optimize=True)
     grad *= scale
     del g
     pattern = _pattern(V_h.cell_dofs, V_h.ndofs)
-    a_1 = _summed(_componentwise(grad), pattern)
-    del grad
-    a_1 += _mass_entries(rule, phi, scale, pattern)
     indptr, indices = pattern[:2]
-    return _nonzero_csr(a_1, indptr, indices, (V_h.ndofs, V_h.ndofs))
+    return _nonzero_csr(_summed(_componentwise(grad), pattern), indptr, indices,
+                        (V_h.ndofs, V_h.ndofs))
 
 
 def assemble(mesh, r):
@@ -285,11 +278,10 @@ def assemble(mesh, r):
     directly on the discontinuous layout, and the quadrature of
     ``_velocity_tables`` serves every form.  M_V and K share one pattern
     (``_pattern``); each of their (C, m, m) local arrays is summed onto it
-    and freed before the next is formed, and A_div is the sum of the
-    summed entries.  A_1 is left to its first read (``_h1_form``).  Every
-    square matrix is symmetrized as (S + S^T) / 2, and all are stored
-    without explicit zeros, with sorted indices: the same bits as one
-    COO->CSR conversion per form.
+    and freed before the next is formed.  A_div and A_1 are left to their
+    first read.  Every square matrix is symmetrized as (S + S^T) / 2, and
+    all are stored without explicit zeros, with sorted indices: the same
+    bits as one COO->CSR conversion per form.
     """
     V_h = vector_lagrange_space(mesh, r)
     Q_h = discontinuous_space(mesh, r - 1)
@@ -323,7 +315,8 @@ def assemble(mesh, r):
     del bloc, sort, b_indices, mqloc
 
     pattern = _pattern(vd, nV)
-    m_v = _mass_entries(rule, phi, scale, pattern)
+    m_v = _summed(_componentwise(
+        scale * np.einsum("q,qi,qj->ij", w, phi, phi)), pattern)
     k = _summed(np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * scale, pattern)
     del g, D
 
@@ -336,9 +329,8 @@ def assemble(mesh, r):
     def shared(data):
         return _nonzero_csr(data, indptr, indices, (nV, nV))
 
-    A_div = shared(k + m_v)   # first, so that the sum is gone before the rest
     return AssembledForms(V_h=V_h, Q_h=Q_h, M_V=shared(m_v), K=shared(k),
-                          A_div=A_div, B=B, M_Q=M_Q)
+                          B=B, M_Q=M_Q)
 
 
 def orthonormal_divergence(forms):
@@ -369,16 +361,12 @@ def orthonormal_divergence(forms):
 
 
 def pressure_mass_solve(forms, rhs):
-    """Apply M_Q^{-1} exactly using the cellwise block structure."""
-    _, _, det = cell_geometry(forms.mesh)
-    elem = forms.Q_h.element
-    rule = quadrature(2 * max(elem.degree, 1))
-    psi = elem.tabulate(rule.points)
-    mq_ref = np.einsum("q,qk,ql->kl", rule.weights, psi, psi)
-    inv_ref = np.linalg.inv(mq_ref)
-    nb = psi.shape[1]
-    blocks = np.asarray(rhs).reshape(forms.mesh.num_cells, nb)
-    return (blocks @ inv_ref / det[:, None]).ravel()
+    """Apply M_Q^{-1} = C^T C exactly, with the cellwise factor L = C^{-1}
+    of ``orthonormal_divergence``."""
+    _, lower = orthonormal_divergence(forms)
+    nb = lower.shape[1]
+    y = np.linalg.solve(lower, np.asarray(rhs, dtype=float).reshape(-1, nb, 1))
+    return np.linalg.solve(lower.transpose(0, 2, 1), y).ravel()
 
 
 def write_matrix_market(forms, directory):

@@ -222,6 +222,8 @@ class InertiaSlicer:
                 self._read_window(a, bound, bound, lu, "SA")
                 return
             del lu   # no factor outlives its use
+            if above <= i:
+                a = bound   # the bracket grows from the bound, not below it
         top = min(s for s, c in counts.items() if c > i)
         while top == math.inf:
             s = a * GROWTH

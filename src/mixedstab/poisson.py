@@ -78,15 +78,14 @@ def _closed_form(f, pts):
 
 def load_vector(g, q_space):
     """Right-hand side G = <g, psi> of the closed-form source ``g`` against
-    the pressure basis."""
+    the basis of the discontinuous pressure space, whose dofs run cell by
+    cell (``discontinuous_space``)."""
     rule = quadrature(ERROR_QUAD_DEGREE)
     _, _, det = cell_geometry(q_space.mesh)
     gvals = _closed_form(g, _physical_points(q_space.mesh, rule.points))
     psi = q_space.element.tabulate(rule.points)
     cellwise = np.einsum("q,cq,qk->ck", rule.weights, gvals, psi) * det[:, None]
-    out = np.zeros(q_space.ndofs)
-    np.add.at(out, q_space.cell_dofs, cellwise)
-    return out
+    return cellwise.ravel()
 
 
 def solve_mixed(forms, rhs):

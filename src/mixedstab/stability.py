@@ -23,7 +23,7 @@ read and kept:
   when its count closes a window, Lanczos reads mu on its factor, so a
   stable case takes two factorizations, the count at tau and the shift;
   otherwise the slice goes on from the counts, and the value is the same.
-  No Brezzi field reads A_div;
+  No Brezzi read forms A_div;
 * gamma = beta_div^2 (the Babuska pencil has the eigenvalues -lambda and
   nV ones) and alpha = 1 on a kernel of dimension nV - nQ + dimN.
 
@@ -99,18 +99,6 @@ def _count_below(pencil, kernel, shift, threshold):
     return count, dim
 
 
-def _quotient(forms, norm, p):
-    """Rayleigh quotient g^T norm^{-1} g / p^T M_Q p, g = B^T p, of the
-    pressure p in the pencil B norm^{-1} B^T p = lambda M_Q p, from one
-    solve with the factor that certifies ``norm`` positive definite; the
-    factor is released on return.  None when p^T M_Q p = 0, after the
-    factor is made and certified all the same."""
-    g = forms.B.T @ p
-    num = float(g @ positive_definite_lu(norm).solve(g))
-    den = float(p @ (forms.M_Q @ p))
-    return num / den if den > 0.0 else None
-
-
 class Case:
     """Every stability constant of one case, under the name the outputs
     print.
@@ -118,7 +106,7 @@ class Case:
     Each field that costs work is computed on its first read and kept.  A
     field reads the fields it builds on first.  The div-div pencil
     (``pencil``, counted at tau by ``dimN``) needs no check of A_div, and no
-    field reads A_div.  The A_1 check (``constant_mode``) comes before the
+    field forms A_div.  The A_1 check (``constant_mode``) comes before the
     Stokes pencil (``stokes_pencil``), whose norm A_1 is.  A read of a
     pencil's values depends on the counts made before it, so the commands
     read in a fixed order.  ``factorizations`` and
@@ -238,10 +226,16 @@ class Case:
 
     @cached_property
     def constant_mode(self):
-        """Rayleigh quotient of the constant pressure in the Stokes pencil,
-        from the factor that certifies A_1.  No zero-mean pressure
-        constraint is imposed, so its place in the spectrum is reported."""
-        return _quotient(self.forms, self.forms.A_1, np.ones(self.forms.Q_h.ndofs))
+        """Rayleigh quotient g^T A_1^{-1} g / p^T M_Q p, g = B^T p, of the
+        constant pressure p in the Stokes pencil, from one solve with the
+        factor that certifies A_1, released on return; p^T M_Q p is the
+        mesh area.  No zero-mean pressure constraint is imposed, so its
+        place in the spectrum is reported."""
+        forms = self.forms
+        p = np.ones(forms.Q_h.ndofs)
+        g = forms.B.T @ p
+        num = float(g @ positive_definite_lu(forms.A_1).solve(g))
+        return num / float(p @ (forms.M_Q @ p))
 
     @cached_property
     def stokes_pencil(self):

@@ -420,6 +420,8 @@ def reference_assemble(V_h, Q_h):
     B = _scatter(bloc, qd, vd, (nQ, nV))
     M_Q = _symmetrized(_scatter(mqloc, qd, qd, (nQ, nQ)))
     forms = AssembledForms(V_h=V_h, Q_h=Q_h, M_V=M_V.tocsr(), K=K.tocsr(),
-                           A_div=(M_V + K).tocsr(), B=B.tocsr(), M_Q=M_Q.tocsr())
-    forms.A_1 = (M_V + G).tocsr()   # set, so that it is not assembled lazily
+                           B=B.tocsr(), M_Q=M_Q.tocsr())
+    # set, so that they are not summed from the forms above on a first read
+    forms.A_div = (M_V + K).tocsr()
+    forms.A_1 = (M_V + G).tocsr()
     return forms

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.io
@@ -132,6 +134,17 @@ def test_a_div_is_mass_plus_divdiv():
     diff = (forms.A_div - forms.M_V - forms.K).tocoo()
     worst = np.max(np.abs(diff.data)) if len(diff.data) else 0.0
     assert worst < 1e-15
+
+
+def test_a_div_is_summed_from_the_forms_it_holds():
+    # A_div is derived from M_V and K on its first read, so a copy with
+    # another K cannot keep the A_div of the old one
+    forms = assemble(generate(Family.DIAGONAL, 4), 2)
+    forms.A_div
+    twice = dataclasses.replace(forms, K=2 * forms.K)
+    want = forms.M_V + 2 * forms.K
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(twice.A_div, part), getattr(want, part)), part
 
 
 def test_div_velocity_lies_in_pressure_space(forms_for, rng):

@@ -758,6 +758,14 @@ def test_one_triangle_r2_slices_without_a_bound(tmp_path):
     mu = json.loads(outs["laplace-eig"].read_text())["mu"]
     assert mu == pytest.approx(lam / (1.0 - lam), rel=1e-9)
     assert mu > _first_shift(forms.mesh)
+    # the count at the shift lies at or below mu's index, so the bracket
+    # grows from the shift, not from tau: the counts at tau, the shift and
+    # 30 times it, then the Lanczos midpoint, whose window holds all three
+    # eigenvalues past the zeros
+    for read in (lambda c: c.mu, lambda c: c.smallest_eigenvalues):
+        case = Case(forms)
+        read(case)
+        assert case.factorizations == 4
 
 
 def run_python(*argv):

@@ -490,16 +490,26 @@ def test_sliced_constants_refuse_an_indefinite_norm(forms_for, form):
         Case(broken).beta_h1
 
 
-def test_counts_need_no_check_of_a_div(forms_for):
-    # every Brezzi field slices (K, M_V) alone: with A_div negated they
-    # are those of the intact forms, bit for bit, from as many
-    # factorizations, and none of them refuses
-    forms = forms_for(Family.DIAGONAL, 4, 2)
-    cases = [Case(forms), Case(dataclasses.replace(forms, A_div=-forms.A_div))]
-    got = [(c.dimN, c.kernel_dim, c.beta_div, c.mu, c.gamma,
-            c.smallest_eigenvalues, c.sweep(SWEEP_THRESHOLDS),
-            c.factorizations) for c in cases]
-    assert got[0] == got[1]
+def test_counts_need_no_check_of_a_div(monkeypatch):
+    # every Brezzi field slices (K, M_V) alone, so none forms A_div = M_V
+    # + K, which is summed on its first read: not in one case, and not in
+    # any case of a table
+    forms = assemble(generate(Family.DIAGONAL, 4), 2)
+    case = Case(forms)
+    for read in (lambda: case.dimN, lambda: case.beta_div, lambda: case.mu,
+                 lambda: case.gamma, lambda: case.smallest_eigenvalues,
+                 lambda: case.alpha, lambda: case.warning,
+                 lambda: case.sweep(SWEEP_THRESHOLDS)):
+        read()
+        assert "A_div" not in vars(forms)
+
+    kept = []
+    monkeypatch.setattr(stability, "assemble",
+                        lambda mesh, r: kept.append(assemble(mesh, r)) or kept[-1])
+    for which in stability.TABLES:
+        reproduce_table(which, n_values=[4])
+    assert len(kept) == 27
+    assert not any("A_div" in vars(f) for f in kept)
 
 
 @pytest.mark.parametrize("family, stretch, ratio", [
@@ -576,21 +586,23 @@ def test_threshold_at_or_above_one_counts_every_eigenvalue(forms_for):
 
 
 def test_only_the_stokes_reads_build_a_1(monkeypatch, tmp_path):
-    # A_1 is assembled on its first read: the H(div) fields, the source
-    # problem and the tables never read it; the Stokes fields and the
-    # matrix dump build it, once
+    # A_1 = M_V + G is formed on its first read: the H(div) fields, the
+    # source problem and the tables never read it; the Stokes fields and
+    # the matrix dump build G, once.  Of these reads, only the source solve
+    # and the dump form A_div = M_V + K
     built = []
-    h1_form = assembly._h1_form
-    monkeypatch.setattr(assembly, "_h1_form",
-                        lambda V_h: built.append(V_h) or h1_form(V_h))
+    grad_form = assembly._grad_form
+    monkeypatch.setattr(assembly, "_grad_form",
+                        lambda V_h: built.append(V_h) or grad_form(V_h))
     forms = assemble(generate(Family.DIAGONAL, 4), 2)
     case = Case(forms)
     for read in (lambda: case.dimN, lambda: case.beta_div, lambda: case.mu,
                  lambda: case.smallest_eigenvalues, lambda: case.alpha,
-                 lambda: case.warning, lambda: case.sweep(SWEEP_THRESHOLDS),
-                 lambda: source_errors(forms, SINE)):
+                 lambda: case.warning, lambda: case.sweep(SWEEP_THRESHOLDS)):
         read()
         assert "A_1" not in vars(forms)
+    source_errors(forms, SINE)
+    assert "A_div" in vars(forms) and "A_1" not in vars(forms)
 
     kept = []
     monkeypatch.setattr(stability, "assemble",
@@ -600,12 +612,13 @@ def test_only_the_stokes_reads_build_a_1(monkeypatch, tmp_path):
     assert len(kept) == 27
     assert not any("A_1" in vars(f) for f in kept) and not built
 
+    dump = lambda c: write_matrix_market(c.forms, tmp_path)   # noqa: E731
     for read in (lambda c: c.constant_mode, lambda c: c.beta_h1,
-                 lambda c: c.spectrum("stokes"),
-                 lambda c: write_matrix_market(c.forms, tmp_path)):
+                 lambda c: c.spectrum("stokes"), dump):
         case = Case(assemble(generate(Family.DIAGONAL, 4), 2))
         read(case)
         assert "A_1" in vars(case.forms)
+        assert ("A_div" in vars(case.forms)) == (read is dump)
         case.forms.A_1
         assert built == [case.forms.V_h]
         built.clear()
