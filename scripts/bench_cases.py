@@ -24,8 +24,9 @@ untimed (``h1_s`` and ``h1_tracemalloc_peak_mb``: the H1 norm that only
 the Stokes fields read is built on that read).  ``assemble_s`` and
 ``tracemalloc_peak_mb`` cover the four stored forms and not A_div, which
 is summed on its first read.  nnz counts A_div plus twice B; reading it
-forms A_div, after the measured constants.  local_entries is the C*m^2
-entries of a velocity form.  An entry keeps the first process's
+forms A_div, after the measured constants.  nnz_K and nnz_B count the
+stored entries of K and of B.  local_entries is the C*m^2 entries of a
+velocity form.  An entry keeps the first process's
 sizes and values, the median of each measured field and its single runs
 (``<field>_runs``).  One run per tree (its git commit, BLAS, cores, repeat
 counts, per-group totals) is appended, in --src order, to the "runs" list
@@ -71,8 +72,9 @@ GRID = {
 }
 REPEATS = 3   # fresh processes per case
 TIMINGS = 7   # generate and assemble calls per process
-EXACT = ("nV", "nQ", "nnz", "local_entries", "dimN", "beta_reduced",
-         "factorizations", "beta_h1_reduced", "stokes_factorizations")
+EXACT = ("nV", "nQ", "nnz", "nnz_K", "nnz_B", "local_entries", "dimN",
+         "beta_reduced", "factorizations", "beta_h1_reduced",
+         "stokes_factorizations")
 MEASURED = ("wall_s", "peak_rss_mb", "stokes_wall_s", "stokes_peak_rss_mb",
             "assemble_s", "generate_s", "tracemalloc_peak_mb", "h1_s",
             "h1_tracemalloc_peak_mb")
@@ -102,7 +104,8 @@ out["stokes_factorizations"], out["stokes_peak_rss_mb"] = (
     case.stokes_factorizations, rss_mb())
 C, m = forms.V_h.cell_dofs.shape
 out.update(nV=forms.V_h.ndofs, nQ=forms.Q_h.ndofs, dimN=case.dimN,
-           nnz=int(forms.A_div.nnz + 2 * forms.B.nnz), local_entries=C * m * m)
+           nnz=int(forms.A_div.nnz + 2 * forms.B.nnz), nnz_K=forms.K.nnz,
+           nnz_B=forms.B.nnz, local_entries=C * m * m)
 del case, forms
 out["generate_s"] = statistics.median(
     timed(lambda: generate(family, n))[1] for _ in range(timings))

@@ -10,17 +10,20 @@ Vector degrees of freedom interleave components per node (x0, y0, x1,
 y1, ...), and global scalar numbering runs vertices, then edge nodes,
 then cell-interior nodes.
 
-Assembly computes the sparsity pattern once and reuses it for every form
-that scatters over the same blocks (as in MILAMIN, Dabrowski, Krotkiewski
-& Schmid 2008, and Cuvelier, Japhet & Scarella 2016): M_V and K both live
-on the ``cell_dofs x cell_dofs`` blocks of V_h, so one pattern and one
+On affine cells each local form is a reference-triangle form of the
+degree contracted with the cell's affine map, the tensor representation
+of Kirby & Logg (2006): quadrature runs on the reference triangle only.
+The sparsity pattern is computed once and reused for every form that
+scatters over the same blocks (as in MILAMIN, Dabrowski, Krotkiewski &
+Schmid 2008, and Cuvelier, Japhet & Scarella 2016): M_V and K both live on
+the ``cell_dofs x cell_dofs`` blocks of V_h, so one pattern and one
 summation map serve both, and each form is one gather and one
-``np.bincount``.  The summation order is the one of scipy's COO->CSR
-conversion, so the matrices are bit for bit those of converting each form
-on its own.  ``AssembledForms`` holds the four forms ``assemble``
-scatters, M_V, K, B and M_Q; the norms derived from them are sums formed
-on their first read: A_div = M_V + K, and A_1 = M_V + G, whose grad-grad
-form G only the Stokes constant and the matrix dump read.
+``np.bincount`` in the order of scipy's COO->CSR conversion: bit for bit
+that conversion of the form's local arrays.
+``AssembledForms`` holds the four forms ``assemble`` scatters, M_V, K, B
+and M_Q; the norms derived from them are sums formed on their first read:
+A_div = M_V + K, and A_1 = M_V + G, whose grad-grad form G only the
+Stokes constant and the matrix dump read.
 """
 
 from __future__ import annotations
@@ -242,31 +245,22 @@ def _summed(local, pattern):
     return summed
 
 
-def _velocity_tables(V_h):
-    """(rule, phi, g, scale) of V_h: the quadrature of degree 2r + 2, exact
-    for every assembled integrand on affine cells; the basis values phi
-    (nq, nb); the physical gradients g[c, q, i, d] = sum_e inv_jac_t[c, d, e]
-    dphi[q, i, e]; and the cell determinants, shaped (C, 1, 1)."""
-    rule = quadrature(2 * V_h.degree + 2)
-    phi = V_h.element.tabulate(rule.points)             # (nq, nb)
-    dphi = V_h.element.tabulate_gradients(rule.points)  # (nq, nb, 2)
-    _, inv_jac_t, det = cell_geometry(V_h.mesh)
-    jt = inv_jac_t[:, None, None, :, :]
-    g = jt[..., 0] * dphi[None, :, :, None, 0] + jt[..., 1] * dphi[None, :, :, None, 1]
-    return rule, phi, g, det[:, None, None]
+def _reference_gradients(element, rule):
+    """R[e, f, i, j] = <d_e phi_i, d_f phi_j> on the reference triangle."""
+    dphi = element.tabulate_gradients(rule.points)      # (nq, nb, 2)
+    # C order: K's per-cell contraction took 10x as long on einsum's default
+    return np.einsum("q,qie,qjf->efij", rule.weights, dphi, dphi, order="C")
 
 
 def _grad_form(V_h):
-    """The grad-grad form G = <grad u, grad v> on V_h's pattern."""
-    rule, _, g, scale = _velocity_tables(V_h)
-    # the scalar grad-grad blocks come before the pattern, since this
-    # einsum's temporaries are the largest of the call
-    grad = np.einsum("q,cqid,cqjd->cij", rule.weights, g, g, optimize=True)
-    grad *= scale
-    del g
+    """The grad-grad form G = <grad u, grad v> on V_h's pattern.  Its scalar
+    blocks are the component trace of K's, det J^{-1} J^{-T} : R."""
+    _, inv_jac_t, det = cell_geometry(V_h.mesh)
+    metric = np.einsum("cde,cdf->cef", inv_jac_t * det[:, None, None], inv_jac_t)
+    grad = np.einsum("cef,efij->cij", metric, _reference_gradients(
+        V_h.element, quadrature(2 * V_h.degree)))
     pattern = _pattern(V_h.cell_dofs, V_h.ndofs)
-    indptr, indices = pattern[:2]
-    return _nonzero_csr(_summed(_componentwise(grad), pattern), indptr, indices,
+    return _nonzero_csr(_summed(_componentwise(grad), pattern), *pattern[:2],
                         (V_h.ndofs, V_h.ndofs))
 
 
@@ -274,34 +268,35 @@ def assemble(mesh, r):
     """The AssembledForms of the pair of degree r on ``mesh``: vector
     Lagrange r for u and discontinuous r - 1 for p, r in 1..MAX_SPACE_DEGREE.
 
-    The forms rely on that pair: B and M_Q are cellwise and written
-    directly on the discontinuous layout, and the quadrature of
-    ``_velocity_tables`` serves every form.  M_V and K share one pattern
-    (``_pattern``); each of their (C, m, m) local arrays is summed onto it
-    and freed before the next is formed.  A_div and A_1 are left to their
-    first read.  Every square matrix is symmetrized as (S + S^T) / 2, and
-    all are stored without explicit zeros, with sorted indices: the same
-    bits as one COO->CSR conversion per form.
+    The scalar mass, R of ``_reference_gradients``, R_B[e, k, i] =
+    <psi_k, d_e phi_i> and the pressure mass are integrated once, on the
+    reference triangle by the rule of degree 2r, exact for all four.  With
+    J^{-T} and det of the one ``cell_geometry`` call, K's local blocks are
+    det J^{-T} (x) J^{-T} : R, B's det J^{-T} : R_B, and M_V's and M_Q's
+    det times the masses.  B and M_Q are cellwise and written directly on
+    the discontinuous layout.  M_V and K share one pattern (``_pattern``);
+    each of their (C, m, m) local arrays is summed onto it and freed
+    before the next is formed.  A_div and A_1 are left to their first
+    read.  Every square matrix is symmetrized as (S + S^T) / 2, and all
+    are stored without explicit zeros, with sorted indices.
     """
     V_h = vector_lagrange_space(mesh, r)
     Q_h = discontinuous_space(mesh, r - 1)
-    vd = V_h.cell_dofs
-    qd = Q_h.cell_dofs
+    vd, qd = V_h.cell_dofs, Q_h.cell_dofs
     nV, nQ = V_h.ndofs, Q_h.ndofs
-    rule, phi, g, scale = _velocity_tables(V_h)
+    rule = quadrature(2 * r)
     w = rule.weights
-    psi = Q_h.element.tabulate(rule.points)            # (nq, nbq)
-    C, m = vd.shape
-    nbq = psi.shape[1]
-
-    # the flattened divergence table D[c, q, 2i+d] = d_d phi_i, matching
-    # the interleaved vector layout
-    D = g.reshape(C, len(w), m)
+    psi = Q_h.element.tabulate(rule.points)             # (nq, nbq)
+    _, inv_jac_t, det = cell_geometry(mesh)
+    scale = det[:, None, None]
+    (C, m), nbq = vd.shape, psi.shape[1]
 
     # the cellwise forms have no duplicates: pressure dof c*nbq + i is local
     # dof i of cell c (discontinuous_space), so row c*nbq + i of B is local
     # row i of cell c with its columns sorted, and M_Q is block diagonal
-    bloc = np.einsum("q,qk,cqm->ckm", w, psi, D) * scale
+    ref_b = np.einsum("q,qk,qie->eki", w, psi,  # in C order, as R is
+                      V_h.element.tabulate_gradients(rule.points), order="C")
+    bloc = np.einsum("cde,eki->ckid", inv_jac_t * scale, ref_b).reshape(C, nbq, m)
     sort = np.argsort(vd, axis=1)
     b_indices = np.broadcast_to(
         np.take_along_axis(vd, sort, axis=1).astype(np.int32)[:, None, :], bloc.shape)
@@ -315,10 +310,14 @@ def assemble(mesh, r):
     del bloc, sort, b_indices, mqloc
 
     pattern = _pattern(vd, nV)
+    phi = V_h.element.tabulate(rule.points)             # (nq, nb)
     m_v = _summed(_componentwise(
         scale * np.einsum("q,qi,qj->ij", w, phi, phi)), pattern)
-    k = _summed(np.einsum("q,cqm,cqn->cmn", w, D, D, optimize=True) * scale, pattern)
-    del g, D
+    # K[c, (i, d), (j, g)] = det sum_ef J^{-T}[d, e] J^{-T}[g, f] R[e, f, i, j]
+    geometry = np.einsum("cde,cgf->cdgef", inv_jac_t * scale, inv_jac_t)
+    k = _summed(np.einsum("cdgef,efij->cidjg", geometry,
+                          _reference_gradients(V_h.element, rule)).reshape(C, m, m),
+                pattern)
 
     indptr, indices = pattern[:2]
 

@@ -24,8 +24,11 @@ rules are checked.
 ``EXP`` is a second closed-form solution, with none of the symmetries of
 the square that the library's ``SINE`` has.
 ``reference_assemble`` assembles the six forms the straightforward way,
-one COO->CSR conversion and one symmetrization per form, against which
-the library's shared-pattern assembly is compared bit for bit.
+by quadrature of degree 2r + 2 in every cell and one COO->CSR conversion
+and one symmetrization per form (``scatter_symmetrized``); the library
+contracts reference-triangle forms with each cell's map and sums them on
+one shared pattern.  The forms of the two routes agree to rounding, and
+the two summations, run on one local array, agree bit for bit.
 """
 
 import math
@@ -374,12 +377,16 @@ def _scatter(local, row_dofs, col_dofs, shape):
     return mat
 
 
-def _symmetrized(mat):
-    return (mat + mat.T) * 0.5
+def scatter_symmetrized(local, dofs, n):
+    """The n x n form of a (C, m, m) local array on the cell dofs ``dofs``:
+    one COO->CSR conversion, then (S + S^T) / 2."""
+    mat = _scatter(local, dofs, dofs, (n, n))
+    return ((mat + mat.T) * 0.5).tocsr()
 
 
 def reference_assemble(V_h, Q_h):
-    """The six forms, each scattered and symmetrized on its own."""
+    """The six forms by per-cell quadrature of degree 2r + 2, each
+    scattered and symmetrized on its own."""
     mesh = V_h.mesh
     r = V_h.degree
     rule = quadrature(2 * r + 2)
@@ -414,13 +421,12 @@ def reference_assemble(V_h, Q_h):
     vd = V_h.cell_dofs
     qd = Q_h.cell_dofs
     nV, nQ = V_h.ndofs, Q_h.ndofs
-    M_V = _symmetrized(_scatter(mloc, vd, vd, (nV, nV)))
-    K = _symmetrized(_scatter(kloc, vd, vd, (nV, nV)))
-    G = _symmetrized(_scatter(gloc, vd, vd, (nV, nV)))
+    M_V = scatter_symmetrized(mloc, vd, nV)
+    K = scatter_symmetrized(kloc, vd, nV)
+    G = scatter_symmetrized(gloc, vd, nV)
     B = _scatter(bloc, qd, vd, (nQ, nV))
-    M_Q = _symmetrized(_scatter(mqloc, qd, qd, (nQ, nQ)))
-    forms = AssembledForms(V_h=V_h, Q_h=Q_h, M_V=M_V.tocsr(), K=K.tocsr(),
-                           B=B.tocsr(), M_Q=M_Q.tocsr())
+    M_Q = scatter_symmetrized(mqloc, qd, nQ)
+    forms = AssembledForms(V_h=V_h, Q_h=Q_h, M_V=M_V, K=K, B=B, M_Q=M_Q)
     # set, so that they are not summed from the forms above on a first read
     forms.A_div = (M_V + K).tocsr()
     forms.A_1 = (M_V + G).tocsr()

@@ -14,7 +14,8 @@ from mixedstab.errors import UnsupportedDegreeError
 from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
                             export_mesh, generate, import_mesh)
 
-from oracles import cell_nodes, eval_scalar, interpolate, reference_assemble
+from oracles import (cell_nodes, eval_scalar, interpolate, reference_assemble,
+                     scatter_symmetrized)
 
 FORM_NAMES = ("M_V", "K", "A_div", "B", "M_Q", "A_1")
 
@@ -166,10 +167,21 @@ def test_quadrature_degree_is_sufficient(monkeypatch):
     default = assemble(mesh, 2)
     # A_1 is built on its first read: read it before the rule is boosted
     default.A_1
-    monkeypatch.setattr(assembly, "quadrature", lambda degree: quadrature(10))
+    degrees = []
+
+    def boosted_rule(degree):
+        degrees.append(degree)
+        return quadrature(10)
+
+    monkeypatch.setattr(assembly, "quadrature", boosted_rule)
     boosted = assemble(mesh, 2)
-    for a, b in ((default.M_V, boosted.M_V), (default.B, boosted.B),
-                 (default.A_1, boosted.A_1), (default.M_Q, boosted.M_Q)):
+    boosted.A_1
+    # the boosted rule built the reference forms of assemble and of the A_1
+    # read; forms kept from an earlier call would pass the check below unseen
+    assert degrees == [4, 4]
+    for a, b in ((default.M_V, boosted.M_V), (default.K, boosted.K),
+                 (default.B, boosted.B), (default.A_1, boosted.A_1),
+                 (default.M_Q, boosted.M_Q)):
         assert abs(a - b).max() < 1e-13
 
 
@@ -207,26 +219,74 @@ def test_space_degree_validation():
             assemble(mesh, degree)
 
 
-def assert_same_bits(mesh, r):
-    got = assemble(mesh, r)
-    want = reference_assemble(got.V_h, got.Q_h)
-    for name in FORM_NAMES:
-        a, b = getattr(got, name), getattr(want, name)
-        assert sp.isspmatrix_csr(a) and a.shape == b.shape, name
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+def planted_local_array(cell_dofs, n, rng):
+    """A random (C, m, m) local array on ``cell_dofs`` with exact zeros, and
+    with opposite pairs that cancel exactly: in the sum of an entry that two
+    cells share, and in the symmetrization of an off-diagonal entry that one
+    cell holds."""
+    C, m = cell_dofs.shape
+    local = rng.standard_normal((C, m, m))
+    local[rng.random(local.shape) < 0.1] = 0.0
+    flat = local.reshape(-1)
+    keys = (cell_dofs[:, :, None] * n + cell_dofs[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    _, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    shared = starts[counts == 2][::2]
+    flat[order[shared + 1]] = -flat[order[shared]]
+    cell, row, col = np.unravel_index(order[starts[counts == 1]], local.shape)
+    upper = np.flatnonzero(row < col)[::2]
+    cell, row, col = cell[upper], row[upper], col[upper]
+    local[cell, col, row] = -local[cell, row, col]
+    return local
+
+
+def assert_same_bits(cell_dofs, n, rng):
+    # the summation on the shared pattern against one COO->CSR conversion
+    # and one symmetrization, on the same local array
+    local = planted_local_array(cell_dofs, n, rng)
+    pattern = assembly._pattern(cell_dofs, n)
+    got = assembly._nonzero_csr(assembly._summed(local, pattern), *pattern[:2], (n, n))
+    want = scatter_symmetrized(local, cell_dofs, n)
+    assert sp.isspmatrix_csr(got) and got.shape == want.shape
+    # the planted zeros drop entries of the pattern, and none is stored
+    assert 0 < want.nnz < len(pattern[1]) and np.all(want.data != 0)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 @pytest.mark.parametrize("r, n", [(r, n) for r in (1, 2, 3, 4) for n in (4, 6)]
                          + [(5, 4), (6, 4)])
 @pytest.mark.parametrize("family", GENERATED_FAMILIES, ids=lambda f: f.value)
-def test_assembly_matches_the_reference_bit_for_bit(family, r, n):
-    # n = 6 puts vertices at non-dyadic coordinates (multiples of 1/6);
-    # r = 5, 6 are the degrees past the paper's that the CLI accepts
-    assert_same_bits(generate(family, n), r)
+def test_assembly_matches_the_reference_bit_for_bit(family, r, n, rng):
+    # each family's dof numbering at two sizes; r = 5, 6 are the degrees
+    # past the paper's that the CLI accepts
+    V_h = vector_lagrange_space(generate(family, n), r)
+    assert_same_bits(V_h.cell_dofs, V_h.ndofs, rng)
 
 
 @pytest.mark.parametrize("r", [1, 3])
-def test_assembly_matches_the_reference_on_a_relabelled_import(relabel, r):
+def test_assembly_matches_the_reference_on_a_relabelled_import(relabel, r, rng):
     mesh, _ = relabel(generate(Family.UNIONJACK, 6))
-    assert_same_bits(import_mesh(export_mesh(mesh)), r)
+    V_h = vector_lagrange_space(import_mesh(export_mesh(mesh)), r)
+    assert_same_bits(V_h.cell_dofs, V_h.ndofs, rng)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("source", [*(f.value for f in GENERATED_FAMILIES),
+                                    "relabelled-unionjack"])
+def test_forms_match_the_quadrature_reference(source, r, relabel):
+    # the reference forms against per-cell quadrature of degree 2r + 2, as
+    # the largest entry difference relative to the largest entry; the noise
+    # entries of the two routes differ, so their patterns may too
+    if source == "relabelled-unionjack":
+        mesh = import_mesh(export_mesh(relabel(generate(Family.UNIONJACK, 6))[0]))
+    else:
+        mesh = generate(source, 6)
+    got = assemble(mesh, r)
+    want = reference_assemble(got.V_h, got.Q_h)
+    bound = 2e-14 if r <= 4 else 1e-12
+    for name in FORM_NAMES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert sp.isspmatrix_csr(a) and a.shape == b.shape, name
+        assert a.has_canonical_format and np.all(a.data != 0), name
+        assert abs(a - b).max() <= bound * abs(b).max(), name

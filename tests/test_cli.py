@@ -839,7 +839,9 @@ def test_bench_cases_script_one_case(monkeypatch, tmp_path):
         assert entry[key] == statistics.median(runs), key
     # the first read of A_1 assembles it, so it allocates at least A_1
     assert {"h1_s", "h1_tracemalloc_peak_mb"} <= set(bench.MEASURED)
-    a_1 = assemble(generate("diagonal", 4), 1).A_1
+    forms = assemble(generate("diagonal", 4), 1)
+    assert (entry["nnz_K"], entry["nnz_B"]) == (forms.K.nnz, forms.B.nnz)
+    a_1 = forms.A_1
     csr_bytes = a_1.data.nbytes + a_1.indices.nbytes + a_1.indptr.nbytes
     assert entry["h1_tracemalloc_peak_mb"] * 2**20 > csr_bytes
     assert bench.blas_library()
