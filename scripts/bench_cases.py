@@ -21,7 +21,8 @@ the RSS, it takes the median of TIMINGS calls of ``generate`` and of
 ``assemble``, the tracemalloc peak of one more ``assemble``, and the same
 two of the first read of ``forms.A_1`` on forms assembled untraced and
 untimed (``h1_s`` and ``h1_tracemalloc_peak_mb``: the H1 norm that only
-the Stokes fields read is built on that read).  ``assemble_s`` and
+the Stokes fields read is summed on that read from M_V and the trace of
+K's component blocks; nothing is integrated).  ``assemble_s`` and
 ``tracemalloc_peak_mb`` cover the four stored forms and not A_div, which
 is summed on its first read.  nnz counts A_div plus twice B; reading it
 forms A_div, after the measured constants.  nnz_K and nnz_B count the

@@ -22,8 +22,11 @@ summation map serve both, and each form is one gather and one
 that conversion of the form's local arrays.
 ``AssembledForms`` holds the four forms ``assemble`` scatters, M_V, K, B
 and M_Q; the norms derived from them are sums formed on their first read:
-A_div = M_V + K, and A_1 = M_V + G, whose grad-grad form G only the
-Stokes constant and the matrix dump read.
+A_div = M_V + K, and A_1 = M_V + G, whose grad-grad form G, read only by
+the Stokes constant and the matrix dump, is the trace of K's component
+blocks on each component.  Each cell block of M_Q is det_K times the
+reference pressure mass, so its factor and its inverse are closed forms
+(``orthonormal_divergence``, ``pressure_mass_solve``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .element import MAX_SPACE_DEGREE, ReferenceElement, quadrature
-from .errors import NumericalError, UnsupportedDegreeError
+from .errors import UnsupportedDegreeError
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +149,7 @@ class AssembledForms:
     and, each formed on its first read and kept:
 
     A_div H(div) inner product      M_V + K
-    A_1   H1 inner product          M_V + <grad u, grad v>
+    A_1   H1 inner product          M_V + <grad u, grad v>, from K
     """
 
     V_h: FunctionSpace
@@ -167,9 +170,12 @@ class AssembledForms:
 
     @cached_property
     def A_1(self):
-        """Read by the Stokes fields and the matrix dump only; its
-        grad-grad form is assembled then (``_grad_form``)."""
-        return self.M_V + _grad_form(self.V_h)
+        """Read by the Stokes fields and the matrix dump only.  The
+        grad-grad form acts on each component alike, and its scalar form
+        sum_d <d_d phi_i, d_d phi_j> is the trace of K's component blocks
+        (vector dof 2 node + component): nothing is integrated."""
+        trace = self.K[0::2, 0::2] + self.K[1::2, 1::2]
+        return self.M_V + sp.kron(trace, sp.identity(2), format="csr")
 
 
 def _pattern(cell_dofs, n):
@@ -252,16 +258,10 @@ def _reference_gradients(element, rule):
     return np.einsum("q,qie,qjf->efij", rule.weights, dphi, dphi, order="C")
 
 
-def _grad_form(V_h):
-    """The grad-grad form G = <grad u, grad v> on V_h's pattern.  Its scalar
-    blocks are the component trace of K's, det J^{-1} J^{-T} : R."""
-    _, inv_jac_t, det = cell_geometry(V_h.mesh)
-    metric = np.einsum("cde,cdf->cef", inv_jac_t * det[:, None, None], inv_jac_t)
-    grad = np.einsum("cef,efij->cij", metric, _reference_gradients(
-        V_h.element, quadrature(2 * V_h.degree)))
-    pattern = _pattern(V_h.cell_dofs, V_h.ndofs)
-    return _nonzero_csr(_summed(_componentwise(grad), pattern), *pattern[:2],
-                        (V_h.ndofs, V_h.ndofs))
+def _reference_mass(element, rule):
+    """The mass <phi_i, phi_j> of ``element`` on the reference triangle."""
+    phi = element.tabulate(rule.points)                 # (nq, nb)
+    return np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
 
 
 def assemble(mesh, r):
@@ -302,7 +302,7 @@ def assemble(mesh, r):
         np.take_along_axis(vd, sort, axis=1).astype(np.int32)[:, None, :], bloc.shape)
     B = _nonzero_csr(np.take_along_axis(bloc, sort[:, None, :], axis=2).ravel(),
                      np.arange(0, nQ * m + 1, m), b_indices.ravel(), (nQ, nV))
-    mqloc = scale * np.einsum("q,qk,ql->kl", w, psi, psi)[None, :, :]
+    mqloc = scale * _reference_mass(Q_h.element, rule)[None, :, :]
     mqloc = (mqloc + mqloc.transpose(0, 2, 1)) * 0.5
     M_Q = _nonzero_csr(mqloc.ravel(), np.arange(0, nQ * nbq + 1, nbq),
                        np.broadcast_to(qd.astype(np.int32)[:, None, :],
@@ -310,9 +310,8 @@ def assemble(mesh, r):
     del bloc, sort, b_indices, mqloc
 
     pattern = _pattern(vd, nV)
-    phi = V_h.element.tabulate(rule.points)             # (nq, nb)
-    m_v = _summed(_componentwise(
-        scale * np.einsum("q,qi,qj->ij", w, phi, phi)), pattern)
+    m_v = _summed(_componentwise(scale * _reference_mass(V_h.element, rule)),
+                  pattern)
     # K[c, (i, d), (j, g)] = det sum_ef J^{-T}[d, e] J^{-T}[g, f] R[e, f, i, j]
     geometry = np.einsum("cde,cgf->cdgef", inv_jac_t * scale, inv_jac_t)
     k = _summed(np.einsum("cdgef,efij->cidjg", geometry,
@@ -332,40 +331,38 @@ def assemble(mesh, r):
                           B=B, M_Q=M_Q)
 
 
+def _pressure_mass(forms):
+    """The reference pressure mass M^ and det of every cell: each cell
+    block of M_Q is det_K M^, by the rule that ``assemble`` integrates."""
+    _, _, det = cell_geometry(forms.mesh)
+    return _reference_mass(forms.Q_h.element,
+                           quadrature(2 * forms.V_h.degree)), det
+
+
 def orthonormal_divergence(forms):
     """The divergence form in M_Q-orthonormal pressure coordinates.
 
-    Factors each cell block of the pressure mass, M_Q|_K = L_K L_K^T, and
-    returns (C B, L) with C = blockdiag(L_K^{-1}) and L the stacked L_K,
-    shape (cells, nb, nb).  C M_Q C^T = I and M_Q^{-1} = C^T C, and C B
-    has the sparsity pattern of B.  Raises NumericalError unless M_Q is
-    block-diagonal with one block per cell, or if a block is not positive
-    definite.
+    With L^ the Cholesky factor of the reference pressure mass, each cell
+    block of M_Q is L_K L_K^T with L_K = sqrt(det_K) L^.  Returns (C B, L)
+    with C = blockdiag(L_K^{-1}), whose blocks are L^{-1} / sqrt(det_K), and
+    L the stacked L_K, shape (cells, nb, nb).  C M_Q C^T = I and
+    M_Q^{-1} = C^T C, and C B has the sparsity pattern of B.
     """
-    nb = forms.Q_h.cell_dofs.shape[1]
-    m_q = sp.bsr_matrix(forms.M_Q, blocksize=(nb, nb))
-    cells = np.arange(m_q.shape[0] // nb + 1)
-    if not (np.array_equal(m_q.indptr, cells)
-            and np.array_equal(m_q.indices, cells[:-1])):
-        raise NumericalError("pressure mass matrix is not block-diagonal "
-                             "with one block per cell")
-    try:
-        lower = np.linalg.cholesky(m_q.data)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pressure mass block is not positive definite "
-                             f"({exc})") from exc
-    c = sp.bsr_matrix((np.linalg.inv(lower), m_q.indices, m_q.indptr),
-                      shape=m_q.shape)
-    return sp.csr_matrix(c @ forms.B), lower
+    mass, det = _pressure_mass(forms)
+    lower = np.linalg.cholesky(mass)
+    root = np.sqrt(det)[:, None, None]
+    cells = np.arange(len(det) + 1)
+    c = sp.bsr_matrix((np.linalg.inv(lower) / root, cells[:-1], cells),
+                      shape=(forms.Q_h.ndofs,) * 2)
+    return sp.csr_matrix(c @ forms.B), root * lower
 
 
 def pressure_mass_solve(forms, rhs):
-    """Apply M_Q^{-1} = C^T C exactly, with the cellwise factor L = C^{-1}
-    of ``orthonormal_divergence``."""
-    _, lower = orthonormal_divergence(forms)
-    nb = lower.shape[1]
-    y = np.linalg.solve(lower, np.asarray(rhs, dtype=float).reshape(-1, nb, 1))
-    return np.linalg.solve(lower.transpose(0, 2, 1), y).ravel()
+    """Apply M_Q^{-1} exactly, cell by cell: M^{-1} / det_K on the cell
+    block of M_Q = det_K M^."""
+    mass, det = _pressure_mass(forms)
+    cellwise = np.asarray(rhs, dtype=float).reshape(len(det), -1)
+    return (np.linalg.solve(mass, cellwise.T).T / det[:, None]).ravel()
 
 
 def write_matrix_market(forms, directory):

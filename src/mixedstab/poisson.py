@@ -58,15 +58,15 @@ SINE = Solution("sine", _sine_p, _sine_u,
                 lambda pts: -2.0 * _TWO_PI ** 2 * _sine_p(pts))
 
 
-def _physical_points(mesh, ref_points):
-    """Map reference points into every cell: (ncells, npts, 2)."""
+def _physical_points(mesh, jac, ref_points):
+    """Map reference points into every cell, x = a + J xi with a the
+    cell's first vertex and J its Jacobian (``cell_geometry``):
+    (ncells, npts, 2)."""
     a = mesh.vertices[mesh.cells[:, 0]]
-    b = mesh.vertices[mesh.cells[:, 1]]
-    c = mesh.vertices[mesh.cells[:, 2]]
     x, y = ref_points[:, 0], ref_points[:, 1]
     return (a[:, None, :]
-            + x[None, :, None] * (b - a)[:, None, :]
-            + y[None, :, None] * (c - a)[:, None, :])
+            + x[None, :, None] * jac[:, None, :, 0]
+            + y[None, :, None] * jac[:, None, :, 1])
 
 
 def _closed_form(f, pts):
@@ -81,8 +81,8 @@ def load_vector(g, q_space):
     the basis of the discontinuous pressure space, whose dofs run cell by
     cell (``discontinuous_space``)."""
     rule = quadrature(ERROR_QUAD_DEGREE)
-    _, _, det = cell_geometry(q_space.mesh)
-    gvals = _closed_form(g, _physical_points(q_space.mesh, rule.points))
+    jac, _, det = cell_geometry(q_space.mesh)
+    gvals = _closed_form(g, _physical_points(q_space.mesh, jac, rule.points))
     psi = q_space.element.tabulate(rule.points)
     cellwise = np.einsum("q,cq,qk->ck", rule.weights, gvals, psi) * det[:, None]
     return cellwise.ravel()
@@ -163,12 +163,12 @@ def error_norms(forms, u, p, solution):
                              f"has {space.ndofs} dofs")
     mesh = forms.mesh
     rule = quadrature(ERROR_QUAD_DEGREE)
-    _, inv_jac_t, det = cell_geometry(mesh)
+    jac, inv_jac_t, det = cell_geometry(mesh)
 
     def integral(cellwise_sq):
         return float(np.einsum("cq,q,c->", cellwise_sq, rule.weights, det))
 
-    pts = _physical_points(mesh, rule.points)
+    pts = _physical_points(mesh, jac, rule.points)
     element = forms.V_h.element   # the scalar basis of each component
     comp = u[forms.V_h.cell_dofs].reshape(len(mesh.cells), -1, 2)
     p_vals = np.einsum("qk,ck->cq", forms.Q_h.element.tabulate(rule.points),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mixedstab.assembly import assemble
-from mixedstab.mesh import Triangulation, generate
+from mixedstab.mesh import (Family, Triangulation, export_mesh, generate,
+                            import_mesh)
 
 from oracles import schur_pencil_eigenvalues
 
@@ -88,3 +89,18 @@ def relabel(rng):
         return Triangulation(vertices, cells), vperm
 
     return apply
+
+
+@pytest.fixture
+def pressure_forms(forms_for, relabel):
+    """Forms of degree r on ``source``: "crisscross" is crisscross n=4
+    (from the session cache), "relabelled-unionjack" the relabelled import
+    of unionjack n=6, whose cells keep their orientation but not their
+    vertex order."""
+    def get(source, r):
+        if source == "crisscross":
+            return forms_for(Family.CRISSCROSS, 4, r)
+        mesh = relabel(generate(Family.UNIONJACK, 6))[0]
+        return assemble(import_mesh(export_mesh(mesh)), r)
+
+    return get

@@ -5,7 +5,8 @@ from scipy.sparse.linalg import norm as sparse_norm
 
 import mixedstab.eigensolve as eigensolve
 import mixedstab.poisson as po
-from mixedstab.assembly import scalar_lagrange_space, vector_lagrange_space
+from mixedstab.assembly import (cell_geometry, scalar_lagrange_space,
+                                vector_lagrange_space)
 from mixedstab.errors import NumericalError
 from mixedstab.assembly import assemble
 from mixedstab.mesh import (GENERATED_FAMILIES, Family, Triangulation,
@@ -41,7 +42,7 @@ def test_interpolate_reproduces_degree_six_polynomial(rng):
 
     field = interpolate(poly, space)
     ref = random_ref_points(rng)
-    phys = po._physical_points(mesh, ref)
+    phys = po._physical_points(mesh, cell_geometry(mesh)[0], ref)
     values = eval_scalar(space, field, ref)
     exact = poly(phys.reshape(-1, 2)).reshape(values.shape)
     assert np.max(np.abs(values - exact)) < 1e-12
@@ -55,7 +56,7 @@ def test_interpolation_error_scales_like_h7(rng):
         mesh = generate(Family.DIAGONAL, n)
         space = scalar_lagrange_space(mesh, 6)
         field = interpolate(p_exact, space)
-        phys = po._physical_points(mesh, ref)
+        phys = po._physical_points(mesh, cell_geometry(mesh)[0], ref)
         values = eval_scalar(space, field, ref)
         exact = p_exact(phys.reshape(-1, 2)).reshape(values.shape)
         worst[n] = np.max(np.abs(values - exact))
@@ -292,7 +293,7 @@ def test_eval_vector_and_divergence_consistent(rng):
         space)
     ref = random_ref_points(rng, 10)
     vals = eval_vector(space, field, ref)
-    phys = po._physical_points(mesh, ref)
+    phys = po._physical_points(mesh, cell_geometry(mesh)[0], ref)
     assert np.max(np.abs(vals[..., 0] - phys[..., 0] ** 2)) < 1e-12
     # div(x^2, xy) = 3x
     div = eval_divergence(space, field, ref)
